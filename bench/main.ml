@@ -737,9 +737,10 @@ let micro () : (string * float * float option) list =
       ]
   in
   (* The interp micros run the fast (threaded-closure) engine — the
-     engine campaigns use by default; interp-ref micros keep the
-     reference match-dispatch loop on the table for the cross-engine
-     trajectory. *)
+     engine campaigns use by default — but on untagged images (no tag
+     mask), unlike campaign images, which always carry a policy's mask;
+     interp-ref micros keep the reference match-dispatch loop on the
+     table for the cross-engine trajectory. *)
   let interp name c =
     let image = Sim.Interp.compile c in
     (Test.make ~name

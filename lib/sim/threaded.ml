@@ -571,1978 +571,6 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
       bump m;
       return m None
 
-(* ------------------------------------------------------------------ *)
-(* Trace fusion.
-
-   A per-instruction closure chain still pays a fixed toll per simulated
-   instruction: GC poll, dyn load/store, budget compare, closure-env
-   loads and an indirect jump. On a ~2 GHz core that floor is ~10
-   cycles, which caps the whole engine at ~5 ns/instr no matter how
-   tight the arms are. To go materially faster we amortize that toll:
-   [build_trace] walks the decoded body from a pc, following fall-
-   through, unconditional jumps and the *predicted* direction of
-   conditional branches (backward = loop = taken), and flattens up to
-   [trace_cap] instructions into parallel int arrays of micro-ops. A
-   single closure then interprets the whole trace with [dyn] carried in
-   a register, one budget pre-check for the worst case, and no closure
-   dispatch between micro-ops — the micro loop is a tail-recursive
-   top-level function whose match compiles to one jump table.
-
-   Equivalence with the per-instruction engines:
-   - Traces stop before tagged (injectable) instructions, calls,
-     returns and always-trapping immediates, so no ordinal moves and no
-     pause can fire inside a trace; the classic closure at the stop pc
-     handles those exactly as before.
-   - [m.dyn] is committed at every exit (deviated branch, trace end)
-     and before any micro-op that can trap, after adding the trapping
-     instruction itself — matching the reference loop's bump-then-
-     execute order, so trap provenance and dyn counts are identical.
-   - The budget pre-check [dyn + klen > budget] falls back to the
-     classic closure chain when a timeout *could* occur inside the
-     trace; the classic chain then steps one instruction at a time (re-
-     checking at each trace head it meets) so the timeout fires at
-     exactly [dyn = budget + 1], like the reference engine.
-   - A conditional branch whose actual direction differs from the
-     trace's assumption commits and dispatches the target's closure;
-     branch targets always re-enter through the shared ops table, so a
-     deviation costs one extra dispatch, never wrong state.
-
-   Loops shorter than the cap unroll inside a single trace (the walk
-   may revisit a pc), so a hot loop executes dozens of iterations per
-   closure entry. *)
-
-(* Micro-op words pack [code lsl 40 lor (a lsl 20) lor b] — register
-   indices are far below 2^20 and codes below 2^12 — so the hot loop
-   reads one int per micro-op plus, when present, the full-width third
-   operand (immediate / offset / branch target) from [tc]. The arrays
-   ride in parameters of the tail recursion, keeping their base
-   pointers in registers; rarely-touched data (parked pcs, the float
-   pool) hides behind one [aux] record so it costs nothing per step. *)
-
-type aux = {
-  xpc : int array;  (* original pc per micro-op, for parking *)
-  xfp : float array;  (* float-immediate pool *)
-}
-
-type trace = {
-  tcab : int array;  (* packed code/a/b micro-op words, see [go] *)
-  ttc : int array;  (* third operand: src2 / imm / offset / target *)
-  taux : aux;  (* cold per-trace data: parked pcs, float pool *)
-  tklen : int;  (* worst-case dyn contribution (= micro count) *)
-}
-
-(* Micro opcode map (keep [go], [build_trace] and this table in sync;
-   the cross-engine differential suite exercises every row):
-     0  end          a=dispatch pc
-     1  jmp          (dyn bump only; control folded into the walk)
-     2  li    a=d c=imm          3  la   a=d c=addr
-     4  lf    a=d b=fpool        5  movi a=d b=s       6  movf a=d b=s
-     7  i2f   a=d b=s            8  f2i  a=d b=s         (parks)
-     9  lw   10 lb   11 lwf      a=d b=base c=off        (park)
-    12  sw   13 sb   14 swf      a=v b=base c=off        (park)
-    15..25  bin  Add..Sra        a=d b=ra c=rb   (Div/Rem park on 0)
-    26..36  bini Add..Sra        a=d b=ra c=imm  (shift counts masked)
-    37..42  cmp  Eq..Ge          a=d b=ra c=rb
-    43..48  fcmp Eq..Ge          a=d b=ra c=rb
-    49..52  fbin Fadd..Fdiv      a=d b=ra c=rb
-    53..55  fun  Fneg/Fabs/Fsqrt a=d b=s
-    56..61  br  assume-fallthrough  a=ra b=rb c=taken target
-    62..67  br  assume-taken        a=ra b=rb c=fallthrough pc
-    68..73  brz assume-fallthrough  a=ra c=taken target
-    74..79  brz assume-taken        a=ra c=fallthrough pc *)
-
-let ibin : Ir.Instr.binop -> int = function
-  | Ir.Instr.Add -> 0
-  | Ir.Instr.Sub -> 1
-  | Ir.Instr.Mul -> 2
-  | Ir.Instr.Div -> 3
-  | Ir.Instr.Rem -> 4
-  | Ir.Instr.And -> 5
-  | Ir.Instr.Or -> 6
-  | Ir.Instr.Xor -> 7
-  | Ir.Instr.Sll -> 8
-  | Ir.Instr.Srl -> 9
-  | Ir.Instr.Sra -> 10
-
-let icmp : Ir.Instr.cmpop -> int = function
-  | Ir.Instr.Eq -> 0
-  | Ir.Instr.Ne -> 1
-  | Ir.Instr.Lt -> 2
-  | Ir.Instr.Le -> 3
-  | Ir.Instr.Gt -> 4
-  | Ir.Instr.Ge -> 5
-
-let ifbin : Ir.Instr.fbinop -> int = function
-  | Ir.Instr.Fadd -> 0
-  | Ir.Instr.Fsub -> 1
-  | Ir.Instr.Fmul -> 2
-  | Ir.Instr.Fdiv -> 3
-
-let ifun : Ir.Instr.funop -> int = function
-  | Ir.Instr.Fneg -> 0
-  | Ir.Instr.Fabs -> 1
-  | Ir.Instr.Fsqrt -> 2
-
-let[@inline] pA v = (v lsr 20) land 0xFFFFF
-let[@inline] pB v = v land 0xFFFFF
-
-(* Run one trace to its exit and return the pc to dispatch next. The
-   micro loop keeps its cursor [j], the running dyn count [d] and the
-   exit pc [t] in local refs that ocamlopt unboxes into registers — a
-   tail-recursive formulation re-enters the function per micro-op and
-   respills every parameter. [d] is committed to [m.dyn] only at exits
-   and trap points; the budget was pre-checked for the whole trace, so
-   no timeout test is needed per micro-op. The caller tail-dispatches
-   the returned pc, keeping the dispatch chain's stack constant. *)
-let run_trace (m : t) (fr : frame) (r : int array) (f : float array)
-    (cab : int array) (tc : int array) (aux : aux) : int =
-  let j = ref 0 in
-  let d = ref m.dyn in
-  let t = ref (-1) in
-  while !t < 0 do
-    let j0 = !j in
-    let v = Array.unsafe_get cab j0 in
-    match v lsr 40 with
-  | 0 ->
-    m.dyn <- !d;
-    t := pA v
-  | 1 ->
-    incr d;
-    j := j0 + 1
-  | 2 ->
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    incr d;
-    j := j0 + 1
-  | 3 ->
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    incr d;
-    j := j0 + 1
-  | 4 ->
-    fs f (pA v) (Array.unsafe_get aux.xfp (pB v));
-    incr d;
-    j := j0 + 1
-  | 5 ->
-    is_ r (pA v) (ig r (pB v));
-    incr d;
-    j := j0 + 1
-  | 6 ->
-    fs f (pA v) (fg f (pB v));
-    incr d;
-    j := j0 + 1
-  | 7 ->
-    fs f (pA v) (float_of_int (ig r (pB v)));
-    incr d;
-    j := j0 + 1
-  | 8 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (f2i (fg f (pB v)));
-    d := dd;
-    j := j0 + 1
-  | 9 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_int m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    d := dd;
-    j := j0 + 1
-  | 10 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_byte m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    d := dd;
-    j := j0 + 1
-  | 11 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    fs f (pA v) (Memory.load_flt m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    d := dd;
-    j := j0 + 1
-  | 12 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    Memory.store_int m.memory (ig r (pB v) + Array.unsafe_get tc j0) (ig r (pA v));
-    d := dd;
-    j := j0 + 1
-  | 13 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    Memory.store_byte m.memory (ig r (pB v) + Array.unsafe_get tc j0) (ig r (pA v));
-    d := dd;
-    j := j0 + 1
-  | 14 ->
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    Memory.store_flt m.memory (ig r (pB v) + Array.unsafe_get tc j0) (fg f (pA v));
-    d := dd;
-    j := j0 + 1
-  | 15 ->
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    incr d;
-    j := j0 + 1
-  | 16 ->
-    is_ r (pA v) (sx32 (ig r (pB v) - ig r (Array.unsafe_get tc j0)));
-    incr d;
-    j := j0 + 1
-  | 17 ->
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    incr d;
-    j := j0 + 1
-  | 18 ->
-    let dd = !d + 1 in
-    let bv = ig r (Array.unsafe_get tc j0) in
-    if bv = 0 then begin
-      m.dyn <- dd;
-      div_by_zero fr (Array.unsafe_get aux.xpc j0)
-    end;
-    is_ r (pA v) (sx32 (ig r (pB v) / bv));
-    d := dd;
-    j := j0 + 1
-  | 19 ->
-    let dd = !d + 1 in
-    let bv = ig r (Array.unsafe_get tc j0) in
-    if bv = 0 then begin
-      m.dyn <- dd;
-      div_by_zero fr (Array.unsafe_get aux.xpc j0)
-    end;
-    is_ r (pA v) (sx32 (ig r (pB v) mod bv));
-    d := dd;
-    j := j0 + 1
-  | 20 ->
-    is_ r (pA v) (ig r (pB v) land ig r (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 21 ->
-    is_ r (pA v) (ig r (pB v) lor ig r (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 22 ->
-    is_ r (pA v) (ig r (pB v) lxor ig r (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 23 ->
-    is_ r (pA v) (sx32 (ig r (pB v) lsl (ig r (Array.unsafe_get tc j0) land 31)));
-    incr d;
-    j := j0 + 1
-  | 24 ->
-    is_ r (pA v)
-      (sx32 ((ig r (pB v) land 0xFFFFFFFF) lsr (ig r (Array.unsafe_get tc j0) land 31)));
-    incr d;
-    j := j0 + 1
-  | 25 ->
-    is_ r (pA v) (ig r (pB v) asr (ig r (Array.unsafe_get tc j0) land 31));
-    incr d;
-    j := j0 + 1
-  | 26 ->
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 27 ->
-    is_ r (pA v) (sx32 (ig r (pB v) - Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 28 ->
-    is_ r (pA v) (sx32 (ig r (pB v) * Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 29 ->
-    (* imm divisor, nonzero by construction (zero stops the trace) *)
-    is_ r (pA v) (sx32 (ig r (pB v) / Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 30 ->
-    is_ r (pA v) (sx32 (ig r (pB v) mod Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 31 ->
-    is_ r (pA v) (ig r (pB v) land Array.unsafe_get tc j0);
-    incr d;
-    j := j0 + 1
-  | 32 ->
-    is_ r (pA v) (ig r (pB v) lor Array.unsafe_get tc j0);
-    incr d;
-    j := j0 + 1
-  | 33 ->
-    is_ r (pA v) (ig r (pB v) lxor Array.unsafe_get tc j0);
-    incr d;
-    j := j0 + 1
-  | 34 ->
-    is_ r (pA v) (sx32 (ig r (pB v) lsl Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 35 ->
-    is_ r (pA v) (sx32 ((ig r (pB v) land 0xFFFFFFFF) lsr Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 36 ->
-    is_ r (pA v) (ig r (pB v) asr Array.unsafe_get tc j0);
-    incr d;
-    j := j0 + 1
-  | 37 ->
-    is_ r (pA v) (if ig r (pB v) = ig r (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 38 ->
-    is_ r (pA v) (if ig r (pB v) <> ig r (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 39 ->
-    is_ r (pA v) (if ig r (pB v) < ig r (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 40 ->
-    is_ r (pA v) (if ig r (pB v) <= ig r (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 41 ->
-    is_ r (pA v) (if ig r (pB v) > ig r (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 42 ->
-    is_ r (pA v) (if ig r (pB v) >= ig r (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 43 ->
-    is_ r (pA v) (if fg f (pB v) = fg f (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 44 ->
-    is_ r (pA v) (if fg f (pB v) <> fg f (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 45 ->
-    is_ r (pA v) (if fg f (pB v) < fg f (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 46 ->
-    is_ r (pA v) (if fg f (pB v) <= fg f (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 47 ->
-    is_ r (pA v) (if fg f (pB v) > fg f (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 48 ->
-    is_ r (pA v) (if fg f (pB v) >= fg f (Array.unsafe_get tc j0) then 1 else 0);
-    incr d;
-    j := j0 + 1
-  | 49 ->
-    fs f (pA v) (fg f (pB v) +. fg f (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 50 ->
-    fs f (pA v) (fg f (pB v) -. fg f (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 51 ->
-    fs f (pA v) (fg f (pB v) *. fg f (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 52 ->
-    fs f (pA v) (fg f (pB v) /. fg f (Array.unsafe_get tc j0));
-    incr d;
-    j := j0 + 1
-  | 53 ->
-    fs f (pA v) (-.fg f (pB v));
-    incr d;
-    j := j0 + 1
-  | 54 ->
-    fs f (pA v) (Float.abs (fg f (pB v)));
-    incr d;
-    j := j0 + 1
-  | 55 ->
-    fs f (pA v) (Float.sqrt (fg f (pB v)));
-    incr d;
-    j := j0 + 1
-  | 56 ->
-    let dd = !d + 1 in
-    if ig r (pA v) = ig r (pB v) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 57 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <> ig r (pB v) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 58 ->
-    let dd = !d + 1 in
-    if ig r (pA v) < ig r (pB v) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 59 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <= ig r (pB v) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 60 ->
-    let dd = !d + 1 in
-    if ig r (pA v) > ig r (pB v) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 61 ->
-    let dd = !d + 1 in
-    if ig r (pA v) >= ig r (pB v) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 62 ->
-    let dd = !d + 1 in
-    if ig r (pA v) = ig r (pB v) then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 63 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <> ig r (pB v) then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 64 ->
-    let dd = !d + 1 in
-    if ig r (pA v) < ig r (pB v) then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 65 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <= ig r (pB v) then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 66 ->
-    let dd = !d + 1 in
-    if ig r (pA v) > ig r (pB v) then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 67 ->
-    let dd = !d + 1 in
-    if ig r (pA v) >= ig r (pB v) then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 68 ->
-    let dd = !d + 1 in
-    if ig r (pA v) = 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 69 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <> 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 70 ->
-    let dd = !d + 1 in
-    if ig r (pA v) < 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 71 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <= 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 72 ->
-    let dd = !d + 1 in
-    if ig r (pA v) > 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 73 ->
-    let dd = !d + 1 in
-    if ig r (pA v) >= 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-    else begin
-      d := dd;
-      j := j0 + 1
-    end
-  | 74 ->
-    let dd = !d + 1 in
-    if ig r (pA v) = 0 then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 75 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <> 0 then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 76 ->
-    let dd = !d + 1 in
-    if ig r (pA v) < 0 then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 77 ->
-    let dd = !d + 1 in
-    if ig r (pA v) <= 0 then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 78 ->
-    let dd = !d + 1 in
-    if ig r (pA v) > 0 then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  | 79 ->
-    let dd = !d + 1 in
-    if ig r (pA v) >= 0 then begin
-      d := dd;
-      j := j0 + 1
-    end
-    else begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc j0
-    end
-  (* Superinstructions: one dispatch executes the micro at [j0] and the
-     one at [j0 + 1]. Operand fields stay in each member's own word, so
-     pairing is purely positional (trace-adjacent, not pc-adjacent) —
-     see [fuse_code] for the pair table. dyn accounting and trap parking
-     follow the same bump-then-execute order as the unfused arms. *)
-  | 80 ->
-    (* add+add *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := !d + 2;
-    j := j0 + 2
-  | 81 ->
-    (* add+li *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (Array.unsafe_get tc (j0 + 1));
-    d := !d + 2;
-    j := j0 + 2
-  | 82 ->
-    (* mul+mul *)
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * ig r (Array.unsafe_get tc (j0 + 1))));
-    d := !d + 2;
-    j := j0 + 2
-  | 83 ->
-    (* mul+add *)
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := !d + 2;
-    j := j0 + 2
-  | 84 ->
-    (* muli+add *)
-    is_ r (pA v) (sx32 (ig r (pB v) * Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := !d + 2;
-    j := j0 + 2
-  | 85 ->
-    (* la+muli *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * Array.unsafe_get tc (j0 + 1)));
-    d := !d + 2;
-    j := j0 + 2
-  | 86 ->
-    (* la+addi *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    d := !d + 2;
-    j := j0 + 2
-  | 87 ->
-    (* andi+add *)
-    is_ r (pA v) (ig r (pB v) land Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := !d + 2;
-    j := j0 + 2
-  | 88 ->
-    (* addi+andi *)
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (ig r (pB v2) land Array.unsafe_get tc (j0 + 1));
-    d := !d + 2;
-    j := j0 + 2
-  | 89 ->
-    (* sub+la *)
-    is_ r (pA v) (sx32 (ig r (pB v) - ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (Array.unsafe_get tc (j0 + 1));
-    d := !d + 2;
-    j := j0 + 2
-  | 90 ->
-    (* slli+add *)
-    is_ r (pA v) (sx32 (ig r (pB v) lsl Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := !d + 2;
-    j := j0 + 2
-  | 91 ->
-    (* la+slli *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    d := !d + 2;
-    j := j0 + 2
-  | 92 ->
-    (* addi+jmp: the jmp member has no work of its own *)
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    d := !d + 2;
-    j := j0 + 2
-  | 93 ->
-    (* add+la *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (Array.unsafe_get tc (j0 + 1));
-    d := !d + 2;
-    j := j0 + 2
-  | 96 ->
-    (* add+lb *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let dd = !d + 2 in
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 1);
-    m.dyn <- dd;
-    is_ r (pA v2)
-      (Memory.load_byte m.memory (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    d := dd;
-    j := j0 + 2
-  | 97 ->
-    (* add+lw *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let dd = !d + 2 in
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 1);
-    m.dyn <- dd;
-    is_ r (pA v2)
-      (Memory.load_int m.memory (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    d := dd;
-    j := j0 + 2
-  | 98 ->
-    (* add+sw *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let dd = !d + 2 in
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 1);
-    m.dyn <- dd;
-    Memory.store_int m.memory
-      (ig r (pB v2) + Array.unsafe_get tc (j0 + 1))
-      (ig r (pA v2));
-    d := dd;
-    j := j0 + 2
-  | 99 ->
-    (* lb+add *)
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_byte m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := dd + 1;
-    j := j0 + 2
-  | 100 ->
-    (* lb+sub *)
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_byte m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) - ig r (Array.unsafe_get tc (j0 + 1))));
-    d := dd + 1;
-    j := j0 + 2
-  | 101 ->
-    (* lw+la *)
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_int m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (Array.unsafe_get tc (j0 + 1));
-    d := dd + 1;
-    j := j0 + 2
-  | 102 ->
-    (* lw+li *)
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_int m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (Array.unsafe_get tc (j0 + 1));
-    d := dd + 1;
-    j := j0 + 2
-  | 103 ->
-    (* lw+add *)
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_int m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    d := dd + 1;
-    j := j0 + 2
-  | 104 ->
-    (* lw+jmp: the jmp member has no work of its own *)
-    let dd = !d + 1 in
-    fr.pc <- Array.unsafe_get aux.xpc j0;
-    m.dyn <- dd;
-    is_ r (pA v) (Memory.load_int m.memory (ig r (pB v) + Array.unsafe_get tc j0));
-    d := dd + 1;
-    j := j0 + 2
-  (* Fused quads: one dispatch for four micros. Same field layout as
-     pairs — each member keeps its own word. These carve the dominant
-     loop bodies of the app suite (indexed load/store chains and the
-     2-D pixel address computation). *)
-  | 105 ->
-    (* la+slli+add+lw *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    d := dd;
-    j := j0 + 4
-  | 106 ->
-    (* la+slli+add+sw *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    Memory.store_int m.memory
-      (ig r (pB v4) + Array.unsafe_get tc (j0 + 3))
-      (ig r (pA v4));
-    d := dd;
-    j := j0 + 4
-  | 107 ->
-    (* mul+mul+add+li *)
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * ig r (Array.unsafe_get tc (j0 + 1))));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (Array.unsafe_get tc (j0 + 3));
-    d := !d + 4;
-    j := j0 + 4
-  | 108 ->
-    (* add+lb+sub+la *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let dd = !d + 2 in
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 1);
-    m.dyn <- dd;
-    is_ r (pA v2)
-      (Memory.load_byte m.memory (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) - ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (Array.unsafe_get tc (j0 + 3));
-    d := dd + 2;
-    j := j0 + 4
-  | 109 ->
-    (* add+lb+add+addi *)
-    is_ r (pA v) (sx32 (ig r (pB v) + ig r (Array.unsafe_get tc j0)));
-    let dd = !d + 2 in
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 1);
-    m.dyn <- dd;
-    is_ r (pA v2)
-      (Memory.load_byte m.memory (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (sx32 (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    d := dd + 2;
-    j := j0 + 4
-  | 110 ->
-    (* la+addi+andi+add *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (ig r (pB v3) land Array.unsafe_get tc (j0 + 2));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (sx32 (ig r (pB v4) + ig r (Array.unsafe_get tc (j0 + 3))));
-    d := !d + 4;
-    j := j0 + 4
-  | 111 ->
-    (* muli+add+add+add *)
-    is_ r (pA v) (sx32 (ig r (pB v) * Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + ig r (Array.unsafe_get tc (j0 + 1))));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (sx32 (ig r (pB v4) + ig r (Array.unsafe_get tc (j0 + 3))));
-    d := !d + 4;
-    j := j0 + 4
-  | 112 ->
-    (* la+muli+add+add *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (sx32 (ig r (pB v4) + ig r (Array.unsafe_get tc (j0 + 3))));
-    d := !d + 4;
-    j := j0 + 4
-  | 113 ->
-    (* la+muli+add+add+add+lb+sub+la: one full 8-wide run of the susan
-       pixel loop prefix; the lb is the 6th member *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (sx32 (ig r (pB v4) + ig r (Array.unsafe_get tc (j0 + 3))));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (sx32 (ig r (pB v5) + ig r (Array.unsafe_get tc (j0 + 4))));
-    let dd = !d + 6 in
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 5);
-    m.dyn <- dd;
-    is_ r (pA v6)
-      (Memory.load_byte m.memory (ig r (pB v6) + Array.unsafe_get tc (j0 + 5)));
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    is_ r (pA v7) (sx32 (ig r (pB v7) - ig r (Array.unsafe_get tc (j0 + 6))));
-    let v8 = Array.unsafe_get cab (j0 + 7) in
-    is_ r (pA v8) (Array.unsafe_get tc (j0 + 7));
-    d := dd + 2;
-    j := j0 + 8
-  | 114 ->
-    (* addi+andi+add+lb+add+addi: the susan pixel loop suffix; the lb
-       is the 4th member *)
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (ig r (pB v2) land Array.unsafe_get tc (j0 + 1));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_byte m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (sx32 (ig r (pB v5) + ig r (Array.unsafe_get tc (j0 + 4))));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) + Array.unsafe_get tc (j0 + 5)));
-    d := dd + 2;
-    j := j0 + 6
-  | 115 ->
-    (* mul+mul+add+li+br(Gt,fwd): the branch member deviates when its
-       condition holds, like the standalone assume-fallthrough arm 60 *)
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * ig r (Array.unsafe_get tc (j0 + 1))));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (Array.unsafe_get tc (j0 + 3));
-    let dd = !d + 5 in
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    if ig r (pA v5) > ig r (pB v5) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 4)
-    end
-    else begin
-      d := dd;
-      j := j0 + 5
-    end
-  | 116 ->
-    (* addi+andi+add+lb+add+addi+jmp: arm 114 plus the loop backedge
-       jmp consumed for free *)
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (ig r (pB v2) land Array.unsafe_get tc (j0 + 1));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_byte m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (sx32 (ig r (pB v5) + ig r (Array.unsafe_get tc (j0 + 4))));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) + Array.unsafe_get tc (j0 + 5)));
-    d := dd + 3;
-    j := j0 + 7
-  | 117 ->
-    (* la+slli+add+lw twice: back-to-back indexed loads (the mcf arc
-       scan); each lw parks its own pc *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (Array.unsafe_get tc (j0 + 4));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) lsl Array.unsafe_get tc (j0 + 5)));
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    is_ r (pA v7) (sx32 (ig r (pB v7) + ig r (Array.unsafe_get tc (j0 + 6))));
-    let dd2 = dd + 4 in
-    let v8 = Array.unsafe_get cab (j0 + 7) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 7);
-    m.dyn <- dd2;
-    is_ r (pA v8)
-      (Memory.load_int m.memory (ig r (pB v8) + Array.unsafe_get tc (j0 + 7)));
-    d := dd2;
-    j := j0 + 8
-  | 118 ->
-    (* la+slli+add+lw+li *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (Array.unsafe_get tc (j0 + 4));
-    d := dd + 1;
-    j := j0 + 5
-  | 119 ->
-    (* la+slli+add+lw+add *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (sx32 (ig r (pB v5) + ig r (Array.unsafe_get tc (j0 + 4))));
-    d := dd + 1;
-    j := j0 + 5
-  | 120 ->
-    (* arm 116 plus the loop-header br(Ge,fwd) reached through the
-       backedge jmp: a whole pixel-loop iteration's tail in one
-       dispatch, branch member last *)
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (ig r (pB v2) land Array.unsafe_get tc (j0 + 1));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_byte m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (sx32 (ig r (pB v5) + ig r (Array.unsafe_get tc (j0 + 4))));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) + Array.unsafe_get tc (j0 + 5)));
-    let dd = dd + 4 in
-    let v8 = Array.unsafe_get cab (j0 + 7) in
-    if ig r (pA v8) >= ig r (pB v8) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 7)
-    end
-    else begin
-      d := dd;
-      j := j0 + 8
-    end
-  | 121 ->
-    (* li+addi+jmp+br(Ge,fwd): counter-bump loop tail *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) + Array.unsafe_get tc (j0 + 1)));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    if ig r (pA v4) >= ig r (pB v4) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 3)
-    end
-    else begin
-      d := dd;
-      j := j0 + 4
-    end
-  | 122 ->
-    (* cmp(Lt)+and+brz(Eq,fwd): short-circuit condition chain *)
-    is_ r (pA v) (if ig r (pB v) < ig r (Array.unsafe_get tc j0) then 1 else 0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (ig r (pB v2) land ig r (Array.unsafe_get tc (j0 + 1)));
-    let dd = !d + 3 in
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    if ig r (pA v3) = 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 2)
-    end
-    else begin
-      d := dd;
-      j := j0 + 3
-    end
-  | 123 ->
-    (* la+slli+add+sw+jmp: arm 106 plus a free backedge jmp *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    Memory.store_int m.memory
-      (ig r (pB v4) + Array.unsafe_get tc (j0 + 3))
-      (ig r (pA v4));
-    d := dd + 1;
-    j := j0 + 5
-  | 124 ->
-    (* la+slli+add+lw+br(Lt,fwd) *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let dd = dd + 1 in
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    if ig r (pA v5) < ig r (pB v5) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 4)
-    end
-    else begin
-      d := dd;
-      j := j0 + 5
-    end
-  | 125 ->
-    (* arm 115 with its fallthrough tail absorbed: addi+jmp+br(Ge,fwd),
-       so the non-exiting path of the inner loop is one dispatch *)
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * ig r (Array.unsafe_get tc (j0 + 1))));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (Array.unsafe_get tc (j0 + 3));
-    let dd = !d + 5 in
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    if ig r (pA v5) > ig r (pB v5) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 4)
-    end
-    else begin
-      let v6 = Array.unsafe_get cab (j0 + 5) in
-      is_ r (pA v6) (sx32 (ig r (pB v6) + Array.unsafe_get tc (j0 + 5)));
-      let dd = dd + 3 in
-      let v8 = Array.unsafe_get cab (j0 + 7) in
-      if ig r (pA v8) >= ig r (pB v8) then begin
-        m.dyn <- dd;
-        t := Array.unsafe_get tc (j0 + 7)
-      end
-      else begin
-        d := dd;
-        j := j0 + 8
-      end
-    end
-  | 126 ->
-    (* addi+jmp+br(Ge,fwd): counter-bump backedge into the loop test *)
-    is_ r (pA v) (sx32 (ig r (pB v) + Array.unsafe_get tc j0));
-    let dd = !d + 3 in
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    if ig r (pA v3) >= ig r (pB v3) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 2)
-    end
-    else begin
-      d := dd;
-      j := j0 + 3
-    end
-  | 127 ->
-    (* li+li+br(Ge,fwd): constant-reset loop header *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (Array.unsafe_get tc (j0 + 1));
-    let dd = !d + 3 in
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    if ig r (pA v3) >= ig r (pB v3) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 2)
-    end
-    else begin
-      d := dd;
-      j := j0 + 3
-    end
-  | 128 ->
-    (* la+slli+add+lw+jmp+li+br(Lt,fwd): indexed load, backedge jmp
-       free, constant, loop test *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (Array.unsafe_get tc (j0 + 5));
-    let dd = dd + 3 in
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    if ig r (pA v7) < ig r (pB v7) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 6)
-    end
-    else begin
-      d := dd;
-      j := j0 + 7
-    end
-  | 129 ->
-    (* la+slli+add+lw+li+cmp(Gt): arm 118 plus the comparison *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (Array.unsafe_get tc (j0 + 4));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6)
-      (if ig r (pB v6) > ig r (Array.unsafe_get tc (j0 + 5)) then 1 else 0);
-    d := dd + 2;
-    j := j0 + 6
-  | 130 ->
-    (* One full pixel-loop iteration (arms 115+113+120 contiguous in
-       the unrolled trace): 21 micros, two parked byte loads, brGt exit
-       early out, brGe loop test last *)
-    is_ r (pA v) (sx32 (ig r (pB v) * ig r (Array.unsafe_get tc j0)));
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) * ig r (Array.unsafe_get tc (j0 + 1))));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    is_ r (pA v4) (Array.unsafe_get tc (j0 + 3));
-    let dd = !d + 5 in
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    if ig r (pA v5) > ig r (pB v5) then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 4)
-    end
-    else begin
-      let v6 = Array.unsafe_get cab (j0 + 5) in
-      is_ r (pA v6) (Array.unsafe_get tc (j0 + 5));
-      let v7 = Array.unsafe_get cab (j0 + 6) in
-      is_ r (pA v7) (sx32 (ig r (pB v7) * Array.unsafe_get tc (j0 + 6)));
-      let v8 = Array.unsafe_get cab (j0 + 7) in
-      is_ r (pA v8) (sx32 (ig r (pB v8) + ig r (Array.unsafe_get tc (j0 + 7))));
-      let v9 = Array.unsafe_get cab (j0 + 8) in
-      is_ r (pA v9) (sx32 (ig r (pB v9) + ig r (Array.unsafe_get tc (j0 + 8))));
-      let v10 = Array.unsafe_get cab (j0 + 9) in
-      is_ r (pA v10) (sx32 (ig r (pB v10) + ig r (Array.unsafe_get tc (j0 + 9))));
-      let dd = dd + 6 in
-      let v11 = Array.unsafe_get cab (j0 + 10) in
-      fr.pc <- Array.unsafe_get aux.xpc (j0 + 10);
-      m.dyn <- dd;
-      is_ r (pA v11)
-        (Memory.load_byte m.memory
-           (ig r (pB v11) + Array.unsafe_get tc (j0 + 10)));
-      let v12 = Array.unsafe_get cab (j0 + 11) in
-      is_ r (pA v12) (sx32 (ig r (pB v12) - ig r (Array.unsafe_get tc (j0 + 11))));
-      let v13 = Array.unsafe_get cab (j0 + 12) in
-      is_ r (pA v13) (Array.unsafe_get tc (j0 + 12));
-      let v14 = Array.unsafe_get cab (j0 + 13) in
-      is_ r (pA v14) (sx32 (ig r (pB v14) + Array.unsafe_get tc (j0 + 13)));
-      let v15 = Array.unsafe_get cab (j0 + 14) in
-      is_ r (pA v15) (ig r (pB v15) land Array.unsafe_get tc (j0 + 14));
-      let v16 = Array.unsafe_get cab (j0 + 15) in
-      is_ r (pA v16) (sx32 (ig r (pB v16) + ig r (Array.unsafe_get tc (j0 + 15))));
-      let dd = dd + 6 in
-      let v17 = Array.unsafe_get cab (j0 + 16) in
-      fr.pc <- Array.unsafe_get aux.xpc (j0 + 16);
-      m.dyn <- dd;
-      is_ r (pA v17)
-        (Memory.load_byte m.memory
-           (ig r (pB v17) + Array.unsafe_get tc (j0 + 16)));
-      let v18 = Array.unsafe_get cab (j0 + 17) in
-      is_ r (pA v18) (sx32 (ig r (pB v18) + ig r (Array.unsafe_get tc (j0 + 17))));
-      let v19 = Array.unsafe_get cab (j0 + 18) in
-      is_ r (pA v19) (sx32 (ig r (pB v19) + Array.unsafe_get tc (j0 + 18)));
-      let dd = dd + 4 in
-      let v21 = Array.unsafe_get cab (j0 + 20) in
-      if ig r (pA v21) >= ig r (pB v21) then begin
-        m.dyn <- dd;
-        t := Array.unsafe_get tc (j0 + 20)
-      end
-      else begin
-        d := dd;
-        j := j0 + 21
-      end
-    end
-  | 131 ->
-    (* Three la+slli+add+lw indexed loads then an add: arms 117+119
-       contiguous (the mcf arc-scan gather); each lw parks its own pc *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (Array.unsafe_get tc (j0 + 4));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) lsl Array.unsafe_get tc (j0 + 5)));
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    is_ r (pA v7) (sx32 (ig r (pB v7) + ig r (Array.unsafe_get tc (j0 + 6))));
-    let dd = dd + 4 in
-    let v8 = Array.unsafe_get cab (j0 + 7) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 7);
-    m.dyn <- dd;
-    is_ r (pA v8)
-      (Memory.load_int m.memory (ig r (pB v8) + Array.unsafe_get tc (j0 + 7)));
-    let v9 = Array.unsafe_get cab (j0 + 8) in
-    is_ r (pA v9) (Array.unsafe_get tc (j0 + 8));
-    let v10 = Array.unsafe_get cab (j0 + 9) in
-    is_ r (pA v10) (sx32 (ig r (pB v10) lsl Array.unsafe_get tc (j0 + 9)));
-    let v11 = Array.unsafe_get cab (j0 + 10) in
-    is_ r (pA v11) (sx32 (ig r (pB v11) + ig r (Array.unsafe_get tc (j0 + 10))));
-    let dd = dd + 4 in
-    let v12 = Array.unsafe_get cab (j0 + 11) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 11);
-    m.dyn <- dd;
-    is_ r (pA v12)
-      (Memory.load_int m.memory (ig r (pB v12) + Array.unsafe_get tc (j0 + 11)));
-    let v13 = Array.unsafe_get cab (j0 + 12) in
-    is_ r (pA v13) (sx32 (ig r (pB v13) + ig r (Array.unsafe_get tc (j0 + 12))));
-    d := dd + 1;
-    j := j0 + 13
-  | 132 ->
-    (* la+slli+add+lw then cmp(Lt)+and+brz(Eq,fwd): arms 105+122, the
-       arc-scan bound check *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5)
-      (if ig r (pB v5) < ig r (Array.unsafe_get tc (j0 + 4)) then 1 else 0);
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (ig r (pB v6) land ig r (Array.unsafe_get tc (j0 + 5)));
-    let dd = dd + 3 in
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    if ig r (pA v7) = 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 6)
-    end
-    else begin
-      d := dd;
-      j := j0 + 7
-    end
-  | 133 ->
-    (* One full arc-scan iteration (arms 131+129+132+128 contiguous in
-       the trace): 33 micros, six parked word loads, brz(Eq) bound
-       check and brLt loop test as the two exits *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    let dd = !d + 4 in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (Array.unsafe_get tc (j0 + 4));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) lsl Array.unsafe_get tc (j0 + 5)));
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    is_ r (pA v7) (sx32 (ig r (pB v7) + ig r (Array.unsafe_get tc (j0 + 6))));
-    let v8 = Array.unsafe_get cab (j0 + 7) in
-    let dd = dd + 4 in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 7);
-    m.dyn <- dd;
-    is_ r (pA v8)
-      (Memory.load_int m.memory (ig r (pB v8) + Array.unsafe_get tc (j0 + 7)));
-    let v9 = Array.unsafe_get cab (j0 + 8) in
-    is_ r (pA v9) (Array.unsafe_get tc (j0 + 8));
-    let v10 = Array.unsafe_get cab (j0 + 9) in
-    is_ r (pA v10) (sx32 (ig r (pB v10) lsl Array.unsafe_get tc (j0 + 9)));
-    let v11 = Array.unsafe_get cab (j0 + 10) in
-    is_ r (pA v11) (sx32 (ig r (pB v11) + ig r (Array.unsafe_get tc (j0 + 10))));
-    let v12 = Array.unsafe_get cab (j0 + 11) in
-    let dd = dd + 4 in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 11);
-    m.dyn <- dd;
-    is_ r (pA v12)
-      (Memory.load_int m.memory (ig r (pB v12) + Array.unsafe_get tc (j0 + 11)));
-    let v13 = Array.unsafe_get cab (j0 + 12) in
-    is_ r (pA v13) (sx32 (ig r (pB v13) + ig r (Array.unsafe_get tc (j0 + 12))));
-    let v14 = Array.unsafe_get cab (j0 + 13) in
-    is_ r (pA v14) (Array.unsafe_get tc (j0 + 13));
-    let v15 = Array.unsafe_get cab (j0 + 14) in
-    is_ r (pA v15) (sx32 (ig r (pB v15) lsl Array.unsafe_get tc (j0 + 14)));
-    let v16 = Array.unsafe_get cab (j0 + 15) in
-    is_ r (pA v16) (sx32 (ig r (pB v16) + ig r (Array.unsafe_get tc (j0 + 15))));
-    let v17 = Array.unsafe_get cab (j0 + 16) in
-    let dd = dd + 5 in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 16);
-    m.dyn <- dd;
-    is_ r (pA v17)
-      (Memory.load_int m.memory (ig r (pB v17) + Array.unsafe_get tc (j0 + 16)));
-    let v18 = Array.unsafe_get cab (j0 + 17) in
-    is_ r (pA v18) (Array.unsafe_get tc (j0 + 17));
-    let v19 = Array.unsafe_get cab (j0 + 18) in
-    is_ r (pA v19)
-      (if ig r (pB v19) > ig r (Array.unsafe_get tc (j0 + 18)) then 1 else 0);
-    let v20 = Array.unsafe_get cab (j0 + 19) in
-    is_ r (pA v20) (Array.unsafe_get tc (j0 + 19));
-    let v21 = Array.unsafe_get cab (j0 + 20) in
-    is_ r (pA v21) (sx32 (ig r (pB v21) lsl Array.unsafe_get tc (j0 + 20)));
-    let v22 = Array.unsafe_get cab (j0 + 21) in
-    is_ r (pA v22) (sx32 (ig r (pB v22) + ig r (Array.unsafe_get tc (j0 + 21))));
-    let v23 = Array.unsafe_get cab (j0 + 22) in
-    let dd = dd + 6 in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 22);
-    m.dyn <- dd;
-    is_ r (pA v23)
-      (Memory.load_int m.memory (ig r (pB v23) + Array.unsafe_get tc (j0 + 22)));
-    let v24 = Array.unsafe_get cab (j0 + 23) in
-    is_ r (pA v24)
-      (if ig r (pB v24) < ig r (Array.unsafe_get tc (j0 + 23)) then 1 else 0);
-    let v25 = Array.unsafe_get cab (j0 + 24) in
-    is_ r (pA v25) (ig r (pB v25) land ig r (Array.unsafe_get tc (j0 + 24)));
-    let dd = dd + 3 in
-    let v26 = Array.unsafe_get cab (j0 + 25) in
-    if ig r (pA v26) = 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 25)
-    end
-    else begin
-      let v27 = Array.unsafe_get cab (j0 + 26) in
-      is_ r (pA v27) (Array.unsafe_get tc (j0 + 26));
-      let v28 = Array.unsafe_get cab (j0 + 27) in
-      is_ r (pA v28) (sx32 (ig r (pB v28) lsl Array.unsafe_get tc (j0 + 27)));
-      let v29 = Array.unsafe_get cab (j0 + 28) in
-      is_ r (pA v29) (sx32 (ig r (pB v29) + ig r (Array.unsafe_get tc (j0 + 28))));
-      let v30 = Array.unsafe_get cab (j0 + 29) in
-      let dd = dd + 4 in
-      fr.pc <- Array.unsafe_get aux.xpc (j0 + 29);
-      m.dyn <- dd;
-      is_ r (pA v30)
-        (Memory.load_int m.memory (ig r (pB v30) + Array.unsafe_get tc (j0 + 29)));
-      let v32 = Array.unsafe_get cab (j0 + 31) in
-      is_ r (pA v32) (Array.unsafe_get tc (j0 + 31));
-      let dd = dd + 3 in
-      let v33 = Array.unsafe_get cab (j0 + 32) in
-      if ig r (pA v33) < ig r (pB v33) then begin
-        m.dyn <- dd;
-        t := Array.unsafe_get tc (j0 + 32)
-      end
-      else begin
-        d := dd;
-        j := j0 + 33
-      end
-    end
-  | 134 ->
-    (* One full mcf write-back iteration, 58 micros: the arc-scan
-       gather (arm 133's prefix) then two conditional exits and the
-       store-side scatter; every load/store parks its own pc *)
-    is_ r (pA v) (Array.unsafe_get tc j0);
-    let v2 = Array.unsafe_get cab (j0 + 1) in
-    is_ r (pA v2) (sx32 (ig r (pB v2) lsl Array.unsafe_get tc (j0 + 1)));
-    let v3 = Array.unsafe_get cab (j0 + 2) in
-    is_ r (pA v3) (sx32 (ig r (pB v3) + ig r (Array.unsafe_get tc (j0 + 2))));
-    let dd = !d + 4 in
-    let v4 = Array.unsafe_get cab (j0 + 3) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 3);
-    m.dyn <- dd;
-    is_ r (pA v4)
-      (Memory.load_int m.memory (ig r (pB v4) + Array.unsafe_get tc (j0 + 3)));
-    let v5 = Array.unsafe_get cab (j0 + 4) in
-    is_ r (pA v5) (Array.unsafe_get tc (j0 + 4));
-    let v6 = Array.unsafe_get cab (j0 + 5) in
-    is_ r (pA v6) (sx32 (ig r (pB v6) lsl Array.unsafe_get tc (j0 + 5)));
-    let v7 = Array.unsafe_get cab (j0 + 6) in
-    is_ r (pA v7) (sx32 (ig r (pB v7) + ig r (Array.unsafe_get tc (j0 + 6))));
-    let dd = dd + 4 in
-    let v8 = Array.unsafe_get cab (j0 + 7) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 7);
-    m.dyn <- dd;
-    is_ r (pA v8)
-      (Memory.load_int m.memory (ig r (pB v8) + Array.unsafe_get tc (j0 + 7)));
-    let v9 = Array.unsafe_get cab (j0 + 8) in
-    is_ r (pA v9) (Array.unsafe_get tc (j0 + 8));
-    let v10 = Array.unsafe_get cab (j0 + 9) in
-    is_ r (pA v10) (sx32 (ig r (pB v10) lsl Array.unsafe_get tc (j0 + 9)));
-    let v11 = Array.unsafe_get cab (j0 + 10) in
-    is_ r (pA v11) (sx32 (ig r (pB v11) + ig r (Array.unsafe_get tc (j0 + 10))));
-    let dd = dd + 4 in
-    let v12 = Array.unsafe_get cab (j0 + 11) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 11);
-    m.dyn <- dd;
-    is_ r (pA v12)
-      (Memory.load_int m.memory (ig r (pB v12) + Array.unsafe_get tc (j0 + 11)));
-    let v13 = Array.unsafe_get cab (j0 + 12) in
-    is_ r (pA v13) (sx32 (ig r (pB v13) + ig r (Array.unsafe_get tc (j0 + 12))));
-    let v14 = Array.unsafe_get cab (j0 + 13) in
-    is_ r (pA v14) (Array.unsafe_get tc (j0 + 13));
-    let v15 = Array.unsafe_get cab (j0 + 14) in
-    is_ r (pA v15) (sx32 (ig r (pB v15) lsl Array.unsafe_get tc (j0 + 14)));
-    let v16 = Array.unsafe_get cab (j0 + 15) in
-    is_ r (pA v16) (sx32 (ig r (pB v16) + ig r (Array.unsafe_get tc (j0 + 15))));
-    let dd = dd + 5 in
-    let v17 = Array.unsafe_get cab (j0 + 16) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 16);
-    m.dyn <- dd;
-    is_ r (pA v17)
-      (Memory.load_int m.memory (ig r (pB v17) + Array.unsafe_get tc (j0 + 16)));
-    let v18 = Array.unsafe_get cab (j0 + 17) in
-    is_ r (pA v18) (Array.unsafe_get tc (j0 + 17));
-    let v19 = Array.unsafe_get cab (j0 + 18) in
-    is_ r (pA v19)
-      (if ig r (pB v19) > ig r (Array.unsafe_get tc (j0 + 18)) then 1 else 0);
-    let v20 = Array.unsafe_get cab (j0 + 19) in
-    is_ r (pA v20) (Array.unsafe_get tc (j0 + 19));
-    let v21 = Array.unsafe_get cab (j0 + 20) in
-    is_ r (pA v21) (sx32 (ig r (pB v21) lsl Array.unsafe_get tc (j0 + 20)));
-    let v22 = Array.unsafe_get cab (j0 + 21) in
-    is_ r (pA v22) (sx32 (ig r (pB v22) + ig r (Array.unsafe_get tc (j0 + 21))));
-    let dd = dd + 6 in
-    let v23 = Array.unsafe_get cab (j0 + 22) in
-    fr.pc <- Array.unsafe_get aux.xpc (j0 + 22);
-    m.dyn <- dd;
-    is_ r (pA v23)
-      (Memory.load_int m.memory (ig r (pB v23) + Array.unsafe_get tc (j0 + 22)));
-    let v24 = Array.unsafe_get cab (j0 + 23) in
-    is_ r (pA v24)
-      (if ig r (pB v24) < ig r (Array.unsafe_get tc (j0 + 23)) then 1 else 0);
-    let v25 = Array.unsafe_get cab (j0 + 24) in
-    is_ r (pA v25) (ig r (pB v25) land ig r (Array.unsafe_get tc (j0 + 24)));
-    let dd = dd + 3 in
-    let v26 = Array.unsafe_get cab (j0 + 25) in
-    if ig r (pA v26) = 0 then begin
-      m.dyn <- dd;
-      t := Array.unsafe_get tc (j0 + 25)
-    end
-    else begin
-      let v27 = Array.unsafe_get cab (j0 + 26) in
-      is_ r (pA v27) (Array.unsafe_get tc (j0 + 26));
-      let v28 = Array.unsafe_get cab (j0 + 27) in
-      is_ r (pA v28) (sx32 (ig r (pB v28) lsl Array.unsafe_get tc (j0 + 27)));
-      let v29 = Array.unsafe_get cab (j0 + 28) in
-      is_ r (pA v29) (sx32 (ig r (pB v29) + ig r (Array.unsafe_get tc (j0 + 28))));
-      let dd = dd + 4 in
-      let v30 = Array.unsafe_get cab (j0 + 29) in
-      fr.pc <- Array.unsafe_get aux.xpc (j0 + 29);
-      m.dyn <- dd;
-      Memory.store_int m.memory
-        (ig r (pB v30) + Array.unsafe_get tc (j0 + 29))
-        (ig r (pA v30));
-      let v31 = Array.unsafe_get cab (j0 + 30) in
-      is_ r (pA v31) (Array.unsafe_get tc (j0 + 30));
-      let v32 = Array.unsafe_get cab (j0 + 31) in
-      is_ r (pA v32) (sx32 (ig r (pB v32) lsl Array.unsafe_get tc (j0 + 31)));
-      let v33 = Array.unsafe_get cab (j0 + 32) in
-      is_ r (pA v33) (sx32 (ig r (pB v33) + ig r (Array.unsafe_get tc (j0 + 32))));
-      let dd = dd + 4 in
-      let v34 = Array.unsafe_get cab (j0 + 33) in
-      fr.pc <- Array.unsafe_get aux.xpc (j0 + 33);
-      m.dyn <- dd;
-      Memory.store_int m.memory
-        (ig r (pB v34) + Array.unsafe_get tc (j0 + 33))
-        (ig r (pA v34));
-      let v35 = Array.unsafe_get cab (j0 + 34) in
-      is_ r (pA v35) (Array.unsafe_get tc (j0 + 34));
-      let v36 = Array.unsafe_get cab (j0 + 35) in
-      is_ r (pA v36) (sx32 (ig r (pB v36) lsl Array.unsafe_get tc (j0 + 35)));
-      let v37 = Array.unsafe_get cab (j0 + 36) in
-      is_ r (pA v37) (sx32 (ig r (pB v37) + ig r (Array.unsafe_get tc (j0 + 36))));
-      let dd = dd + 4 in
-      let v38 = Array.unsafe_get cab (j0 + 37) in
-      fr.pc <- Array.unsafe_get aux.xpc (j0 + 37);
-      m.dyn <- dd;
-      is_ r (pA v38)
-        (Memory.load_int m.memory (ig r (pB v38) + Array.unsafe_get tc (j0 + 37)));
-      let v39 = Array.unsafe_get cab (j0 + 38) in
-      is_ r (pA v39) (Array.unsafe_get tc (j0 + 38));
-      let dd = dd + 2 in
-      let v40 = Array.unsafe_get cab (j0 + 39) in
-      if ig r (pA v40) <> ig r (pB v40) then begin
-        m.dyn <- dd;
-        t := Array.unsafe_get tc (j0 + 39)
-      end
-      else begin
-        let v41 = Array.unsafe_get cab (j0 + 40) in
-        is_ r (pA v41) (Array.unsafe_get tc (j0 + 40));
-        let v42 = Array.unsafe_get cab (j0 + 41) in
-        is_ r (pA v42) (sx32 (ig r (pB v42) lsl Array.unsafe_get tc (j0 + 41)));
-        let v43 = Array.unsafe_get cab (j0 + 42) in
-        is_ r (pA v43) (sx32 (ig r (pB v43) + ig r (Array.unsafe_get tc (j0 + 42))));
-        let dd = dd + 4 in
-        let v44 = Array.unsafe_get cab (j0 + 43) in
-        fr.pc <- Array.unsafe_get aux.xpc (j0 + 43);
-        m.dyn <- dd;
-        Memory.store_int m.memory
-          (ig r (pB v44) + Array.unsafe_get tc (j0 + 43))
-          (ig r (pA v44));
-        let v45 = Array.unsafe_get cab (j0 + 44) in
-        is_ r (pA v45) (sx32 (ig r (pB v45) + Array.unsafe_get tc (j0 + 44)));
-        let v46 = Array.unsafe_get cab (j0 + 45) in
-        is_ r (pA v46) (sx32 (ig r (pB v46) mod Array.unsafe_get tc (j0 + 45)));
-        let v47 = Array.unsafe_get cab (j0 + 46) in
-        is_ r (pA v47) (Array.unsafe_get tc (j0 + 46));
-        let v48 = Array.unsafe_get cab (j0 + 47) in
-        is_ r (pA v48) (Array.unsafe_get tc (j0 + 47));
-        let v49 = Array.unsafe_get cab (j0 + 48) in
-        is_ r (pA v49) (sx32 (ig r (pB v49) lsl Array.unsafe_get tc (j0 + 48)));
-        let v50 = Array.unsafe_get cab (j0 + 49) in
-        is_ r (pA v50) (sx32 (ig r (pB v50) + ig r (Array.unsafe_get tc (j0 + 49))));
-        let dd = dd + 7 in
-        let v51 = Array.unsafe_get cab (j0 + 50) in
-        fr.pc <- Array.unsafe_get aux.xpc (j0 + 50);
-        m.dyn <- dd;
-        Memory.store_int m.memory
-          (ig r (pB v51) + Array.unsafe_get tc (j0 + 50))
-          (ig r (pA v51));
-        let v52 = Array.unsafe_get cab (j0 + 51) in
-        is_ r (pA v52) (Array.unsafe_get tc (j0 + 51));
-        let v53 = Array.unsafe_get cab (j0 + 52) in
-        is_ r (pA v53) (sx32 (ig r (pB v53) lsl Array.unsafe_get tc (j0 + 52)));
-        let v54 = Array.unsafe_get cab (j0 + 53) in
-        is_ r (pA v54) (sx32 (ig r (pB v54) + ig r (Array.unsafe_get tc (j0 + 53))));
-        let dd = dd + 4 in
-        let v55 = Array.unsafe_get cab (j0 + 54) in
-        fr.pc <- Array.unsafe_get aux.xpc (j0 + 54);
-        m.dyn <- dd;
-        is_ r (pA v55)
-          (Memory.load_int m.memory (ig r (pB v55) + Array.unsafe_get tc (j0 + 54)));
-        let v57 = Array.unsafe_get cab (j0 + 56) in
-        is_ r (pA v57) (Array.unsafe_get tc (j0 + 56));
-        let dd = dd + 3 in
-        let v58 = Array.unsafe_get cab (j0 + 57) in
-        if ig r (pA v58) < ig r (pB v58) then begin
-          m.dyn <- dd;
-          t := Array.unsafe_get tc (j0 + 57)
-        end
-        else begin
-          d := dd;
-          j := j0 + 58
-        end
-    end
-  end
-  | _ -> assert false
-  done;
-  !t
-
-(* Multi-wide superinstruction patterns, longest first: the greedy
-   pass rewrites the first (longest) pattern whose member opcodes match
-   at the scan point. *)
-let fuse_patterns =
-  [|
-    ( [| 17; 17; 15; 2; 60; 3; 28; 15; 15; 15; 10; 16; 3; 26; 31; 15; 10; 15;
-         26; 1; 61 |],
-      130 );
-    ( [| 3; 34; 15; 9; 3; 34; 15; 9; 3; 34; 15; 9; 15; 3; 34; 15; 9; 2; 41; 3;
-         34; 15; 9; 39; 20; 68; 3; 34; 15; 12; 3; 34; 15; 12; 3; 34; 15; 9; 2; 57;
-         3; 34; 15; 12; 26; 30; 2; 3; 34; 15; 12; 3; 34; 15; 9; 1; 2; 58 |],
-      134 );
-    ( [| 3; 34; 15; 9; 3; 34; 15; 9; 3; 34; 15; 9; 15; 3; 34; 15; 9; 2; 41; 3;
-         34; 15; 9; 39; 20; 68; 3; 34; 15; 9; 1; 2; 58 |],
-      133 );
-    ([| 3; 34; 15; 9; 3; 34; 15; 9; 3; 34; 15; 9; 15 |], 131);
-    ([| 3; 28; 15; 15; 15; 10; 16; 3 |], 113);
-    ([| 3; 34; 15; 9; 3; 34; 15; 9 |], 117);
-    ([| 3; 34; 15; 9; 39; 20; 68 |], 132);
-    ([| 26; 31; 15; 10; 15; 26; 1; 61 |], 120);
-    ([| 17; 17; 15; 2; 60; 26; 1; 61 |], 125);
-    ([| 3; 34; 15; 9; 1; 2; 58 |], 128);
-    ([| 26; 31; 15; 10; 15; 26; 1 |], 116);
-    ([| 26; 31; 15; 10; 15; 26 |], 114);
-    ([| 3; 34; 15; 9; 2; 41 |], 129);
-    ([| 17; 17; 15; 2; 60 |], 115);
-    ([| 3; 34; 15; 9; 2 |], 118);
-    ([| 3; 34; 15; 9; 15 |], 119);
-    ([| 3; 34; 15; 12; 1 |], 123);
-    ([| 3; 34; 15; 9; 58 |], 124);
-    ([| 3; 34; 15; 9 |], 105);
-    ([| 3; 34; 15; 12 |], 106);
-    ([| 17; 17; 15; 2 |], 107);
-    ([| 15; 10; 16; 3 |], 108);
-    ([| 15; 10; 15; 26 |], 109);
-    ([| 3; 26; 31; 15 |], 110);
-    ([| 28; 15; 15; 15 |], 111);
-    ([| 3; 28; 15; 15 |], 112);
-    ([| 2; 26; 1; 61 |], 121);
-    ([| 2; 2; 61 |], 127);
-    ([| 26; 1; 61 |], 126);
-    ([| 39; 20; 68 |], 122);
-  |]
-
-(* The superinstruction pair table: hot micro bigrams (profiled on the
-   mlang app suite — array-indexing chains la/slli/add around loads
-   dominate) fused into the 80+ opcode range. -1 = not fusable. *)
-let fuse_code c1 c2 =
-  match (c1, c2) with
-  | 15, 15 -> 80
-  | 15, 2 -> 81
-  | 17, 17 -> 82
-  | 17, 15 -> 83
-  | 28, 15 -> 84
-  | 3, 28 -> 85
-  | 3, 26 -> 86
-  | 31, 15 -> 87
-  | 26, 31 -> 88
-  | 16, 3 -> 89
-  | 34, 15 -> 90
-  | 3, 34 -> 91
-  | 26, 1 -> 92
-  | 15, 3 -> 93
-  | 15, 10 -> 96
-  | 15, 9 -> 97
-  | 15, 12 -> 98
-  | 10, 15 -> 99
-  | 10, 16 -> 100
-  | 9, 3 -> 101
-  | 9, 2 -> 102
-  | 9, 15 -> 103
-  | 9, 1 -> 104
-  | _ -> -1
-
-let trace_cap = 256
-let trace_min = 3
-
-(* Flatten a straight-line trace starting at [start]. Returns [None]
-   when fewer than [trace_min] instructions fuse (the classic closure
-   is at least as good then). *)
-let build_trace (body : Code.d array) (ftags : bool array) start : trace option
-    =
-  let len = Array.length body in
-  let cab = Array.make (trace_cap + 1) 0 in
-  let c = Array.make (trace_cap + 1) 0 in
-  let pcs = Array.make (trace_cap + 1) 0 in
-  let fp = ref [] in
-  let nfp = ref 0 in
-  let n = ref 0 in
-  let tagged pc = Array.length ftags > 0 && Array.unsafe_get ftags pc in
-  let emit ?(a1 = 0) ?(b1 = 0) ?(c1 = 0) co pc =
-    cab.(!n) <- (co lsl 40) lor (a1 lsl 20) lor b1;
-    c.(!n) <- c1;
-    pcs.(!n) <- pc;
-    incr n
-  in
-  let rec walk pc =
-    if !n >= trace_cap || pc >= len || tagged pc then pc
-    else
-      match body.(pc) with
-      | Code.DCall _ | Code.DRetI _ | Code.DRetF _ | Code.DRetV -> pc
-      | Code.DBini ((Ir.Instr.Div | Ir.Instr.Rem), _, _, 0) ->
-        (* always traps: leave it to the classic closure *)
-        pc
-      | Code.DNop -> walk (pc + 1)
-      | Code.DJmp t ->
-        emit 1 pc;
-        walk t
-      | Code.DBr (op, ra, rb, t) ->
-        if t <= pc then begin
-          (* backward branch: assume taken (loop continues) *)
-          emit (62 + icmp op) ~a1:ra ~b1:rb ~c1:(pc + 1) pc;
-          walk t
-        end
-        else begin
-          emit (56 + icmp op) ~a1:ra ~b1:rb ~c1:t pc;
-          walk (pc + 1)
-        end
-      | Code.DBrz (op, ra, t) ->
-        if t <= pc then begin
-          emit (74 + icmp op) ~a1:ra ~c1:(pc + 1) pc;
-          walk t
-        end
-        else begin
-          emit (68 + icmp op) ~a1:ra ~c1:t pc;
-          walk (pc + 1)
-        end
-      | Code.DLi (d, v) ->
-        emit 2 ~a1:d ~c1:v pc;
-        walk (pc + 1)
-      | Code.DLa (d, addr) ->
-        emit 3 ~a1:d ~c1:addr pc;
-        walk (pc + 1)
-      | Code.DLf (d, x) ->
-        emit 4 ~a1:d ~b1:!nfp pc;
-        fp := x :: !fp;
-        incr nfp;
-        walk (pc + 1)
-      | Code.DMovI (d, s) ->
-        emit 5 ~a1:d ~b1:s pc;
-        walk (pc + 1)
-      | Code.DMovF (d, s) ->
-        emit 6 ~a1:d ~b1:s pc;
-        walk (pc + 1)
-      | Code.DI2f (d, s) ->
-        emit 7 ~a1:d ~b1:s pc;
-        walk (pc + 1)
-      | Code.DF2i (d, s) ->
-        emit 8 ~a1:d ~b1:s pc;
-        walk (pc + 1)
-      | Code.DLw (d, base, off) ->
-        emit 9 ~a1:d ~b1:base ~c1:off pc;
-        walk (pc + 1)
-      | Code.DLb (d, base, off) ->
-        emit 10 ~a1:d ~b1:base ~c1:off pc;
-        walk (pc + 1)
-      | Code.DLwf (d, base, off) ->
-        emit 11 ~a1:d ~b1:base ~c1:off pc;
-        walk (pc + 1)
-      | Code.DSw (v, base, off) ->
-        emit 12 ~a1:v ~b1:base ~c1:off pc;
-        walk (pc + 1)
-      | Code.DSb (v, base, off) ->
-        emit 13 ~a1:v ~b1:base ~c1:off pc;
-        walk (pc + 1)
-      | Code.DSwf (v, base, off) ->
-        emit 14 ~a1:v ~b1:base ~c1:off pc;
-        walk (pc + 1)
-      | Code.DBin (op, d, ra, rb) ->
-        emit (15 + ibin op) ~a1:d ~b1:ra ~c1:rb pc;
-        walk (pc + 1)
-      | Code.DBini (op, d, ra, imm) ->
-        let imm =
-          match op with
-          | Ir.Instr.Sll | Ir.Instr.Srl | Ir.Instr.Sra -> imm land 31
-          | _ -> imm
-        in
-        emit (26 + ibin op) ~a1:d ~b1:ra ~c1:imm pc;
-        walk (pc + 1)
-      | Code.DCmp (op, d, ra, rb) ->
-        emit (37 + icmp op) ~a1:d ~b1:ra ~c1:rb pc;
-        walk (pc + 1)
-      | Code.DFcmp (op, d, ra, rb) ->
-        emit (43 + icmp op) ~a1:d ~b1:ra ~c1:rb pc;
-        walk (pc + 1)
-      | Code.DFbin (op, d, ra, rb) ->
-        emit (49 + ifbin op) ~a1:d ~b1:ra ~c1:rb pc;
-        walk (pc + 1)
-      | Code.DFun (op, d, s) ->
-        emit (53 + ifun op) ~a1:d ~b1:s pc;
-        walk (pc + 1)
-  in
-  let end_pc = walk start in
-  if !n < trace_min then None
-  else begin
-    let klen = !n in
-    emit 0 ~a1:end_pc end_pc;
-    (* Greedy superinstruction pairing over the finished sequence. The
-       end micro (code 0) is never in the pair table, so it cannot be
-       consumed as a second member. *)
-    let fj = ref 0 in
-    let match_at j (pat : int array) =
-      let w = Array.length pat in
-      j + w <= klen
-      &&
-      let ok = ref true in
-      for k = 0 to w - 1 do
-        if cab.(j + k) lsr 40 <> pat.(k) then ok := false
-      done;
-      !ok
-    in
-    while !fj < klen - 1 do
-      let fc = ref (-1) and fw = ref 0 in
-      let k = ref 0 in
-      while !fc < 0 && !k < Array.length fuse_patterns do
-        let pat, code = fuse_patterns.(!k) in
-        if match_at !fj pat then begin
-          fc := code;
-          fw := Array.length pat
-        end;
-        incr k
-      done;
-      if !fc < 0 then begin
-        let p = fuse_code (cab.(!fj) lsr 40) (cab.(!fj + 1) lsr 40) in
-        if p >= 0 then begin
-          fc := p;
-          fw := 2
-        end
-      end;
-      if !fc >= 0 then begin
-        cab.(!fj) <- (cab.(!fj) land ((1 lsl 40) - 1)) lor (!fc lsl 40);
-        fj := !fj + !fw
-      end
-      else incr fj
-    done;
-    Some
-      {
-        tcab = Array.sub cab 0 !n;
-        ttc = Array.sub c 0 !n;
-        taux =
-          { xpc = Array.sub pcs 0 !n; xfp = Array.of_list (List.rev !fp) };
-        tklen = klen;
-      }
-  end
-
-(* [slow] is the classic per-instruction closure for the same pc: the
-   stepwise path that makes timeouts land at exactly dyn = budget + 1
-   when the trace's worst case could overrun the budget. *)
-let mk_trace (tr : trace) (tbl : op array) (slow : op) : op =
-  let cab = tr.tcab and tc = tr.ttc and aux = tr.taux and klen = tr.tklen in
- fun m ->
-  if m.dyn + klen > m.budget then slow m
-  else begin
-    let fr = m.run_fr in
-    (Array.unsafe_get tbl (run_trace m fr fr.iregs fr.fregs cab tc aux)) m
-  end
-
 let compile_func (code : Code.t) (tags : bool array array) fid
     (df : Code.dfunc) : op array =
   let body = df.Code.dbody in
@@ -2559,17 +587,6 @@ let compile_func (code : Code.t) (tags : bool array array) fid
   for pc = 0 to len - 1 do
     let tg = Array.length ftags > 0 && Array.unsafe_get ftags pc in
     ops.(pc) <- compile_instr code ops tg pc body.(pc)
-  done;
-  (* Overlay trace closures wherever a fusable run starts. Classic
-     closures captured the [ops] array itself, so their successor
-     dispatch — and every branch target — picks up the trace version
-     automatically; the pre-overlay copy keeps the pure classic closure
-     reachable for the near-budget fallback. *)
-  let classic = Array.copy ops in
-  for pc = 0 to len - 1 do
-    match build_trace body ftags pc with
-    | Some tr -> ops.(pc) <- mk_trace tr ops classic.(pc)
-    | None -> ()
   done;
   ops
 

@@ -506,73 +506,77 @@ let test_outcome_classification () =
 (* [Campaign.run_trial_result] — the escape hatch returning a trial's
    raw simulator result, memory image included — must hand back exactly
    the state a scratch reference run produces: same final memory image
-   (digest compare), same outcome, counters and landed sites, under
-   both engines and with checkpointing on (the default resume path) and
-   off. The scratch reference rebuilds the same plan from the same
-   derived RNG and runs the reference loop from the pristine image. *)
+   (digest compare), same outcome, counters and landed sites, for every
+   benchmark app under both the protect-control and protect-nothing
+   masks, under both engines and with checkpointing on (the default
+   resume path) and off. The scratch reference rebuilds the same plan
+   from the same derived RNG and runs the reference loop from the
+   pristine image. *)
 let test_run_trial_result_matches_scratch () =
   let module Campaign = Core.Campaign in
   let module Policy = Core.Policy in
   let module Fault_model = Core.Fault_model in
-  let app =
-    match Apps.Registry.find "adpcm" with
-    | Some a -> a
-    | None -> Alcotest.fail "adpcm missing"
+  let check ~app ~stride (target : Campaign.target)
+      (p : Campaign.prepared) (seed, errors, index) =
+    let label what =
+      Printf.sprintf "%s (%s %s engine=%s stride=%s e=%d i=%d)" what app
+        (Policy.to_string p.Campaign.policy)
+        (Sim.Interp.engine_name target.Campaign.engine)
+        (match stride with None -> "auto" | Some s -> string_of_int s)
+        errors index
+    in
+    let rng =
+      Campaign.trial_rng ~seed ~errors ~policy:p.Campaign.policy index
+    in
+    let r = Campaign.run_trial_result p ~errors ~rng in
+    let rng' =
+      Campaign.trial_rng ~seed ~errors ~policy:p.Campaign.policy index
+    in
+    let plan =
+      Fault_model.make_plan ~rng:rng'
+        ~injectable_total:p.Campaign.injectable_total ~errors
+    in
+    let injection = Fault_model.injection ~tags:p.Campaign.tags ~plan in
+    let ref_r =
+      Sim.Interp.run ~injection ~budget:p.Campaign.budget
+        ~memory:(Sim.Memory.copy target.Campaign.proto)
+        target.Campaign.code
+    in
+    Alcotest.(check string)
+      (label "final memory image")
+      (Sim.Memory.digest ref_r.Sim.Interp.memory)
+      (Sim.Memory.digest r.Sim.Interp.memory);
+    Alcotest.(check bool)
+      (label "outcome") true
+      (compare r.Sim.Interp.outcome ref_r.Sim.Interp.outcome = 0);
+    Alcotest.(check int) (label "dyn_count")
+      ref_r.Sim.Interp.dyn_count r.Sim.Interp.dyn_count;
+    Alcotest.(check int) (label "faults_landed")
+      ref_r.Sim.Interp.faults_landed r.Sim.Interp.faults_landed;
+    Alcotest.(check bool)
+      (label "landed sites") true
+      (r.Sim.Interp.landed_sites = ref_r.Sim.Interp.landed_sites)
   in
-  let prog = (app.Apps.App.build ~seed:1).Apps.App.prog in
   List.iter
-    (fun engine ->
+    (fun (app : Apps.App.t) ->
+      let prog = (app.Apps.App.build ~seed:1).Apps.App.prog in
       List.iter
-        (fun stride ->
+        (fun engine ->
           let target = Campaign.of_prog ~engine prog in
-          let p =
-            Campaign.prepare ?checkpoint_stride:stride target
-              Policy.Protect_nothing
-          in
           List.iter
-            (fun (seed, errors, index) ->
-              let label what =
-                Printf.sprintf "%s (engine=%s stride=%s e=%d i=%d)" what
-                  (Sim.Interp.engine_name engine)
-                  (match stride with None -> "auto" | Some s -> string_of_int s)
-                  errors index
-              in
-              let rng =
-                Campaign.trial_rng ~seed ~errors ~policy:p.Campaign.policy
-                  index
-              in
-              let r = Campaign.run_trial_result p ~errors ~rng in
-              let rng' =
-                Campaign.trial_rng ~seed ~errors ~policy:p.Campaign.policy
-                  index
-              in
-              let plan =
-                Fault_model.make_plan ~rng:rng'
-                  ~injectable_total:p.Campaign.injectable_total ~errors
-              in
-              let injection = Fault_model.injection ~tags:p.Campaign.tags ~plan in
-              let ref_r =
-                Sim.Interp.run ~injection ~budget:p.Campaign.budget
-                  ~memory:(Sim.Memory.copy target.Campaign.proto)
-                  target.Campaign.code
-              in
-              Alcotest.(check string)
-                (label "final memory image")
-                (Sim.Memory.digest ref_r.Sim.Interp.memory)
-                (Sim.Memory.digest r.Sim.Interp.memory);
-              Alcotest.(check bool)
-                (label "outcome") true
-                (compare r.Sim.Interp.outcome ref_r.Sim.Interp.outcome = 0);
-              Alcotest.(check int) (label "dyn_count")
-                ref_r.Sim.Interp.dyn_count r.Sim.Interp.dyn_count;
-              Alcotest.(check int) (label "faults_landed")
-                ref_r.Sim.Interp.faults_landed r.Sim.Interp.faults_landed;
-              Alcotest.(check bool)
-                (label "landed sites") true
-                (r.Sim.Interp.landed_sites = ref_r.Sim.Interp.landed_sites))
-            [ (5, 0, 0); (5, 3, 1); (9, 10, 2); (9, 25, 3) ])
-        [ None; Some 0 ])
-    [ Sim.Interp.Fast; Sim.Interp.Ref ]
+            (fun policy ->
+              List.iter
+                (fun stride ->
+                  let p =
+                    Campaign.prepare ?checkpoint_stride:stride target policy
+                  in
+                  List.iter
+                    (check ~app:app.Apps.App.name ~stride target p)
+                    [ (5, 0, 0); (5, 3, 1); (9, 10, 2); (9, 25, 3) ])
+                [ None; Some 0 ])
+            [ Policy.Protect_control; Policy.Protect_nothing ])
+        [ Sim.Interp.Fast; Sim.Interp.Ref ])
+    Apps.Registry.all
 
 let () =
   Alcotest.run "core"
