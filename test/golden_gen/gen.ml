@@ -120,8 +120,7 @@ let () =
   write dir "audit_quick.txt"
     (Harness.Taxonomy.render_audit ~mode:Harness.Experiment.Full
        (Harness.Taxonomy.audit ~errors:2 ~trials:8 ~seed:41
-          ~mode:Harness.Experiment.Full
-          [ List.hd loaded ]));
+          ~mode:Harness.Experiment.Full loaded));
   let d1 = campaign_dump ~jobs:1 and d4 = campaign_dump ~jobs:4 in
   if d1 <> d4 then failwith "campaign dump differs between jobs=1 and jobs=4";
   write dir "campaign_gcd.txt" d1;

@@ -39,8 +39,7 @@ let test_audit () =
   check_golden "audit_quick.txt"
     (Harness.Taxonomy.render_audit ~mode:Harness.Experiment.Full
        (Harness.Taxonomy.audit ~errors:2 ~trials:8 ~seed:41
-          ~mode:Harness.Experiment.Full
-          [ List.hd (Lazy.force loaded) ]))
+          ~mode:Harness.Experiment.Full (Lazy.force loaded)))
 
 (* Fixed-seed campaign content, identical across jobs counts. Mirrors
    the dump in gen.ml: per-trial classification, landed faults, dynamic
