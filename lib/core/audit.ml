@@ -8,8 +8,8 @@
    store/load, or pass through a load with a corrupted base, are the
    documented residual, not violations.
 
-   The audit checks the promise empirically: run a campaign with the
-   shadow-taint interpreter and assert that no trial observed a
+   The audit checks the promise empirically: run a campaign with shadow
+   taint on and assert that no trial observed a
    memory-free control contamination ([Taint.summary.control_free]).
    Under [Protect_all] nothing is injectable at all, so the stronger
    assertion is that taint never even propagates. [Protect_nothing]

@@ -1,6 +1,6 @@
 (** Dynamic taint audit of the tagging analysis.
 
-    Runs a campaign under the shadow-taint interpreter
+    Runs a campaign with shadow taint on
     ({!Campaign.run} with [~taint:true]) and checks, per policy, the
     promise the static analysis makes:
 

@@ -156,16 +156,18 @@ let prepare ?checkpoint_stride (t : target) (policy : Policy.t) =
 
 (* One trial's raw simulator result, plus the dynamic instructions a
    checkpoint restore let it skip (0 when it ran from scratch). Taint
-   trials always run from scratch: the shadow-taint twin threads its
-   state through host-stack recursion and is not snapshotable. *)
+   trials run on the reference loop, so the fast-engine image is
+   withheld from them; they resume from the same engine-independent
+   checkpoints as every other trial. *)
 let run_trial_raw ?(taint = false) (p : prepared) ~errors ~rng :
     Sim.Interp.result * int =
   let plan =
     Fault_model.make_plan ~rng ~injectable_total:p.injectable_total ~errors
   in
   let injection = Fault_model.injection ~tags:p.tags ~plan in
+  let image = if taint then None else p.image in
   match p.snapshots with
-  | Some snaps when not taint ->
+  | Some snaps ->
     (* Fast-forward: restore the nearest checkpoint at or before the
        trial's first planned ordinal. The prefix up to that ordinal is
        fault-free and identical in every trial, so the result is
@@ -173,7 +175,7 @@ let run_trial_raw ?(taint = false) (p : prepared) ~errors ~rng :
        to the last checkpoint and replays only the tail. *)
     let first = Hashtbl.fold (fun o _ acc -> min o acc) plan max_int in
     let snap = Sim.Snapshot.nearest snaps ~ordinal:first in
-    let m = Sim.Interp.resume ?image:p.image ~injection snap in
+    let m = Sim.Interp.resume ?image ~injection ~taint snap in
     let skipped = Sim.Interp.snapshot_dyn snap in
     if Obs.enabled () then begin
       (* snapshot.* telemetry is stride-dependent by nature (how much
@@ -186,13 +188,9 @@ let run_trial_raw ?(taint = false) (p : prepared) ~errors ~rng :
       else Obs.count "snapshot.miss" 1
     end;
     (Sim.Interp.finish m, skipped)
-  | _ ->
+  | None ->
     if Obs.enabled () then Obs.count "snapshot.miss" 1;
-    (* Taint trials stay on the reference loop (the shadow twin is not
-       compiled), so the image is withheld there. *)
-    ( Sim.Interp.run
-        ?image:(if taint then None else p.image)
-        ~injection ~budget:p.budget ~taint
+    ( Sim.Interp.run ?image ~injection ~budget:p.budget ~taint
         ~memory:(Sim.Memory.copy p.target.proto) p.target.code,
       0 )
 

@@ -109,8 +109,9 @@ val prepare : ?checkpoint_stride:int -> target -> Policy.t -> prepared
     [checkpoint_stride] defaults to {!Sim.Snapshot.auto_stride}; [0]
     disables checkpointing (trials run from scratch); negative values
     raise [Invalid_argument]. Taint trials ({!run} with [~taint:true])
-    always run from scratch — the shadow-taint twin is not
-    snapshotable. *)
+    resume from the same checkpoints, on the reference engine, with
+    clean shadow taint — exact, because no fault has landed before any
+    checkpoint. *)
 
 val run_trial_result :
   ?taint:bool ->
@@ -120,9 +121,9 @@ val run_trial_result :
   Sim.Interp.result
 (** Escape hatch: one trial's raw simulator result, memory image
     included — for output rendering and debugging. Use {!trial_rng} to
-    reproduce the RNG of a {!run} trial. [taint] runs the shadow-taint
-    interpreter (identical behaviour and fault landings, plus a
-    fault-flow summary). *)
+    reproduce the RNG of a {!run} trial. [taint] runs the trial with
+    shadow taint on the reference engine (identical behaviour and
+    fault landings, plus a fault-flow summary). *)
 
 val run_trial :
   ?score:(Sim.Interp.result -> float) ->
@@ -167,7 +168,7 @@ val run :
     to [\[1, trials\]]); the summary is identical for every [jobs]
     value, assembled in trial-index order. [score] is applied on the
     worker domain to each completed trial. [taint] runs every trial
-    under the shadow-taint interpreter and feeds the fault-flow
+    with shadow taint on the reference engine and feeds the fault-flow
     counters in [stats]. *)
 
 val errors_capped : summary -> bool

@@ -35,10 +35,13 @@
    outcomes, trap sites, landed-fault attribution, snapshots — which
    the differential suite in test_engine pins on random programs.
 
-   Taint mode keeps the original recursive twin ([call_t] below): it
-   threads per-frame shadow state through the host stack, is engine-
-   independent and not snapshotable — audit campaigns run from
-   scratch. *)
+   Shadow taint (DESIGN §11) is optional machine state that only the
+   reference loop maintains: with [~taint:true] the same dispatch loop
+   propagates per-register masks, hits the taint sinks and seeds fresh
+   taint where a fault lands. Plain, counting and taint runs share one
+   step function, so they execute instructions in the same order and
+   land faults at the same ordinals; taint machines pause, capture and
+   resume like any other. *)
 
 open Machine
 
@@ -104,9 +107,10 @@ let compile = Threaded.compile
 
 type machine = Machine.t
 
-let machine ?image ?injection ?lenient ?budget ?count_exec ?memory code :
-    machine =
-  Machine.make ?image ?injection ?lenient ?budget ?count_exec ?memory code
+let machine ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code
+    : machine =
+  Machine.make ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory
+    code
 
 (* The reference dispatch loop. Executes until the machine halts, or
    pauses as soon as [m.pause_at] injectable ordinals have been seen —
@@ -114,19 +118,25 @@ let machine ?image ?injection ?lenient ?budget ?count_exec ?memory code :
    at most one per dispatched instruction, so a pause lands exactly at
    ordinal [pause_at] (before any ordinal >= pause_at is consumed).
 
-   The outer loop re-caches per-frame state (body, registers, tag row,
-   counter row) whenever a call or return switches the head frame; the
-   inner [loop] is a tail-recursive hot path over one frame. *)
+   The outer loop re-caches per-frame state (body, registers, shadow
+   masks, tag row, counter row, taint flag) whenever a call or return
+   switches the head frame; the inner [loop] is a tail-recursive hot
+   path over one frame. With taint off every shadow step is skipped by
+   the cached [taint] flag, and the masks are never read. *)
 let exec m =
   let funcs = m.code.Code.funcs in
   let memory = m.memory in
   let pause_at = m.pause_at in
+  let taint = Option.is_some m.taint in
+  (* never touched when [taint] is off *)
+  let tr = match m.taint with Some tr -> tr | None -> Taint.make ~cells:0 in
   while is_running m do
     let fr = match m.stack with fr :: _ -> fr | [] -> assert false in
     let df = Array.unsafe_get funcs fr.fid in
     let body = df.Code.dbody in
     let len = Array.length body in
     let iregs = fr.iregs and fregs = fr.fregs in
+    let itn = fr.itn and ftn = fr.ftn in
     let counts = if m.count_exec then m.exec_counts.(fr.fid) else no_counts in
     let ftags = if m.has_injection then m.all_tags.(fr.fid) else no_tags in
     m.cur_fid <- fr.fid;
@@ -149,91 +159,159 @@ let exec m =
       match d with
       | Code.DNop -> loop (pc + 1)
       | Code.DLi (d, v) ->
-        iregs.(d) <- inject_i m ftags pc v;
+        if taint then shade_i m tr ftags pc fr d Taint.none v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DLf (d, x) ->
-        fregs.(d) <- inject_f m ftags pc x;
+        if taint then shade_f m tr ftags pc fr d Taint.none x
+        else fregs.(d) <- inject_f m ftags pc x;
         loop (pc + 1)
       | Code.DLa (d, addr) ->
-        iregs.(d) <- inject_i m ftags pc addr;
+        if taint then shade_i m tr ftags pc fr d Taint.none addr
+        else iregs.(d) <- inject_i m ftags pc addr;
         loop (pc + 1)
       | Code.DMovI (d, s) ->
-        iregs.(d) <- inject_i m ftags pc iregs.(s);
+        if taint then shade_i m tr ftags pc fr d itn.(s) iregs.(s)
+        else iregs.(d) <- inject_i m ftags pc iregs.(s);
         loop (pc + 1)
       | Code.DMovF (d, s) ->
-        fregs.(d) <- inject_f m ftags pc fregs.(s);
+        if taint then shade_f m tr ftags pc fr d ftn.(s) fregs.(s)
+        else fregs.(d) <- inject_f m ftags pc fregs.(s);
         loop (pc + 1)
       | Code.DBin (op, d, a, b) ->
-        iregs.(d) <- inject_i m ftags pc (binop_i op iregs.(a) iregs.(b));
+        (if taint then
+           match op with
+           | Ir.Instr.Div | Ir.Instr.Rem -> Taint.sink_trap_operand tr itn.(b)
+           | _ -> ());
+        let v = binop_i op iregs.(a) iregs.(b) in
+        if taint then shade_i m tr ftags pc fr d (itn.(a) lor itn.(b)) v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DBini (op, d, a, n) ->
-        iregs.(d) <- inject_i m ftags pc (binop_i op iregs.(a) n);
+        let v = binop_i op iregs.(a) n in
+        if taint then shade_i m tr ftags pc fr d itn.(a) v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DCmp (op, d, a, b) ->
-        iregs.(d) <-
-          inject_i m ftags pc (if cmp_i op iregs.(a) iregs.(b) then 1 else 0);
+        let v = if cmp_i op iregs.(a) iregs.(b) then 1 else 0 in
+        if taint then shade_i m tr ftags pc fr d (itn.(a) lor itn.(b)) v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DFbin (op, d, a, b) ->
-        fregs.(d) <- inject_f m ftags pc (binop_f op fregs.(a) fregs.(b));
+        let x = binop_f op fregs.(a) fregs.(b) in
+        if taint then shade_f m tr ftags pc fr d (ftn.(a) lor ftn.(b)) x
+        else fregs.(d) <- inject_f m ftags pc x;
         loop (pc + 1)
       | Code.DFun (op, d, s) ->
-        fregs.(d) <- inject_f m ftags pc (unop_f op fregs.(s));
+        let x = unop_f op fregs.(s) in
+        if taint then shade_f m tr ftags pc fr d ftn.(s) x
+        else fregs.(d) <- inject_f m ftags pc x;
         loop (pc + 1)
       | Code.DFcmp (op, d, a, b) ->
-        iregs.(d) <-
-          inject_i m ftags pc (if cmp_f op fregs.(a) fregs.(b) then 1 else 0);
+        let v = if cmp_f op fregs.(a) fregs.(b) then 1 else 0 in
+        if taint then shade_i m tr ftags pc fr d (ftn.(a) lor ftn.(b)) v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DI2f (d, s) ->
-        fregs.(d) <- inject_f m ftags pc (float_of_int iregs.(s));
+        let x = float_of_int iregs.(s) in
+        if taint then shade_f m tr ftags pc fr d itn.(s) x
+        else fregs.(d) <- inject_f m ftags pc x;
         loop (pc + 1)
       | Code.DF2i (d, s) ->
-        iregs.(d) <- inject_i m ftags pc (f2i fregs.(s));
+        if taint then Taint.sink_trap_operand tr ftn.(s);
+        let v = f2i fregs.(s) in
+        if taint then shade_i m tr ftags pc fr d ftn.(s) v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DLw (d, b, o) ->
-        iregs.(d) <- inject_i m ftags pc (Memory.load_int memory (iregs.(b) + o));
+        if taint then Taint.sink_address tr itn.(b);
+        let addr = iregs.(b) + o in
+        let v = Memory.load_int memory addr in
+        if taint then
+          shade_i m tr ftags pc fr d
+            (loaded_mask tr (Memory.cell_index memory addr) ~base:itn.(b))
+            v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DSw (v, b, o) ->
-        Memory.store_int memory (iregs.(b) + o) iregs.(v);
+        if taint then store_sinks tr ~base:itn.(b) itn.(v);
+        let addr = iregs.(b) + o in
+        Memory.store_int memory addr iregs.(v);
+        if taint then
+          stored_mask tr (Memory.cell_index memory addr) (itn.(v) lor itn.(b));
         loop (pc + 1)
       | Code.DLb (d, b, o) ->
-        iregs.(d) <-
-          inject_i m ftags pc (Memory.load_byte memory (iregs.(b) + o));
+        if taint then Taint.sink_address tr itn.(b);
+        let addr = iregs.(b) + o in
+        let v = Memory.load_byte memory addr in
+        if taint then
+          shade_i m tr ftags pc fr d
+            (loaded_mask tr (Memory.byte_cell_index memory addr) ~base:itn.(b))
+            v
+        else iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DSb (v, b, o) ->
-        Memory.store_byte memory (iregs.(b) + o) iregs.(v);
+        if taint then store_sinks tr ~base:itn.(b) itn.(v);
+        let addr = iregs.(b) + o in
+        Memory.store_byte memory addr iregs.(v);
+        if taint then
+          stored_byte_mask tr
+            (Memory.byte_cell_index memory addr)
+            (itn.(v) lor itn.(b));
         loop (pc + 1)
       | Code.DLwf (d, b, o) ->
-        fregs.(d) <- inject_f m ftags pc (Memory.load_flt memory (iregs.(b) + o));
+        if taint then Taint.sink_address tr itn.(b);
+        let addr = iregs.(b) + o in
+        let x = Memory.load_flt memory addr in
+        if taint then
+          shade_f m tr ftags pc fr d
+            (loaded_mask tr (Memory.cell_index memory addr) ~base:itn.(b))
+            x
+        else fregs.(d) <- inject_f m ftags pc x;
         loop (pc + 1)
       | Code.DSwf (v, b, o) ->
-        Memory.store_flt memory (iregs.(b) + o) fregs.(v);
+        if taint then store_sinks tr ~base:itn.(b) ftn.(v);
+        let addr = iregs.(b) + o in
+        Memory.store_flt memory addr fregs.(v);
+        if taint then
+          stored_mask tr (Memory.cell_index memory addr) (ftn.(v) lor itn.(b));
         loop (pc + 1)
       | Code.DBr (op, a, b, target) ->
+        if taint then
+          Taint.sink_control tr ~fid:fr.fid ~pc (itn.(a) lor itn.(b));
         if cmp_i op iregs.(a) iregs.(b) then loop target else loop (pc + 1)
       | Code.DBrz (op, a, target) ->
+        if taint then Taint.sink_control tr ~fid:fr.fid ~pc itn.(a);
         if cmp_i op iregs.(a) 0 then loop target else loop (pc + 1)
       | Code.DJmp target -> loop target
       | Code.DCall c ->
         (* Depth check before the push: the overflow is attributed to
            this call site (the head frame's pc is parked here), with
-           the callee's would-be depth as payload — same as the
-           recursive interpreter's entry check seen from its caller. *)
+           the callee's would-be depth as payload. *)
         let callee_depth = m.depth + 1 in
         if callee_depth > max_call_depth then
           raise (Trap.Error (Trap.Call_stack_overflow callee_depth));
-        let nf = fresh_frame m.code c.Code.fid in
+        let nf = fresh_frame m.code ~shadow:taint c.Code.fid in
         Array.iter
-          (fun (src, dst) -> nf.iregs.(dst) <- iregs.(src))
+          (fun (src, dst) ->
+            nf.iregs.(dst) <- iregs.(src);
+            if taint then nf.itn.(dst) <- itn.(src))
           c.Code.iargs;
         Array.iter
-          (fun (src, dst) -> nf.fregs.(dst) <- fregs.(src))
+          (fun (src, dst) ->
+            nf.fregs.(dst) <- fregs.(src);
+            if taint then nf.ftn.(dst) <- ftn.(src))
           c.Code.fargs;
         m.depth <- callee_depth;
         m.stack <- nf :: m.stack
         (* head frame changed: fall out to the outer loop *)
-      | Code.DRetI r -> return m (Some (Value.I iregs.(r)))
-      | Code.DRetF r -> return m (Some (Value.F fregs.(r)))
-      | Code.DRetV -> return m None
+      | Code.DRetI r ->
+        let tv = if taint then itn.(r) else Taint.none in
+        return m tv (Some (Value.I iregs.(r)))
+      | Code.DRetF r ->
+        let tv = if taint then ftn.(r) else Taint.none in
+        return m tv (Some (Value.F fregs.(r)))
+      | Code.DRetV -> return m Taint.none None
     in
     loop fr.pc
   done
@@ -312,7 +390,10 @@ let finish m : result =
     landed_sites =
       Array.init m.landed (fun i ->
           (m.code.Code.funcs.(m.land_fids.(i)).Code.name, m.land_pcs.(i)));
-    fault_flow = None;
+    fault_flow =
+      Option.map
+        (Taint.summarize ~func_name:(fun f -> m.code.Code.funcs.(f).Code.name))
+        m.taint;
   }
 
 (* --------------------------- snapshots --------------------------- *)
@@ -325,353 +406,13 @@ let snapshot_dyn = Machine.snapshot_dyn
 let snapshot_digest = Machine.snapshot_digest
 let machine_fid = Machine.machine_fid
 
-let resume ?image ?injection (s : snapshot) : machine =
-  Machine.restore ?image ?injection s
+let resume ?image ?injection ?taint (s : snapshot) : machine =
+  Machine.restore ?image ?injection ?taint s
 
-(* ------------------------- taint twin run ------------------------- *)
-
-(* Taint mode is a second, fully separate interpreter loop ([call_t]
-   below) rather than hooks in the plain one: the plain loop is the
-   campaign hot path and must not pay even a predictable branch per
-   instruction for an audit-only feature. The two loops share every
-   value-level helper ([binop_i], [f2i], the plan cursor, the trap
-   bookkeeping), execute instructions in the same order and call the
-   injection hook at the same write-back points, so ordinals — and
-   therefore where a plan's faults land — are identical in both modes;
-   test_taint pins that equivalence with a property test. It stays
-   host-stack recursive (per-frame shadow state lives in the recursion)
-   and is therefore not snapshotable: audit trials run from scratch. *)
-let run_taint ?injection ?lenient ~budget ~count_exec ?memory (code : Code.t) :
+let run ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code :
     result =
-  let memory =
-    match memory with
-    | Some mem -> mem
-    | None -> Memory.of_prog ?lenient code.Code.prog
-  in
-  let dyn = ref 0 in
-  let inj_seen = ref 0 in
-  let landed = ref 0 in
-  (* Trap provenance: (fid, pc) of the instruction whose evaluation
-     raised. Written once, by the innermost handler (the call arm sees
-     traps propagating out of callees and must not overwrite the
-     callee's record). Cold path: only touched when a trap fires. *)
-  let trap_fid = ref (-1) in
-  let trap_pc = ref (-1) in
-  let trap_at fid pc e =
-    if !trap_fid < 0 then begin
-      trap_fid := fid;
-      trap_pc := pc
-    end;
-    raise e
-  in
-  let exec_counts =
-    if count_exec then
-      Array.map
-        (fun (df : Code.dfunc) -> Array.make (Array.length df.Code.dbody) 0)
-        code.Code.funcs
-    else [||]
-  in
-  let plan_ords, plan_bits =
-    match (injection : injection option) with
-    | Some { plan_ords; plan_bits; _ } -> (plan_ords, plan_bits)
-    | None -> (no_counts, no_counts)
-  in
-  let plan_len = Array.length plan_ords in
-  let land_fids = Array.make plan_len 0 in
-  let land_pcs = Array.make plan_len 0 in
-  let cursor = ref 0 in
-  let next_planned = ref (if plan_len > 0 then plan_ords.(0) else max_int) in
-  let advance_plan () =
-    let c = !cursor + 1 in
-    cursor := c;
-    next_planned :=
-      (if c < plan_len then Array.unsafe_get plan_ords c else max_int);
-    incr landed;
-    Array.unsafe_get plan_bits (c - 1)
-  in
-  let all_tags =
-    match (injection : injection option) with
-    | Some { tags; _ } -> tags
-    | None -> [||]
-  in
-  let has_injection = Array.length all_tags > 0 in
-  let tr = Taint.make ~cells:(Memory.size_bytes memory / 4) in
-  (* Returns the function's result together with the taint of the
-     returned value, so contamination survives call boundaries. *)
-  let rec call_t depth fid set_args : Value.t option * Taint.mask =
-    if depth > max_call_depth then
-      raise (Trap.Error (Trap.Call_stack_overflow depth));
-    let df = code.Code.funcs.(fid) in
-    let iregs = Array.make (max df.Code.n_int 1) 0 in
-    let fregs = Array.make (max df.Code.n_flt 1) 0.0 in
-    let itn = Array.make (max df.Code.n_int 1) Taint.none in
-    let ftn = Array.make (max df.Code.n_flt 1) Taint.none in
-    set_args iregs fregs itn ftn;
-    let body = df.Code.dbody in
-    let len = Array.length body in
-    let counts = if count_exec then exec_counts.(fid) else no_counts in
-    let ftags = if has_injection then all_tags.(fid) else [||] in
-    let inject_i pc v =
-      if has_injection && Array.unsafe_get ftags pc then begin
-        let ord = !inj_seen in
-        incr inj_seen;
-        if ord = !next_planned then begin
-          let bit = advance_plan () in
-          land_fids.(!landed - 1) <- fid;
-          land_pcs.(!landed - 1) <- pc;
-          Value.flip_int ~bit:(bit land 31) v
-        end
-        else v
-      end
-      else v
-    in
-    let inject_f pc x =
-      if has_injection && Array.unsafe_get ftags pc then begin
-        let ord = !inj_seen in
-        incr inj_seen;
-        if ord = !next_planned then begin
-          let bit = advance_plan () in
-          land_fids.(!landed - 1) <- fid;
-          land_pcs.(!landed - 1) <- pc;
-          Value.flip_float ~bit:(bit land 63) x
-        end
-        else x
-      end
-      else x
-    in
-    (* Write-back with shadow taint: record operand taint [tv] flowing
-       into the destination, run the injection hook at exactly the same
-       point as the plain loop, and seed fresh (memory-free) taint when
-       a fault lands here. *)
-    let set_i d pc tv v =
-      Taint.propagate tr tv;
-      let l0 = !landed in
-      iregs.(d) <- inject_i pc v;
-      itn.(d) <- (if !landed > l0 then tv lor Taint.fresh else tv)
-    in
-    let set_f d pc tv x =
-      Taint.propagate tr tv;
-      let l0 = !landed in
-      fregs.(d) <- inject_f pc x;
-      ftn.(d) <- (if !landed > l0 then tv lor Taint.fresh else tv)
-    in
-    let rec loop pc : Value.t option * Taint.mask =
-      if pc >= len then
-        invalid_arg (Printf.sprintf "pc past end of %s" df.Code.name);
-      let d = Array.unsafe_get body pc in
-      (match d with
-       | Code.DNop -> ()
-       | _ ->
-         incr dyn;
-         if !dyn > budget then raise Timeout_exn;
-         if count_exec then counts.(pc) <- counts.(pc) + 1);
-      match d with
-      | Code.DNop -> loop (pc + 1)
-      | Code.DLi (d, v) ->
-        set_i d pc Taint.none v;
-        loop (pc + 1)
-      | Code.DLf (d, x) ->
-        set_f d pc Taint.none x;
-        loop (pc + 1)
-      | Code.DLa (d, addr) ->
-        set_i d pc Taint.none addr;
-        loop (pc + 1)
-      | Code.DMovI (d, s) ->
-        set_i d pc itn.(s) iregs.(s);
-        loop (pc + 1)
-      | Code.DMovF (d, s) ->
-        set_f d pc ftn.(s) fregs.(s);
-        loop (pc + 1)
-      | Code.DBin (op, d, a, b) ->
-        (match op with
-         | Ir.Instr.Div | Ir.Instr.Rem -> Taint.sink_trap_operand tr itn.(b)
-         | _ -> ());
-        let v =
-          try binop_i op iregs.(a) iregs.(b)
-          with Trap.Error _ as e -> trap_at fid pc e
-        in
-        set_i d pc (itn.(a) lor itn.(b)) v;
-        loop (pc + 1)
-      | Code.DBini (op, d, a, n) ->
-        let v =
-          try binop_i op iregs.(a) n
-          with Trap.Error _ as e -> trap_at fid pc e
-        in
-        set_i d pc itn.(a) v;
-        loop (pc + 1)
-      | Code.DCmp (op, d, a, b) ->
-        set_i d pc (itn.(a) lor itn.(b))
-          (if cmp_i op iregs.(a) iregs.(b) then 1 else 0);
-        loop (pc + 1)
-      | Code.DFbin (op, d, a, b) ->
-        set_f d pc (ftn.(a) lor ftn.(b)) (binop_f op fregs.(a) fregs.(b));
-        loop (pc + 1)
-      | Code.DFun (op, d, s) ->
-        set_f d pc ftn.(s) (unop_f op fregs.(s));
-        loop (pc + 1)
-      | Code.DFcmp (op, d, a, b) ->
-        set_i d pc (ftn.(a) lor ftn.(b))
-          (if cmp_f op fregs.(a) fregs.(b) then 1 else 0);
-        loop (pc + 1)
-      | Code.DI2f (d, s) ->
-        set_f d pc itn.(s) (float_of_int iregs.(s));
-        loop (pc + 1)
-      | Code.DF2i (d, s) ->
-        Taint.sink_trap_operand tr ftn.(s);
-        let v =
-          try f2i fregs.(s) with Trap.Error _ as e -> trap_at fid pc e
-        in
-        set_i d pc ftn.(s) v;
-        loop (pc + 1)
-      | Code.DLw (d, b, o) ->
-        Taint.sink_address tr itn.(b);
-        let addr = iregs.(b) + o in
-        let v =
-          try Memory.load_int memory addr
-          with Trap.Error _ as e -> trap_at fid pc e
-        in
-        let c = Memory.cell_index memory addr in
-        set_i d pc
-          (Taint.loaded
-             ~cell:(if c >= 0 then Taint.mem_get tr c else Taint.none)
-             ~base:itn.(b))
-          v;
-        loop (pc + 1)
-      | Code.DSw (v, b, o) ->
-        Taint.sink_address tr itn.(b);
-        Taint.sink_memory tr itn.(v);
-        let addr = iregs.(b) + o in
-        (try Memory.store_int memory addr iregs.(v)
-         with Trap.Error _ as e -> trap_at fid pc e);
-        let c = Memory.cell_index memory addr in
-        if c >= 0 then Taint.mem_set tr c (Taint.stored (itn.(v) lor itn.(b)));
-        loop (pc + 1)
-      | Code.DLb (d, b, o) ->
-        Taint.sink_address tr itn.(b);
-        let addr = iregs.(b) + o in
-        let v =
-          try Memory.load_byte memory addr
-          with Trap.Error _ as e -> trap_at fid pc e
-        in
-        let c = Memory.byte_cell_index memory addr in
-        set_i d pc
-          (Taint.loaded
-             ~cell:(if c >= 0 then Taint.mem_get tr c else Taint.none)
-             ~base:itn.(b))
-          v;
-        loop (pc + 1)
-      | Code.DSb (v, b, o) ->
-        Taint.sink_address tr itn.(b);
-        Taint.sink_memory tr itn.(v);
-        let addr = iregs.(b) + o in
-        (try Memory.store_byte memory addr iregs.(v)
-         with Trap.Error _ as e -> trap_at fid pc e);
-        let c = Memory.byte_cell_index memory addr in
-        if c >= 0 then Taint.mem_union tr c (Taint.stored (itn.(v) lor itn.(b)));
-        loop (pc + 1)
-      | Code.DLwf (d, b, o) ->
-        Taint.sink_address tr itn.(b);
-        let addr = iregs.(b) + o in
-        let x =
-          try Memory.load_flt memory addr
-          with Trap.Error _ as e -> trap_at fid pc e
-        in
-        let c = Memory.cell_index memory addr in
-        set_f d pc
-          (Taint.loaded
-             ~cell:(if c >= 0 then Taint.mem_get tr c else Taint.none)
-             ~base:itn.(b))
-          x;
-        loop (pc + 1)
-      | Code.DSwf (v, b, o) ->
-        Taint.sink_address tr itn.(b);
-        Taint.sink_memory tr ftn.(v);
-        let addr = iregs.(b) + o in
-        (try Memory.store_flt memory addr fregs.(v)
-         with Trap.Error _ as e -> trap_at fid pc e);
-        let c = Memory.cell_index memory addr in
-        if c >= 0 then Taint.mem_set tr c (Taint.stored (ftn.(v) lor itn.(b)));
-        loop (pc + 1)
-      | Code.DBr (op, a, b, target) ->
-        Taint.sink_control tr ~fid ~pc (itn.(a) lor itn.(b));
-        if cmp_i op iregs.(a) iregs.(b) then loop target else loop (pc + 1)
-      | Code.DBrz (op, a, target) ->
-        Taint.sink_control tr ~fid ~pc itn.(a);
-        if cmp_i op iregs.(a) 0 then loop target else loop (pc + 1)
-      | Code.DJmp target -> loop target
-      | Code.DCall c ->
-        let set callee_i callee_f callee_it callee_ft =
-          Array.iter
-            (fun (src, dst) ->
-              callee_i.(dst) <- iregs.(src);
-              callee_it.(dst) <- itn.(src))
-            c.Code.iargs;
-          Array.iter
-            (fun (src, dst) ->
-              callee_f.(dst) <- fregs.(src);
-              callee_ft.(dst) <- ftn.(src))
-            c.Code.fargs
-        in
-        let ret, rt =
-          try call_t (depth + 1) c.Code.fid set
-          with Trap.Error _ as e -> trap_at fid pc e
-        in
-        (if c.Code.dst >= 0 then
-           match ret with
-           | Some (Value.I v) when not c.Code.dst_flt -> set_i c.Code.dst pc rt v
-           | Some (Value.F x) when c.Code.dst_flt -> set_f c.Code.dst pc rt x
-           | _ -> invalid_arg "return bank mismatch at runtime");
-        loop (pc + 1)
-      | Code.DRetI r -> (Some (Value.I iregs.(r)), itn.(r))
-      | Code.DRetF r -> (Some (Value.F fregs.(r)), ftn.(r))
-      | Code.DRetV -> (None, Taint.none)
-    in
-    loop 0
-  in
-  let outcome =
-    try
-      let ret, rt = call_t 0 code.Code.entry_fid (fun _ _ _ _ -> ()) in
-      (* A tainted entry return value is program output contamination
-         even though no frame survives to hold it. *)
-      Taint.propagate tr rt;
-      Done ret
-    with
-    | Trap.Error t -> Trapped t
-    | Timeout_exn -> Timeout
-  in
-  let trap_site =
-    match outcome with
-    | Trapped _ when !trap_fid >= 0 ->
-      Some (code.Code.funcs.(!trap_fid).Code.name, !trap_pc)
-    | _ -> None
-  in
-  obs_run_counters ~dyn:!dyn ~inj_seen:!inj_seen ~landed:!landed ~outcome
-    ~trap_site;
-  {
-    outcome;
-    dyn_count = !dyn;
-    injectable_seen = !inj_seen;
-    faults_landed = !landed;
-    memory;
-    exec_counts;
-    trap_site;
-    landed_sites =
-      Array.init !landed (fun i ->
-          (code.Code.funcs.(land_fids.(i)).Code.name, land_pcs.(i)));
-    fault_flow =
-      Some
-        (Taint.summarize tr ~func_name:(fun f -> code.Code.funcs.(f).Code.name));
-  }
-
-let run ?image ?injection ?lenient ?(budget = Machine.default_budget)
-    ?(count_exec = false) ?(taint = false) ?memory (code : Code.t) : result =
-  if taint then begin
-    (match image with
-     | Some _ -> invalid_arg "Interp.run: taint mode requires the reference engine"
-     | None -> ());
-    run_taint ?injection ?lenient ~budget ~count_exec ?memory code
-  end
-  else finish (machine ?image ?injection ?lenient ~budget ~count_exec ?memory code)
+  finish
+    (machine ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code)
 
 (* Fault-free execution, trusting the program: raises on trap/timeout. *)
 let run_exn ?image ?lenient ?budget ?count_exec code =

@@ -51,8 +51,8 @@ type result = {
           injection hook runs. The raw material of the obs fault-site
           attribution profile. *)
   fault_flow : Taint.summary option;
-      (** shadow-taint fault-flow classification; [Some] iff the run
-          was started with [~taint:true] *)
+      (** shadow-taint fault-flow classification; [Some] iff the
+          machine was built (or resumed) with [~taint:true] *)
 }
 
 exception Timeout_exn
@@ -94,12 +94,14 @@ val compile : ?tags:bool array array -> Code.t -> image
 
 (** {1 Explicit machine}
 
-    The plain interpreter is an explicit machine — a frame stack plus
-    the dynamic counters — so execution can pause at any
+    The interpreter is an explicit machine — a frame stack plus the
+    dynamic counters — so execution can pause at any
     injectable-ordinal boundary, be captured into an immutable
     {!snapshot}, and resume later. This is the substrate of
     checkpointed fork-from-prefix campaigns (see [Sim.Snapshot] and
-    [Core.Campaign]). *)
+    [Core.Campaign]). Plain, profiling ([count_exec]) and shadow-taint
+    ([taint]) runs are the same machine driven by the same reference
+    dispatch loop. *)
 
 type machine
 (** A paused or running execution. Mutable; single-owner. *)
@@ -110,6 +112,7 @@ val machine :
   ?lenient:bool ->
   ?budget:int ->
   ?count_exec:bool ->
+  ?taint:bool ->
   ?memory:Memory.t ->
   Code.t ->
   machine
@@ -117,11 +120,13 @@ val machine :
     [memory] supplies a pre-built image (ownership transfers to the
     machine; [lenient] is then ignored — the image carries its own
     access model) instead of laying one out from the program's
-    globals. [image] selects the fast engine; it must have been
-    compiled from this [code] and with the same tag-mask array as
-    [injection] (physical equality), and is incompatible with
-    [count_exec] (profiling stays on the reference engine) — raises
-    [Invalid_argument] otherwise. *)
+    globals. [taint] (default off) adds shadow-taint state: per-register
+    and per-memory-cell masks and a sink tracker, summarized into the
+    result's [fault_flow]. [image] selects the fast engine; it must
+    have been compiled from this [code] and with the same tag-mask
+    array as [injection] (physical equality), and is incompatible with
+    [count_exec] and [taint] (profiling and taint stay on the reference
+    engine) — raises [Invalid_argument] otherwise. *)
 
 val advance : machine -> pause_at:int -> [ `Halted | `Paused ]
 (** Execute until the machine halts, or pause as soon as [pause_at]
@@ -133,7 +138,8 @@ val advance : machine -> pause_at:int -> [ `Halted | `Paused ]
 
 val finish : machine -> result
 (** Run to completion ([advance ~pause_at:max_int]) and package the
-    result. [fault_flow] is always [None] on this path. *)
+    result, with [fault_flow] summarized from the tracker of a taint
+    machine. *)
 
 type snapshot
 (** An immutable copy of a paused machine's full architectural state
@@ -147,13 +153,17 @@ val capture : machine -> snapshot
     landed a fault — snapshots are taken on fault-free (golden)
     passes only. *)
 
-val resume : ?image:image -> ?injection:injection -> snapshot -> machine
+val resume :
+  ?image:image -> ?injection:injection -> ?taint:bool -> snapshot -> machine
 (** A fresh machine restored from the snapshot, with a new plan.
     Raises [Invalid_argument] if the plan's first ordinal precedes the
     snapshot's ordinal (that fault could never land). [image] selects
     the fast engine for the resumed execution, with the same validity
     rules as {!machine}; snapshots carry no engine state, so a capture
-    under one engine may resume under the other. *)
+    under one engine may resume under the other. [taint] resumes with
+    shadow taint on, from zeroed masks: no fault has landed before a
+    capture, so every mask is clean there and the resumed run equals a
+    taint run from scratch. *)
 
 val snapshot_ordinal : snapshot -> int
 (** Injectable ordinal at which the snapshot was taken. *)
@@ -187,13 +197,10 @@ val run :
   result
 (** Execute from the entry function. [budget] defaults to 10^8 dynamic
     instructions; [lenient] selects the memory model (default strict).
-    [taint] (default off) runs the shadow-taint twin of the
-    interpreter: identical architectural behaviour and fault landings,
-    plus a {!Taint.summary} in [fault_flow]. The plain path pays
-    nothing for the feature — taint mode is a separate (host-stack
-    recursive, non-snapshotable) loop, and is engine-independent:
-    passing [image] with [taint] raises [Invalid_argument]. [image]
-    and [memory] as in {!machine}. *)
+    [taint] (default off) adds shadow taint: identical architectural
+    behaviour and fault landings, plus a {!Taint.summary} in
+    [fault_flow]. [image], [taint] and [memory] as in {!machine}:
+    [finish (machine ...)]. *)
 
 val run_exn :
   ?image:image ->

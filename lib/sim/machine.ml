@@ -8,6 +8,11 @@
    — is defined here once, so the engines can only differ in how they
    dispatch instructions, never in what a dispatched instruction does.
 
+   Shadow taint (DESIGN §11) is optional state of the same machine: a
+   [Taint.tracker] in [taint] plus per-frame register masks, all absent
+   when taint is off. Only the reference loop maintains them, so
+   [check_image] rejects a taint machine built from an image.
+
    The [fast] field selects the engine: a machine built from a
    compiled [image] carries the closure table and is driven by
    Threaded.exec; an empty table means reference dispatch. The image is
@@ -82,18 +87,23 @@ let f2i (x : float) =
 let no_counts : int array = [||]
 let no_tags : bool array = [||]
 let no_ops : bool array array = [||]
+let no_masks : Taint.mask array = [||]
 
 (* One activation record. [pc] always holds the body index of the
    instruction currently (or next) being dispatched whenever the
    machine is observable (paused, trapped, or at a frame switch), so
    trap provenance and snapshot/resume both read it directly. While a
    callee runs, the caller's [pc] stays parked on its DCall — return
-   write-back and the post-call resume point are recovered from it. *)
+   write-back and the post-call resume point are recovered from it.
+   [itn]/[ftn] shadow the register banks with taint masks on a taint
+   machine and are empty otherwise. *)
 type frame = {
   fid : int;
   mutable pc : int;
   iregs : int array;
   fregs : float array;
+  itn : Taint.mask array;
+  ftn : Taint.mask array;
 }
 
 type status =
@@ -126,6 +136,7 @@ type t = {
   mutable stack : frame list;  (* innermost frame first; never empty while Running *)
   mutable depth : int;         (* depth of the head frame; entry frame is 0 *)
   mutable status : status;
+  taint : Taint.tracker option;  (* [Some] iff shadow taint is on *)
   fast : op array array;
       (* per-function closure tables from the compiled image; [||]
          selects the reference match-dispatch loop *)
@@ -160,13 +171,20 @@ type image = {
   imem_lenient : Memory.t;
 }
 
-let fresh_frame (code : Code.t) fid =
+let shadow_of ~shadow regs =
+  if shadow then Array.make (Array.length regs) Taint.none else no_masks
+
+let fresh_frame (code : Code.t) ~shadow fid =
   let df = code.Code.funcs.(fid) in
+  let iregs = Array.make (max df.Code.n_int 1) 0 in
+  let fregs = Array.make (max df.Code.n_flt 1) 0.0 in
   {
     fid;
     pc = 0;
-    iregs = Array.make (max df.Code.n_int 1) 0;
-    fregs = Array.make (max df.Code.n_flt 1) 0.0;
+    iregs;
+    fregs;
+    itn = shadow_of ~shadow iregs;
+    ftn = shadow_of ~shadow fregs;
   }
 
 (* An image is valid for exactly the (code, tags) pair it was compiled
@@ -174,7 +192,7 @@ let fresh_frame (code : Code.t) fid =
    any other mask would silently miscount ordinals. Campaigns reuse one
    tags array across every trial of a prepared target, so physical
    equality is the precise check, not an approximation. *)
-let check_image ~count_exec (image : image option)
+let check_image ~count_exec ~taint (image : image option)
     (injection : injection option) (code : Code.t) =
   match image with
   | None -> ()
@@ -183,6 +201,8 @@ let check_image ~count_exec (image : image option)
       invalid_arg "Interp: image was compiled from a different program";
     if count_exec then
       invalid_arg "Interp: count_exec requires the reference engine";
+    if taint then
+      invalid_arg "Interp: taint mode requires the reference engine";
     let tags = match injection with Some { tags; _ } -> tags | None -> no_ops in
     if
       not
@@ -190,9 +210,14 @@ let check_image ~count_exec (image : image option)
         || (Array.length img.itags = 0 && Array.length tags = 0))
     then invalid_arg "Interp: image was compiled with a different tag mask"
 
+(* The tracker shadows every 4-byte cell of the memory image. *)
+let tracker ~taint memory =
+  if taint then Some (Taint.make ~cells:(Memory.size_bytes memory / 4))
+  else None
+
 let make ?image ?injection ?lenient ?(budget = default_budget)
-    ?(count_exec = false) ?memory (code : Code.t) : t =
-  check_image ~count_exec image injection code;
+    ?(count_exec = false) ?(taint = false) ?memory (code : Code.t) : t =
+  check_image ~count_exec ~taint image injection code;
   let memory =
     match memory with
     | Some mem -> mem
@@ -223,7 +248,7 @@ let make ?image ?injection ?lenient ?(budget = default_budget)
     | Some { tags; _ } -> tags
     | None -> [||]
   in
-  let entry = fresh_frame code code.Code.entry_fid in
+  let entry = fresh_frame code ~shadow:taint code.Code.entry_fid in
   {
     code;
     memory;
@@ -246,6 +271,7 @@ let make ?image ?injection ?lenient ?(budget = default_budget)
     stack = [ entry ];
     depth = 0;
     status = Running;
+    taint = tracker ~taint memory;
     fast = (match image with Some img -> img.iops | None -> [||]);
     pause_at = max_int;
     run_fr = entry;
@@ -296,14 +322,52 @@ let inject_f m ftags pc x =
   end
   else x
 
-(* Pop the head frame and deliver [v] to its caller (or halt when it
-   was the entry frame). Return write-back runs the injection hook at
-   the caller's DCall, exactly where the recursive interpreter ran it,
-   then steps the caller past the call. *)
-let return m (v : Value.t option) =
+(* Taint write-backs: the operand taint [tv] flows into register [d]
+   of [fr] through the same injection hook as the plain write-back, and
+   a fault landing here seeds fresh (memory-free) taint. *)
+let shade_i m tr ftags pc fr d tv v =
+  Taint.propagate tr tv;
+  let l0 = m.landed in
+  fr.iregs.(d) <- inject_i m ftags pc v;
+  fr.itn.(d) <- (if m.landed > l0 then tv lor Taint.fresh else tv)
+
+let shade_f m tr ftags pc fr d tv x =
+  Taint.propagate tr tv;
+  let l0 = m.landed in
+  fr.fregs.(d) <- inject_f m ftags pc x;
+  fr.ftn.(d) <- (if m.landed > l0 then tv lor Taint.fresh else tv)
+
+(* Taint of a value loaded from cell [c] (-1: no cell to shadow)
+   through a base register with taint [base]. *)
+let loaded_mask tr c ~base =
+  Taint.loaded ~cell:(if c >= 0 then Taint.mem_get tr c else Taint.none) ~base
+
+(* A store of a value with taint [tv] through a base with taint [base]
+   hits the address and memory sinks before the access (which may
+   trap); once it succeeded, [tv] (joined with the base's taint by the
+   caller) is memory-marked into the shadow cell. Byte stores touch one
+   lane of a cell, so they union instead of overwrite. *)
+let store_sinks tr ~base tv =
+  Taint.sink_address tr base;
+  Taint.sink_memory tr tv
+
+let stored_mask tr c tv = if c >= 0 then Taint.mem_set tr c (Taint.stored tv)
+
+let stored_byte_mask tr c tv =
+  if c >= 0 then Taint.mem_union tr c (Taint.stored tv)
+
+(* Pop the head frame and deliver [v], whose taint is [tv], to its
+   caller (or halt when it was the entry frame). Return write-back runs
+   the injection hook at the caller's DCall, then steps the caller past
+   the call. *)
+let return m (tv : Taint.mask) (v : Value.t option) =
   match m.stack with
   | [] -> assert false
-  | [ _ ] -> m.status <- Done_ v
+  | [ _ ] ->
+    (* A tainted entry return value is program output contamination
+       even though no frame survives to hold it. *)
+    Option.iter (fun tr -> Taint.propagate tr tv) m.taint;
+    m.status <- Done_ v
   | _ :: (caller :: _ as rest) ->
     m.stack <- rest;
     m.depth <- m.depth - 1;
@@ -315,11 +379,16 @@ let return m (v : Value.t option) =
           let ftags =
             if m.has_injection then m.all_tags.(caller.fid) else no_tags
           in
-          match v with
-          | Some (Value.I x) when not c.Code.dst_flt ->
-            caller.iregs.(c.Code.dst) <- inject_i m ftags caller.pc x
-          | Some (Value.F x) when c.Code.dst_flt ->
-            caller.fregs.(c.Code.dst) <- inject_f m ftags caller.pc x
+          let d = c.Code.dst and pc = caller.pc in
+          match (v, m.taint) with
+          | Some (Value.I x), None when not c.Code.dst_flt ->
+            caller.iregs.(d) <- inject_i m ftags pc x
+          | Some (Value.I x), Some tr when not c.Code.dst_flt ->
+            shade_i m tr ftags pc caller d tv x
+          | Some (Value.F x), None when c.Code.dst_flt ->
+            caller.fregs.(d) <- inject_f m ftags pc x
+          | Some (Value.F x), Some tr when c.Code.dst_flt ->
+            shade_f m tr ftags pc caller d tv x
           | _ -> invalid_arg "return bank mismatch at runtime");
        caller.pc <- caller.pc + 1
      | _ -> assert false)
@@ -336,7 +405,12 @@ let is_running m = match m.status with Running -> true | _ -> false
    snapshot can seed any number of trials concurrently — including
    read-only sharing across domains. A snapshot carries no engine
    state: it can be captured under one engine and resumed under the
-   other, which the cross-engine differential suite exercises. *)
+   other, which the cross-engine differential suite exercises.
+
+   Nor does a snapshot carry shadow taint: fresh taint is only seeded
+   when a fault lands, so at any capture ([landed = 0]) every mask is
+   [Taint.none] and the tracker is empty. A taint machine restored with
+   zeroed masks and a fresh tracker is therefore exact. *)
 type snapshot = {
   s_code : Code.t;
   s_budget : int;
@@ -347,8 +421,14 @@ type snapshot = {
   s_inj_seen : int;
 }
 
-let copy_frame fr =
-  { fr with iregs = Array.copy fr.iregs; fregs = Array.copy fr.fregs }
+let copy_frame ~shadow fr =
+  {
+    fr with
+    iregs = Array.copy fr.iregs;
+    fregs = Array.copy fr.fregs;
+    itn = shadow_of ~shadow fr.iregs;
+    ftn = shadow_of ~shadow fr.fregs;
+  }
 
 let capture m : snapshot =
   (match m.status with
@@ -362,7 +442,7 @@ let capture m : snapshot =
     s_code = m.code;
     s_budget = m.budget;
     s_memory = Memory.copy m.memory;
-    s_frames = Array.of_list (List.map copy_frame m.stack);
+    s_frames = Array.of_list (List.map (copy_frame ~shadow:false) m.stack);
     s_depth = m.depth;
     s_dyn = m.dyn;
     s_inj_seen = m.inj_seen;
@@ -371,8 +451,8 @@ let capture m : snapshot =
 let snapshot_ordinal s = s.s_inj_seen
 let snapshot_dyn s = s.s_dyn
 
-let restore ?image ?injection (s : snapshot) : t =
-  check_image ~count_exec:false image injection s.s_code;
+let restore ?image ?injection ?(taint = false) (s : snapshot) : t =
+  check_image ~count_exec:false ~taint image injection s.s_code;
   let plan_ords, plan_bits =
     match (injection : injection option) with
     | Some { plan_ords; plan_bits; _ } -> (plan_ords, plan_bits)
@@ -385,14 +465,15 @@ let restore ?image ?injection (s : snapshot) : t =
     | Some { tags; _ } -> tags
     | None -> [||]
   in
-  let frames = Array.map copy_frame s.s_frames in
+  let frames = Array.map (copy_frame ~shadow:taint) s.s_frames in
   let head =
     if Array.length frames > 0 then frames.(0)
-    else fresh_frame s.s_code s.s_code.Code.entry_fid
+    else fresh_frame s.s_code ~shadow:taint s.s_code.Code.entry_fid
   in
+  let memory = Memory.copy s.s_memory in
   {
     code = s.s_code;
-    memory = Memory.copy s.s_memory;
+    memory;
     budget = s.s_budget;
     count_exec = false;
     exec_counts = [||];
@@ -412,6 +493,7 @@ let restore ?image ?injection (s : snapshot) : t =
     stack = Array.to_list frames;
     depth = s.s_depth;
     status = Running;
+    taint = tracker ~taint memory;
     fast = (match image with Some img -> img.iops | None -> [||]);
     pause_at = max_int;
     run_fr = head;

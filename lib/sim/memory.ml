@@ -183,9 +183,9 @@ let store_byte t addr v =
     end
   end
 
-(* Non-trapping address->cell resolution for the taint interpreter: the
-   cell a word access at [addr] touches under this machine's model, or
-   -1 when the access misses the image (lenient zero page) or would
+(* Non-trapping address->cell resolution for shadow taint: the cell a
+   word access at [addr] touches under this machine's model, or -1
+   when the access misses the image (lenient zero page) or would
    trap. Callers resolve only after the real access succeeded, so -1
    here means "no cell to shadow", never a swallowed trap. *)
 let cell_index t addr =

@@ -38,8 +38,8 @@ val peek : t -> int -> Value.t option
 val cell_index : t -> int -> int
 (** Non-trapping resolution of a word access to its cell under this
     machine's model, or [-1] when the access hits no cell (lenient
-    zero page, or an address that would trap). For the taint
-    interpreter's shadow memory. *)
+    zero page, or an address that would trap). For the shadow memory
+    of a taint machine. *)
 
 val byte_cell_index : t -> int -> int
 (** Like {!cell_index} for byte accesses (no alignment handling). *)

@@ -1,6 +1,6 @@
 (* Shadow taint for dynamic fault-flow classification (DESIGN §11).
 
-   Alongside each register and each memory cell the taint interpreter
+   Alongside each register and each memory cell a taint machine
    carries a 2-bit mask:
 
      bit 0 — the value derives (transitively) from an injected fault;

@@ -1,13 +1,14 @@
 (** Shadow taint for dynamic fault-flow classification.
 
-    A 2-bit mask rides alongside every register and memory cell while
-    the taint interpreter runs: bit 0 marks values derived from an
-    injected fault, bit 1 marks chains that passed through memory
-    (store/load round trips, loads through corrupted bases). Bit 1 is
-    sticky and mirrors the paper's "no memory disambiguation": the
-    tagging analysis deliberately loses track of values at memory, so
-    through-memory contamination of control is the documented residual
-    rather than a soundness violation. See DESIGN.md §11. *)
+    A 2-bit mask rides alongside every register and memory cell of a
+    taint machine ([Interp.machine ~taint:true]): bit 0 marks values
+    derived from an injected fault, bit 1 marks chains that passed
+    through memory (store/load round trips, loads through corrupted
+    bases). Bit 1 is sticky and mirrors the paper's "no memory
+    disambiguation": the tagging analysis deliberately loses track of
+    values at memory, so through-memory contamination of control is the
+    documented residual rather than a soundness violation. See
+    DESIGN.md §11. *)
 
 type mask = int
 
@@ -41,7 +42,7 @@ val all_flows : flow list
 val flow_to_string : flow -> string
 val pp_flow : Format.formatter -> flow -> unit
 
-(** Mutable per-run event accumulator, owned by the taint interpreter. *)
+(** Mutable per-run event accumulator, owned by a taint machine. *)
 type tracker
 
 val make : cells:int -> tracker

@@ -556,20 +556,22 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
         fregs.(dst) <- src_f.(src)
       done;
       m.depth <- callee_depth;
-      m.stack <- { fid = cfid; pc = 0; iregs; fregs } :: m.stack
+      m.stack <-
+        { fid = cfid; pc = 0; iregs; fregs; itn = no_masks; ftn = no_masks }
+        :: m.stack
       (* head frame changed: return to the driver *)
   | Code.DRetI r ->
     fun m ->
       bump m;
-      return m (Some (Value.I (ig m.run_fr.iregs r)))
+      return m Taint.none (Some (Value.I (ig m.run_fr.iregs r)))
   | Code.DRetF r ->
     fun m ->
       bump m;
-      return m (Some (Value.F (fg m.run_fr.fregs r)))
+      return m Taint.none (Some (Value.F (fg m.run_fr.fregs r)))
   | Code.DRetV ->
     fun m ->
       bump m;
-      return m None
+      return m Taint.none None
 
 let compile_func (code : Code.t) (tags : bool array array) fid
     (df : Code.dfunc) : op array =

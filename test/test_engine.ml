@@ -309,17 +309,30 @@ let test_campaign_grid () =
         [ 0; 1; 3; 5 ])
     [ 1; 2; 4 ]
 
-(* Taint trials always execute on the reference loop (the shadow twin
-   is not compiled), but a fast-engine target must still produce the
-   identical records and fault flows. *)
+(* Taint trials always execute on the reference loop (the fast engine
+   keeps no shadow state), resuming from checkpoints the golden pass
+   recorded under either engine. Every engine target x jobs x stride
+   combination must reproduce the from-scratch records and fault flows
+   exactly. *)
 let test_campaign_taint_flows () =
   let prog = (ctx_of_seed 5).prog in
   let fast = Core.Campaign.of_prog ~engine:Sim.Interp.Fast prog in
   let ref_ = Core.Campaign.of_prog ~engine:Sim.Interp.Ref prog in
-  Alcotest.(check string)
-    "taint records agree across engine targets"
-    (campaign_records ~taint:true ref_ ~stride:0 ~jobs:2)
-    (campaign_records ~taint:true fast ~stride:0 ~jobs:2)
+  let canonical = campaign_records ~taint:true ref_ ~stride:0 ~jobs:1 in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun stride ->
+          Alcotest.(check string)
+            (Printf.sprintf "taint ref jobs=%d stride=%d" jobs stride)
+            canonical
+            (campaign_records ~taint:true ref_ ~stride ~jobs);
+          Alcotest.(check string)
+            (Printf.sprintf "taint fast jobs=%d stride=%d" jobs stride)
+            canonical
+            (campaign_records ~taint:true fast ~stride ~jobs))
+        [ 0; 1; 3; 5 ])
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Directed trap/timeout parity: each abnormal-outcome class, with its
@@ -397,11 +410,28 @@ let test_engine_guards () =
             ctx.code);
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "taint stays on the reference loop" true
-    (try
-       ignore (Sim.Interp.run ~image:ctx.image ~taint:true ctx.code);
-       false
-     with Invalid_argument _ -> true)
+  (* Taint is rejected by every constructor that takes an image, even
+     with the matching tag mask. *)
+  let injection = Sim.Interp.injection ~tags:ctx.tags ~plan:[] in
+  let rejects_taint name f =
+    Alcotest.(check bool) name true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument msg ->
+         msg = "Interp: taint mode requires the reference engine")
+  in
+  let snap =
+    let m = Sim.Interp.machine ~injection ~lenient:true ctx.code in
+    assert (Sim.Interp.advance m ~pause_at:0 = `Paused);
+    Sim.Interp.capture m
+  in
+  rejects_taint "taint stays on the reference loop" (fun () ->
+      Sim.Interp.run ~image:ctx.image ~injection ~taint:true ctx.code);
+  rejects_taint "taint machine stays on the reference loop" (fun () ->
+      Sim.Interp.machine ~image:ctx.image ~injection ~taint:true ctx.code);
+  rejects_taint "taint resume stays on the reference loop" (fun () ->
+      Sim.Interp.resume ~image:ctx.image ~injection ~taint:true snap)
 
 (* ------------------------------------------------------------------ *)
 

@@ -323,7 +323,15 @@ let test_summary_resume_counters () =
   Alcotest.(check bool) "stride 1: work skipped" true
     (on.Core.Campaign.skipped_dyn > 0);
   Alcotest.(check bool) "hits bounded by trials" true
-    (on.Core.Campaign.resumed_trials <= 16)
+    (on.Core.Campaign.resumed_trials <= 16);
+  let taint =
+    Core.Campaign.run ~jobs:1 ~taint:true
+      (Core.Campaign.prepare ~checkpoint_stride:1 target
+         Core.Policy.Protect_nothing)
+      ~errors:1 ~trials:16 ~seed:3
+  in
+  Alcotest.(check bool) "taint trials fast-forward too" true
+    (taint.Core.Campaign.resumed_trials > 0)
 
 (* ------------------------------------------------------------------ *)
 

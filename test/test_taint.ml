@@ -1,4 +1,4 @@
-(* Tests for the shadow-taint interpreter and the fault-flow audit:
+(* Tests for shadow taint and the fault-flow audit:
    directed single-fault kernels pinning each taxonomy class, the
    taint/plain equivalence property (same plan, same architectural
    behaviour), parallel bit-exactness with taint on, and the
@@ -184,9 +184,10 @@ let gcd_prepared =
      let target = Core.Campaign.of_prog prog in
      fun policy -> Core.Campaign.prepare target policy)
 
-(* The taint loop is a twin of the plain loop: same instruction order,
-   same injection ordinals, same write-back points. Same plan in, same
-   architectural behaviour out. *)
+(* Taint is shadow state of the one reference loop: same instruction
+   order, same injection ordinals, same write-back points. Same plan
+   in, same architectural behaviour out — down to where the trap and
+   each landed fault are attributed. *)
 let taint_plain_equivalence =
   QCheck.Test.make ~name:"taint run == plain run (outcome, dyn, landings)"
     ~count:100
@@ -202,7 +203,9 @@ let taint_plain_equivalence =
       = Core.Outcome.to_string (Core.Outcome.of_result b)
       && a.Sim.Interp.dyn_count = b.Sim.Interp.dyn_count
       && a.Sim.Interp.injectable_seen = b.Sim.Interp.injectable_seen
-      && a.Sim.Interp.faults_landed = b.Sim.Interp.faults_landed)
+      && a.Sim.Interp.faults_landed = b.Sim.Interp.faults_landed
+      && a.Sim.Interp.trap_site = b.Sim.Interp.trap_site
+      && a.Sim.Interp.landed_sites = b.Sim.Interp.landed_sites)
 
 (* The flow classification is a pure function of the trial RNG. *)
 let flow_determinism =
