@@ -112,6 +112,124 @@ let machine ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code
   Machine.make ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory
     code
 
+(* ------------------------- shadow taint ------------------------- *)
+
+(* True iff the next injection hook run at [pc] lands a planned fault:
+   the instruction is tagged and its ordinal is the next planned one.
+   Ordinals only move inside the hook, so this holds from dispatch
+   until the instruction's write-back. *)
+let will_land m ftags pc =
+  m.has_injection && Array.unsafe_get ftags pc && m.inj_seen = m.next_planned
+
+(* Shadow of a write-back to register [d] of the bank shadowed by [sh]:
+   the operand taint [tv] flows into it, plus fresh (memory-free) taint
+   when the write-back at [pc] lands a fault. *)
+let shade m tr ftags pc (sh : Taint.mask array) d tv =
+  Taint.propagate tr tv;
+  sh.(d) <- (if will_land m ftags pc then tv lor Taint.fresh else tv)
+
+(* A load through a base with taint [base] from cell [c] (-1: no cell
+   to shadow) hits the address sink; the loaded value carries the
+   cell's and the base's taint, memory-marked. *)
+let shadow_load m tr ftags pc sh d c ~base =
+  Taint.sink_address tr base;
+  let cell = if c >= 0 then Taint.mem_get tr c else Taint.none in
+  shade m tr ftags pc sh d (Taint.loaded ~cell ~base)
+
+(* A store of a value with taint [tv] hits the address and memory
+   sinks and memory-marks [tv] and the base's taint into cell [c]. A
+   byte store overwrites one lane of its cell, so it unions. *)
+let shadow_store tr ~byte c ~base tv =
+  Taint.sink_address tr base;
+  Taint.sink_memory tr tv;
+  if c >= 0 then
+    (if byte then Taint.mem_union else Taint.mem_set)
+      tr c
+      (Taint.stored (tv lor base))
+
+(* Shadow-taint transfer of one instruction on a taint machine, run by
+   the reference loop just before the instruction executes. It hits
+   the sinks the operands reach and sets the shadow of the destination
+   from the operands' shadows, plus fresh taint when the write-back
+   will land a planned fault ([shade]). Doing this before execution is
+   exact: the operands (registers, the loaded cell) are read before
+   the instruction can overwrite them, and when the instruction traps
+   instead of writing back, the run ends there. Calls are shadowed
+   where frames change: the DCall arm copies argument masks into the
+   callee, and [shadow_return] carries the return register's mask
+   back. *)
+let shadow m tr ftags (fr : frame) pc (ins : Code.d) =
+  let itn = fr.itn and ftn = fr.ftn and iregs = fr.iregs in
+  match ins with
+  | Code.DNop | Code.DJmp _ | Code.DCall _ | Code.DRetI _ | Code.DRetF _
+  | Code.DRetV ->
+    ()
+  | Code.DLi (d, _) | Code.DLa (d, _) -> shade m tr ftags pc itn d Taint.none
+  | Code.DLf (d, _) -> shade m tr ftags pc ftn d Taint.none
+  | Code.DMovI (d, s) -> shade m tr ftags pc itn d itn.(s)
+  | Code.DMovF (d, s) -> shade m tr ftags pc ftn d ftn.(s)
+  | Code.DBin (op, d, a, b) ->
+    (match op with
+     | Ir.Instr.Div | Ir.Instr.Rem -> Taint.sink_trap_operand tr itn.(b)
+     | _ -> ());
+    shade m tr ftags pc itn d (itn.(a) lor itn.(b))
+  | Code.DBini (_, d, a, _) -> shade m tr ftags pc itn d itn.(a)
+  | Code.DCmp (_, d, a, b) -> shade m tr ftags pc itn d (itn.(a) lor itn.(b))
+  | Code.DFbin (_, d, a, b) -> shade m tr ftags pc ftn d (ftn.(a) lor ftn.(b))
+  | Code.DFun (_, d, s) -> shade m tr ftags pc ftn d ftn.(s)
+  | Code.DFcmp (_, d, a, b) -> shade m tr ftags pc itn d (ftn.(a) lor ftn.(b))
+  | Code.DI2f (d, s) -> shade m tr ftags pc ftn d itn.(s)
+  | Code.DF2i (d, s) ->
+    Taint.sink_trap_operand tr ftn.(s);
+    shade m tr ftags pc itn d ftn.(s)
+  | Code.DLw (d, b, o) ->
+    shadow_load m tr ftags pc itn d
+      (Memory.cell_index m.memory (iregs.(b) + o))
+      ~base:itn.(b)
+  | Code.DLb (d, b, o) ->
+    shadow_load m tr ftags pc itn d
+      (Memory.byte_cell_index m.memory (iregs.(b) + o))
+      ~base:itn.(b)
+  | Code.DLwf (d, b, o) ->
+    shadow_load m tr ftags pc ftn d
+      (Memory.cell_index m.memory (iregs.(b) + o))
+      ~base:itn.(b)
+  | Code.DSw (v, b, o) ->
+    shadow_store tr ~byte:false
+      (Memory.cell_index m.memory (iregs.(b) + o))
+      ~base:itn.(b) itn.(v)
+  | Code.DSb (v, b, o) ->
+    shadow_store tr ~byte:true
+      (Memory.byte_cell_index m.memory (iregs.(b) + o))
+      ~base:itn.(b) itn.(v)
+  | Code.DSwf (v, b, o) ->
+    shadow_store tr ~byte:false
+      (Memory.cell_index m.memory (iregs.(b) + o))
+      ~base:itn.(b) ftn.(v)
+  | Code.DBr (_, a, b, _) ->
+    Taint.sink_control tr ~fid:fr.fid ~pc (itn.(a) lor itn.(b))
+  | Code.DBrz (_, a, _) -> Taint.sink_control tr ~fid:fr.fid ~pc itn.(a)
+
+(* Shadow of a return whose value has taint [tv], run just before
+   [return] pops the head frame: the caller's destination is shaded at
+   its DCall, where [return] runs the write-back's injection hook. A
+   tainted entry return value is program output contamination even
+   though no frame survives to hold it. *)
+let shadow_return m tr tv =
+  match m.stack with
+  | [ _ ] -> Taint.propagate tr tv
+  | _ :: caller :: _ -> (
+    match m.code.Code.funcs.(caller.fid).Code.dbody.(caller.pc) with
+    | Code.DCall c when c.Code.dst >= 0 ->
+      let ftags =
+        if m.has_injection then m.all_tags.(caller.fid) else no_tags
+      in
+      shade m tr ftags caller.pc
+        (if c.Code.dst_flt then caller.ftn else caller.itn)
+        c.Code.dst tv
+    | _ -> ())
+  | [] -> ()
+
 (* The reference dispatch loop. Executes until the machine halts, or
    pauses as soon as [m.pause_at] injectable ordinals have been seen —
    the pause check sits at the top of dispatch and ordinals advance by
@@ -119,16 +237,18 @@ let machine ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code
    ordinal [pause_at] (before any ordinal >= pause_at is consumed).
 
    The outer loop re-caches per-frame state (body, registers, shadow
-   masks, tag row, counter row, taint flag) whenever a call or return
-   switches the head frame; the inner [loop] is a tail-recursive hot
-   path over one frame. With taint off every shadow step is skipped by
-   the cached [taint] flag, and the masks are never read. *)
+   masks, tag row, counter row) whenever a call or return switches the
+   head frame; the inner [loop] is a tail-recursive hot path over one
+   frame. On a taint machine each dispatched instruction first runs
+   its [shadow] transfer; the [taint] flag guarding it is read once
+   per entry (a machine never switches taint on or off), so a plain
+   run pays one predictable branch per instruction and never touches
+   the (empty) masks. *)
 let exec m =
   let funcs = m.code.Code.funcs in
   let memory = m.memory in
   let pause_at = m.pause_at in
   let taint = Option.is_some m.taint in
-  (* never touched when [taint] is off *)
   let tr = match m.taint with Some tr -> tr | None -> Taint.make ~cells:0 in
   while is_running m do
     let fr = match m.stack with fr :: _ -> fr | [] -> assert false in
@@ -136,7 +256,6 @@ let exec m =
     let body = df.Code.dbody in
     let len = Array.length body in
     let iregs = fr.iregs and fregs = fr.fregs in
-    let itn = fr.itn and ftn = fr.ftn in
     let counts = if m.count_exec then m.exec_counts.(fr.fid) else no_counts in
     let ftags = if m.has_injection then m.all_tags.(fr.fid) else no_tags in
     m.cur_fid <- fr.fid;
@@ -156,132 +275,72 @@ let exec m =
          m.dyn <- m.dyn + 1;
          if m.dyn > m.budget then raise Timeout_exn;
          if m.count_exec then counts.(pc) <- counts.(pc) + 1);
+      if taint then shadow m tr ftags fr pc d;
       match d with
       | Code.DNop -> loop (pc + 1)
       | Code.DLi (d, v) ->
-        if taint then shade_i m tr ftags pc fr d Taint.none v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <- inject_i m ftags pc v;
         loop (pc + 1)
       | Code.DLf (d, x) ->
-        if taint then shade_f m tr ftags pc fr d Taint.none x
-        else fregs.(d) <- inject_f m ftags pc x;
+        fregs.(d) <- inject_f m ftags pc x;
         loop (pc + 1)
       | Code.DLa (d, addr) ->
-        if taint then shade_i m tr ftags pc fr d Taint.none addr
-        else iregs.(d) <- inject_i m ftags pc addr;
+        iregs.(d) <- inject_i m ftags pc addr;
         loop (pc + 1)
       | Code.DMovI (d, s) ->
-        if taint then shade_i m tr ftags pc fr d itn.(s) iregs.(s)
-        else iregs.(d) <- inject_i m ftags pc iregs.(s);
+        iregs.(d) <- inject_i m ftags pc iregs.(s);
         loop (pc + 1)
       | Code.DMovF (d, s) ->
-        if taint then shade_f m tr ftags pc fr d ftn.(s) fregs.(s)
-        else fregs.(d) <- inject_f m ftags pc fregs.(s);
+        fregs.(d) <- inject_f m ftags pc fregs.(s);
         loop (pc + 1)
       | Code.DBin (op, d, a, b) ->
-        (if taint then
-           match op with
-           | Ir.Instr.Div | Ir.Instr.Rem -> Taint.sink_trap_operand tr itn.(b)
-           | _ -> ());
-        let v = binop_i op iregs.(a) iregs.(b) in
-        if taint then shade_i m tr ftags pc fr d (itn.(a) lor itn.(b)) v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <- inject_i m ftags pc (binop_i op iregs.(a) iregs.(b));
         loop (pc + 1)
       | Code.DBini (op, d, a, n) ->
-        let v = binop_i op iregs.(a) n in
-        if taint then shade_i m tr ftags pc fr d itn.(a) v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <- inject_i m ftags pc (binop_i op iregs.(a) n);
         loop (pc + 1)
       | Code.DCmp (op, d, a, b) ->
-        let v = if cmp_i op iregs.(a) iregs.(b) then 1 else 0 in
-        if taint then shade_i m tr ftags pc fr d (itn.(a) lor itn.(b)) v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <-
+          inject_i m ftags pc (if cmp_i op iregs.(a) iregs.(b) then 1 else 0);
         loop (pc + 1)
       | Code.DFbin (op, d, a, b) ->
-        let x = binop_f op fregs.(a) fregs.(b) in
-        if taint then shade_f m tr ftags pc fr d (ftn.(a) lor ftn.(b)) x
-        else fregs.(d) <- inject_f m ftags pc x;
+        fregs.(d) <- inject_f m ftags pc (binop_f op fregs.(a) fregs.(b));
         loop (pc + 1)
       | Code.DFun (op, d, s) ->
-        let x = unop_f op fregs.(s) in
-        if taint then shade_f m tr ftags pc fr d ftn.(s) x
-        else fregs.(d) <- inject_f m ftags pc x;
+        fregs.(d) <- inject_f m ftags pc (unop_f op fregs.(s));
         loop (pc + 1)
       | Code.DFcmp (op, d, a, b) ->
-        let v = if cmp_f op fregs.(a) fregs.(b) then 1 else 0 in
-        if taint then shade_i m tr ftags pc fr d (ftn.(a) lor ftn.(b)) v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <-
+          inject_i m ftags pc (if cmp_f op fregs.(a) fregs.(b) then 1 else 0);
         loop (pc + 1)
       | Code.DI2f (d, s) ->
-        let x = float_of_int iregs.(s) in
-        if taint then shade_f m tr ftags pc fr d itn.(s) x
-        else fregs.(d) <- inject_f m ftags pc x;
+        fregs.(d) <- inject_f m ftags pc (float_of_int iregs.(s));
         loop (pc + 1)
       | Code.DF2i (d, s) ->
-        if taint then Taint.sink_trap_operand tr ftn.(s);
-        let v = f2i fregs.(s) in
-        if taint then shade_i m tr ftags pc fr d ftn.(s) v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <- inject_i m ftags pc (f2i fregs.(s));
         loop (pc + 1)
       | Code.DLw (d, b, o) ->
-        if taint then Taint.sink_address tr itn.(b);
-        let addr = iregs.(b) + o in
-        let v = Memory.load_int memory addr in
-        if taint then
-          shade_i m tr ftags pc fr d
-            (loaded_mask tr (Memory.cell_index memory addr) ~base:itn.(b))
-            v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <- inject_i m ftags pc (Memory.load_int memory (iregs.(b) + o));
         loop (pc + 1)
       | Code.DSw (v, b, o) ->
-        if taint then store_sinks tr ~base:itn.(b) itn.(v);
-        let addr = iregs.(b) + o in
-        Memory.store_int memory addr iregs.(v);
-        if taint then
-          stored_mask tr (Memory.cell_index memory addr) (itn.(v) lor itn.(b));
+        Memory.store_int memory (iregs.(b) + o) iregs.(v);
         loop (pc + 1)
       | Code.DLb (d, b, o) ->
-        if taint then Taint.sink_address tr itn.(b);
-        let addr = iregs.(b) + o in
-        let v = Memory.load_byte memory addr in
-        if taint then
-          shade_i m tr ftags pc fr d
-            (loaded_mask tr (Memory.byte_cell_index memory addr) ~base:itn.(b))
-            v
-        else iregs.(d) <- inject_i m ftags pc v;
+        iregs.(d) <-
+          inject_i m ftags pc (Memory.load_byte memory (iregs.(b) + o));
         loop (pc + 1)
       | Code.DSb (v, b, o) ->
-        if taint then store_sinks tr ~base:itn.(b) itn.(v);
-        let addr = iregs.(b) + o in
-        Memory.store_byte memory addr iregs.(v);
-        if taint then
-          stored_byte_mask tr
-            (Memory.byte_cell_index memory addr)
-            (itn.(v) lor itn.(b));
+        Memory.store_byte memory (iregs.(b) + o) iregs.(v);
         loop (pc + 1)
       | Code.DLwf (d, b, o) ->
-        if taint then Taint.sink_address tr itn.(b);
-        let addr = iregs.(b) + o in
-        let x = Memory.load_flt memory addr in
-        if taint then
-          shade_f m tr ftags pc fr d
-            (loaded_mask tr (Memory.cell_index memory addr) ~base:itn.(b))
-            x
-        else fregs.(d) <- inject_f m ftags pc x;
+        fregs.(d) <- inject_f m ftags pc (Memory.load_flt memory (iregs.(b) + o));
         loop (pc + 1)
       | Code.DSwf (v, b, o) ->
-        if taint then store_sinks tr ~base:itn.(b) ftn.(v);
-        let addr = iregs.(b) + o in
-        Memory.store_flt memory addr fregs.(v);
-        if taint then
-          stored_mask tr (Memory.cell_index memory addr) (ftn.(v) lor itn.(b));
+        Memory.store_flt memory (iregs.(b) + o) fregs.(v);
         loop (pc + 1)
       | Code.DBr (op, a, b, target) ->
-        if taint then
-          Taint.sink_control tr ~fid:fr.fid ~pc (itn.(a) lor itn.(b));
         if cmp_i op iregs.(a) iregs.(b) then loop target else loop (pc + 1)
       | Code.DBrz (op, a, target) ->
-        if taint then Taint.sink_control tr ~fid:fr.fid ~pc itn.(a);
         if cmp_i op iregs.(a) 0 then loop target else loop (pc + 1)
       | Code.DJmp target -> loop target
       | Code.DCall c ->
@@ -293,25 +352,29 @@ let exec m =
           raise (Trap.Error (Trap.Call_stack_overflow callee_depth));
         let nf = fresh_frame m.code ~shadow:taint c.Code.fid in
         Array.iter
-          (fun (src, dst) ->
-            nf.iregs.(dst) <- iregs.(src);
-            if taint then nf.itn.(dst) <- itn.(src))
+          (fun (src, dst) -> nf.iregs.(dst) <- iregs.(src))
           c.Code.iargs;
         Array.iter
-          (fun (src, dst) ->
-            nf.fregs.(dst) <- fregs.(src);
-            if taint then nf.ftn.(dst) <- ftn.(src))
+          (fun (src, dst) -> nf.fregs.(dst) <- fregs.(src))
           c.Code.fargs;
+        if taint then begin
+          Array.iter
+            (fun (src, dst) -> nf.itn.(dst) <- fr.itn.(src))
+            c.Code.iargs;
+          Array.iter
+            (fun (src, dst) -> nf.ftn.(dst) <- fr.ftn.(src))
+            c.Code.fargs
+        end;
         m.depth <- callee_depth;
         m.stack <- nf :: m.stack
         (* head frame changed: fall out to the outer loop *)
       | Code.DRetI r ->
-        let tv = if taint then itn.(r) else Taint.none in
-        return m tv (Some (Value.I iregs.(r)))
+        if taint then shadow_return m tr fr.itn.(r);
+        return m (Some (Value.I iregs.(r)))
       | Code.DRetF r ->
-        let tv = if taint then ftn.(r) else Taint.none in
-        return m tv (Some (Value.F fregs.(r)))
-      | Code.DRetV -> return m Taint.none None
+        if taint then shadow_return m tr fr.ftn.(r);
+        return m (Some (Value.F fregs.(r)))
+      | Code.DRetV -> return m None
     in
     loop fr.pc
   done

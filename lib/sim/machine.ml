@@ -322,52 +322,13 @@ let inject_f m ftags pc x =
   end
   else x
 
-(* Taint write-backs: the operand taint [tv] flows into register [d]
-   of [fr] through the same injection hook as the plain write-back, and
-   a fault landing here seeds fresh (memory-free) taint. *)
-let shade_i m tr ftags pc fr d tv v =
-  Taint.propagate tr tv;
-  let l0 = m.landed in
-  fr.iregs.(d) <- inject_i m ftags pc v;
-  fr.itn.(d) <- (if m.landed > l0 then tv lor Taint.fresh else tv)
-
-let shade_f m tr ftags pc fr d tv x =
-  Taint.propagate tr tv;
-  let l0 = m.landed in
-  fr.fregs.(d) <- inject_f m ftags pc x;
-  fr.ftn.(d) <- (if m.landed > l0 then tv lor Taint.fresh else tv)
-
-(* Taint of a value loaded from cell [c] (-1: no cell to shadow)
-   through a base register with taint [base]. *)
-let loaded_mask tr c ~base =
-  Taint.loaded ~cell:(if c >= 0 then Taint.mem_get tr c else Taint.none) ~base
-
-(* A store of a value with taint [tv] through a base with taint [base]
-   hits the address and memory sinks before the access (which may
-   trap); once it succeeded, [tv] (joined with the base's taint by the
-   caller) is memory-marked into the shadow cell. Byte stores touch one
-   lane of a cell, so they union instead of overwrite. *)
-let store_sinks tr ~base tv =
-  Taint.sink_address tr base;
-  Taint.sink_memory tr tv
-
-let stored_mask tr c tv = if c >= 0 then Taint.mem_set tr c (Taint.stored tv)
-
-let stored_byte_mask tr c tv =
-  if c >= 0 then Taint.mem_union tr c (Taint.stored tv)
-
-(* Pop the head frame and deliver [v], whose taint is [tv], to its
-   caller (or halt when it was the entry frame). Return write-back runs
-   the injection hook at the caller's DCall, then steps the caller past
-   the call. *)
-let return m (tv : Taint.mask) (v : Value.t option) =
+(* Pop the head frame and deliver [v] to its caller (or halt when it
+   was the entry frame). Return write-back runs the injection hook at
+   the caller's DCall, then steps the caller past the call. *)
+let return m (v : Value.t option) =
   match m.stack with
   | [] -> assert false
-  | [ _ ] ->
-    (* A tainted entry return value is program output contamination
-       even though no frame survives to hold it. *)
-    Option.iter (fun tr -> Taint.propagate tr tv) m.taint;
-    m.status <- Done_ v
+  | [ _ ] -> m.status <- Done_ v
   | _ :: (caller :: _ as rest) ->
     m.stack <- rest;
     m.depth <- m.depth - 1;
@@ -379,16 +340,11 @@ let return m (tv : Taint.mask) (v : Value.t option) =
           let ftags =
             if m.has_injection then m.all_tags.(caller.fid) else no_tags
           in
-          let d = c.Code.dst and pc = caller.pc in
-          match (v, m.taint) with
-          | Some (Value.I x), None when not c.Code.dst_flt ->
-            caller.iregs.(d) <- inject_i m ftags pc x
-          | Some (Value.I x), Some tr when not c.Code.dst_flt ->
-            shade_i m tr ftags pc caller d tv x
-          | Some (Value.F x), None when c.Code.dst_flt ->
-            caller.fregs.(d) <- inject_f m ftags pc x
-          | Some (Value.F x), Some tr when c.Code.dst_flt ->
-            shade_f m tr ftags pc caller d tv x
+          match v with
+          | Some (Value.I x) when not c.Code.dst_flt ->
+            caller.iregs.(c.Code.dst) <- inject_i m ftags caller.pc x
+          | Some (Value.F x) when c.Code.dst_flt ->
+            caller.fregs.(c.Code.dst) <- inject_f m ftags caller.pc x
           | _ -> invalid_arg "return bank mismatch at runtime");
        caller.pc <- caller.pc + 1
      | _ -> assert false)

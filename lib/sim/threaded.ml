@@ -563,15 +563,15 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
   | Code.DRetI r ->
     fun m ->
       bump m;
-      return m Taint.none (Some (Value.I (ig m.run_fr.iregs r)))
+      return m (Some (Value.I (ig m.run_fr.iregs r)))
   | Code.DRetF r ->
     fun m ->
       bump m;
-      return m Taint.none (Some (Value.F (fg m.run_fr.fregs r)))
+      return m (Some (Value.F (fg m.run_fr.fregs r)))
   | Code.DRetV ->
     fun m ->
       bump m;
-      return m Taint.none None
+      return m None
 
 let compile_func (code : Code.t) (tags : bool array array) fid
     (df : Code.dfunc) : op array =
