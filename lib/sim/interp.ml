@@ -36,11 +36,12 @@
    the differential suite in test_engine pins on random programs.
 
    Shadow taint (DESIGN §11) is optional machine state that only the
-   reference loop maintains: with [~taint:true] the same dispatch loop
-   propagates per-register masks, hits the taint sinks and seeds fresh
-   taint where a fault lands. Plain, counting and taint runs share one
-   step function, so they execute instructions in the same order and
-   land faults at the same ordinals; taint machines pause, capture and
+   reference loop maintains: on a machine built with [~taint:true] the
+   loop runs each instruction's shadow transfer ([shadow]: sinks,
+   destination mask, fresh taint where a fault will land) just before
+   dispatching it. Plain, counting and taint runs share one step
+   function, so they execute instructions in the same order and land
+   faults at the same ordinals; taint machines pause, capture and
    resume like any other. *)
 
 open Machine

@@ -143,6 +143,48 @@ let test_flow_vanished () =
   in
   Alcotest.check flow_t "class" Sim.Taint.Vanished s.Sim.Taint.flow
 
+(* Taint crosses calls: argument masks flow into the callee frame and
+   the return register's mask back into the caller's destination; a
+   fault landing on the return write-back (attributed to the DCall)
+   seeds fresh taint there. Both reach the caller's branch memory-free. *)
+let run_call_kernel ~main_tags main_body =
+  let id =
+    Func.make ~name:"id" ~params:[ r0 ] ~ret:(Some Ty.I32)
+      [ Instr.Ret (Some r0) ]
+  in
+  let main = Func.make ~name:"main" ~params:[] ~ret:None main_body in
+  let code = Sim.Code.of_prog (Prog.make ~globals:[] [ id; main ]) in
+  let tags =
+    Array.map
+      (fun (df : Sim.Code.dfunc) ->
+        if df.Sim.Code.name = "main" then main_tags
+        else Array.make (Array.length df.Sim.Code.dbody) false)
+      code.Sim.Code.funcs
+  in
+  let injection = Sim.Interp.injection ~tags ~plan:[ (0, 1) ] in
+  let r = Sim.Interp.run ~injection ~taint:true code in
+  Alcotest.(check (array (pair string int)))
+    "landing site" [| ("main", 0) |] r.Sim.Interp.landed_sites;
+  Option.get r.Sim.Interp.fault_flow
+
+let test_flow_through_call () =
+  let call = Instr.Call { dst = Some r1; func = "id"; args = [ r0 ] } in
+  let branch = Instr.Brz (Instr.Ne, r1, "end") in
+  let on_return =
+    run_call_kernel ~main_tags:[| true; false; false; false |]
+      [ call; branch; Instr.Label "end"; Instr.Ret None ]
+  in
+  Alcotest.(check (option (pair string int)))
+    "return write-back landing reaches the branch" (Some ("main", 1))
+    on_return.Sim.Taint.first_control;
+  let via_argument =
+    run_call_kernel ~main_tags:[| true; false; false; false; false |]
+      [ Instr.Li (r0, 5l); call; branch; Instr.Label "end"; Instr.Ret None ]
+  in
+  Alcotest.(check (option (pair string int)))
+    "argument taint returns to the branch" (Some ("main", 2))
+    via_argument.Sim.Taint.first_control
+
 (* Taint without any injection: nothing to track; and without [~taint]
    no summary is produced at all. *)
 let test_no_fault_no_flow () =
@@ -287,6 +329,7 @@ let () =
           Alcotest.test_case "data only" `Quick test_flow_data_only;
           Alcotest.test_case "vanished" `Quick test_flow_vanished;
           Alcotest.test_case "no fault / no taint" `Quick test_no_fault_no_flow;
+          Alcotest.test_case "through calls" `Quick test_flow_through_call;
         ] );
       ( "equivalence",
         [
