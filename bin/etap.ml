@@ -103,7 +103,7 @@ let trace_arg =
   let doc =
     "Write a Chrome trace-event file (etap-trace/1, loadable in \
      Perfetto or chrome://tracing) of the command's spans — per-trial, \
-     per-stripe, snapshot builds — to $(docv)."
+     per-fan-out, snapshot builds — to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc)
 

@@ -2,72 +2,63 @@
 
    Campaign trials are embarrassingly parallel *and* order-independent:
    trial [i] derives its RNG from the trial index, so the result of
-   [f i] does not depend on which domain runs it or when. The pool
-   exploits that with the simplest possible schedule — static striping,
-   no work stealing, no shared queues: stripe [k] of [jobs] computes
-   indices k, k+jobs, k+2*jobs, ... and writes each result into its own
-   slot of a shared results array. Slots are disjoint, so there are no
-   data races; [Domain.join] publishes every write back to the caller.
+   [f i] does not depend on which domain runs it or when. Each call is
+   one batch on a process-wide {!Executor}: free domains claim jobs one
+   at a time, and each job writes its result into its own slot, so the
+   returned array is always in index order, bit-exact with a
+   sequential run. A call made from inside a job (a matrix cell's
+   missed trials, an app load's modes) is a nested batch on the same
+   executor, claimed by whichever domain is free.
 
-   Striping (rather than contiguous chunking) keeps the load balanced
-   when cost drifts with the index, while remaining fully deterministic:
-   the returned array is always in index order, bit-exact with a
-   sequential run. *)
+   The executor is created on the first call with [jobs > 1], never at
+   module initialisation: a process that has not fanned out yet has no
+   extra domains and can still fork. Its worker count grows to the
+   largest [jobs - 1] requested, capped at one less than the
+   recommended domain count; the caller always helps, so a call runs
+   on at most [jobs] domains at once. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* Clamp a requested job count into [1, n]: never more domains than
-   jobs to run, never fewer than one stripe. *)
+(* Clamp a requested job count into [1, n]: never more runners than
+   jobs to run, never fewer than one. *)
 let resolve_jobs ?jobs n =
   let j = match jobs with Some j -> j | None -> default_jobs () in
   max 1 (min j n)
 
-(* Per-stripe telemetry spans. Spans only, never counters: a stripe
-   boundary is a scheduling artifact, and counter totals must stay
-   identical across [--jobs] values (lib/obs determinism contract). *)
-let stripe_span ~stripe ~jobs t0 =
-  Obs.span_end ~name:"stripe" ~cat:"pool"
-    ~args:[ ("stripe", string_of_int stripe); ("jobs", string_of_int jobs) ]
-    t0
+let shared = ref None
+let shared_m = Mutex.create ()
 
+let executor ~workers =
+  let ex =
+    Mutex.protect shared_m (fun () ->
+        match !shared with
+        | Some ex -> ex
+        | None ->
+          let ex = Executor.create () in
+          shared := Some ex;
+          ex)
+  in
+  Executor.grow ex (min workers (Domain.recommended_domain_count () - 1));
+  ex
+
+(* One span per call on the calling domain. Spans only, never
+   counters: scheduling is not work, and counter totals must stay
+   identical across [--jobs] values (lib/obs determinism contract). *)
 let map_n ?jobs n (f : int -> 'a) : 'a array =
   if n <= 0 then [||]
   else
     let jobs = resolve_jobs ?jobs n in
-    if jobs = 1 then begin
-      let t0 = Obs.span_begin () in
-      let r = Array.init n f in
-      stripe_span ~stripe:0 ~jobs:1 t0;
-      r
-    end
-    else begin
-      let results = Array.make n None in
-      let stripe first () =
-        let t0 = Obs.span_begin () in
-        let i = ref first in
-        while !i < n do
-          results.(!i) <- Some (f !i);
-          i := !i + jobs
-        done;
-        stripe_span ~stripe:first ~jobs t0
-      in
-      let workers =
-        Array.init (jobs - 1) (fun k -> Domain.spawn (stripe (k + 1)))
-      in
-      (* Run stripe 0 on the calling domain, then join every worker
-         even if something raised — leaking a domain would abort the
-         process at exit. The first failure wins. *)
-      let first_failure = ref None in
-      let note e = if Option.is_none !first_failure then first_failure := Some e in
-      (try stripe 0 () with e -> note e);
-      Array.iter
-        (fun d -> try Domain.join d with e -> note e)
-        workers;
-      (match !first_failure with Some e -> raise e | None -> ());
-      Array.map
-        (function Some v -> v | None -> assert false (* all stripes ran *))
-        results
-    end
+    let t0 = Obs.span_begin () in
+    let r =
+      if jobs = 1 then Array.init n f
+      else
+        Executor.map_n (executor ~workers:(jobs - 1)) ~limit:jobs ~help:true
+          n f
+    in
+    Obs.span_end ~name:"map" ~cat:"pool"
+      ~args:[ ("n", string_of_int n); ("jobs", string_of_int jobs) ]
+      t0;
+    r
 
 let map_list ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
   match xs with

@@ -123,9 +123,10 @@ let dedup xs =
    cell); [prepared_of] resolves (app, policy) to the injectable pool
    size and, for non-empty pools, the prepared target plus its shared
    section partition. [memo_fanout] forwards to {!Core.Memo.run}'s
-   external-scheduler entry; inner jobs stays pinned to 1 either way
-   (trials run inline on whichever worker owns the cell). *)
-let exec_cell
+   external-scheduler entry; without it the cell's missed trials fan
+   out through [Core.Pool] at [jobs] — from inside a pool job, a nested
+   batch on the same executor. *)
+let exec_cell ?jobs
     ~(lookup : string -> Experiment.loaded option)
     ~(prepared_of :
        string ->
@@ -143,7 +144,7 @@ let exec_cell
       let golden = target.Core.Campaign.baseline in
       let score r = b.Apps.App.score ~golden r in
       let summary, cache =
-        Core.Memo.run ~jobs:1 ?fanout:memo_fanout ~score ~salt:c.app
+        Core.Memo.run ?jobs ?fanout:memo_fanout ~score ~salt:c.app
           ~sections ~store p ~errors:c.errors ~trials:c.trials
           ~seed:(c.seed + 100)
       in
@@ -152,11 +153,11 @@ let exec_cell
 (* [exec_cell] under the typed-status contract: any exception a cell
    raises becomes its [Failed] status, and every cell records a
    [matrix.cell] span. *)
-let run_cell ~lookup ~prepared_of ?memo_fanout ~store (c : cell_spec) : status
-    =
+let run_cell ?jobs ~lookup ~prepared_of ?memo_fanout ~store (c : cell_spec) :
+    status =
   let t0 = Obs.span_begin () in
   let status =
-    try exec_cell ~lookup ~prepared_of ?memo_fanout ~store c
+    try exec_cell ?jobs ~lookup ~prepared_of ?memo_fanout ~store c
     with e -> Failed (Printexc.to_string e)
   in
   Obs.span_end ~name:"matrix.cell" ~cat:"matrix"
@@ -232,14 +233,15 @@ let run ?jobs ?engine ?checkpoint_stride ~(store : Core.Memo.Store.t) (s : spec)
       ((name, policy), (pool, v)))
     combos
   |> List.iter (fun (k, v) -> Hashtbl.replace prepared_tbl k v);
-  (* Fan the cells themselves over the pool. Inner jobs is pinned to 1:
-     campaign trials run inline on the pool worker that owns the cell.
-     Concurrent cells share [store]; overlapping keys are safe (atomic
-     publish, last rename wins, identical content either way). *)
+  (* Fan the cells over the pool, and each cell's missed trials too:
+     the trials are a batch nested in the cell's job, claimed by any
+     free domain, so the sweep balances per trial whatever the cell
+     order. Concurrent cells share [store]; overlapping keys are safe
+     (atomic publish, last rename wins, identical content either way). *)
   let lookup name = List.assoc_opt name loaded in
   let prepared_of name policy = Hashtbl.find prepared_tbl (name, policy) in
   let statuses =
-    Core.Pool.map_list ?jobs (run_cell ~lookup ~prepared_of ~store) cells
+    Core.Pool.map_list ?jobs (run_cell ?jobs ~lookup ~prepared_of ~store) cells
   in
   let cells = List.map2 (fun cell status -> { cell; status }) cells statuses in
   record_counters cells;

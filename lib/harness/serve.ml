@@ -25,15 +25,16 @@
      promise table): one execution, N responses. New requests arriving
      after a flight lands run fresh — and hit the result cache.
 
-   - {b Shared executor} — one pool of worker domains executes every
-     job the daemon schedules: trial batches from inject requests,
-     whole cells from matrix requests, across all connections. Workers
-     take one job from the head batch then rotate it to the tail, so
-     concurrent requests interleave fairly instead of queueing behind
-     each other. Submitters on worker domains {e help} (they execute
-     queued jobs — their own batch's or another's — while waiting,
-     which makes nested submits deadlock-free on a finite pool);
-     connection-handler threads wait passively and never execute jobs.
+   - {b Shared executor} — one [Core.Executor] of worker domains
+     executes every job the daemon schedules: trial batches from inject
+     requests, cells and their trial batches from matrix requests,
+     across all connections. Workers take one job from the head batch
+     then rotate it to the tail, so concurrent requests interleave
+     fairly instead of queueing behind each other. Submitters on
+     worker domains {e help} (they execute queued jobs — their own
+     batch's or another's — while waiting, which makes nested submits
+     deadlock-free on a finite pool); connection-handler threads wait
+     passively and never execute jobs.
 
    Threading discipline for telemetry: obs buffers are per-domain and
    lock-free, so two systhreads of one domain must not record
@@ -44,161 +45,6 @@
    state lock, which every handler thread shares. *)
 
 module J = Report.Json
-
-(* ----------------------------- executor ---------------------------- *)
-
-module Executor = struct
-  type batch = {
-    jobs : (unit -> unit) array;  (* each job stores its own result *)
-    mutable next : int;  (* next job index to hand out *)
-    mutable finished : int;  (* jobs that completed execution *)
-  }
-
-  type t = {
-    m : Mutex.t;
-    progress : Condition.t;  (* job finished / queue grew / stop *)
-    queue : batch Queue.t;  (* batches with unhanded jobs, rotating *)
-    mutable stop : bool;
-    mutable idle : int;  (* workers parked in [Condition.wait] *)
-    mutable workers : unit Domain.t list;
-  }
-
-  (* Take one job, round-robin over batches: pop the head batch, hand
-     out its next job, and re-queue it at the tail if jobs remain.
-     Caller holds [m]. *)
-  let take t =
-    if Queue.is_empty t.queue then None
-    else begin
-      let b = Queue.pop t.queue in
-      let job = b.jobs.(b.next) in
-      b.next <- b.next + 1;
-      if b.next < Array.length b.jobs then Queue.push b t.queue;
-      Some (job, b)
-    end
-
-  (* Caller holds [m]. *)
-  let finish t b =
-    b.finished <- b.finished + 1;
-    Condition.broadcast t.progress
-
-  let worker_loop t =
-    Mutex.lock t.m;
-    let rec loop () =
-      if t.stop && Queue.is_empty t.queue then Mutex.unlock t.m
-      else
-        match take t with
-        | Some (job, b) ->
-          Mutex.unlock t.m;
-          job ();
-          Mutex.lock t.m;
-          finish t b;
-          loop ()
-        | None ->
-          t.idle <- t.idle + 1;
-          Condition.wait t.progress t.m;
-          t.idle <- t.idle - 1;
-          loop ()
-    in
-    loop ()
-
-  let create ~jobs =
-    let t =
-      {
-        m = Mutex.create ();
-        progress = Condition.create ();
-        queue = Queue.create ();
-        stop = false;
-        idle = 0;
-        workers = [];
-      }
-    in
-    t.workers <-
-      List.init (max 1 jobs) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-    t
-
-  (* Block until every job of [thunks] has finished. With [help] the
-     caller drains queued jobs (any batch's) while waiting — required
-     from worker domains, where parking the thread could starve the
-     pool; forbidden from connection handlers, whose domain-0 obs
-     buffer is not theirs to write. Deadlock-freedom of helping: a
-     thread only waits when no job is takeable, and then every
-     handed-out job has a live runner that will [finish] it. *)
-  let submit_batch t ~help (thunks : (unit -> unit) array) =
-    let n = Array.length thunks in
-    if n > 0 then begin
-      let b = { jobs = thunks; next = 0; finished = 0 } in
-      Mutex.lock t.m;
-      Queue.push b t.queue;
-      Condition.broadcast t.progress;
-      while b.finished < n do
-        match if help then take t else None with
-        | Some (job, b') ->
-          Mutex.unlock t.m;
-          job ();
-          Mutex.lock t.m;
-          finish t b'
-        | None -> Condition.wait t.progress t.m
-      done;
-      Mutex.unlock t.m
-    end
-
-  (* Run [f] over [xs] through the pool and return results in input
-     order. Exceptions are captured per element and re-raised on the
-     submitter after the whole batch lands. *)
-  let map t ~help f xs =
-    let arr = Array.of_list xs in
-    let out = Array.make (Array.length arr) None in
-    let thunks =
-      Array.mapi
-        (fun i x ->
-          fun () -> out.(i) <- Some (try Ok (f x) with e -> Error e))
-        arr
-    in
-    submit_batch t ~help thunks;
-    Array.to_list
-      (Array.map
-         (function
-           | Some (Ok v) -> v
-           | Some (Error e) -> raise e
-           | None -> assert false)
-         out)
-
-  (* Queue-depth / utilization snapshot for the [stats] verb. [busy]
-     is workers minus parked workers — approximate by nature (a worker
-     between taking a job and re-locking counts as busy), which is the
-     right reading for a utilization gauge. *)
-  type pool_stats = {
-    workers : int;
-    busy : int;
-    queued_jobs : int;  (* jobs not yet handed to any worker *)
-    queued_batches : int;
-  }
-
-  let stats t : pool_stats =
-    Mutex.lock t.m;
-    let queued_jobs =
-      Queue.fold (fun acc b -> acc + (Array.length b.jobs - b.next)) 0 t.queue
-    in
-    let workers = List.length t.workers in
-    let s =
-      {
-        workers;
-        busy = workers - t.idle;
-        queued_jobs;
-        queued_batches = Queue.length t.queue;
-      }
-    in
-    Mutex.unlock t.m;
-    s
-
-  let shutdown t =
-    Mutex.lock t.m;
-    t.stop <- true;
-    Condition.broadcast t.progress;
-    Mutex.unlock t.m;
-    List.iter Domain.join t.workers;
-    t.workers <- []
-end
 
 (* --------------------------- daemon state -------------------------- *)
 
@@ -238,7 +84,7 @@ type flight = {
 type t = {
   cfg : config;
   store : Core.Memo.Store.t;
-  ex : Executor.t;
+  ex : Core.Executor.t;
   m : Mutex.t;  (* inflight table + stopping + domain-0 obs writes
                    + stats baseline + access-log channel *)
   flight_done : Condition.t;
@@ -284,10 +130,12 @@ let create ?(config = default_config) () : t =
     end
   in
   let started_us = Obs.now_us () in
+  let ex = Core.Executor.create () in
+  Core.Executor.grow ex jobs;
   {
     cfg = config;
     store = Core.Memo.Store.open_ config.cache_dir;
-    ex = Executor.create ~jobs;
+    ex;
     m = Mutex.create ();
     flight_done = Condition.create ();
     inflight = Hashtbl.create 8;
@@ -308,7 +156,7 @@ let create ?(config = default_config) () : t =
   }
 
 let shutdown t =
-  Executor.shutdown t.ex;
+  Core.Executor.shutdown t.ex;
   (match t.access with
   | Some oc -> ( try close_out oc with Sys_error _ -> ())
   | None -> ());
@@ -466,7 +314,7 @@ let add_stats (a : Core.Memo.stats) (b : Core.Memo.stats) : Core.Memo.stats =
 (* Trial fan-out for inject campaigns: hand [Memo.run]'s miss batch to
    the shared executor. The submitter is an orchestration job on a
    worker domain, so it helps. *)
-let memo_fanout t exec indices = Executor.map t.ex ~help:true exec indices
+let memo_fanout t exec indices = Core.Executor.map t.ex ~help:true exec indices
 
 let unknown_app name =
   Printf.sprintf "unknown application %S (known: %s)" name
@@ -548,13 +396,14 @@ let run_matrix t ~acc (s : Matrix.spec) : Report.t option * string option =
           (registry_prepared t l ~name:n ~seed:s.Matrix.seed
              ~mode:s.Matrix.mode policy) )
   in
-  (* Cells are the scheduling unit: they fan over the shared executor
-     (interleaving with any other in-flight request's batches), trials
-     inside each cell run inline on the owning worker — the same
-     inner-jobs-1 shape as the CLI sweep. *)
+  (* Cells are one batch on the shared executor (interleaving with any
+     other in-flight request's batches), and each cell's missed trials
+     a nested batch on the same executor, claimed by whichever worker
+     is free — the same shape as the CLI sweep. *)
   let statuses =
-    Executor.map t.ex ~help:true
-      (Matrix.run_cell ~lookup ~prepared_of ~store:t.store)
+    Core.Executor.map t.ex ~help:true
+      (Matrix.run_cell ~lookup ~prepared_of ~memo_fanout:(memo_fanout t)
+         ~store:t.store)
       cells
   in
   let cells =
@@ -612,7 +461,7 @@ let dispatch t ~acc (req : Proto.request) : Report.t option * string option =
    thread until it lands. *)
 let on_worker t (f : unit -> 'a) : ('a, exn) result =
   let slot = ref None in
-  Executor.submit_batch t.ex ~help:false
+  Core.Executor.submit_batch t.ex ~help:false
     [| (fun () -> slot := Some (try Ok (f ()) with e -> Error e)) |];
   Option.get !slot
 
@@ -740,7 +589,7 @@ let stats_json t : J.t =
   let entries = Core.Memo.Store.scan t.store in
   let store_entries = List.length entries in
   let store_bytes = List.fold_left (fun a (_, sz, _) -> a + sz) 0 entries in
-  let ex = Executor.stats t.ex in
+  let ex = Core.Executor.stats t.ex in
   Mutex.lock t.m;
   let now = Obs.now_us () in
   let snap = Obs.snapshot t.sink in
@@ -785,10 +634,10 @@ let stats_json t : J.t =
       ( "executor",
         J.Obj
           [
-            ("workers", J.Int ex.Executor.workers);
-            ("busy", J.Int ex.Executor.busy);
-            ("queued_jobs", J.Int ex.Executor.queued_jobs);
-            ("queued_batches", J.Int ex.Executor.queued_batches);
+            ("workers", J.Int ex.Core.Executor.workers);
+            ("busy", J.Int ex.Core.Executor.busy);
+            ("queued_jobs", J.Int ex.Core.Executor.queued_jobs);
+            ("queued_batches", J.Int ex.Core.Executor.queued_batches);
           ] );
       ("totals", section snap);
       ("interval", section delta);

@@ -10,12 +10,14 @@
    acquires its buffer once (domain-local storage keyed by the sink's
    id, registered under the sink's mutex) and then writes without any
    synchronisation: buffers are never shared between domains, and
-   [view] runs after the writing domains have been joined (Pool joins
-   every worker before returning), so the merge reads quiescent
-   buffers. All merge operations are commutative and associative —
-   counter sums, histogram bucket sums, site-tally sums — which is what
-   makes the merged totals independent of the domain fan-out and of
-   buffer registration order. *)
+   [view] runs after the writing jobs have finished. Executor workers
+   persist and are not joined; a worker records each job's finish
+   under the executor mutex, which the submitter takes before it
+   returns, so the merge reads buffers whose writes are published.
+   All merge operations are commutative and associative — counter
+   sums, histogram bucket sums, site-tally sums — which is what makes
+   the merged totals independent of the domain fan-out and of buffer
+   registration order. *)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram.                                                          *)

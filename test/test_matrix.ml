@@ -186,6 +186,79 @@ let test_bit_identity_and_warm () =
       | _ -> Alcotest.fail "warm run changed a cell's status")
     cold.Harness.Matrix.cells warm.Harness.Matrix.cells
 
+(* A sweep's results cannot depend on how its work was scheduled: the
+   same spec with the apps reversed (which reverses cell order), at any
+   job count, gives every cell the same trial records and the same
+   matrix.* / memo.* counters. Each run starts from an empty store. *)
+let test_schedule_independent () =
+  let spec =
+    {
+      Harness.Matrix.apps = [ "gsm"; "adpcm"; "blowfish" ];
+      mode = Harness.Experiment.Full;
+      policies = [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ];
+      errors = [ 1; 5 ];
+      trials = 5;
+      seed = 2;
+    }
+  in
+  let observe jobs (s : Harness.Matrix.spec) =
+    with_store @@ fun store ->
+    let sink = Obs.make () in
+    let r = Obs.with_sink sink (fun () -> Harness.Matrix.run ~jobs ~store s) in
+    let cells =
+      List.map
+        (fun (c : Harness.Matrix.cell) ->
+          ( Harness.Matrix.cell_label c.Harness.Matrix.cell,
+            match c.Harness.Matrix.status with
+            | Harness.Matrix.Ok ok ->
+              Ok ok.Harness.Matrix.summary.Core.Campaign.trials
+            | st -> Error (Harness.Matrix.status_kind st) ))
+        r.Harness.Matrix.cells
+      |> List.sort compare
+    in
+    let counters =
+      List.filter
+        (fun (k, _) ->
+          String.starts_with ~prefix:"matrix." k
+          || String.starts_with ~prefix:"memo." k)
+        (Obs.view sink).Obs.counters
+    in
+    (cells, counters)
+  in
+  let ref_cells, ref_counters = observe 1 spec in
+  Alcotest.(check bool) "reference run has Ok cells" true
+    (List.exists (fun (_, c) -> Result.is_ok c) ref_cells);
+  Alcotest.(check bool) "reference run has memo counters" true
+    (List.mem_assoc "memo.trials_run" ref_counters);
+  List.iter
+    (fun (jobs, s, what) ->
+      let cells, counters = observe jobs s in
+      let name = Printf.sprintf "jobs=%d %s" jobs what in
+      Alcotest.(check (list string))
+        (name ^ ": same cells") (List.map fst ref_cells) (List.map fst cells);
+      List.iter2
+        (fun (label, a) (_, b) ->
+          Alcotest.(check bool)
+            (name ^ ": " ^ label ^ " trial records identical")
+            true
+            (compare a b = 0))
+        ref_cells cells;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": matrix.*/memo.* counters") ref_counters counters)
+    (List.concat_map
+       (fun jobs ->
+         [
+           (jobs, spec, "spec order");
+           ( jobs,
+             {
+               spec with
+               Harness.Matrix.apps = List.rev spec.Harness.Matrix.apps;
+             },
+             "apps reversed" );
+         ])
+       [ 1; 2; 4 ]
+    |> List.tl (* the first is the reference run itself *))
+
 (* Matrix cells and `inject --incremental` share cache keys: a matrix
    cold run must leave the store so a direct Memo.run of the same cell
    is served without executing anything. *)
@@ -315,6 +388,8 @@ let () =
             `Quick test_bit_identity_and_warm;
           Alcotest.test_case "cache shared with inject --incremental" `Quick
             test_cache_shared_with_inject;
+          Alcotest.test_case "schedule-independent over jobs and cell order"
+            `Quick test_schedule_independent;
         ] );
       ( "reporting",
         [ Alcotest.test_case "tables carry every cell" `Quick
