@@ -1081,78 +1081,6 @@ let top_cmd =
           per-kind latency tails")
     Term.(term_result (const action $ connect_arg $ interval_arg $ count_arg))
 
-let bench_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD.json" ~doc:"Baseline bench report.")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW.json" ~doc:"Candidate bench report.")
-  in
-  let fail_above_arg =
-    let doc =
-      "Exit non-zero if any cell regresses by more than $(docv) percent \
-       (wall and ns/run up, Minstr/s down). Without this flag the diff \
-       is warn-only and always exits zero."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "fail-above" ] ~docv:"PCT" ~doc)
-  in
-  let diff_action old_path new_path fail_above json =
-    let read p =
-      match
-        Report.Json.of_string (In_channel.with_open_bin p In_channel.input_all)
-      with
-      | Ok j -> Ok j
-      | Error e -> Error (`Msg (Printf.sprintf "%s: %s" p e))
-    in
-    let ( let* ) = Result.bind in
-    let* old_doc = read old_path in
-    let* new_doc = read new_path in
-    match Harness.Bench_diff.diff ?fail_above ~old_doc ~new_doc () with
-    | Error e -> Error (`Msg e)
-    | Ok r ->
-      let meta =
-        [
-          ("old", Report.Json.Str old_path);
-          ("new", Report.Json.Str new_path);
-          ( "fail_above",
-            match fail_above with
-            | None -> Report.Json.Null
-            | Some f -> Report.Json.Float f );
-          ("breaches", Report.Json.Int r.Harness.Bench_diff.breaches);
-        ]
-      in
-      emit ?json ~command:"bench-diff" ~meta [ Harness.Bench_diff.table r ];
-      if r.Harness.Bench_diff.breaches = 0 then Ok ()
-      else
-        Error
-          (`Msg
-            (Printf.sprintf "%d bench cell(s) regressed beyond %.1f%%"
-               r.Harness.Bench_diff.breaches
-               (Option.value ~default:0.0 fail_above)))
-  in
-  let diff_cmd =
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Typed regression table over two bench reports: wall seconds \
-            and ns/run (higher is worse) and Minstr/s (lower is worse) \
-            per matching cell, with added/removed/skipped cells kept \
-            visible. $(b,--fail-above) turns the table into a gate")
-      Term.(
-        term_result
-          (const diff_action $ old_arg $ new_arg $ fail_above_arg $ json_arg))
-  in
-  Cmd.group
-    (Cmd.info "bench" ~doc:"Compare bench trajectory artifacts")
-    [ diff_cmd ]
-
 let cache_cmd =
   let max_bytes_arg =
     let doc =
@@ -1288,6 +1216,6 @@ let () =
           [
             list_cmd; run_cmd; tag_cmd; sections_cmd; disasm_cmd; asm_cmd;
             compile_cmd; inject_cmd; matrix_cmd; audit_cmd; profile_cmd; table2_cmd;
-            table3_cmd; figure_cmd; ablation_cmd; serve_cmd; top_cmd; bench_cmd;
+            table3_cmd; figure_cmd; ablation_cmd; serve_cmd; top_cmd;
             cache_cmd;
           ]))

@@ -164,20 +164,3 @@ let pct_catastrophic (s : t) =
   else 100.0 *. float_of_int (catastrophic s) /. float_of_int s.n
 
 let mean_fidelity (s : t) = acc_mean s.fidelity
-
-(* ------------------------------------------------------------------ *)
-
-(* Mergeable log-bucketed histogram, for latency-style quantities whose
-   distribution matters more than its moments (trial wall-times in
-   bench summaries). The primitive lives in [Obs.Hist] — the telemetry
-   layer sits below sim, so sharing one implementation keeps bench
-   summaries and obs metrics in the same buckets — and is re-exported
-   here so core-level consumers need not depend on obs directly. Like
-   [acc], merging is exact and associative (bucket counts add). *)
-type hist = Obs.Hist.t
-
-let hist_empty = Obs.Hist.empty
-let hist_add = Obs.Hist.add
-let hist_merge = Obs.Hist.merge
-let hist_count = Obs.Hist.count
-let hist_quantile = Obs.Hist.quantile

@@ -70,23 +70,3 @@ val pct_catastrophic : t -> float
 
 val mean_fidelity : t -> float option
 (** [None] when no completed trial was scored — never [nan]. *)
-
-(** {1 Log-bucketed histograms}
-
-    Mergeable geometric-bucket histogram for latency-style quantities
-    (8 sub-buckets per octave, ~9% relative resolution). The primitive
-    is [Obs.Hist], re-exported so core consumers share buckets with the
-    telemetry layer without depending on it directly. Merging adds
-    bucket counts: exact, associative, commutative. *)
-
-type hist = Obs.Hist.t
-
-val hist_empty : hist
-val hist_add : hist -> float -> hist
-val hist_merge : hist -> hist -> hist
-val hist_count : hist -> int
-
-val hist_quantile : hist -> float -> float option
-(** Representative value of the bucket holding the requested quantile
-    ([q] clamped to [0,1]); [None] on the empty histogram — never
-    [nan]. *)

@@ -162,7 +162,7 @@ let response_json (r : response) : J.t =
 let response_line (r : response) : string =
   J.to_compact_string (response_json r)
 
-(* Client-side reader ([etap serve --connect], tests, bench). *)
+(* Client-side reader ([etap serve --connect], tests, etapbench). *)
 type reply = {
   id : J.t;
   ok : bool;

@@ -19,7 +19,7 @@
     tally is byte-identical across [--jobs] values; histogram bucket
     contents and span timings are wall-clock and therefore volatile. *)
 
-(** Mergeable log-bucketed histogram (shared with [Core.Stats]).
+(** Mergeable log-bucketed histogram.
 
     Buckets are geometric with 8 sub-buckets per octave (ratio
     [2^(1/8)], ~9% relative width): bucket [i] holds values whose

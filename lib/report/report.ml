@@ -6,8 +6,7 @@
    - [to_text] — the plain-text table the harness has always printed
      (byte-identical to the old [Tablefmt.render] output);
    - [to_json] — a machine-readable document under the versioned
-     schema [etap-report/1], shared by every [etap --json] subcommand
-     and the bench harness.
+     schema [etap-report/1], shared by every [etap --json] subcommand.
 
    Cells keep the numeric value and the display text separately, so
    the JSON side always emits real numbers (or [null] — never a bare
@@ -322,8 +321,6 @@ module Json = struct
     | Float f -> Some f
     | Int i -> Some (float_of_int i)
     | _ -> None
-
-  let to_bool_opt = function Bool b -> Some b | _ -> None
 end
 
 (* ------------------------------------------------------------------ *)

@@ -4,7 +4,7 @@
 # field; this script is the CI gate that keeps those markers (and the
 # documents' basic shape) from drifting silently.
 #
-#   check_schemas.sh report FILE    # etap-report/1 (etap --json, bench --json)
+#   check_schemas.sh report FILE    # etap-report/1 (etap --json)
 #   check_schemas.sh matrix FILE    # etap-report/1 from `etap matrix --json`
 #                                   # (typed cell statuses + cache meta)
 #   check_schemas.sh trace FILE     # etap-trace/1  (--trace)

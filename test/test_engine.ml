@@ -12,7 +12,8 @@
    control, word and byte loads/stores, float arithmetic with both
    conversions, calls and recursion. Traps, timeouts and stack
    overflow are reachable under injection (and directly, in the
-   directed cases below). *)
+   directed cases below). A speed guard checks that the fast engine
+   actually beats the reference loop on the golden susan run. *)
 
 open Mlang.Dsl
 
@@ -434,6 +435,37 @@ let test_engine_guards () =
       Sim.Interp.resume ~image:ctx.image ~injection ~taint:true snap)
 
 (* ------------------------------------------------------------------ *)
+(* Speed guard: the fast engine must beat the reference loop on the
+   golden susan run by at least 1.25x. Runs alternate between the two
+   engines and each side keeps its min of 5 walls, so a scheduler
+   stall or a burst of load from other processes cannot flip the
+   verdict. The two engines running the same loop land near 1.0x,
+   which is what the margin catches: an image that silently falls back
+   to the reference loop.                                              *)
+
+let test_fast_beats_ref () =
+  let code =
+    Sim.Code.of_prog (Apps.Susan.app.Apps.App.build ~seed:1).Apps.App.prog
+  in
+  let image = Sim.Interp.compile code in
+  let wall run =
+    let t0 = Unix.gettimeofday () in
+    ignore (run ());
+    Unix.gettimeofday () -. t0
+  in
+  let fast = ref infinity and ref_ = ref infinity in
+  for _ = 1 to 5 do
+    fast := Float.min !fast (wall (fun () -> Sim.Interp.run_exn ~image code));
+    ref_ := Float.min !ref_ (wall (fun () -> Sim.Interp.run_exn code))
+  done;
+  let ratio = !ref_ /. !fast in
+  Printf.printf "susan golden run: fast %.2f ms, ref %.2f ms (%.2fx)\n%!"
+    (!fast *. 1e3) (!ref_ *. 1e3) ratio;
+  if ratio < 1.25 then
+    Alcotest.failf "fast engine %.2f ms vs ref %.2f ms on susan: %.2fx < 1.25x"
+      (!fast *. 1e3) (!ref_ *. 1e3) ratio
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "engine"
@@ -455,5 +487,7 @@ let () =
           Alcotest.test_case "abnormal outcome parity" `Quick
             test_abnormal_parity;
           Alcotest.test_case "engine guards" `Quick test_engine_guards;
+          Alcotest.test_case "fast beats ref on susan" `Quick
+            test_fast_beats_ref;
         ] );
     ]

@@ -7,7 +7,8 @@
    - a served inject/matrix report carries tables bit-identical to the
      equivalent standalone run (same seed derivation, same cache);
    - the second identical request is answered from the warm registry —
-     no app reload, no target re-preparation, zero trials executed;
+     no app reload, no target re-preparation, zero trials executed,
+     and at most 0.1x the cold request's wall;
    - two identical in-flight requests coalesce: trials run exactly
      once and both clients receive the same document;
    - failures are typed responses, never crashes: unknown apps and
@@ -299,6 +300,35 @@ let test_warm_reuse () =
   Alcotest.(check string) "warm tables identical" (tables_of first)
     (tables_of second)
 
+(* Speed guard on the warm path: repeating gsm -e 3 (8 trials per
+   policy) on the same daemon must take at most 0.1x the cold request's
+   wall, with a 50 ms floor for when cold itself is fast. A warm request
+   is ~30 ms of owner walks on one core, so load from test binaries
+   running alongside can double it: the warm wall is the best of up to
+   20 repeats, stopping at the first one within the bound. A warm path
+   that is slow on every repeat still fails. *)
+let test_warm_speed () =
+  with_serve @@ fun t ->
+  let line = inject_line ~errors:3 ~trials:8 ~seed:1 "gsm" in
+  let timed_exchange () =
+    let t0 = Unix.gettimeofday () in
+    let r = reply_exn (List.hd (exchange t [ line ])) in
+    Alcotest.(check bool) "request ok" true r.Harness.Proto.ok;
+    Unix.gettimeofday () -. t0
+  in
+  let cold = timed_exchange () in
+  let bound = Float.max (0.1 *. cold) 0.05 in
+  let rec best n acc =
+    if n = 0 || acc <= bound then acc
+    else best (n - 1) (Float.min acc (timed_exchange ()))
+  in
+  let warm = best 20 infinity in
+  Printf.printf "gsm e3 t8: cold %.3f s, warm %.3f s (%.3fx)\n%!" cold warm
+    (warm /. cold);
+  if warm > bound then
+    Alcotest.failf "warm request too slow: %.3f s vs cold %.3f s (> 0.1x)"
+      warm cold
+
 (* --------------------------- coalescing ---------------------------- *)
 
 let test_coalescing () =
@@ -439,6 +469,8 @@ let () =
         [
           Alcotest.test_case "second request reuses the registry" `Quick
             test_warm_reuse;
+          Alcotest.test_case "warm repeat at most 0.1x cold" `Quick
+            test_warm_speed;
         ] );
       ( "coalescing",
         [

@@ -13,8 +13,6 @@
    - the access log writes one etap-access/1 line per request, with
      per-request attribution (a coalesced pair logs its execution
      exactly once, on the winner's line);
-   - [bench diff] breaches only on direction-adjusted regressions over
-     the threshold, and never on added/removed/skipped cells;
    - [Obs.openmetrics_lines] emits well-formed OpenMetrics text:
      cumulative monotone buckets, [_count] equal to the histogram
      count, a final [# EOF]. *)
@@ -413,118 +411,6 @@ let test_access_coalesced () =
   Alcotest.(check int) "no execution on the waiter's line" 0
     (geti [ "trials_run" ] (List.hd coalesced))
 
-(* --------------------------- bench diff ---------------------------- *)
-
-let fnum v = Report.num ~text:(Printf.sprintf "%.3f" v) v
-
-let bench_doc ?(wall = []) ?(micro = []) () =
-  Report.to_json
-    (Report.make ~command:"bench" ~meta:[]
-       [
-         Report.table ~id:"experiments" ~title:"Experiments"
-           ~columns:
-             [
-               Report.column ~key:"name" "name";
-               Report.column ~key:"wall_s" "wall";
-             ]
-           (List.map
-              (fun (n, w) ->
-                [ Report.text n; Report.opt ~missing:"-" fnum w ])
-              wall);
-         Report.table ~id:"micro" ~title:"Micro"
-           ~columns:
-             [
-               Report.column ~key:"name" "name";
-               Report.column ~key:"ns_per_run" "ns/run";
-               Report.column ~key:"minstr_per_s" "Minstr/s";
-             ]
-           (List.map
-              (fun (n, ns, mi) -> [ Report.text n; fnum ns; fnum mi ])
-              micro);
-       ])
-
-let diff_exn ?fail_above ~old_doc ~new_doc () =
-  match Harness.Bench_diff.diff ?fail_above ~old_doc ~new_doc () with
-  | Ok r -> r
-  | Error m -> Alcotest.failf "bench diff failed: %s" m
-
-let verdict_of r name metric =
-  match
-    List.find_opt
-      (fun row ->
-        row.Harness.Bench_diff.name = name
-        && row.Harness.Bench_diff.metric = metric)
-      r.Harness.Bench_diff.rows
-  with
-  | Some row -> Harness.Bench_diff.verdict_name row.Harness.Bench_diff.verdict
-  | None -> Alcotest.failf "no row for %s/%s" metric name
-
-let test_bench_diff_identical () =
-  let doc =
-    bench_doc
-      ~wall:[ ("a", Some 1.0); ("b", Some 2.0) ]
-      ~micro:[ ("m", 100.0, 50.0) ]
-      ()
-  in
-  let r = diff_exn ~fail_above:5.0 ~old_doc:doc ~new_doc:doc () in
-  Alcotest.(check int) "no breaches on identical inputs" 0
-    r.Harness.Bench_diff.breaches;
-  List.iter
-    (fun row ->
-      Alcotest.(check string) "every cell ok" "ok"
-        (Harness.Bench_diff.verdict_name row.Harness.Bench_diff.verdict))
-    r.Harness.Bench_diff.rows
-
-let test_bench_diff_regression () =
-  let old_doc = bench_doc ~wall:[ ("a", Some 1.0) ] () in
-  let new_doc = bench_doc ~wall:[ ("a", Some 1.25) ] () in
-  (* Over the threshold: a breach. *)
-  let r = diff_exn ~fail_above:20.0 ~old_doc ~new_doc () in
-  Alcotest.(check int) "25% wall regression breaches at 20%" 1
-    r.Harness.Bench_diff.breaches;
-  Alcotest.(check string) "row marked regressed" "regressed"
-    (verdict_of r "a" "wall_s");
-  (* Under the threshold: labeled but not a breach. *)
-  let r = diff_exn ~fail_above:30.0 ~old_doc ~new_doc () in
-  Alcotest.(check int) "25% under a 30% gate" 0 r.Harness.Bench_diff.breaches;
-  (* No threshold: warn-only, never a breach. *)
-  let r = diff_exn ~old_doc ~new_doc () in
-  Alcotest.(check int) "warn-only never breaches" 0
-    r.Harness.Bench_diff.breaches;
-  Alcotest.(check string) "warn-only still labels the regression"
-    "regressed"
-    (verdict_of r "a" "wall_s")
-
-let test_bench_diff_directions () =
-  (* Minstr/s is lower-is-worse: a throughput drop regresses, a
-     ns/run drop improves. *)
-  let old_doc = bench_doc ~micro:[ ("m", 100.0, 100.0) ] () in
-  let new_doc = bench_doc ~micro:[ ("m", 60.0, 70.0) ] () in
-  let r = diff_exn ~fail_above:20.0 ~old_doc ~new_doc () in
-  Alcotest.(check string) "throughput drop regresses" "regressed"
-    (verdict_of r "m" "minstr_per_s");
-  Alcotest.(check string) "ns/run drop improves" "improved"
-    (verdict_of r "m" "ns_per_run");
-  Alcotest.(check int) "only the drop breaches" 1
-    r.Harness.Bench_diff.breaches
-
-let test_bench_diff_shape_changes () =
-  (* Added, removed and skipped cells stay visible and never breach. *)
-  let old_doc = bench_doc ~wall:[ ("gone", Some 1.0); ("skip", Some 1.0) ] () in
-  let new_doc = bench_doc ~wall:[ ("new", Some 9.0); ("skip", None) ] () in
-  let r = diff_exn ~fail_above:1.0 ~old_doc ~new_doc () in
-  Alcotest.(check string) "removed" "removed" (verdict_of r "gone" "wall_s");
-  Alcotest.(check string) "added" "added" (verdict_of r "new" "wall_s");
-  Alcotest.(check string) "skipped" "skipped" (verdict_of r "skip" "wall_s");
-  Alcotest.(check int) "shape changes never breach" 0
-    r.Harness.Bench_diff.breaches;
-  (* Non-report inputs are typed errors, not crashes. *)
-  match
-    Harness.Bench_diff.diff ~old_doc:(J.Obj []) ~new_doc ()
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "schema-less input accepted"
-
 (* --------------------------- openmetrics --------------------------- *)
 
 let test_openmetrics () =
@@ -594,17 +480,6 @@ let () =
             test_access_log;
           Alcotest.test_case "coalesced pair logs one execution" `Quick
             test_access_coalesced;
-        ] );
-      ( "bench diff",
-        [
-          Alcotest.test_case "identical inputs never breach" `Quick
-            test_bench_diff_identical;
-          Alcotest.test_case "threshold gates wall regressions" `Quick
-            test_bench_diff_regression;
-          Alcotest.test_case "direction-adjusted verdicts" `Quick
-            test_bench_diff_directions;
-          Alcotest.test_case "added/removed/skipped stay visible" `Quick
-            test_bench_diff_shape_changes;
         ] );
       ( "openmetrics",
         [
