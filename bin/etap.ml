@@ -45,15 +45,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let engine_arg =
-  let e = Arg.enum [ ("fast", Sim.Interp.Fast); ("ref", Sim.Interp.Ref) ] in
-  let doc =
-    "Interpreter engine for trial execution: $(b,fast) (threaded-closure \
-     compilation, the default) or $(b,ref) (the reference match-dispatch \
-     loop). Both engines produce bit-identical campaign results."
-  in
-  Arg.(value & opt e Sim.Interp.Fast & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let literal_arg =
   let doc =
     "Use the paper's literal Section-3 tagging rules (addresses \
@@ -67,20 +58,6 @@ let json_arg =
      document to $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-
-let stride_arg =
-  let doc =
-    "Golden checkpoint spacing in injectable ordinals. Trials \
-     fast-forward from the nearest checkpoint at or before their first \
-     planned fault; results are bit-identical for every value. Defaults \
-     to an automatic stride (up to 64 checkpoints within a memory \
-     budget); $(docv)=0 disables checkpointing and runs every trial \
-     from scratch."
-  in
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "checkpoint-stride" ] ~docv:"N" ~doc)
 
 let incremental_arg =
   let doc =
@@ -155,6 +132,12 @@ let emit ?json ~command ~meta tables =
 
 let meta_int k v = (k, Report.Json.Int v)
 let meta_jobs jobs = ("jobs", Report.Json.of_int_opt jobs)
+
+(* Every campaign runs on the fast engine with the automatic checkpoint
+   stride; meta blocks still name both, as constants. *)
+let meta_engine =
+  ("engine", Report.Json.Str (Sim.Interp.engine_name Sim.Interp.Fast))
+let meta_stride = ("checkpoint_stride", Report.Json.Null)
 
 let find_app name =
   match Apps.Registry.find name with
@@ -341,8 +324,8 @@ let disasm_cmd =
     Term.(term_result (const action $ app_arg $ func_arg $ seed_arg))
 
 let inject_cmd =
-  let action name seed errors trials literal engine jobs checkpoint_stride
-      incremental cache_dir json trace metrics =
+  let action name seed errors trials literal jobs incremental cache_dir json
+      trace metrics =
     Result.map
       (fun (app : Apps.App.t) ->
         let meta =
@@ -352,9 +335,9 @@ let inject_cmd =
             meta_int "trials" trials;
             meta_int "seed" seed;
             ("literal", Report.Json.Bool literal);
-            ("engine", Report.Json.Str (Sim.Interp.engine_name engine));
+            meta_engine;
             meta_jobs jobs;
-            ("checkpoint_stride", Report.Json.of_int_opt checkpoint_stride);
+            meta_stride;
             ("incremental", Report.Json.Bool incremental);
             ( "cache_dir",
               if incremental then Report.Json.Str cache_dir
@@ -362,9 +345,7 @@ let inject_cmd =
           ]
         in
         with_obs ~trace ~metrics ~command:"inject" ~meta @@ fun () ->
-        let l =
-          Harness.Experiment.load ~seed ?jobs ~engine ?checkpoint_stride app
-        in
+        let l = Harness.Experiment.load ~seed app in
         let mode =
           if literal then Harness.Experiment.Literal
           else Harness.Experiment.Full
@@ -392,16 +373,7 @@ let inject_cmd =
                     Core.Memo.run ?jobs ~score ~salt:name ~store p ~errors
                       ~trials ~seed:(seed + 100)
                   in
-                  (cache_total :=
-                     Core.Memo.
-                       {
-                         sections = !cache_total.sections + st.sections;
-                         hits = !cache_total.hits + st.hits;
-                         misses = !cache_total.misses + st.misses;
-                         trials_reused =
-                           !cache_total.trials_reused + st.trials_reused;
-                         trials_run = !cache_total.trials_run + st.trials_run;
-                       });
+                  cache_total := Harness.Serve.add_stats !cache_total st;
                   say
                     "%-18s cache: %d/%d section groups hit — %d trial(s) \
                      reused, %d run"
@@ -438,7 +410,7 @@ let inject_cmd =
              daemon uses, so the two surfaces cannot drift apart. *)
           Report.write_json ~path
             (Harness.Serve.inject_report ~app:name ~errors ~trials ~seed
-               ~literal ~engine ~jobs ~checkpoint_stride
+               ~literal ~engine:Sim.Interp.Fast ~jobs ~checkpoint_stride:None
                ~fidelity_units:b.Apps.App.fidelity_units
                ~cache:
                  (if incremental then Some (cache_dir, !cache_total)
@@ -452,8 +424,8 @@ let inject_cmd =
     Term.(
       term_result
         (const action $ app_arg $ seed_arg $ errors_arg $ trials_arg
-       $ literal_arg $ engine_arg $ jobs_arg $ stride_arg $ incremental_arg
-       $ cache_dir_arg $ json_arg $ trace_arg $ metrics_arg))
+       $ literal_arg $ jobs_arg $ incremental_arg $ cache_dir_arg $ json_arg
+       $ trace_arg $ metrics_arg))
 
 let matrix_cmd =
   let split_commas s =
@@ -501,8 +473,8 @@ let matrix_cmd =
     Arg.(
       value & opt string "_etap_cache" & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
-  let action apps policies errors_s trials seed literal spec engine jobs
-      checkpoint_stride cache_dir json trace metrics =
+  let action apps policies errors_s trials seed literal spec jobs cache_dir
+      json trace metrics =
     let ( let* ) = Result.bind in
     let* policies =
       List.fold_left
@@ -551,18 +523,12 @@ let matrix_cmd =
           | Ok s -> Ok s
           | Error m -> Error (`Msg (Printf.sprintf "%s: %s" path m))))
     in
-    let spec_meta =
-      Harness.Matrix.spec_meta ~engine ~jobs ~checkpoint_stride ~cache_dir s
-    in
+    let spec_meta = Harness.Matrix.spec_meta ~jobs ~cache_dir s in
     with_obs ~trace ~metrics ~command:"matrix" ~meta:spec_meta @@ fun () ->
     let store = Core.Memo.Store.open_ cache_dir in
-    let r =
-      Harness.Matrix.run ?jobs ~engine ?checkpoint_stride ~store s
-    in
+    let r = Harness.Matrix.run ?jobs ~store s in
     let t = Harness.Matrix.totals r in
-    let meta =
-      Harness.Matrix.report_meta ~engine ~jobs ~checkpoint_stride ~cache_dir r
-    in
+    let meta = Harness.Matrix.report_meta ~jobs ~cache_dir r in
     emit ?json ~command:"matrix" ~meta
       [ Harness.Matrix.to_table r; Harness.Matrix.anomaly_table r ];
     say
@@ -585,9 +551,8 @@ let matrix_cmd =
     Term.(
       term_result
         (const action $ apps_arg $ policies_arg $ errors_list_arg
-       $ trials_arg $ seed_arg $ literal_arg $ spec_arg $ engine_arg
-       $ jobs_arg $ stride_arg $ matrix_cache_dir_arg $ json_arg $ trace_arg
-       $ metrics_arg))
+       $ trials_arg $ seed_arg $ literal_arg $ spec_arg $ jobs_arg
+       $ matrix_cache_dir_arg $ json_arg $ trace_arg $ metrics_arg))
 
 let asm_cmd =
   let file_arg =
@@ -691,7 +656,7 @@ let audit_cmd =
           (find_app name)
     in
     Result.bind loaded_res (fun loaded ->
-        let obs_meta =
+        let meta =
           [
             ( "app",
               match app with
@@ -704,7 +669,7 @@ let audit_cmd =
             meta_jobs jobs;
           ]
         in
-        with_obs ~trace ~metrics ~command:"audit" ~meta:obs_meta @@ fun () ->
+        with_obs ~trace ~metrics ~command:"audit" ~meta @@ fun () ->
         let rows =
           Harness.Taxonomy.audit ~errors ~trials ~seed:(seed + 100) ?jobs
             ~mode loaded
@@ -714,19 +679,7 @@ let audit_cmd =
          | None -> ()
          | Some path ->
            Report.write_json ~path
-             (Report.make ~command:"audit"
-                ~meta:
-                  [
-                    ( "app",
-                      match app with
-                      | None -> Report.Json.Null
-                      | Some a -> Report.Json.Str a );
-                    meta_int "errors" errors;
-                    meta_int "trials" trials;
-                    meta_int "seed" seed;
-                    ("literal", Report.Json.Bool literal);
-                    meta_jobs jobs;
-                  ]
+             (Report.make ~command:"audit" ~meta
                 [ Harness.Taxonomy.audit_table ~mode rows ]);
            say "wrote %s" path);
         match Harness.Taxonomy.audit_violations rows with
@@ -757,8 +710,7 @@ let profile_cmd =
                sums always equal the campaign totals." in
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc)
   in
-  let action name seed errors trials literal jobs checkpoint_stride top json
-      trace metrics =
+  let action name seed errors trials literal jobs top json trace metrics =
     Result.map
       (fun (app : Apps.App.t) ->
         let mode =
@@ -773,14 +725,13 @@ let profile_cmd =
             meta_int "seed" seed;
             ("literal", Report.Json.Bool literal);
             meta_jobs jobs;
-            ("checkpoint_stride", Report.Json.of_int_opt checkpoint_stride);
+            meta_stride;
           ]
         in
         with_obs ~trace ~metrics ~command:"profile" ~meta @@ fun () ->
         let l = Harness.Experiment.load ~seed app in
         let p =
-          Harness.Profile.run ~errors ~trials ~seed:(seed + 100) ?jobs
-            ?checkpoint_stride ~mode l
+          Harness.Profile.run ~errors ~trials ~seed:(seed + 100) ?jobs ~mode l
         in
         let top = if top <= 0 then None else Some top in
         say "%s" (Harness.Profile.render ?top p);
@@ -800,8 +751,8 @@ let profile_cmd =
     Term.(
       term_result
         (const action $ app_arg $ seed_arg $ errors_arg $ trials_arg
-       $ literal_arg $ jobs_arg $ stride_arg $ top_arg $ json_arg
-       $ trace_arg $ metrics_arg))
+       $ literal_arg $ jobs_arg $ top_arg $ json_arg $ trace_arg
+       $ metrics_arg))
 
 let table2_cmd =
   let action trials jobs json trace metrics =
@@ -927,13 +878,11 @@ let serve_cmd =
       & opt (some string) None
       & info [ "access-log" ] ~docv:"PATH" ~doc)
   in
-  let action socket stdio connect jobs engine checkpoint_stride cache_dir
-      gc_max_bytes gc_max_age_days access_log trace metrics =
+  let action socket stdio connect jobs cache_dir gc_max_bytes gc_max_age_days
+      access_log trace metrics =
     let config =
       {
         Harness.Serve.jobs;
-        engine;
-        checkpoint_stride;
         cache_dir;
         gc_max_bytes;
         gc_max_age_days;
@@ -952,8 +901,8 @@ let serve_cmd =
       [
         ("transport", Report.Json.Str transport);
         meta_jobs jobs;
-        ("engine", Report.Json.Str (Sim.Interp.engine_name engine));
-        ("checkpoint_stride", Report.Json.of_int_opt checkpoint_stride);
+        meta_engine;
+        meta_stride;
         ("cache_dir", Report.Json.Str cache_dir);
         ("gc_max_bytes", Report.Json.of_int_opt gc_max_bytes);
         ( "gc_max_age_days",
@@ -1016,8 +965,8 @@ let serve_cmd =
     Term.(
       term_result
         (const action $ socket_arg $ stdio_arg $ connect_arg $ jobs_arg
-       $ engine_arg $ stride_arg $ cache_dir_arg $ gc_bytes_arg $ gc_days_arg
-       $ access_log_arg $ trace_arg $ metrics_arg))
+       $ cache_dir_arg $ gc_bytes_arg $ gc_days_arg $ access_log_arg
+       $ trace_arg $ metrics_arg))
 
 let top_cmd =
   let connect_arg =

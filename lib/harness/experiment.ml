@@ -42,40 +42,25 @@ let memo f =
           Hashtbl.replace tbl k v;
           v)
 
-let load ?(seed = 1) ?jobs ?engine ?checkpoint_stride (app : Apps.App.t) :
-    loaded =
+let load ?(seed = 1) (app : Apps.App.t) : loaded =
   let built = app.Apps.App.build ~seed in
-  let of_prog mode =
-    Core.Campaign.of_prog
-      ~protect_addresses:(mode = Full)
-      ?engine built.Apps.App.prog
-  in
   let target =
-    match jobs with
-    | None -> memo of_prog
-    | Some _ ->
-      (* Single-app parallel path (e.g. [etap inject APP --jobs N]):
-         the two tagging modes' targets build independently (tagging,
-         baseline run, engine compilation), so fan them out over the
-         same [Core.Pool] that {!load_all} uses across apps. *)
-      let modes = [ Full; Literal ] in
-      let targets = Core.Pool.map_list ?jobs of_prog modes in
-      let assoc = List.combine modes targets in
-      fun mode -> List.assoc mode assoc
+    memo (fun mode ->
+        Core.Campaign.of_prog
+          ~protect_addresses:(mode = Full)
+          built.Apps.App.prog)
   in
   let prepared =
-    memo (fun (mode, policy) ->
-        Core.Campaign.prepare ?checkpoint_stride (target mode) policy)
+    memo (fun (mode, policy) -> Core.Campaign.prepare (target mode) policy)
   in
   let golden = (target Full).Core.Campaign.baseline in
   { app; built; golden; target; prepared = (fun m p -> prepared (m, p)) }
 
 (* Building an app (workload generation, Mlang compilation, tagging,
    baseline run) touches no cross-app state, so the builds themselves
-   fan out across domains; each inner load stays sequential so the
-   pool is not nested. *)
-let load_all ?seed ?jobs ?engine () =
-  Core.Pool.map_list ?jobs (load ?seed ?engine) Apps.Registry.all
+   fan out across domains. *)
+let load_all ?seed ?jobs () =
+  Core.Pool.map_list ?jobs (load ?seed) Apps.Registry.all
 
 (* Catastrophic-failure percentage for one cell of Table 2. *)
 let pct_catastrophic ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed =

@@ -180,8 +180,7 @@ let record_counters (cells : cell list) =
       | Failed _ -> Obs.count "matrix.cells_failed" 1)
     cells
 
-let run ?jobs ?engine ?checkpoint_stride ~(store : Core.Memo.Store.t) (s : spec)
-    : result =
+let run ?jobs ~(store : Core.Memo.Store.t) (s : spec) : result =
   let t_run = Unix.gettimeofday () in
   let sp = Obs.span_begin () in
   let cells = cells_of_spec s in
@@ -197,8 +196,7 @@ let run ?jobs ?engine ?checkpoint_stride ~(store : Core.Memo.Store.t) (s : spec)
   let t_load = Unix.gettimeofday () in
   let loaded =
     Core.Pool.map_list ?jobs
-      (fun (n, app) ->
-        (n, Experiment.load ~seed:s.seed ?engine ?checkpoint_stride app))
+      (fun (n, app) -> (n, Experiment.load ~seed:s.seed app))
       known
   in
   let load_s = Unix.gettimeofday () -. t_load in
@@ -538,10 +536,10 @@ let anomaly_table (r : result) : Report.table =
    shared by `etap matrix --json` and the serve daemon so the two
    emit identical documents for identical work. [spec_meta] is the
    pre-run half (also the obs-stream meta); [report_meta] appends the
-   sweep's cache/status accounting. *)
+   sweep's cache/status accounting. The [engine] and
+   [checkpoint_stride] keys are the constants every sweep runs with. *)
 
-let spec_meta ~engine ~jobs ~checkpoint_stride ~cache_dir (s : spec) :
-    (string * Report.Json.t) list =
+let spec_meta ~jobs ~cache_dir (s : spec) : (string * Report.Json.t) list =
   let open Report.Json in
   [
     ("apps", Arr (List.map (fun a -> Str a) s.apps));
@@ -551,16 +549,15 @@ let spec_meta ~engine ~jobs ~checkpoint_stride ~cache_dir (s : spec) :
     ("trials", Int s.trials);
     ("seed", Int s.seed);
     ("literal", Bool (s.mode = Experiment.Literal));
-    ("engine", Str (Sim.Interp.engine_name engine));
+    ("engine", Str (Sim.Interp.engine_name Sim.Interp.Fast));
     ("jobs", of_int_opt jobs);
-    ("checkpoint_stride", of_int_opt checkpoint_stride);
+    ("checkpoint_stride", Null);
     ("cache_dir", Str cache_dir);
   ]
 
-let report_meta ~engine ~jobs ~checkpoint_stride ~cache_dir (r : result) :
-    (string * Report.Json.t) list =
+let report_meta ~jobs ~cache_dir (r : result) : (string * Report.Json.t) list =
   let t = totals r in
-  spec_meta ~engine ~jobs ~checkpoint_stride ~cache_dir r.spec
+  spec_meta ~jobs ~cache_dir r.spec
   @ [
       ("cells_requested", Report.Json.Int t.requested);
       ("cells_ok", Report.Json.Int t.ok);

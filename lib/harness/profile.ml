@@ -44,14 +44,12 @@ let row_of_site ((func, pc), counts) =
   let completed = counts.(Obs.cls_index Obs.Completed) in
   { func; pc; crash; infinite; completed; total = crash + infinite + completed }
 
-let run ?(errors = 10) ?(trials = 20) ?(seed = 41) ?jobs ?checkpoint_stride
+let run ?(errors = 10) ?(trials = 20) ?(seed = 41) ?jobs
     ?(policy = Core.Policy.Protect_nothing) ~mode (l : Experiment.loaded) : t =
   let campaign sink =
-    let p =
-      Core.Campaign.prepare ?checkpoint_stride
-        (l.Experiment.target mode)
-        policy
-    in
+    (* [l]'s memo: a first use prepares here, inside the sink, so the
+       prepare and its snapshot build are counted with the campaign. *)
+    let p = l.Experiment.prepared mode policy in
     let score r = l.Experiment.built.Apps.App.score ~golden:l.Experiment.golden r in
     let summary = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
     (summary, Obs.view sink)

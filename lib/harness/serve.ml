@@ -50,8 +50,6 @@ module J = Report.Json
 
 type config = {
   jobs : int option;  (* worker domains; default: cores - 1 *)
-  engine : Sim.Interp.engine;
-  checkpoint_stride : int option;
   cache_dir : string;
   gc_max_bytes : int option;  (* with either bound set, gc runs *)
   gc_max_age_days : float option;  (* between requests *)
@@ -66,8 +64,6 @@ type config = {
 let default_config =
   {
     jobs = None;
-    engine = Sim.Interp.Fast;
-    checkpoint_stride = None;
     cache_dir = "_etap_cache";
     gc_max_bytes = None;
     gc_max_age_days = None;
@@ -147,7 +143,7 @@ let create ?(config = default_config) () : t =
     sink;
     owns_sink;
     started_us;
-    last_stats = (Obs.snapshot sink, started_us);
+    last_stats = (Obs.view sink, started_us);
     access =
       Option.map
         (fun p ->
@@ -197,10 +193,7 @@ let registry_load t ~(acc : access_acc) (app : Apps.App.t) ~seed :
         Obs.count "serve.warm_miss" 1;
         acc.acc_warm_misses <- acc.acc_warm_misses + 1;
         let sp = Obs.span_begin () in
-        let l =
-          Experiment.load ~seed ~engine:t.cfg.engine
-            ?checkpoint_stride:t.cfg.checkpoint_stride app
-        in
+        let l = Experiment.load ~seed app in
         Obs.span_end ~name:"serve.load" ~cat:"serve"
           ~args:[ ("app", app.Apps.App.name) ]
           sp;
@@ -234,7 +227,10 @@ let registry_prepared t (l : Experiment.loaded) ~name ~seed ~mode policy :
 (* The inject report, byte-for-byte the document `etap inject --json`
    writes — bin/etap.ml calls this too, so the CLI and the daemon
    cannot drift apart. [cache = Some (dir, totals)] is the incremental
-   path; [None] reproduces a plain (non-incremental) run's meta. *)
+   path; [None] reproduces a plain (non-incremental) run's meta. Every
+   caller passes [~engine:Fast ~checkpoint_stride:None], the constants
+   campaigns run with; the labels stay because etapbench's serve-mix
+   workload calls this builder with them. *)
 let inject_report ~app ~errors ~trials ~seed ~literal ~engine ~jobs
     ~checkpoint_stride ~fidelity_units
     ~(cache : (string * Core.Memo.stats) option)
@@ -351,8 +347,8 @@ let run_inject t ~acc (i : Proto.inject_req) :
     in
     let rep =
       inject_report ~app:i.app ~errors:i.errors ~trials:i.trials ~seed:i.seed
-        ~literal:i.literal ~engine:t.cfg.engine ~jobs:None
-        ~checkpoint_stride:t.cfg.checkpoint_stride
+        ~literal:i.literal ~engine:Sim.Interp.Fast ~jobs:None
+        ~checkpoint_stride:None
         ~fidelity_units:b.Apps.App.fidelity_units
         ~cache:(Some (t.cfg.cache_dir, !totals))
         summaries
@@ -424,8 +420,7 @@ let run_matrix t ~acc (s : Matrix.spec) : Report.t option * string option =
     }
   in
   let meta =
-    Matrix.report_meta ~engine:t.cfg.engine ~jobs:None
-      ~checkpoint_stride:t.cfg.checkpoint_stride ~cache_dir:t.cfg.cache_dir r
+    Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r
   in
   let rep =
     Report.make ~command:"matrix" ~meta
@@ -592,7 +587,7 @@ let stats_json t : J.t =
   let ex = Core.Executor.stats t.ex in
   Mutex.lock t.m;
   let now = Obs.now_us () in
-  let snap = Obs.snapshot t.sink in
+  let snap = Obs.view t.sink in
   let prev, prev_at = t.last_stats in
   t.last_stats <- (snap, now);
   let failures = t.failures in
@@ -648,7 +643,7 @@ let stats_json t : J.t =
 let info_json t : J.t =
   Mutex.lock t.m;
   let now = Obs.now_us () in
-  let snap = Obs.snapshot t.sink in
+  let snap = Obs.view t.sink in
   Mutex.unlock t.m;
   J.Obj
     [

@@ -74,7 +74,7 @@ module Hist = struct
   let buckets h = IntMap.bindings h.bkts
 
   (* [diff newer older] subtracts bucket-wise. Buckets only ever grow on
-     a live sink, so on snapshots taken from the same sink the delta is
+     a live sink, so on views taken of the same live sink the delta is
      exact; counts are clamped at zero (and empty buckets dropped) so a
      racy read can never produce a negative histogram. Like [merge],
      this works bucket-by-bucket, which is what makes interval deltas
@@ -93,16 +93,6 @@ module Hist = struct
       in
       { n = IntMap.fold (fun _ c acc -> acc + c) bkts 0; bkts }
     end
-
-  (* Upper bound on the sum of samples, reconstructed from bucket
-     representatives (the histogram does not store the exact sum).
-     Within one bucket the representative is at most ~9% above any
-     member, so the approximation error is bounded by the bucket
-     ratio. Used by the OpenMetrics [_sum] sample. *)
-  let sum_approx h =
-    IntMap.fold
-      (fun b c acc -> acc +. (float_of_int c *. bucket_value b))
-      h.bkts 0.0
 
   let quantile h q =
     if h.n = 0 then None
@@ -289,6 +279,16 @@ type view = {
   spans : span_ev list;
 }
 
+(* A view copies every counter, rebuilds every histogram and duplicates
+   every site array, so it is an immutable value and may be taken of a
+   live sink without waiting for the writers to quiesce. Reads of
+   buffers that other domains are still mutating are memory-safe under
+   OCaml 5 (each cell read yields some previously written value); a
+   view may lag the writers by in-flight increments, but successive
+   views of one sink are monotone per counter and per bucket once the
+   intervening work has a happens-before edge to the reader (the serve
+   daemon takes them under its state lock, after worker batches have
+   landed — there the deltas are exact). *)
 let view (s : sink) : view =
   Mutex.lock s.mu;
   let bufs = s.bufs in
@@ -338,19 +338,6 @@ let view (s : sink) : view =
         !spans;
   }
 
-(* A view is already an immutable value — [view] copies every counter,
-   rebuilds every histogram and duplicates every site array — so a
-   point-in-time snapshot of a live sink is just a view taken without
-   waiting for the writers to quiesce. Reads of buffers that other
-   domains are still mutating are memory-safe under OCaml 5 (each cell
-   read yields some previously written value); a snapshot may lag the
-   writers by in-flight increments, but successive snapshots of one
-   sink are monotone per counter and per bucket once the intervening
-   work has a happens-before edge to the reader (the serve daemon
-   snapshots under its state lock, after worker batches have landed —
-   there the deltas are exact). *)
-let snapshot = view
-
 let span_compare a b =
   match Float.compare a.sp_ts_us b.sp_ts_us with
   | 0 -> (
@@ -385,7 +372,7 @@ let merge (a : view) (b : view) : view =
     spans = List.merge span_compare a.spans b.spans;
   }
 
-(* [diff newer older] is the interval between two snapshots of one
+(* [diff newer older] is the interval between two views of one
    sink: counters and site tallies subtract, histograms diff
    bucket-wise ([Hist.diff]). Because every family is mergeable
    bucket-by-bucket/key-by-key, diff distributes over merge — the
@@ -393,7 +380,7 @@ let merge (a : view) (b : view) : view =
    interval statistics are exact and jobs-invariant, like the totals.
    Zero entries are dropped (the canonical form [merge] also
    produces), and keys present only in [older] vanish. Spans are the
-   multiset difference (an older snapshot's spans are a sub-multiset
+   multiset difference (an older view's spans are a sub-multiset
    of a newer one's). *)
 let diff (newer : view) (older : view) : view =
   let rec diff_assoc cmp sub keep a b =
@@ -574,104 +561,3 @@ let write_metrics ~path ~command ~meta v =
           Out_channel.output_string oc line;
           Out_channel.output_char oc '\n')
         (metrics_lines ~command ~meta v))
-
-(* ------------------------------------------------------------------ *)
-(* OpenMetrics / Prometheus text exposition.                           *)
-
-(* Metric names: the etap namespace prefix plus the counter/histogram
-   name with every character outside [a-zA-Z0-9_:] replaced by '_'
-   (etap names use '.' as the separator: "serve.warm_hit" becomes
-   "etap_serve_warm_hit"). *)
-let om_name name =
-  let b = Bytes.of_string ("etap_" ^ name) in
-  Bytes.iteri
-    (fun i c ->
-      let ok =
-        c = '_' || c = ':'
-        || (c >= 'a' && c <= 'z')
-        || (c >= 'A' && c <= 'Z')
-        || (c >= '0' && c <= '9')
-      in
-      if not ok then Bytes.set b i '_')
-    b;
-  Bytes.to_string b
-
-let om_label_value s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let om_float x = Printf.sprintf "%.9g" x
-
-(* The merged view in OpenMetrics text exposition format: every
-   counter as a counter family ([_total] sample), every histogram as a
-   histogram family (cumulative [_bucket{le=...}] samples over the
-   occupied log-bucket upper representatives, then [_sum]/[_count] —
-   [_sum] is [Hist.sum_approx] since exact sums are not stored), and
-   the site tally as one labelled counter family
-   [etap_fault_site_total{func,pc,class}]. Terminated by the mandatory
-   [# EOF] line. *)
-let openmetrics_lines (v : view) : string list =
-  let counter (name, value) =
-    let n = om_name name in
-    [
-      Printf.sprintf "# TYPE %s counter" n;
-      Printf.sprintf "%s_total %d" n value;
-    ]
-  in
-  let hist (name, h) =
-    let n = om_name name in
-    let cum = ref 0 in
-    let buckets =
-      List.map
-        (fun (b, c) ->
-          cum := !cum + c;
-          Printf.sprintf "%s_bucket{le=\"%s\"} %d" n
-            (om_float (Hist.bucket_value b))
-            !cum)
-        (Hist.buckets h)
-    in
-    (Printf.sprintf "# TYPE %s histogram" n :: buckets)
-    @ [
-        Printf.sprintf "%s_bucket{le=\"+Inf\"} %d" n (Hist.count h);
-        Printf.sprintf "%s_sum %s" n (om_float (Hist.sum_approx h));
-        Printf.sprintf "%s_count %d" n (Hist.count h);
-      ]
-  in
-  let sites =
-    if v.sites = [] then []
-    else
-      "# TYPE etap_fault_site counter"
-      :: List.concat_map
-           (fun ((func, pc), c) ->
-             List.map
-               (fun cls ->
-                 Printf.sprintf
-                   "etap_fault_site_total{func=\"%s\",pc=\"%d\",class=\"%s\"} %d"
-                   (om_label_value func) pc cls
-                   c.(match cls with
-                      | "crash" -> 0
-                      | "infinite" -> 1
-                      | _ -> 2))
-               [ "crash"; "infinite"; "completed" ])
-           v.sites
-  in
-  List.concat_map counter v.counters
-  @ List.concat_map hist v.hists
-  @ sites
-  @ [ "# EOF" ]
-
-let write_openmetrics ~path (v : view) =
-  Out_channel.with_open_text path (fun oc ->
-      List.iter
-        (fun line ->
-          Out_channel.output_string oc line;
-          Out_channel.output_char oc '\n')
-        (openmetrics_lines v))

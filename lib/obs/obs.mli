@@ -49,16 +49,10 @@ module Hist : sig
 
   val diff : t -> t -> t
   (** [diff newer older] subtracts bucket-wise, clamping each bucket at
-      zero and dropping emptied buckets. On two snapshots of one
+      zero and dropping emptied buckets. On two readings of one
       growing histogram the delta is exact, and — because it works
       bucket-by-bucket, like {!merge} — diff distributes over merge:
       interval deltas are jobs-invariant. *)
-
-  val sum_approx : t -> float
-  (** Approximate sum of the samples, reconstructed from bucket
-      representatives (within one bucket-width, ~9%, of the true sum
-      per sample). The histogram stores no exact sum; this feeds the
-      OpenMetrics [_sum] sample. *)
 end
 
 (** {1 Sinks} *)
@@ -156,19 +150,16 @@ type view = {
 }
 
 val view : sink -> view
-(** Merge the sink's per-domain buffers. Non-destructive: the sink
-    keeps collecting, and a later [view] includes everything again.
-    Call after the domains writing to the sink have been joined. *)
-
-val snapshot : sink -> view
-(** A point-in-time view of a {e live} sink (the same merge as {!view},
-    which already copies every counter, histogram and site array — a
-    view is an immutable value). Unlike {!view}'s contract, writers
-    need not have quiesced: concurrent reads are memory-safe under
-    OCaml 5 and may lag in-flight increments, but once the intervening
-    work has a happens-before edge to the caller (e.g. the serve
-    daemon snapshots under its state lock after worker batches have
-    landed), successive snapshots bracket it exactly. *)
+(** Merge the sink's per-domain buffers into an immutable value (every
+    counter, histogram and site array is copied). Non-destructive: the
+    sink keeps collecting, and a later [view] includes everything
+    again. Taken after the writing domains have joined, it is the
+    sink's total. It may also be taken of a {e live} sink: concurrent
+    reads are memory-safe under OCaml 5 and may lag in-flight
+    increments, but once the intervening work has a happens-before
+    edge to the caller (e.g. the serve daemon takes views under its
+    state lock after worker batches have landed), successive views
+    bracket it exactly. *)
 
 val merge : view -> view -> view
 (** Merge two views with the same commutative, associative operations
@@ -177,7 +168,7 @@ val merge : view -> view -> view
     timestamp order. *)
 
 val diff : view -> view -> view
-(** [diff newer older] — the interval between two snapshots of one
+(** [diff newer older] — the interval between two views of one
     sink. Counters and site tallies subtract (zero entries dropped),
     histograms {!Hist.diff} bucket-wise, spans take the multiset
     difference. Diff distributes over {!merge}, so interval deltas
@@ -222,16 +213,3 @@ val write_metrics :
   meta:(string * Report.Json.t) list ->
   view ->
   unit
-
-val openmetrics_lines : view -> string list
-(** The view in OpenMetrics (Prometheus text exposition) format, one
-    line per list element: each counter as a counter family
-    ([etap_<name>_total], ['.'] separators mapped to ['_']), each
-    histogram as a histogram family — cumulative [_bucket{le="..."}]
-    samples over the occupied log-bucket representatives plus
-    [le="+Inf"], then [_sum] ({!Hist.sum_approx}; the exact sum is not
-    stored) and [_count] — and the fault-site tally as
-    [etap_fault_site_total{func,pc,class}]. The last line is the
-    mandatory [# EOF] terminator. *)
-
-val write_openmetrics : path:string -> view -> unit

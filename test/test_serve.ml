@@ -11,6 +11,9 @@
      and at most 0.1x the cold request's wall;
    - two identical in-flight requests coalesce: trials run exactly
      once and both clients receive the same document;
+   - between-requests GC evicts what the daemon stored: with a zero
+     byte budget the store is empty after each request, and an
+     identical repeat runs its trials again;
    - failures are typed responses, never crashes: unknown apps and
      malformed lines leave the connection serving, a client that
      vanishes mid-request leaves the daemon serving. *)
@@ -33,10 +36,16 @@ let fresh_cache_dir () =
 
 (* A daemon over a fresh cache, torn down (executor joined, cache
    removed) even when the test body raises. *)
-let with_serve ?gate f =
+let with_serve ?gate ?gc_max_bytes f =
   let dir = fresh_cache_dir () in
   let config =
-    { Harness.Serve.default_config with cache_dir = dir; jobs = Some 2; gate }
+    {
+      Harness.Serve.default_config with
+      cache_dir = dir;
+      jobs = Some 2;
+      gate;
+      gc_max_bytes;
+    }
   in
   let t = Harness.Serve.create ~config () in
   Fun.protect
@@ -194,7 +203,7 @@ let direct_inject ~errors ~trials ~seed app_name =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let store = Core.Memo.Store.open_ dir in
   let app = Option.get (Apps.Registry.find app_name) in
-  let l = Harness.Experiment.load ~seed ~engine:Sim.Interp.Fast app in
+  let l = Harness.Experiment.load ~seed app in
   let b = l.Harness.Experiment.built in
   let target = l.Harness.Experiment.target Harness.Experiment.Full in
   let golden = target.Core.Campaign.baseline in
@@ -328,6 +337,47 @@ let test_warm_speed () =
   if warm > bound then
     Alcotest.failf "warm request too slow: %.3f s vs cold %.3f s (> 0.1x)"
       warm cold
+
+(* ------------------------------- gc -------------------------------- *)
+
+let geti path doc =
+  match List.fold_left (fun acc k -> member_exn k acc) doc path with
+  | Report.Json.Int i -> i
+  | j -> Alcotest.failf "expected an int, got %s" (Report.Json.to_compact_string j)
+
+let stats_of t =
+  let r = reply_exn (List.hd (exchange t [ {|{"id":9,"cmd":"stats"}|} ])) in
+  member_exn "stats" r.Harness.Proto.body
+
+(* The same inject twice on one daemon, the store checked in between;
+   returns the repeat's [cache_trials_run]. With [gc_max_bytes = Some 0]
+   the GC after the first request empties the store, so the warm
+   registry still answers but every trial runs again. *)
+let test_gc_between_requests () =
+  let line = inject_line ~errors:2 ~trials:4 ~seed:1 "adpcm" in
+  let repeat ?gc_max_bytes check_store =
+    with_serve ?gc_max_bytes @@ fun t ->
+    let first = reply_exn (List.hd (exchange t [ line ])) in
+    Alcotest.(check bool) "first ok" true first.Harness.Proto.ok;
+    check_store (member_exn "store" (stats_of t));
+    let second = reply_exn (List.hd (exchange t [ line ])) in
+    Alcotest.(check string) "repeat tables identical" (tables_of first)
+      (tables_of second);
+    geti [ "meta"; "cache_trials_run" ] (report_exn second)
+  in
+  let rerun =
+    repeat ~gc_max_bytes:0 (fun st ->
+        Alcotest.(check bool) "gc ran" true (geti [ "gc_runs" ] st >= 1);
+        Alcotest.(check bool) "gc evicted" true (geti [ "gc_evicted" ] st > 0);
+        Alcotest.(check int) "store emptied" 0 (geti [ "entries" ] st))
+  in
+  Alcotest.(check bool) "repeat after gc runs trials" true (rerun > 0);
+  let kept =
+    repeat (fun st ->
+        Alcotest.(check int) "no gc without a bound" 0 (geti [ "gc_runs" ] st);
+        Alcotest.(check bool) "store kept" true (geti [ "entries" ] st > 0))
+  in
+  Alcotest.(check int) "repeat without gc runs none" 0 kept
 
 (* --------------------------- coalescing ---------------------------- *)
 
@@ -471,6 +521,11 @@ let () =
             test_warm_reuse;
           Alcotest.test_case "warm repeat at most 0.1x cold" `Quick
             test_warm_speed;
+        ] );
+      ( "store gc",
+        [
+          Alcotest.test_case "gc between requests empties the store" `Quick
+            test_gc_between_requests;
         ] );
       ( "coalescing",
         [

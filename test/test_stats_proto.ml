@@ -1,7 +1,7 @@
 (* Live daemon introspection (DESIGN.md §18).
 
    The load-bearing properties:
-   - [Obs.diff] is the exact interval between two snapshots of a
+   - [Obs.diff] is the exact interval between two views of a
      growing sink, and it distributes over [Obs.merge] — so interval
      deltas inherit the jobs-invariance of the totals (qcheck'd at the
      histogram and the view level, then witnessed end-to-end: the same
@@ -12,10 +12,7 @@
      [stats] call;
    - the access log writes one etap-access/1 line per request, with
      per-request attribution (a coalesced pair logs its execution
-     exactly once, on the winner's line);
-   - [Obs.openmetrics_lines] emits well-formed OpenMetrics text:
-     cumulative monotone buckets, [_count] equal to the histogram
-     count, a final [# EOF]. *)
+     exactly once, on the winner's line). *)
 
 module J = Report.Json
 
@@ -229,9 +226,9 @@ let test_multi_domain_interval () =
           List.iter Domain.join ds
         in
         go phase0;
-        let s0 = Obs.snapshot s in
+        let s0 = Obs.view s in
         go phase1;
-        let s1 = Obs.snapshot s in
+        let s1 = Obs.view s in
         Obs.diff s1 s0)
   in
   let d1 = run 1 and d2 = run 2 in
@@ -411,52 +408,6 @@ let test_access_coalesced () =
   Alcotest.(check int) "no execution on the waiter's line" 0
     (geti [ "trials_run" ] (List.hd coalesced))
 
-(* --------------------------- openmetrics --------------------------- *)
-
-let test_openmetrics () =
-  let s = Obs.make () in
-  Obs.with_sink s (fun () ->
-      Obs.count "campaign.trials" 7;
-      List.iter (Obs.observe "trial.us") [ 1.0; 4.0; 1000.0 ];
-      Obs.site ~func:"f" ~pc:3 Obs.Crash;
-      Obs.site ~func:"f" ~pc:3 Obs.Crash;
-      Obs.site ~func:"f" ~pc:3 Obs.Completed);
-  let lines = Obs.openmetrics_lines (Obs.view s) in
-  Alcotest.(check string) "terminated by # EOF" "# EOF"
-    (List.nth lines (List.length lines - 1));
-  let mem l = List.mem l lines in
-  Alcotest.(check bool) "counter sample" true
-    (mem "etap_campaign_trials_total 7");
-  Alcotest.(check bool) "site tally: crash" true
-    (mem {|etap_fault_site_total{func="f",pc="3",class="crash"} 2|});
-  Alcotest.(check bool) "site tally: completed" true
-    (mem {|etap_fault_site_total{func="f",pc="3",class="completed"} 1|});
-  Alcotest.(check bool) "count sample" true (mem "etap_trial_us_count 3");
-  let prefixed p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
-  in
-  Alcotest.(check bool) "sum sample present" true
-    (List.exists (prefixed "etap_trial_us_sum ") lines);
-  (* Cumulative buckets: monotone non-decreasing, closed by +Inf at
-     the total count. *)
-  let buckets = List.filter (prefixed "etap_trial_us_bucket{") lines in
-  let value l =
-    int_of_string (String.sub l (String.rindex l ' ' + 1)
-                     (String.length l - String.rindex l ' ' - 1))
-  in
-  let vs = List.map value buckets in
-  Alcotest.(check bool) "buckets present" true (List.length vs >= 2);
-  let rec monotone = function
-    | a :: (b :: _ as tl) -> a <= b && monotone tl
-    | _ -> true
-  in
-  Alcotest.(check bool) "buckets cumulative" true (monotone vs);
-  let last = List.nth buckets (List.length buckets - 1) in
-  Alcotest.(check bool) "+Inf closes the family" true
-    (prefixed "etap_trial_us_bucket{le=\"+Inf\"}" last);
-  Alcotest.(check int) "+Inf equals the count" 3
-    (value last)
-
 let () =
   Alcotest.run "stats_proto"
     [
@@ -480,9 +431,5 @@ let () =
             test_access_log;
           Alcotest.test_case "coalesced pair logs one execution" `Quick
             test_access_coalesced;
-        ] );
-      ( "openmetrics",
-        [
-          Alcotest.test_case "well-formed exposition" `Quick test_openmetrics;
         ] );
     ]
