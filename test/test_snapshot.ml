@@ -334,6 +334,36 @@ let test_summary_resume_counters () =
     (taint.Core.Campaign.resumed_trials > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Cache-key stability.                                                *)
+
+(* gsm (seed 1, full mode, protect-control) as the campaign cache sees
+   it: the prototype image and the middle golden checkpoint. Both
+   digests feed `--cache-dir` keys, so a change to how images or
+   checkpoints are stored must leave them unchanged or every existing
+   store silently misses. *)
+let gsm_prepared =
+  lazy
+    (let built = Apps.Gsm.app.Apps.App.build ~seed:1 in
+     let target =
+       Core.Campaign.of_prog ~protect_addresses:true built.Apps.App.prog
+     in
+     Core.Campaign.prepare target Core.Policy.Protect_control)
+
+let test_gsm_digests_pinned () =
+  let p = Lazy.force gsm_prepared in
+  Alcotest.(check string) "prototype image digest"
+    "339f7189ccfafe4366723cfb03fea5a3"
+    (Sim.Memory.digest p.Core.Campaign.target.Core.Campaign.proto);
+  let snaps = Option.get p.Core.Campaign.snapshots in
+  let mid = Sim.Snapshot.count snaps / 2 * Sim.Snapshot.stride snaps in
+  let snap = Sim.Snapshot.nearest snaps ~ordinal:mid in
+  Alcotest.(check int) "checkpoint ordinal" mid
+    (Sim.Interp.snapshot_ordinal snap);
+  Alcotest.(check string) "mid-run checkpoint digest"
+    "31b438b088e668eaf30f982ad7f0c85c"
+    (Sim.Interp.snapshot_digest ~fid_key:string_of_int snap)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "snapshot"
@@ -367,5 +397,10 @@ let () =
             test_prepare_snapshot_modes;
           Alcotest.test_case "summary resume counters" `Quick
             test_summary_resume_counters;
+        ] );
+      ( "cache keys",
+        [
+          Alcotest.test_case "gsm digests pinned" `Quick
+            test_gsm_digests_pinned;
         ] );
     ]
