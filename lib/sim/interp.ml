@@ -467,6 +467,7 @@ type snapshot = Machine.snapshot
 let capture = Machine.capture
 let snapshot_ordinal = Machine.snapshot_ordinal
 let snapshot_dyn = Machine.snapshot_dyn
+let snapshot_memory = Machine.snapshot_memory
 let snapshot_digest = Machine.snapshot_digest
 let machine_fid = Machine.machine_fid
 

@@ -147,11 +147,16 @@ type snapshot
     number of {!resume}d trials, concurrently across domains — restore
     copies everything mutable. *)
 
-val capture : machine -> snapshot
+val capture : ?prev:snapshot * Memory.t -> machine -> snapshot
 (** Snapshot a paused machine. Raises [Invalid_argument] if the
     machine has halted, was created with [count_exec], or has already
     landed a fault — snapshots are taken on fault-free (golden)
-    passes only. *)
+    passes only. Without [prev] the snapshot holds a full copy of the
+    memory image. [prev = (p, running)] chains it onto an earlier
+    capture [p] of the same pass: only the cells that changed since
+    [p] are stored ({!Memory.freeze}), where [running] holds [p]'s
+    memory image and is updated in place to this one. Either way the
+    snapshot restores, resumes and digests identically. *)
 
 val resume :
   ?image:image -> ?injection:injection -> ?taint:bool -> snapshot -> machine
@@ -171,6 +176,9 @@ val snapshot_ordinal : snapshot -> int
 val snapshot_dyn : snapshot -> int
 (** Dynamic instructions executed up to the snapshot — the work a
     resumed trial skips. *)
+
+val snapshot_memory : snapshot -> Memory.t
+(** A fresh copy of the memory image {!resume} restores. *)
 
 val snapshot_digest : fid_key:(int -> string) -> snapshot -> string
 (** Hex MD5 over the snapshot's full architectural state: counters,

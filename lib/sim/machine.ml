@@ -366,11 +366,15 @@ let is_running m = match m.status with Running -> true | _ -> false
    Nor does a snapshot carry shadow taint: fresh taint is only seeded
    when a fault lands, so at any capture ([landed = 0]) every mask is
    [Taint.none] and the tracker is empty. A taint machine restored with
-   zeroed masks and a fresh tracker is therefore exact. *)
+   zeroed masks and a fresh tracker is therefore exact.
+
+   The memory image is frozen: a full copy, or — when the capture is
+   chained onto the previous checkpoint of the same pass — only the
+   cells that changed since it ([Memory.freeze]). *)
 type snapshot = {
   s_code : Code.t;
   s_budget : int;
-  s_memory : Memory.t;
+  s_memory : Memory.frozen;
   s_frames : frame array;  (* innermost first, like the live stack *)
   s_depth : int;
   s_dyn : int;
@@ -386,7 +390,7 @@ let copy_frame ~shadow fr =
     ftn = shadow_of ~shadow fr.fregs;
   }
 
-let capture m : snapshot =
+let capture ?prev m : snapshot =
   (match m.status with
    | Running -> ()
    | _ -> invalid_arg "Interp.capture: machine has halted");
@@ -397,7 +401,10 @@ let capture m : snapshot =
   {
     s_code = m.code;
     s_budget = m.budget;
-    s_memory = Memory.copy m.memory;
+    s_memory =
+      Memory.freeze
+        ?prev:(Option.map (fun (p, running) -> (p.s_memory, running)) prev)
+        m.memory;
     s_frames = Array.of_list (List.map (copy_frame ~shadow:false) m.stack);
     s_depth = m.depth;
     s_dyn = m.dyn;
@@ -406,6 +413,7 @@ let capture m : snapshot =
 
 let snapshot_ordinal s = s.s_inj_seen
 let snapshot_dyn s = s.s_dyn
+let snapshot_memory s = Memory.thaw s.s_memory
 
 let restore ?image ?injection ?(taint = false) (s : snapshot) : t =
   check_image ~count_exec:false ~taint image injection s.s_code;
@@ -426,7 +434,7 @@ let restore ?image ?injection ?(taint = false) (s : snapshot) : t =
     if Array.length frames > 0 then frames.(0)
     else fresh_frame s.s_code ~shadow:taint s.s_code.Code.entry_fid
   in
-  let memory = Memory.copy s.s_memory in
+  let memory = Memory.thaw s.s_memory in
   {
     code = s.s_code;
     memory;
@@ -485,5 +493,5 @@ let snapshot_digest ~fid_key (s : snapshot) : string =
         fr.fregs;
       Buffer.add_char b ';')
     s.s_frames;
-  Buffer.add_string b (Memory.digest s.s_memory);
+  Buffer.add_string b (Memory.digest (Memory.thaw s.s_memory));
   Digest.to_hex (Digest.string (Buffer.contents b))

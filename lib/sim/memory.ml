@@ -40,11 +40,10 @@ let create ?(lenient = false) ~cells () =
     lenient;
   }
 
-(* Deep copy: fresh cell arrays, same model. This is the restore
-   primitive of checkpointed execution — a snapshot keeps one immutable
-   image and every trial that resumes from it blit-copies the whole
-   thing, which is a handful of memcpys instead of replaying the
-   global-initialization walk of [of_prog]. *)
+(* Deep copy: fresh cell arrays, same model — a handful of memcpys
+   instead of replaying the global-initialization walk of [of_prog].
+   Every trial starts from a copy of a prototype image or, through
+   [thaw], of a checkpoint's root. *)
 let copy t =
   {
     t with
@@ -55,6 +54,78 @@ let copy t =
 
 let size_bytes t = t.size_bytes
 let is_lenient t = t.lenient
+
+(* Frozen images: the storage format of golden checkpoints. A chain
+   keeps one full copy at its root; every later image is the set of
+   cells that differ from its parent's, compared bit for bit on all
+   three halves (kind, int image, float image — the stale half of a
+   cell included), so thawing rebuilds a byte-identical [t] and its
+   digest. A delta costs 25 B per changed cell (index, int, float,
+   kind) against 17 B per cell for a full copy, and consecutive golden
+   checkpoints differ in few cells. *)
+type frozen =
+  | Root of t
+  | Delta of {
+      parent : frozen;
+      cells : int array;  (* changed cell indices, ascending *)
+      d_ints : int array;
+      d_flts : float array;
+      d_kind : Bytes.t;
+    }
+
+let[@inline] same_cell a b i =
+  Bytes.unsafe_get a.kind i = Bytes.unsafe_get b.kind i
+  && Array.unsafe_get a.ints i = Array.unsafe_get b.ints i
+  && Int64.equal
+       (Int64.bits_of_float (Array.unsafe_get a.flts i))
+       (Int64.bits_of_float (Array.unsafe_get b.flts i))
+
+(* [running] holds the parent's image and is brought up to [t] in
+   place, so a chain of k freezes costs k linear scans and never
+   re-thaws the chain. One scan collects the changed indices into a
+   buffer grown by doubling; only those cells are then copied. *)
+let freeze ?prev t =
+  match prev with
+  | None -> Root (copy t)
+  | Some (parent, running) ->
+    if Array.length running.ints <> Array.length t.ints then
+      invalid_arg "Memory.freeze: running image size differs";
+    let buf = ref (Array.make 64 0) and k = ref 0 in
+    for i = 0 to Array.length t.ints - 1 do
+      if not (same_cell running t i) then begin
+        if !k = Array.length !buf then begin
+          let b = Array.make (2 * !k) 0 in
+          Array.blit !buf 0 b 0 !k;
+          buf := b
+        end;
+        Array.unsafe_set !buf !k i;
+        incr k
+      end
+    done;
+    let cells = Array.sub !buf 0 !k in
+    let d_ints = Array.map (fun i -> Array.unsafe_get t.ints i) cells
+    and d_flts = Array.map (fun i -> Array.unsafe_get t.flts i) cells
+    and d_kind = Bytes.init !k (fun j -> Bytes.unsafe_get t.kind cells.(j)) in
+    Array.iter
+      (fun i ->
+        Bytes.unsafe_set running.kind i (Bytes.unsafe_get t.kind i);
+        Array.unsafe_set running.ints i (Array.unsafe_get t.ints i);
+        Array.unsafe_set running.flts i (Array.unsafe_get t.flts i))
+      cells;
+    Delta { parent; cells; d_ints; d_flts; d_kind }
+
+(* Root copy plus every delta on the path, oldest first. *)
+let rec thaw = function
+  | Root t -> copy t
+  | Delta d ->
+    let t = thaw d.parent in
+    for j = 0 to Array.length d.cells - 1 do
+      let i = Array.unsafe_get d.cells j in
+      Bytes.unsafe_set t.kind i (Bytes.unsafe_get d.d_kind j);
+      Array.unsafe_set t.ints i (Array.unsafe_get d.d_ints j);
+      Array.unsafe_set t.flts i (Array.unsafe_get d.d_flts j)
+    done;
+    t
 
 (* Address checks are split so the interpreter reports the most precise
    trap: the null guard occupies bytes 0..3. Returns the cell index, or

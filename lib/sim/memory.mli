@@ -17,9 +17,27 @@ val size_bytes : t -> int
 val is_lenient : t -> bool
 
 val copy : t -> t
-(** Deep copy (fresh cell arrays, same access model). The restore
-    primitive of checkpointed execution: copying a prototype or
-    snapshot image replaces replaying {!of_prog}'s initialization. *)
+(** Deep copy (fresh cell arrays, same access model). Copying a
+    prototype image replaces replaying {!of_prog}'s initialization. *)
+
+type frozen
+(** An immutable memory image: either a full copy (a root) or the
+    cells that differ from a parent image. Safe to share read-only
+    across domains. *)
+
+val freeze : ?prev:frozen * t -> t -> frozen
+(** [freeze m] is a root: a full copy of [m]. [freeze ~prev:(p, running)
+    m] stores only the cells of [m] that differ from [running] — kind,
+    int and float halves compared bit for bit — as a delta on [p], then
+    updates [running] in place to equal [m]. [running] must hold
+    [thaw p]'s contents; it is the caller's scratch image, so a chain of
+    freezes never re-thaws its parents. Raises [Invalid_argument] if
+    [running] and [m] differ in size. *)
+
+val thaw : frozen -> t
+(** A fresh mutable image equal to the frozen one cell for cell (so
+    with the same {!digest}): the root's copy with every delta on the
+    path applied, oldest first. *)
 
 val load_int : t -> int -> int
 val load_flt : t -> int -> float

@@ -11,7 +11,10 @@
 
    Checkpoint [k] sits exactly at ordinal [k * stride]
    ([Interp.advance]'s pause guarantee), so lookup is pure
-   arithmetic. *)
+   arithmetic. Checkpoint 0 holds the sequence's one full memory
+   image; every later one stores only the cells changed since its
+   predecessor, so restoring checkpoint [k] costs a root copy plus
+   [k] deltas. *)
 
 type t = {
   stride : int;
@@ -25,10 +28,13 @@ let stride t = t.stride
 let count t = Array.length t.checkpoints
 
 (* Stride choice trades golden-pass memory against skipped prefix
-   length: aim for up to [max_checkpoints] evenly spaced snapshots, but
-   never hold more than ~[mem_budget] of memory images. Programs small
-   in either dimension get the full 64 checkpoints; a huge image backs
-   off to fewer, coarser ones. *)
+   length: aim for up to [max_checkpoints] evenly spaced snapshots,
+   backed off to [mem_budget / image_bytes] of them for a huge image.
+   That count is not a byte bound. Checkpoints retain one full image
+   (17 B per 4-byte cell) plus about 25 B per cell changed between
+   consecutive checkpoints; only if every cell changed at every stride
+   would that reach 25/4 x [mem_budget]. Golden passes change few
+   cells: the 28 paper targets retain 5.2 MiB of checkpoints in all. *)
 let max_checkpoints = 64
 let mem_budget = 64 * 1024 * 1024
 
@@ -44,12 +50,16 @@ let build ~stride ~tags ?image ?lenient ?budget ?memory code : t =
      advance exactly as they will in every trial, and no fault fires. *)
   let injection = Interp.injection ~tags ~plan:[] in
   let m = Interp.machine ?image ~injection ?lenient ?budget ?memory code in
-  let acc = ref [ Interp.capture m ] in
+  let first = Interp.capture m in
+  (* Each later capture is chained onto the one before it, diffed
+     against [running], which tracks that checkpoint's image in place. *)
+  let running = Interp.snapshot_memory first in
+  let acc = ref [ first ] in
   let k = ref 1 in
   let rec go () =
     match Interp.advance m ~pause_at:(!k * stride) with
     | `Paused ->
-      acc := Interp.capture m :: !acc;
+      acc := Interp.capture ~prev:(List.hd !acc, running) m :: !acc;
       incr k;
       go ()
     | `Halted -> ()

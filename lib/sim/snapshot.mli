@@ -1,13 +1,15 @@
 (** Golden checkpoint sequence for fork-from-prefix campaigns.
 
     A single fault-free pass (the {e golden} pass) records immutable
-    {!Interp.snapshot}s every [stride] injectable ordinals. Trials
-    whose first planned fault lands at ordinal [o] resume from the
-    nearest checkpoint at or before [o] instead of re-executing the
-    fault-free prefix — bit-exact for any stride, because the prefix is
-    identical across all trials of a prepared target. Checkpoints are
-    immutable after the build and safe to share read-only across
-    domains ({!Interp.resume} copies all mutable state). *)
+    {!Interp.snapshot}s every [stride] injectable ordinals, each
+    chained onto the one before it: only checkpoint 0 holds a full
+    memory image. Trials whose first planned fault lands at ordinal [o]
+    resume from the nearest checkpoint at or before [o] instead of
+    re-executing the fault-free prefix — bit-exact for any stride,
+    because the prefix is identical across all trials of a prepared
+    target. Checkpoints are immutable after the build and safe to share
+    read-only across domains ({!Interp.resume} copies all mutable
+    state). *)
 
 type t
 
@@ -31,8 +33,10 @@ val build :
     [memory]/[lenient] as in {!Interp.machine}. *)
 
 val auto_stride : injectable_total:int -> image_bytes:int -> int
-(** Stride giving up to 64 evenly spaced checkpoints, backed off so the
-    retained memory images stay within ~64 MiB. Always [>= 1]. *)
+(** Stride giving [n = clamp (64 MiB / image_bytes) 1 64] evenly spaced
+    checkpoints. Always [>= 1]. The sequence retains one full memory
+    image (17 B per 4-byte cell) plus about 25 B per cell changed
+    between consecutive checkpoints. *)
 
 val nearest : t -> ordinal:int -> Interp.snapshot
 (** The checkpoint at the largest multiple of [stride] at or below

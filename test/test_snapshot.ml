@@ -334,6 +334,115 @@ let test_summary_resume_counters () =
     (taint.Core.Campaign.resumed_trials > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Chained checkpoint storage.                                         *)
+
+(* A memory-level chain over adversarial cell histories: kind flips,
+   stale halves, signed zeros and NaN payloads all count as changes,
+   so every thawed link digests like the image it froze. *)
+let freeze_thaw_chain =
+  let special =
+    [| 0.0; -0.0; Float.nan; Int64.float_of_bits 0x7ff0000000000001L; 1.5 |]
+  in
+  QCheck.Test.make ~name:"freeze chain thaws to every frozen image"
+    ~count:200
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 40)
+        (triple bool (int_range 1 7) small_nat))
+    (fun steps ->
+      let mem = Sim.Memory.create ~cells:8 () in
+      let root = Sim.Memory.freeze mem in
+      let running = Sim.Memory.thaw root in
+      let _, ok =
+        List.fold_left
+          (fun (prev, ok) (flt, cell, x) ->
+            let addr = 4 * cell in
+            if flt then
+              Sim.Memory.store_flt mem addr special.(x mod Array.length special)
+            else Sim.Memory.store_int mem addr (x land 3);
+            let f = Sim.Memory.freeze ~prev:(prev, running) mem in
+            let d = Sim.Memory.digest mem in
+            ( f,
+              ok
+              && d = Sim.Memory.digest (Sim.Memory.thaw f)
+              && d = Sim.Memory.digest running ))
+          (root, true) steps
+      in
+      ok)
+
+(* Every checkpoint [Snapshot.build] chains onto its predecessor
+   digests, and restores a memory image, exactly like a full capture
+   taken at the same ordinal in an independent pass (the chained build
+   on the fast engine, the full captures on the reference loop). *)
+let chained_equals_full =
+  QCheck.Test.make
+    ~name:"chained checkpoints == full captures (random programs)" ~count:40
+    QCheck.(pair (int_bound 10_000) (oneofl [ 1; 3; 5 ]))
+    (fun (seed, stride) ->
+      let code =
+        Sim.Code.of_prog (Mlang.Compile.to_ir (Rand_prog.gen_prog seed))
+      in
+      let tagging = Core.Tagging.compute code.Sim.Code.prog in
+      let tags = Core.Tagging.mask tagging Core.Policy.Protect_nothing in
+      let baseline =
+        Sim.Interp.run
+          ~injection:(Core.Fault_model.profiling_injection ~tags)
+          ~lenient:true code
+      in
+      let budget =
+        Core.Campaign.timeout_factor * baseline.Sim.Interp.dyn_count
+      in
+      let image = Sim.Interp.compile ~tags code in
+      let snaps =
+        Sim.Snapshot.build ~stride ~tags ~image ~lenient:true ~budget code
+      in
+      let m =
+        Sim.Interp.machine
+          ~injection:(Sim.Interp.injection ~tags ~plan:[])
+          ~lenient:true ~budget code
+      in
+      let key s =
+        ( Sim.Interp.snapshot_digest ~fid_key:string_of_int s,
+          Sim.Memory.digest (Sim.Interp.snapshot_memory s) )
+      in
+      List.for_all
+        (fun k ->
+          let ordinal = k * stride in
+          Sim.Interp.advance m ~pause_at:ordinal = `Paused
+          && key (Sim.Snapshot.nearest snaps ~ordinal)
+             = key (Sim.Interp.capture m))
+        (List.init (Sim.Snapshot.count snaps) Fun.id))
+
+(* The point of chaining: on mpeg (full mode, protect-control) the
+   built sequence holds less than half the heap of the same
+   checkpoints captured as full images. *)
+let test_chain_smaller_than_full () =
+  let built = Apps.Mpeg.app.Apps.App.build ~seed:1 in
+  let target =
+    Core.Campaign.of_prog ~protect_addresses:true built.Apps.App.prog
+  in
+  let p = Core.Campaign.prepare target Core.Policy.Protect_control in
+  let snaps = Option.get p.Core.Campaign.snapshots in
+  let stride = Sim.Snapshot.stride snaps in
+  let m =
+    Sim.Interp.machine ?image:p.Core.Campaign.image
+      ~injection:(Sim.Interp.injection ~tags:p.Core.Campaign.tags ~plan:[])
+      ~budget:p.Core.Campaign.budget
+      ~memory:(Sim.Memory.copy target.Core.Campaign.proto)
+      target.Core.Campaign.code
+  in
+  let full =
+    Array.init (Sim.Snapshot.count snaps) (fun k ->
+        ignore (Sim.Interp.advance m ~pause_at:(k * stride));
+        Sim.Interp.capture m)
+  in
+  Alcotest.(check bool) "many checkpoints" true (Array.length full > 8);
+  let chained = Obj.reachable_words (Obj.repr snaps)
+  and copies = Obj.reachable_words (Obj.repr full) in
+  if 2 * chained >= copies then
+    Alcotest.failf "chained %d words, full captures %d words" chained copies
+
+(* ------------------------------------------------------------------ *)
 (* Cache-key stability.                                                *)
 
 (* gsm (seed 1, full mode, protect-control) as the campaign cache sees
@@ -397,6 +506,13 @@ let () =
             test_prepare_snapshot_modes;
           Alcotest.test_case "summary resume counters" `Quick
             test_summary_resume_counters;
+        ] );
+      ( "chain",
+        [
+          QCheck_alcotest.to_alcotest freeze_thaw_chain;
+          QCheck_alcotest.to_alcotest chained_equals_full;
+          Alcotest.test_case "chain smaller than full copies" `Quick
+            test_chain_smaller_than_full;
         ] );
       ( "cache keys",
         [
