@@ -384,22 +384,12 @@ let chained_equals_full =
       in
       let tagging = Core.Tagging.compute code.Sim.Code.prog in
       let tags = Core.Tagging.mask tagging Core.Policy.Protect_nothing in
-      let baseline =
-        Sim.Interp.run
-          ~injection:(Core.Fault_model.profiling_injection ~tags)
-          ~lenient:true code
-      in
-      let budget =
-        Core.Campaign.timeout_factor * baseline.Sim.Interp.dyn_count
-      in
       let image = Sim.Interp.compile ~tags code in
-      let snaps =
-        Sim.Snapshot.build ~stride ~tags ~image ~lenient:true ~budget code
-      in
+      let snaps = Sim.Snapshot.build ~stride ~tags ~image ~lenient:true code in
       let m =
         Sim.Interp.machine
           ~injection:(Sim.Interp.injection ~tags ~plan:[])
-          ~lenient:true ~budget code
+          ~lenient:true code
       in
       let key s =
         ( Sim.Interp.snapshot_digest ~fid_key:string_of_int s,
