@@ -30,7 +30,7 @@ val freeze : ?prev:frozen * t -> t -> frozen
     m] stores only the cells of [m] that differ from [running] — kind,
     int and float halves compared bit for bit — as a delta on [p], then
     updates [running] in place to equal [m]. [running] must hold
-    [thaw p]'s contents; it is the caller's scratch image, so a chain of
+    [thaw p]'s contents; it is the caller's working image, so a chain of
     freezes never re-thaws its parents. Raises [Invalid_argument] if
     [running] and [m] differ in size. *)
 
