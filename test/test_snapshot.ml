@@ -462,6 +462,30 @@ let test_gsm_digests_pinned () =
     "31b438b088e668eaf30f982ad7f0c85c"
     (Sim.Interp.snapshot_digest ~fid_key:string_of_int snap)
 
+(* Blowfish (seed 1, full mode): its P-array and S-boxes are the first
+   1,042 words of pi's hex expansion, laid into the prototype image as
+   initialised globals. The words, the prototype and the baseline's
+   final image all feed `--cache-dir` keys, so a change to how the
+   constants are produced must leave all three digests unchanged. *)
+let test_blowfish_digests_pinned () =
+  let words = Apps.Pi_digits.words 1042 in
+  Alcotest.(check string) "pi words digest"
+    "935dbafcdaae5d6269970c162c7fe969"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ""
+             (Array.to_list (Array.map (Printf.sprintf "%08x") words)))));
+  let built = Apps.Blowfish.app.Apps.App.build ~seed:1 in
+  let target =
+    Core.Campaign.of_prog ~protect_addresses:true built.Apps.App.prog
+  in
+  Alcotest.(check string) "prototype image digest"
+    "f615ff73138ea8f440a54dce44d8f5aa"
+    (Sim.Memory.digest target.Core.Campaign.proto);
+  Alcotest.(check string) "baseline digest"
+    "a2205c3e9df8ff080f96408da52e477c"
+    target.Core.Campaign.baseline_digest
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -508,5 +532,7 @@ let () =
         [
           Alcotest.test_case "gsm digests pinned" `Quick
             test_gsm_digests_pinned;
+          Alcotest.test_case "blowfish digests pinned" `Quick
+            test_blowfish_digests_pinned;
         ] );
     ]
