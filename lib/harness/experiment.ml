@@ -42,19 +42,37 @@ let memo f =
           Hashtbl.replace tbl k v;
           v)
 
+(* The two modes differ only in tagging: [Campaign.of_prog]'s baseline
+   is a reference-engine run that ignores tags, and the code and
+   prototype image do not depend on them either. So the Full target is
+   built eagerly (its baseline is [golden]) and the Literal target
+   shares its code, baseline, prototype and baseline digest: one
+   baseline run per app, whichever modes are used. The Literal memo
+   reads [full] directly rather than calling [target Full], and a memo
+   rather than a [lazy] keeps two domains from forcing it at once. *)
 let load ?(seed = 1) (app : Apps.App.t) : loaded =
   let built = app.Apps.App.build ~seed in
-  let target =
-    memo (fun mode ->
-        Core.Campaign.of_prog
-          ~protect_addresses:(mode = Full)
-          built.Apps.App.prog)
+  let prog = built.Apps.App.prog in
+  let full = Core.Campaign.of_prog ~protect_addresses:true prog in
+  let literal =
+    memo (fun () ->
+        {
+          full with
+          Core.Campaign.tagging =
+            Core.Tagging.compute ~protect_addresses:false prog;
+        })
   in
+  let target = function Full -> full | Literal -> literal () in
   let prepared =
     memo (fun (mode, policy) -> Core.Campaign.prepare (target mode) policy)
   in
-  let golden = (target Full).Core.Campaign.baseline in
-  { app; built; golden; target; prepared = (fun m p -> prepared (m, p)) }
+  {
+    app;
+    built;
+    golden = full.Core.Campaign.baseline;
+    target;
+    prepared = (fun m p -> prepared (m, p));
+  }
 
 (* Building an app (workload generation, Mlang compilation, tagging,
    baseline run) touches no cross-app state, so the builds themselves

@@ -34,6 +34,22 @@ let test_blowfish_pi_constants () =
     [ 0x243F6A88; 0x85A308D3; 0x13198A2E; 0x03707344; 0xA4093822; 0x299F31D0 ]
     (Array.to_list w)
 
+(* The literal table against its BBP derivation: the whole P-array, the
+   first of every 16 S-box words and the last word. Comparing all 1,042
+   words takes seconds; `dune exec test/bbp/pi_table.exe` does that. *)
+let test_blowfish_pi_table () =
+  let table = Apps.Pi_digits.words Apps.Pi_digits.count in
+  let sampled =
+    List.init 18 Fun.id
+    @ List.init ((Apps.Pi_digits.count - 18) / 16) (fun k -> 18 + (16 * k))
+    @ [ Apps.Pi_digits.count - 1 ]
+  in
+  List.iter
+    (fun w ->
+      Alcotest.(check int) (Printf.sprintf "word %d" w) (Pi_bbp.word w)
+        table.(w))
+    sampled
+
 let test_blowfish_roundtrip_host () =
   (* host encrypt/decrypt is an identity on words, for several texts *)
   List.iter
@@ -289,6 +305,7 @@ let () =
       ( "blowfish",
         [
           Alcotest.test_case "pi constants" `Quick test_blowfish_pi_constants;
+          Alcotest.test_case "pi table vs BBP" `Quick test_blowfish_pi_table;
           Alcotest.test_case "roundtrip" `Quick test_blowfish_roundtrip_host;
           Alcotest.test_case "avalanche" `Quick test_blowfish_avalanche;
         ] );

@@ -43,6 +43,69 @@ let test_experiment_load () =
   Alcotest.(check bool) "memoized" true
     (l.Harness.Experiment.target Harness.Experiment.Full == t_full)
 
+(* Both modes share one target but for its tagging: one baseline run
+   per app. *)
+let test_modes_share_baseline () =
+  let l = Lazy.force loaded in
+  let full = l.Harness.Experiment.target Harness.Experiment.Full in
+  let lit = l.Harness.Experiment.target Harness.Experiment.Literal in
+  Alcotest.(check bool) "code shared" true
+    (full.Core.Campaign.code == lit.Core.Campaign.code);
+  Alcotest.(check bool) "baseline shared" true
+    (full.Core.Campaign.baseline == lit.Core.Campaign.baseline);
+  Alcotest.(check bool) "proto shared" true
+    (full.Core.Campaign.proto == lit.Core.Campaign.proto);
+  Alcotest.(check bool) "golden is the shared baseline" true
+    (l.Harness.Experiment.golden == lit.Core.Campaign.baseline);
+  Alcotest.(check bool) "tagging differs" true
+    (full.Core.Campaign.tagging.Core.Tagging.protect_addresses
+    && not lit.Core.Campaign.tagging.Core.Tagging.protect_addresses);
+  let mask (t : Core.Campaign.target) =
+    Core.Tagging.mask t.Core.Campaign.tagging Core.Policy.Protect_control
+  in
+  Alcotest.(check bool) "masks differ" true (mask full <> mask lit)
+
+(* A campaign on the shared Literal target gives the records of one on
+   a target built on its own. *)
+let test_literal_target_standalone () =
+  let app = Option.get (Apps.Registry.find "gsm") in
+  let l = Harness.Experiment.load ~seed:1 app in
+  let standalone =
+    Core.Campaign.of_prog ~protect_addresses:false
+      l.Harness.Experiment.built.Apps.App.prog
+  in
+  let records p =
+    (Core.Campaign.run p ~errors:10 ~trials:5 ~seed:11).Core.Campaign.trials
+  in
+  let ctl = Core.Policy.Protect_control in
+  Alcotest.(check bool) "identical records" true
+    (records (l.Harness.Experiment.prepared Harness.Experiment.Literal ctl)
+    = records (Core.Campaign.prepare standalone ctl))
+
+(* Two domains forcing different modes of a fresh load: both finish
+   (the Literal target does not re-enter a held memo lock) and agree
+   with the same configurations forced one after the other. *)
+let test_concurrent_first_use () =
+  let app = Option.get (Apps.Registry.find "adpcm") in
+  let lit = (Harness.Experiment.Literal, Core.Policy.Protect_control)
+  and full = (Harness.Experiment.Full, Core.Policy.Protect_nothing) in
+  let force l (m, p) = l.Harness.Experiment.prepared m p in
+  let l = Harness.Experiment.load ~seed:1 app in
+  let d1 = Domain.spawn (fun () -> force l lit)
+  and d2 = Domain.spawn (fun () -> force l full) in
+  let concurrent = [ Domain.join d1; Domain.join d2 ] in
+  let l' = Harness.Experiment.load ~seed:1 app in
+  let sequential = [ force l' lit; force l' full ] in
+  List.iter2
+    (fun (c : Core.Campaign.prepared) (s : Core.Campaign.prepared) ->
+      Alcotest.(check bool) "tags" true (c.Core.Campaign.tags = s.Core.Campaign.tags);
+      Alcotest.(check int) "injectable pool" s.Core.Campaign.injectable_total
+        c.Core.Campaign.injectable_total;
+      Alcotest.(check bool) "records" true
+        ((Core.Campaign.run c ~errors:3 ~trials:4 ~seed:5).Core.Campaign.trials
+        = (Core.Campaign.run s ~errors:3 ~trials:4 ~seed:5).Core.Campaign.trials))
+    concurrent sequential
+
 let test_sweep_zero_errors_is_clean () =
   let l = Lazy.force loaded in
   let p =
@@ -159,6 +222,12 @@ let () =
       ( "experiment",
         [
           Alcotest.test_case "load and memoize" `Quick test_experiment_load;
+          Alcotest.test_case "modes share one baseline" `Quick
+            test_modes_share_baseline;
+          Alcotest.test_case "literal target = standalone" `Quick
+            test_literal_target_standalone;
+          Alcotest.test_case "concurrent first use" `Quick
+            test_concurrent_first_use;
           Alcotest.test_case "zero errors clean" `Quick
             test_sweep_zero_errors_is_clean;
         ] );
