@@ -32,38 +32,28 @@ let test_table_text () =
 let loaded =
   lazy (Harness.Experiment.load ~seed:1 (Option.get (Apps.Registry.find "mcf")))
 
+(* Both modes share one target but for its tagging: one baseline run
+   per app. *)
 let test_experiment_load () =
   let l = Lazy.force loaded in
   let t_full = l.Harness.Experiment.target Harness.Experiment.Full in
   let t_lit = l.Harness.Experiment.target Harness.Experiment.Literal in
-  Alcotest.(check bool) "baselines agree" true
-    (t_full.Core.Campaign.baseline.Sim.Interp.dyn_count
-    = t_lit.Core.Campaign.baseline.Sim.Interp.dyn_count);
-  (* memoization: same target back *)
-  Alcotest.(check bool) "memoized" true
-    (l.Harness.Experiment.target Harness.Experiment.Full == t_full)
-
-(* Both modes share one target but for its tagging: one baseline run
-   per app. *)
-let test_modes_share_baseline () =
-  let l = Lazy.force loaded in
-  let full = l.Harness.Experiment.target Harness.Experiment.Full in
-  let lit = l.Harness.Experiment.target Harness.Experiment.Literal in
   Alcotest.(check bool) "code shared" true
-    (full.Core.Campaign.code == lit.Core.Campaign.code);
+    (t_full.Core.Campaign.code == t_lit.Core.Campaign.code);
   Alcotest.(check bool) "baseline shared" true
-    (full.Core.Campaign.baseline == lit.Core.Campaign.baseline);
+    (t_full.Core.Campaign.baseline == t_lit.Core.Campaign.baseline);
   Alcotest.(check bool) "proto shared" true
-    (full.Core.Campaign.proto == lit.Core.Campaign.proto);
+    (t_full.Core.Campaign.proto == t_lit.Core.Campaign.proto);
   Alcotest.(check bool) "golden is the shared baseline" true
-    (l.Harness.Experiment.golden == lit.Core.Campaign.baseline);
-  Alcotest.(check bool) "tagging differs" true
-    (full.Core.Campaign.tagging.Core.Tagging.protect_addresses
-    && not lit.Core.Campaign.tagging.Core.Tagging.protect_addresses);
+    (l.Harness.Experiment.golden == t_lit.Core.Campaign.baseline);
   let mask (t : Core.Campaign.target) =
     Core.Tagging.mask t.Core.Campaign.tagging Core.Policy.Protect_control
   in
-  Alcotest.(check bool) "masks differ" true (mask full <> mask lit)
+  Alcotest.(check bool) "tagging differs" true (mask t_full <> mask t_lit);
+  (* memoization: same target back *)
+  Alcotest.(check bool) "memoized" true
+    (l.Harness.Experiment.target Harness.Experiment.Full == t_full
+    && l.Harness.Experiment.target Harness.Experiment.Literal == t_lit)
 
 (* A campaign on the shared Literal target gives the records of one on
    a target built on its own. *)
@@ -98,12 +88,14 @@ let test_concurrent_first_use () =
   let sequential = [ force l' lit; force l' full ] in
   List.iter2
     (fun (c : Core.Campaign.prepared) (s : Core.Campaign.prepared) ->
-      Alcotest.(check bool) "tags" true (c.Core.Campaign.tags = s.Core.Campaign.tags);
+      Alcotest.(check bool) "tags" true
+        (c.Core.Campaign.tags = s.Core.Campaign.tags);
       Alcotest.(check int) "injectable pool" s.Core.Campaign.injectable_total
         c.Core.Campaign.injectable_total;
-      Alcotest.(check bool) "records" true
-        ((Core.Campaign.run c ~errors:3 ~trials:4 ~seed:5).Core.Campaign.trials
-        = (Core.Campaign.run s ~errors:3 ~trials:4 ~seed:5).Core.Campaign.trials))
+      let records p =
+        (Core.Campaign.run p ~errors:3 ~trials:4 ~seed:5).Core.Campaign.trials
+      in
+      Alcotest.(check bool) "records" true (records c = records s))
     concurrent sequential
 
 let test_sweep_zero_errors_is_clean () =
@@ -222,8 +214,6 @@ let () =
       ( "experiment",
         [
           Alcotest.test_case "load and memoize" `Quick test_experiment_load;
-          Alcotest.test_case "modes share one baseline" `Quick
-            test_modes_share_baseline;
           Alcotest.test_case "literal target = standalone" `Quick
             test_literal_target_standalone;
           Alcotest.test_case "concurrent first use" `Quick
