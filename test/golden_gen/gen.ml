@@ -117,6 +117,11 @@ let () =
        (Harness.Taxonomy.run ~errors:2 ~trials:8 ~seed:41
           ~mode:Harness.Experiment.Literal
           [ List.hd loaded ]));
+  write dir "fig3_quick.txt"
+    (Harness.Figures.render (Harness.Figures.fig3 ~trials:4 ~jobs:1 loaded));
+  write dir "ablation_quick.txt"
+    (Harness.Ablation.render_address
+       (Harness.Ablation.address ~trials:4 ~jobs:1 loaded));
   write dir "audit_quick.txt"
     (Harness.Taxonomy.render_audit ~mode:Harness.Experiment.Full
        (Harness.Taxonomy.audit ~errors:2 ~trials:8 ~seed:41

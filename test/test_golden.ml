@@ -41,6 +41,16 @@ let test_audit () =
        (Harness.Taxonomy.audit ~errors:2 ~trials:8 ~seed:41
           ~mode:Harness.Experiment.Full (Lazy.force loaded)))
 
+let test_fig3 () =
+  check_golden "fig3_quick.txt"
+    (Harness.Figures.render
+       (Harness.Figures.fig3 ~trials:4 ~jobs:1 (Lazy.force loaded)))
+
+let test_ablation () =
+  check_golden "ablation_quick.txt"
+    (Harness.Ablation.render_address
+       (Harness.Ablation.address ~trials:4 ~jobs:1 (Lazy.force loaded)))
+
 (* Fixed-seed campaign content, identical across jobs counts. Mirrors
    the dump in gen.ml: per-trial classification, landed faults, dynamic
    length and fidelity, plus the summary totals. *)
@@ -147,5 +157,7 @@ let () =
             test_campaign;
           Alcotest.test_case "profile susan" `Quick test_profile;
           Alcotest.test_case "metrics susan (redacted)" `Quick test_metrics;
+          Alcotest.test_case "fig3 quick" `Quick test_fig3;
+          Alcotest.test_case "ablation A quick" `Quick test_ablation;
         ] );
     ]
