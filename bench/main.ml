@@ -54,34 +54,18 @@ let run_table3 ?jobs loaded =
   let rows = timed "table3" (fun () -> Harness.Table3.run ?jobs loaded) in
   say "%s" (Harness.Table3.render rows)
 
-let figures :
-    (string
-    * (?trials:int ->
-       ?seed:int ->
-       ?jobs:int ->
-       Harness.Experiment.loaded list ->
-       Harness.Figures.result))
-    list =
-  [
-    ("fig1", Harness.Figures.fig1);
-    ("fig2", Harness.Figures.fig2);
-    ("fig3", Harness.Figures.fig3);
-    ("fig4", Harness.Figures.fig4);
-    ("fig5", Harness.Figures.fig5);
-    ("fig6", Harness.Figures.fig6);
-  ]
-
 let run_figures ~trials ?jobs ~which loaded =
   List.iter
-    (fun (id, f) ->
+    (fun (f : Harness.Figures.figure) ->
+      let id = f.Harness.Figures.id in
       if which id then begin
         section (String.uppercase_ascii id);
         let r =
-          timed id (fun () -> f ?trials:(Some trials) ?seed:None ?jobs loaded)
+          timed id (fun () -> Harness.Figures.run ~trials ?jobs loaded f)
         in
         say "%s" (Harness.Figures.render r)
       end)
-    figures
+    Harness.Figures.figures
 
 let run_extensions ~trials ?jobs loaded =
   section "Cost model — selective vs uniform protection (paper Sec. 5.3)";
@@ -116,7 +100,8 @@ let run_ablations ~trials ?jobs loaded =
 
 let experiments =
   [ "table2"; "table3"; "figures"; "ablation"; "extensions" ]
-  @ List.map fst figures
+  @ List.map (fun (f : Harness.Figures.figure) -> f.Harness.Figures.id)
+      Harness.Figures.figures
 
 let usage_and_exit msg =
   prerr_endline msg;

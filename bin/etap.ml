@@ -29,13 +29,26 @@ let seed_arg =
   let doc = "Workload generation seed." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
 
+(* Campaign sizes pass the runner's one range rule where they enter; a
+   violation is a usage error. *)
+let count check =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (Printf.sprintf "%S is not an integer" s)
+    | Some n -> check n
+  in
+  Arg.conv' ~docv:"N" (parse, Format.pp_print_int)
+
+let trials_count = count Harness.Matrix.check_trials
+let errors_count = count Harness.Matrix.check_errors
+
 let trials_arg =
-  let doc = "Trials per campaign cell." in
-  Arg.(value & opt int 20 & info [ "t"; "trials" ] ~doc)
+  let doc = "Trials per campaign cell (at least 1)." in
+  Arg.(value & opt trials_count 20 & info [ "t"; "trials" ] ~doc)
 
 let errors_arg =
-  let doc = "Number of single-bit errors to insert per run." in
-  Arg.(value & opt int 10 & info [ "e"; "errors" ] ~doc)
+  let doc = "Number of single-bit errors to insert per run (0 or more)." in
+  Arg.(value & opt errors_count 10 & info [ "e"; "errors" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -363,25 +376,19 @@ let inject_cmd =
           List.map
             (fun policy ->
               let p = l.Harness.Experiment.prepared mode policy in
-              let s =
-                match store with
-                | None ->
-                  Core.Campaign.run ?jobs ~score p ~errors ~trials
-                    ~seed:(seed + 100)
-                | Some store ->
-                  let s, (st : Core.Memo.stats) =
-                    Core.Memo.run ?jobs ~score ~salt:name ~store p ~errors
-                      ~trials ~seed:(seed + 100)
-                  in
-                  cache_total := Harness.Serve.add_stats !cache_total st;
-                  say
-                    "%-18s cache: %d/%d section groups hit — %d trial(s) \
-                     reused, %d run"
-                    (Core.Policy.to_string policy)
-                    st.Core.Memo.hits st.Core.Memo.sections
-                    st.Core.Memo.trials_reused st.Core.Memo.trials_run;
-                  s
+              let s, (st : Core.Memo.stats) =
+                Harness.Matrix.campaign ?jobs ?store ~score ~salt:name p
+                  ~errors ~trials ~seed:(seed + 100)
               in
+              if incremental then begin
+                cache_total := Harness.Serve.add_stats !cache_total st;
+                say
+                  "%-18s cache: %d/%d section groups hit — %d trial(s) \
+                   reused, %d run"
+                  (Core.Policy.to_string policy)
+                  st.Core.Memo.hits st.Core.Memo.sections
+                  st.Core.Memo.trials_reused st.Core.Memo.trials_run
+              end;
               say
                 "%-18s errors=%-4d trials=%-3d catastrophic=%5.1f%% (%d \
                  crash, %d infinite)  mean fidelity=%s"
@@ -446,14 +453,20 @@ let matrix_cmd =
       "Comma-separated protection policies per app: $(b,control), \
        $(b,nothing), $(b,all)."
     in
+    let policy =
+      Arg.conv' (Harness.Matrix.policy_of_string, Core.Policy.pp)
+    in
     Arg.(
       value
-      & opt string "control,nothing"
+      & opt (list policy) Harness.Matrix.default_policies
       & info [ "policies" ] ~docv:"P,..." ~doc)
   in
   let errors_list_arg =
     let doc = "Comma-separated error counts — one campaign cell each." in
-    Arg.(value & opt string "1,5,20" & info [ "e"; "errors" ] ~docv:"N,..." ~doc)
+    Arg.(
+      value
+      & opt (list errors_count) Harness.Matrix.default_errors
+      & info [ "e"; "errors" ] ~docv:"N,..." ~doc)
   in
   let spec_arg =
     let doc =
@@ -473,27 +486,9 @@ let matrix_cmd =
     Arg.(
       value & opt string "_etap_cache" & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
-  let action apps policies errors_s trials seed literal spec jobs cache_dir
+  let action apps policies errors trials seed literal spec jobs cache_dir
       json trace metrics =
     let ( let* ) = Result.bind in
-    let* policies =
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match Harness.Matrix.policy_of_string s with
-          | Ok p -> Ok (acc @ [ p ])
-          | Error m -> Error (`Msg m))
-        (Ok []) (split_commas policies)
-    in
-    let* errors =
-      List.fold_left
-        (fun acc s ->
-          let* acc = acc in
-          match int_of_string_opt s with
-          | Some n when n > 0 -> Ok (acc @ [ n ])
-          | _ -> Error (`Msg (Printf.sprintf "bad error count %S" s)))
-        (Ok []) (split_commas errors_s)
-    in
     let base =
       {
         Harness.Matrix.apps =
@@ -590,7 +585,7 @@ let compile_cmd =
            ~doc:"Mlang source file (C-like surface syntax).")
   in
   let inject_arg =
-    Arg.(value & opt (some int) None & info [ "inject" ]
+    Arg.(value & opt (some errors_count) None & info [ "inject" ]
            ~doc:"After compiling, run a fault campaign with this many errors.")
   in
   let show_arg =
@@ -754,25 +749,27 @@ let profile_cmd =
        $ literal_arg $ jobs_arg $ top_arg $ json_arg $ trace_arg
        $ metrics_arg))
 
+(* A paper experiment over every registered app: load them, then
+   print (and with --json write) the tables [tables] builds. *)
+let experiment ~command ~meta ~jobs tables json trace metrics =
+  with_obs ~trace ~metrics ~command ~meta @@ fun () ->
+  emit ?json ~command ~meta (tables (Harness.Experiment.load_all ?jobs ()))
+
 let table2_cmd =
-  let action trials jobs json trace metrics =
-    let meta = [ meta_int "trials" trials; meta_jobs jobs ] in
-    with_obs ~trace ~metrics ~command:"table2" ~meta @@ fun () ->
-    let loaded = Harness.Experiment.load_all ?jobs () in
-    emit ?json ~command:"table2" ~meta
-      [ Harness.Table2.to_table (Harness.Table2.run ~trials ?jobs loaded) ]
+  let action trials jobs =
+    experiment ~command:"table2"
+      ~meta:[ meta_int "trials" trials; meta_jobs jobs ]
+      ~jobs (fun loaded ->
+        [ Harness.Table2.to_table (Harness.Table2.run ~trials ?jobs loaded) ])
   in
   Cmd.v (Cmd.info "table2" ~doc:"Reproduce paper Table 2")
     Term.(const action $ trials_arg $ jobs_arg $ json_arg $ trace_arg
           $ metrics_arg)
 
 let table3_cmd =
-  let action jobs json trace metrics =
-    let meta = [ meta_jobs jobs ] in
-    with_obs ~trace ~metrics ~command:"table3" ~meta @@ fun () ->
-    let loaded = Harness.Experiment.load_all ?jobs () in
-    emit ?json ~command:"table3" ~meta
-      [ Harness.Table3.to_table (Harness.Table3.run ?jobs loaded) ]
+  let action jobs =
+    experiment ~command:"table3" ~meta:[ meta_jobs jobs ] ~jobs (fun loaded ->
+        [ Harness.Table3.to_table (Harness.Table3.run ?jobs loaded) ])
   in
   Cmd.v (Cmd.info "table3" ~doc:"Reproduce paper Table 3")
     Term.(const action $ jobs_arg $ json_arg $ trace_arg $ metrics_arg)
@@ -782,25 +779,20 @@ let figure_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"1-6")
   in
   let action n trials jobs json trace metrics =
-    if n < 1 || n > 6 then Error (`Msg "figure number must be 1-6")
-    else begin
-      let meta =
-        [ meta_int "figure" n; meta_int "trials" trials; meta_jobs jobs ]
-      in
-      with_obs ~trace ~metrics ~command:"figure" ~meta @@ fun () ->
-      let loaded = Harness.Experiment.load_all ?jobs () in
-      let f =
-        List.nth
-          [
-            Harness.Figures.fig1; Harness.Figures.fig2; Harness.Figures.fig3;
-            Harness.Figures.fig4; Harness.Figures.fig5; Harness.Figures.fig6;
-          ]
-          (n - 1)
-      in
-      emit ?json ~command:"figure" ~meta
-        [ Harness.Figures.to_table (f ~trials ?jobs loaded) ];
+    let figure =
+      if n < 1 then None else List.nth_opt Harness.Figures.figures (n - 1)
+    in
+    match figure with
+    | Some f ->
+      experiment ~command:"figure"
+        ~meta:[ meta_int "figure" n; meta_int "trials" trials; meta_jobs jobs ]
+        ~jobs
+        (fun loaded ->
+          let r = Harness.Figures.run ~trials ?jobs loaded f in
+          [ Harness.Figures.to_table r ])
+        json trace metrics;
       Ok ()
-    end
+    | None -> Error (`Msg "figure number must be 1-6")
   in
   Cmd.v (Cmd.info "figure" ~doc:"Reproduce one paper figure")
     Term.(
@@ -809,17 +801,16 @@ let figure_cmd =
        $ metrics_arg))
 
 let ablation_cmd =
-  let action trials jobs json trace metrics =
-    let meta = [ meta_int "trials" trials; meta_jobs jobs ] in
-    with_obs ~trace ~metrics ~command:"ablation" ~meta @@ fun () ->
-    let loaded = Harness.Experiment.load_all ?jobs () in
-    emit ?json ~command:"ablation" ~meta
-      [
-        Harness.Ablation.address_table
-          (Harness.Ablation.address ~trials ?jobs loaded);
-        Harness.Ablation.eligibility_table
-          (Harness.Ablation.eligibility ~trials ?jobs ());
-      ]
+  let action trials jobs =
+    experiment ~command:"ablation"
+      ~meta:[ meta_int "trials" trials; meta_jobs jobs ]
+      ~jobs (fun loaded ->
+        [
+          Harness.Ablation.address_table
+            (Harness.Ablation.address ~trials ?jobs loaded);
+          Harness.Ablation.eligibility_table
+            (Harness.Ablation.eligibility ~trials ?jobs ());
+        ])
   in
   Cmd.v (Cmd.info "ablation" ~doc:"Run the ablation studies")
     Term.(const action $ trials_arg $ jobs_arg $ json_arg $ trace_arg

@@ -39,8 +39,9 @@ type report = {
   violations : violation list;  (* trials breaking the policy's promise *)
 }
 
-let run ?jobs (p : Campaign.prepared) ~errors ~trials ~seed : report =
-  let s = Campaign.run ?jobs ~taint:true p ~errors ~trials ~seed in
+(* The report of a finished taint campaign [s] on [p]. *)
+let of_summary (p : Campaign.prepared) ~errors ~trials ~seed
+    (s : Campaign.summary) : report =
   let control_free = ref 0
   and control_via_memory = ref 0
   and address_hits = ref 0
@@ -84,6 +85,37 @@ let run ?jobs (p : Campaign.prepared) ~errors ~trials ~seed : report =
     trap_operand_hits = !trap_operand_hits;
     memory_hits = !memory_hits;
     violations = List.rev !violations;
+  }
+
+let run ?jobs (p : Campaign.prepared) ~errors ~trials ~seed : report =
+  of_summary p ~errors ~trials ~seed
+    (Campaign.run ?jobs ~taint:true p ~errors ~trials ~seed)
+
+(* The report of a campaign with nothing to inject into: every trial
+   runs fault-free, so each fault flow vanishes and nothing breaks the
+   policy's promise. *)
+let fault_free ~policy ~errors ~trials ~seed : report =
+  let stats =
+    List.fold_left
+      (fun s _ ->
+        Stats.observe ~flow:Sim.Taint.Vanished s Outcome.Completed
+          ~fidelity:None)
+      Stats.empty (List.init trials Fun.id)
+  in
+  {
+    policy;
+    errors;
+    errors_planned = Fault_model.planned ~injectable_total:0 ~errors;
+    trials;
+    seed;
+    injectable_total = 0;
+    stats;
+    control_free = 0;
+    control_via_memory = 0;
+    address_hits = 0;
+    trap_operand_hits = 0;
+    memory_hits = 0;
+    violations = [];
   }
 
 let sound (r : report) = r.violations = []

@@ -42,6 +42,17 @@ val run :
   report
 (** Deterministic and jobs-independent, like {!Campaign.run}. *)
 
+val of_summary :
+  Campaign.prepared -> errors:int -> trials:int -> seed:int ->
+  Campaign.summary -> report
+(** The report of a finished taint campaign on the prepared target:
+    [run] is [of_summary] over [Campaign.run ~taint:true]. *)
+
+val fault_free :
+  policy:Policy.t -> errors:int -> trials:int -> seed:int -> report
+(** What [run] reports when nothing is injectable: every trial runs
+    fault-free, so every fault flow vanishes and the verdict is sound. *)
+
 val sound : report -> bool
 (** No trial broke the policy's promise. *)
 

@@ -20,6 +20,15 @@ type address_row = {
 
 let address ?(errors = 20) ?(trials = 20) ?(seed = 31) ?jobs
     (loaded : Experiment.loaded list) : address_row list =
+  let cell (l : Experiment.loaded) mode =
+    Matrix.make_cell ~mode ~policy:Core.Policy.Protect_control ~errors ~trials
+      ~seed l.Experiment.app.Apps.App.name
+  in
+  let modes = [ Experiment.Full; Experiment.Literal ] in
+  let point =
+    Matrix.points ?jobs loaded
+      (List.concat_map (fun l -> List.map (cell l) modes) loaded)
+  in
   List.map
     (fun (l : Experiment.loaded) ->
       let frac mode =
@@ -28,10 +37,7 @@ let address ?(errors = 20) ?(trials = 20) ?(seed = 31) ?jobs
         *. Core.Tagging.dynamic_low_fraction t.Core.Campaign.tagging
              t.Core.Campaign.baseline.Sim.Interp.exec_counts
       in
-      let fail mode =
-        Experiment.pct_catastrophic ?jobs l
-          ~mode ~policy:Core.Policy.Protect_control ~errors ~trials ~seed
-      in
+      let fail mode = (point (cell l mode)).Experiment.pct_failed in
       {
         app_name = l.Experiment.app.Apps.App.name;
         pct_low_full = frac Experiment.Full;

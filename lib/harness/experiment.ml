@@ -80,6 +80,12 @@ let load ?(seed = 1) (app : Apps.App.t) : loaded =
 let load_all ?seed ?jobs () =
   Core.Pool.map_list ?jobs (load ?seed) Apps.Registry.all
 
+let find (loaded : loaded list) name =
+  List.find (fun l -> l.app.Apps.App.name = name) loaded
+
+let mem (loaded : loaded list) name =
+  List.exists (fun l -> l.app.Apps.App.name = name) loaded
+
 (* Catastrophic-failure percentage for one cell of Table 2. *)
 let pct_catastrophic ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed =
   let p = l.prepared mode policy in
@@ -99,11 +105,7 @@ type sweep_point = {
   stats : Core.Stats.t;
 }
 
-let sweep_point ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed :
-    sweep_point =
-  let p = l.prepared mode policy in
-  let score r = l.built.Apps.App.score ~golden:l.golden r in
-  let s = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
+let point_of_summary ~errors (s : Core.Campaign.summary) : sweep_point =
   {
     errors;
     n = Core.Campaign.n s;
@@ -113,7 +115,22 @@ let sweep_point ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed :
     stats = s.Core.Campaign.stats;
   }
 
-let sweep ?jobs (l : loaded) ~mode ~policy ~errors_list ~trials ~seed =
-  List.map
-    (fun errors -> sweep_point ?jobs l ~mode ~policy ~errors ~trials ~seed)
-    errors_list
+(* The point of a campaign with nothing to inject into: every trial
+   runs fault-free, so none fails and each scores what the golden run
+   scores against itself. *)
+let fault_free_point (l : loaded) ~errors ~trials : sweep_point =
+  let f = l.built.Apps.App.score ~golden:l.golden l.golden in
+  let fidelities = List.init trials (fun _ -> f) in
+  let observe s f =
+    Core.Stats.observe s Core.Outcome.Completed ~fidelity:(Some f)
+  in
+  let stats = List.fold_left observe Core.Stats.empty fidelities in
+  let mean_fidelity = Core.Stats.mean_fidelity stats in
+  { errors; n = trials; pct_failed = 0.0; mean_fidelity; fidelities; stats }
+
+let sweep_point ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed :
+    sweep_point =
+  let p = l.prepared mode policy in
+  let score r = l.built.Apps.App.score ~golden:l.golden r in
+  point_of_summary ~errors
+    (Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed)

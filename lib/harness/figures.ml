@@ -22,102 +22,75 @@ type result = {
   series : series list;
 }
 
-let find loaded name =
-  List.find
-    (fun (l : Experiment.loaded) -> l.Experiment.app.Apps.App.name = name)
-    loaded
+let find = Experiment.find
 
-let fig1 ?(trials = 20) ?(seed = 21) ?jobs loaded : result =
-  let l = find loaded "susan" in
-  let errors_list = [ 0; 100; 550; 920; 1100; 1550; 2300 ] in
-  let s policy label =
-    {
-      label;
-      points =
-        Experiment.sweep ?jobs l ~mode:Experiment.Literal ~policy ~errors_list
-          ~trials ~seed;
-    }
+(* One paper figure: sweeps of one application over an error axis, one
+   series per protection policy. *)
+type figure = {
+  id : string;
+  app : string;
+  errors_axis : int list;
+  policies : (string * Core.Policy.t) list;  (* series label, policy *)
+  seed : int;
+  title : string;
+  fidelity_name : string;
+}
+
+let figures =
+  let on = ("analysis ON", Core.Policy.Protect_control)
+  and off = ("analysis OFF", Core.Policy.Protect_nothing) in
+  let fig id app errors_axis ?(policies = [ on ]) ?(seed = 23) title
+      fidelity_name =
+    { id; app; errors_axis; policies; seed; title; fidelity_name }
   in
-  {
-    id = "fig1";
-    title = "Figure 1: Susan — PSNR of edge map vs errors inserted";
-    fidelity_name = "PSNR (dB); threshold 10 dB";
-    series =
-      [
-        s Core.Policy.Protect_control "analysis ON";
-        s Core.Policy.Protect_nothing "analysis OFF";
-      ];
-  }
-
-let one_series_fig ~id ~title ~fidelity_name ~app ~errors_list ?(trials = 20)
-    ?(seed = 23) ?jobs loaded : result =
-  let l = find loaded app in
-  {
-    id;
-    title;
-    fidelity_name;
-    series =
-      [
-        {
-          label = "analysis ON";
-          points =
-            Experiment.sweep ?jobs l ~mode:Experiment.Literal
-              ~policy:Core.Policy.Protect_control ~errors_list ~trials ~seed;
-        };
-      ];
-  }
-
-let fig2 ?trials ?seed ?jobs loaded =
-  one_series_fig ~id:"fig2"
-    ~title:"Figure 2: MPEG — % bad frames and % failed runs vs errors"
-    ~fidelity_name:"% bad frames (threshold 10%)" ~app:"mpeg"
-    ~errors_list:[ 0; 50; 150; 300; 500 ]
-    ?trials ?seed ?jobs loaded
-
-let fig3 ?trials ?seed ?jobs loaded =
-  one_series_fig ~id:"fig3"
-    ~title:"Figure 3: MCF — % optimal schedules and % failed runs vs errors"
-    ~fidelity_name:"schedule quality (100 = optimal)" ~app:"mcf"
-    ~errors_list:[ 0; 1; 5; 20; 50; 150; 300 ]
-    ?trials ?seed ?jobs loaded
-
-let fig4 ?trials ?seed ?jobs loaded =
-  one_series_fig ~id:"fig4"
-    ~title:"Figure 4: Blowfish — % bytes correct and % failed runs vs errors"
-    ~fidelity_name:"% bytes correct" ~app:"blowfish"
-    ~errors_list:[ 0; 5; 10; 20; 30; 40 ]
-    ?trials ?seed ?jobs loaded
-
-let fig5 ?trials ?seed ?jobs loaded =
-  one_series_fig ~id:"fig5"
-    ~title:"Figure 5: GSM — % SNR from optimal and % failed runs vs errors"
-    ~fidelity_name:"% SNR from optimal" ~app:"gsm"
-    ~errors_list:[ 0; 5; 10; 20; 30; 40 ]
-    ?trials ?seed ?jobs loaded
-
-let fig6 ?(trials = 40) ?seed ?jobs loaded =
-  one_series_fig ~id:"fig6"
-    ~title:"Figure 6: ART — % images recognized and % failed runs vs errors"
-    ~fidelity_name:"% recognized" ~app:"art"
-    ~errors_list:[ 0; 1; 2; 3; 4 ]
-    ~trials ?seed ?jobs loaded
-
-let all ?trials ?seed ?jobs loaded =
   [
-    fig1 ?trials ?seed ?jobs loaded;
-    fig2 ?trials ?seed ?jobs loaded;
-    fig3 ?trials ?seed ?jobs loaded;
-    fig4 ?trials ?seed ?jobs loaded;
-    fig5 ?trials ?seed ?jobs loaded;
-    fig6 ?trials ?seed ?jobs loaded;
+    fig "fig1" "susan" [ 0; 100; 550; 920; 1100; 1550; 2300 ]
+      ~policies:[ on; off ] ~seed:21
+      "Figure 1: Susan — PSNR of edge map vs errors inserted"
+      "PSNR (dB); threshold 10 dB";
+    fig "fig2" "mpeg" [ 0; 50; 150; 300; 500 ]
+      "Figure 2: MPEG — % bad frames and % failed runs vs errors"
+      "% bad frames (threshold 10%)";
+    fig "fig3" "mcf" [ 0; 1; 5; 20; 50; 150; 300 ]
+      "Figure 3: MCF — % optimal schedules and % failed runs vs errors"
+      "schedule quality (100 = optimal)";
+    fig "fig4" "blowfish" [ 0; 5; 10; 20; 30; 40 ]
+      "Figure 4: Blowfish — % bytes correct and % failed runs vs errors"
+      "% bytes correct";
+    fig "fig5" "gsm" [ 0; 5; 10; 20; 30; 40 ]
+      "Figure 5: GSM — % SNR from optimal and % failed runs vs errors"
+      "% SNR from optimal";
+    fig "fig6" "art" [ 0; 1; 2; 3; 4 ]
+      "Figure 6: ART — % images recognized and % failed runs vs errors"
+      "% recognized";
   ]
 
-let to_table (r : result) : Report.table =
-  let errors_axis =
-    match r.series with
-    | [] -> []
-    | s :: _ -> List.map (fun p -> p.Experiment.errors) s.points
+let by_id id = List.find (fun (f : figure) -> f.id = id) figures
+
+let cell ~trials (f : figure) policy errors =
+  Matrix.make_cell ~mode:Experiment.Literal ~policy ~errors ~trials
+    ~seed:f.seed f.app
+
+(* The runner's cell list: every series point of the figure. *)
+let plan ~trials (f : figure) : Matrix.cell_spec list =
+  List.concat_map
+    (fun (_, policy) -> List.map (cell ~trials f policy) f.errors_axis)
+    f.policies
+
+let run ?(trials = 20) ?jobs loaded (f : figure) : result =
+  let point = Matrix.points ?jobs loaded (plan ~trials f) in
+  let series (label, policy) =
+    let cell = cell ~trials f policy in
+    { label; points = List.map (fun e -> point (cell e)) f.errors_axis }
   in
+  {
+    id = f.id;
+    title = f.title;
+    fidelity_name = f.fidelity_name;
+    series = List.map series f.policies;
+  }
+
+let to_table (r : result) : Report.table =
   let columns =
     Report.column ~key:"errors" "errors"
     :: List.concat_map
@@ -132,20 +105,17 @@ let to_table (r : result) : Report.table =
     | None -> Report.Missing "n/a (all failed)"
     | Some x -> Report.num ~text:(Printf.sprintf "%.1f" x) x
   in
-  let series_points = List.map (fun s -> Array.of_list s.points) r.series in
+  (* One row per error count, read off the first series' axis. *)
+  let row i (first : Experiment.sweep_point) =
+    Report.int first.Experiment.errors
+    :: List.concat_map
+         (fun s ->
+           let p = List.nth s.points i in
+           [ fid p.Experiment.mean_fidelity; Report.pct p.Experiment.pct_failed ])
+         r.series
+  in
   let rows =
-    List.mapi
-      (fun i errors ->
-        Report.int errors
-        :: List.concat_map
-             (fun points ->
-               let p = points.(i) in
-               [
-                 fid p.Experiment.mean_fidelity;
-                 Report.pct p.Experiment.pct_failed;
-               ])
-             series_points)
-      errors_axis
+    match r.series with [] -> [] | s :: _ -> List.mapi row s.points
   in
   Report.table ~id:r.id
     ~title:(r.title ^ "  [" ^ r.fidelity_name ^ "]")

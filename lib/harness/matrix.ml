@@ -1,25 +1,17 @@
-(* Spec-driven sweep runner: apps x policies x error counts, every cell
-   routed through the campaign result cache (Core.Memo).
+(* The experiment runner: an explicit list of (app, mode, policy,
+   errors) cells, each a scored campaign or a taint audit, run as
+   nested executor batches with a typed status per cell. Table 2, the
+   figures, the audits, Ablation A, `etap matrix` and the serve
+   daemon's matrix requests all run through here; DESIGN.md §16
+   describes the shape of a run.
 
-   Shape of a run (see DESIGN.md §16):
-
-   1. each distinct app loads/compiles ONCE, loads fanned over the
-      domain pool;
-   2. each distinct (app, policy) with a non-empty injectable pool is
-      prepared once, and its section partition (Memo.sections_of) is
-      computed once and shared by every error-count cell on it;
-   3. cells fan out over the pool with inner [~jobs:1] (the pool runs
-      jobs=1 work inline on the calling domain, so campaigns inside
-      pool workers never nest domain spawns);
-   4. every cell gets a typed status — [Ok] with its summary and cache
-      stats, [Skipped] with a reason, or [Failed] with the error — so
-      a sweep never yields silent partial results.
-
-   Cells use campaign seed [spec.seed + 100] and the app's own scorer
-   against the mode's golden baseline: exactly the configuration of
-   [etap inject --incremental], so a matrix cell's summary is
-   bit-identical to the equivalent standalone run and the two share
-   cache entries. *)
+   A campaign cell scores its trials with the app's scorer against the
+   mode's golden baseline. With a store it goes through [Core.Memo.run]
+   — the configuration of [etap inject --incremental], so a matrix
+   cell and the equivalent standalone run share cache entries — and
+   without one it is a plain [Core.Campaign.run]; the two give
+   bit-identical summaries. An audit cell runs shadow-taint trials
+   (Core.Audit) and never goes through the store. *)
 
 type spec = {
   apps : string list;
@@ -43,27 +35,34 @@ let default_spec =
     seed = 1;
   }
 
+type kind =
+  | Campaign  (* scored fault-injection trials *)
+  | Audit  (* shadow-taint trials, summarised by Core.Audit *)
+
 type cell_spec = {
   app : string;
   mode : Experiment.mode;
   policy : Core.Policy.t;
   errors : int;
   trials : int;
-  seed : int;
+  seed : int;  (* the campaign seed *)
+  kind : kind;
 }
 
 type cell_ok = {
   summary : Core.Campaign.summary;
   cache : Core.Memo.stats;
+      (* without a store (and for audit cells): no sections, every
+         trial run *)
   pool : int;  (* injectable pool size under the cell's tag mask *)
-  fidelity_units : string;
+  audit : Core.Audit.report option;  (* [Some] iff an [Audit] cell *)
 }
 
 (* The cell status model: one constructor per requested cell, always.
    [Skipped] is for cells that are structurally not runnable (empty
    injectable pool — nothing to inject into); [Failed] captures any
-   exception a cell raised. A single [Failed] cell makes the whole
-   sweep exit non-zero (see bin/etap.ml). *)
+   exception a cell raised. A single [Failed] cell makes a sweep exit
+   non-zero (see bin/etap.ml). *)
 type status =
   | Ok of cell_ok
   | Skipped of string
@@ -77,6 +76,26 @@ type result = {
   load_s : float;  (* wall: loading the distinct apps (once each) *)
   wall_s : float;
 }
+
+(* The one range rule for campaign sizes, applied where they enter:
+   CLI flags, spec files, daemon requests and [make_cell]. A cell may
+   inject 0 errors (the figures' fault-free point) but needs at least
+   one trial. *)
+let at_least what min v =
+  if v >= min then Stdlib.Ok v
+  else Stdlib.Error (Printf.sprintf "%s must be >= %d, got %d" what min v)
+
+let check_errors = at_least "errors" 0
+let check_trials = at_least "trials" 1
+
+let make_cell ?(kind = Campaign) ~mode ~policy ~errors ~trials ~seed app =
+  let valid = function
+    | Stdlib.Ok v -> v
+    | Stdlib.Error m -> invalid_arg ("Matrix.make_cell: " ^ m)
+  in
+  let errors = valid (check_errors errors)
+  and trials = valid (check_trials trials) in
+  { app; mode; policy; errors; trials; seed; kind }
 
 let cell_label (c : cell_spec) =
   Printf.sprintf "%s/%s/%s e=%d t=%d" c.app
@@ -92,7 +111,8 @@ let status_kind = function
 (* Requested cells in deterministic spec order: app-major, then policy,
    then error count. Duplicates in the spec stay duplicates here —
    every requested cell appears in the output exactly once per
-   request. *)
+   request. A sweep's campaign seed is [spec.seed + 100], the offset
+   `etap inject` applies, so the two share cache entries. *)
 let cells_of_spec (s : spec) : cell_spec list =
   List.concat_map
     (fun app ->
@@ -100,14 +120,8 @@ let cells_of_spec (s : spec) : cell_spec list =
         (fun policy ->
           List.map
             (fun errors ->
-              {
-                app;
-                mode = s.mode;
-                policy;
-                errors;
-                trials = s.trials;
-                seed = s.seed;
-              })
+              make_cell ~mode:s.mode ~policy ~errors ~trials:s.trials
+                ~seed:(s.seed + 100) app)
             s.errors)
         s.policies)
     s.apps
@@ -116,54 +130,86 @@ let dedup xs =
   List.rev
     (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
 
-(* Shared per-cell execution path. Both schedulers — the one-shot sweep
-   below and the serve daemon's executor — route cells through here, so
-   a cell's summary cannot depend on who scheduled it. [lookup] resolves
-   an app name to its loaded context (None = unknown app, a Failed
-   cell); [prepared_of] resolves (app, policy) to the injectable pool
-   size and, for non-empty pools, the prepared target plus its shared
-   section partition. [memo_fanout] forwards to {!Core.Memo.run}'s
-   external-scheduler entry; without it the cell's missed trials fan
-   out through [Core.Pool] at [jobs] — from inside a pool job, a nested
-   batch on the same executor. *)
-let exec_cell ?jobs
-    ~(lookup : string -> Experiment.loaded option)
+(* ------------------------------------------------------------------ *)
+(* Running cells *)
+
+(* How a run fans work out: [Core.Pool] for one-shot runs, the serve
+   daemon's shared executor for its requests. *)
+type scheduler = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+
+let pool ?jobs () = { map = (fun f xs -> Core.Pool.map_list ?jobs f xs) }
+
+let all_run (s : Core.Campaign.summary) =
+  { Core.Memo.zero_stats with Core.Memo.trials_run = Core.Campaign.n s }
+
+(* One scored campaign, and the store branch in one place: through the
+   result cache when [store] is given, else a plain run that counts
+   every trial as run. Both give the same summary. *)
+let campaign ?jobs ?fanout ?sections ?store ~score ~salt p ~errors ~trials
+    ~seed =
+  match store with
+  | Some store ->
+    Core.Memo.run ?jobs ?fanout ~score ~salt ?sections ~store p ~errors
+      ~trials ~seed
+  | None ->
+    let s = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
+    (s, all_run s)
+
+(* One cell. [lookup] resolves an app name to its loaded context (None
+   = unknown app, a Failed cell); [prepared_of] gives the cell's
+   injectable pool size and, for a non-empty pool, its prepared target
+   with the section partition when a store is in use. [memo_fanout]
+   forwards to {!Core.Memo.run}'s external-scheduler entry; without it
+   the cell's trials fan out through [Core.Pool] at [jobs] — from
+   inside a pool job, a nested batch on the same executor. *)
+let exec_cell ?jobs ~(lookup : string -> Experiment.loaded option)
     ~(prepared_of :
-       string ->
-       Core.Policy.t ->
-       int * (Core.Campaign.prepared * Analysis.Section.t) option)
-    ?memo_fanout ~(store : Core.Memo.Store.t) (c : cell_spec) : status =
+       cell_spec ->
+       int * (Core.Campaign.prepared * Analysis.Section.t option) option)
+    ?memo_fanout ?store (c : cell_spec) : status =
   match lookup c.app with
   | None -> Failed (Printf.sprintf "unknown application %S" c.app)
   | Some l -> (
-    match prepared_of c.app c.policy with
+    match prepared_of c with
     | 0, _ | _, None -> Skipped "empty injectable pool"
     | pool, Some (p, sections) ->
-      let b = l.Experiment.built in
-      let target = l.Experiment.target c.mode in
-      let golden = target.Core.Campaign.baseline in
-      let score r = b.Apps.App.score ~golden r in
-      let summary, cache =
-        Core.Memo.run ?jobs ?fanout:memo_fanout ~score ~salt:c.app
-          ~sections ~store p ~errors:c.errors ~trials:c.trials
-          ~seed:(c.seed + 100)
+      let golden = (l.Experiment.target c.mode).Core.Campaign.baseline in
+      let score r = l.Experiment.built.Apps.App.score ~golden r in
+      let { errors; trials; seed; _ } = c in
+      let summary, cache, audit =
+        match c.kind with
+        | Audit ->
+          let s = Core.Campaign.run ?jobs ~taint:true p ~errors ~trials ~seed in
+          (s, all_run s, Some (Core.Audit.of_summary p ~errors ~trials ~seed s))
+        | Campaign ->
+          let s, st =
+            campaign ?jobs ?fanout:memo_fanout ?sections ?store ~score
+              ~salt:c.app p ~errors ~trials ~seed
+          in
+          (s, st, None)
       in
-      Ok { summary; cache; pool; fidelity_units = b.Apps.App.fidelity_units })
+      Ok { summary; cache; pool; audit })
 
-(* [exec_cell] under the typed-status contract: any exception a cell
-   raises becomes its [Failed] status, and every cell records a
-   [matrix.cell] span. *)
-let run_cell ?jobs ~lookup ~prepared_of ?memo_fanout ~store (c : cell_spec) :
-    status =
+(* The typed-status contract: any exception a cell raises becomes its
+   [Failed] status, and every cell records a [matrix.cell] span. *)
+let guarded (c : cell_spec) f : status =
   let t0 = Obs.span_begin () in
-  let status =
-    try exec_cell ?jobs ~lookup ~prepared_of ?memo_fanout ~store c
-    with e -> Failed (Printexc.to_string e)
-  in
+  let status = try f () with e -> Failed (Printexc.to_string e) in
   Obs.span_end ~name:"matrix.cell" ~cat:"matrix"
     ~args:[ ("cell", cell_label c); ("status", status_kind status) ]
     t0;
   status
+
+(* One cell of a single-mode sweep whose targets the caller prepared
+   itself, keyed by (app, policy) — etapbench's traced sweep. *)
+let run_cell ?jobs ~lookup ~prepared_of ?memo_fanout ?store (c : cell_spec) :
+    status =
+  let prepared_of (c : cell_spec) =
+    let pool, v = prepared_of c.app c.policy in
+    (pool, Option.map (fun (p, sections) -> (p, Some sections)) v)
+  in
+  guarded c (fun () ->
+      exec_cell ?jobs ~lookup ~prepared_of ?memo_fanout ?store c)
 
 (* Cell-status counters, recorded on the calling domain after
    collection so they are jobs-invariant like every other counter in
@@ -172,81 +218,114 @@ let run_cell ?jobs ~lookup ~prepared_of ?memo_fanout ~store (c : cell_spec) :
 let record_counters (cells : cell list) =
   List.iter
     (fun { status; _ } ->
-      match status with
-      | Ok ok ->
-        if ok.cache.Core.Memo.trials_run = 0 then Obs.count "matrix.cells_hit" 1
-        else Obs.count "matrix.cells_miss" 1
-      | Skipped _ -> Obs.count "matrix.cells_skipped" 1
-      | Failed _ -> Obs.count "matrix.cells_failed" 1)
+      let kind =
+        match status with
+        | Ok ok -> if ok.cache.Core.Memo.trials_run = 0 then "hit" else "miss"
+        | s -> status_kind s
+      in
+      Obs.count ("matrix.cells_" ^ kind) 1)
     cells
 
-let run ?jobs ~(store : Core.Memo.Store.t) (s : spec) : result =
-  let t_run = Unix.gettimeofday () in
+(* The collect path every run ends in. [loaded] holds the resolved
+   apps; an unknown name is absent and its cells fail. [prepare] builds
+   a target's prepared state (default: the app's own memo, plus the
+   section partition when [store] is given). Empty-pool targets (e.g.
+   protect-all, or adpcm under protect-control) skip the checkpointing
+   pass and engine compilation entirely; their cells report [Skipped].
+   Concurrent cells share [store]; overlapping keys are safe (atomic
+   publish, last rename wins, identical content either way). *)
+let collect (sched : scheduler) ?jobs ?prepare ?memo_fanout ?store
+    ~(loaded : (string * Experiment.loaded) list) (cells : cell_spec list) :
+    cell list =
   let sp = Obs.span_begin () in
-  let cells = cells_of_spec s in
-  (* Load each distinct known app exactly once, loads fanned across
-     the pool. Unknown names never load — their cells fail below. *)
-  let names = dedup s.apps in
-  let known =
-    List.filter_map
-      (fun n ->
-        Option.map (fun a -> (n, a)) (Apps.Registry.find n))
-      names
+  let prepare =
+    match prepare with
+    | Some f -> f
+    | None ->
+      fun (l : Experiment.loaded) (_, mode, policy) ->
+        let p = l.Experiment.prepared mode policy in
+        let sections = Option.map (fun _ -> Core.Memo.sections_of p) store in
+        (p, sections)
   in
-  let t_load = Unix.gettimeofday () in
-  let loaded =
-    Core.Pool.map_list ?jobs
-      (fun (n, app) -> (n, Experiment.load ~seed:s.seed app))
-      known
-  in
-  let load_s = Unix.gettimeofday () -. t_load in
-  (* Prepare each distinct (app, policy) once — but only when its
-     injectable pool is non-empty. Empty-pool combos (e.g. protect-all,
-     or adpcm under protect-control) skip the checkpointing pass and
-     engine compilation entirely; their cells report [Skipped]. The
-     section partition is computed here, once per prepared target, and
-     shared by every error-count cell on that target. *)
-  let pool_of (l : Experiment.loaded) policy =
-    let t = l.Experiment.target s.mode in
-    Core.Campaign.injectable_pool t (Core.Tagging.mask t.Core.Campaign.tagging policy)
-  in
-  let combos =
+  let key (c : cell_spec) = (c.app, c.mode, c.policy) in
+  let targets =
     dedup
       (List.filter_map
-         (fun (c : cell_spec) ->
-           if List.mem_assoc c.app loaded then Some (c.app, c.policy) else None)
+         (fun c -> if List.mem_assoc c.app loaded then Some (key c) else None)
          cells)
   in
-  let prepared_tbl = Hashtbl.create 16 in
-  Core.Pool.map_list ?jobs
-    (fun (name, policy) ->
-      let l = List.assoc name loaded in
-      let pool = pool_of l policy in
-      let v =
-        if pool = 0 then None
-        else
-          let p = l.Experiment.prepared s.mode policy in
-          Some (p, Core.Memo.sections_of p)
-      in
-      ((name, policy), (pool, v)))
-    combos
-  |> List.iter (fun (k, v) -> Hashtbl.replace prepared_tbl k v);
-  (* Fan the cells over the pool, and each cell's missed trials too:
-     the trials are a batch nested in the cell's job, claimed by any
-     free domain, so the sweep balances per trial whatever the cell
-     order. Concurrent cells share [store]; overlapping keys are safe
-     (atomic publish, last rename wins, identical content either way). *)
+  let prepared =
+    sched.map
+      (fun ((app, mode, policy) as k) ->
+        let l = List.assoc app loaded in
+        let t = l.Experiment.target mode in
+        let pool =
+          Core.Campaign.injectable_pool t
+            (Core.Tagging.mask t.Core.Campaign.tagging policy)
+        in
+        (k, if pool = 0 then (0, None) else (pool, Some (prepare l k))))
+      targets
+  in
   let lookup name = List.assoc_opt name loaded in
-  let prepared_of name policy = Hashtbl.find prepared_tbl (name, policy) in
+  let prepared_of c = List.assoc (key c) prepared in
   let statuses =
-    Core.Pool.map_list ?jobs (run_cell ?jobs ~lookup ~prepared_of ~store) cells
+    sched.map
+      (fun c ->
+        guarded c (fun () ->
+            exec_cell ?jobs ~lookup ~prepared_of ?memo_fanout ?store c))
+      cells
   in
   let cells = List.map2 (fun cell status -> { cell; status }) cells statuses in
   record_counters cells;
   Obs.span_end ~name:"matrix.run" ~cat:"matrix"
     ~args:[ ("cells", string_of_int (List.length cells)) ]
     sp;
+  cells
+
+(* An experiment's cell list over apps it already loaded. *)
+let run_cells ?jobs ?store (loaded : Experiment.loaded list)
+    (cells : cell_spec list) : cell list =
+  let named (l : Experiment.loaded) = (l.Experiment.app.Apps.App.name, l) in
+  collect (pool ?jobs ()) ?jobs ?store ~loaded:(List.map named loaded) cells
+
+(* A spec's sweep: each distinct known app resolved once by [load],
+   fanned over the scheduler (unknown names never load — their cells
+   fail), then the spec's cells. *)
+let run_with (sched : scheduler) ?jobs ~load ?prepare ?memo_fanout ?store
+    (s : spec) : result =
+  let t_run = Unix.gettimeofday () in
+  let loaded =
+    sched.map
+      (fun (n, app) -> (n, load app))
+      (List.filter_map
+         (fun n -> Option.map (fun a -> (n, a)) (Apps.Registry.find n))
+         (dedup s.apps))
+  in
+  let load_s = Unix.gettimeofday () -. t_run in
+  let cells =
+    collect sched ?jobs ?prepare ?memo_fanout ?store ~loaded (cells_of_spec s)
+  in
   { spec = s; cells; load_s; wall_s = Unix.gettimeofday () -. t_run }
+
+let run ?jobs ?store (s : spec) : result =
+  run_with (pool ?jobs ()) ?jobs ~load:(Experiment.load ~seed:s.seed) ?store s
+
+(* A campaign cell's result as a sweep point, for the renderers. A
+   skipped cell (empty injectable pool) stands for trials that each
+   run fault-free; a failed cell raises, as its campaign did. *)
+let point (l : Experiment.loaded) (c : cell) : Experiment.sweep_point =
+  match c.status with
+  | Ok ok -> Experiment.point_of_summary ~errors:c.cell.errors ok.summary
+  | Skipped _ ->
+    Experiment.fault_free_point l ~errors:c.cell.errors ~trials:c.cell.trials
+  | Failed m -> failwith (cell_label c.cell ^ ": " ^ m)
+
+(* Run an experiment's cells and read each one back as a sweep point. *)
+let points ?jobs loaded (cells : cell_spec list) :
+    cell_spec -> Experiment.sweep_point =
+  let results = run_cells ?jobs loaded cells in
+  fun c ->
+    point (Experiment.find loaded c.app) (List.find (fun r -> r.cell = c) results)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates *)
@@ -263,34 +342,28 @@ type totals = {
 }
 
 let totals (r : result) : totals =
-  List.fold_left
-    (fun t { status; _ } ->
-      match status with
-      | Ok ok ->
-        let c = ok.cache in
-        {
-          t with
-          ok = t.ok + 1;
-          cells_hit =
-            (t.cells_hit + if c.Core.Memo.trials_run = 0 then 1 else 0);
-          cells_miss =
-            (t.cells_miss + if c.Core.Memo.trials_run = 0 then 0 else 1);
-          trials_reused = t.trials_reused + c.Core.Memo.trials_reused;
-          trials_run = t.trials_run + c.Core.Memo.trials_run;
-        }
-      | Skipped _ -> { t with skipped = t.skipped + 1 }
-      | Failed _ -> { t with failed = t.failed + 1 })
-    {
-      requested = List.length r.cells;
-      ok = 0;
-      skipped = 0;
-      failed = 0;
-      cells_hit = 0;
-      cells_miss = 0;
-      trials_reused = 0;
-      trials_run = 0;
-    }
-    r.cells
+  let count kind =
+    List.length (List.filter (fun c -> status_kind c.status = kind) r.cells)
+  in
+  let caches =
+    List.filter_map
+      (fun c -> match c.status with Ok ok -> Some ok.cache | _ -> None)
+      r.cells
+  in
+  let sum f =
+    List.fold_left (fun n (c : Core.Memo.stats) -> n + f c) 0 caches
+  in
+  let hit (c : Core.Memo.stats) = if c.Core.Memo.trials_run = 0 then 1 else 0 in
+  {
+    requested = List.length r.cells;
+    ok = count "ok";
+    skipped = count "skipped";
+    failed = count "failed";
+    cells_hit = sum hit;
+    cells_miss = sum (fun c -> 1 - hit c);
+    trials_reused = sum (fun c -> c.Core.Memo.trials_reused);
+    trials_run = sum (fun c -> c.Core.Memo.trials_run);
+  }
 
 let any_failed (r : result) =
   List.exists (fun c -> match c.status with Failed _ -> true | _ -> false) r.cells
@@ -348,32 +421,22 @@ let anomalies (r : result) : anomaly list =
           ]
         | Ok ok ->
           let s = ok.summary in
-          (if Core.Campaign.errors_capped s then
-             [
-               ( "errors-capped",
-                 "injectable pool smaller than the request; fault plans \
-                  were truncated",
-                 label );
-             ]
-           else [])
-          @ (if
-               c.cell.policy = Core.Policy.Protect_control
-               && Core.Campaign.pct_catastrophic s > 0.0
-             then
-               [
-                 ( "protected-catastrophic",
-                   "catastrophic outcomes survive control protection",
-                   label );
-               ]
-             else [])
-          @
-          if Core.Campaign.n s > 0 && Core.Campaign.completed s = 0 then
+          List.filter_map
+            (fun (found, signature, detail) ->
+              if found then Some (signature, detail, label) else None)
             [
-              ( "no-completions",
-                "every trial crashed or hung; fidelity unmeasurable",
-                label );
-            ]
-          else [])
+              ( Core.Campaign.errors_capped s,
+                "errors-capped",
+                "injectable pool smaller than the request; fault plans \
+                 were truncated" );
+              ( c.cell.policy = Core.Policy.Protect_control
+                && Core.Campaign.pct_catastrophic s > 0.0,
+                "protected-catastrophic",
+                "catastrophic outcomes survive control protection" );
+              ( Core.Campaign.n s > 0 && Core.Campaign.completed s = 0,
+                "no-completions",
+                "every trial crashed or hung; fidelity unmeasurable" );
+            ])
       r.cells
   in
   (* Catastrophic-rate outliers: within each policy's Ok cells (groups
@@ -497,18 +560,8 @@ let to_table (r : result) : Report.table =
              Report.int ok.cache.Core.Memo.trials_run;
            ]
          | Skipped reason ->
-           [
-             Report.text reason;
-             Report.int 0;
-             miss "-"; miss "-"; miss "-"; miss "-"; miss "-"; miss "-";
-             miss "-"; miss "-";
-           ]
-         | Failed err ->
-           [
-             Report.text err;
-             miss "-"; miss "-"; miss "-"; miss "-"; miss "-"; miss "-";
-             miss "-"; miss "-"; miss "-";
-           ])
+           Report.text reason :: Report.int 0 :: List.init 8 (fun _ -> miss "-")
+         | Failed err -> Report.text err :: List.init 9 (fun _ -> miss "-"))
        r.cells)
 
 let anomaly_table (r : result) : Report.table =
@@ -584,56 +637,49 @@ let spec_of_json ~(base : spec) (j : Report.Json.t) :
     (spec, string) Stdlib.result =
   let open Report.Json in
   let ( let* ) = Result.bind in
-  let str_list field conv default =
+  let in_field field r =
+    Result.map_error (Printf.sprintf "spec field %S: %s" field) r
+  in
+  (* [elem] reads one array element, [None] when it has the wrong type. *)
+  let list field what elem default =
+    let bad =
+      Stdlib.Error
+        (Printf.sprintf "spec field %S: expected an array of %s" field what)
+    in
     match member field j with
     | None -> Stdlib.Ok default
     | Some (Arr xs) ->
       List.fold_left
         (fun acc x ->
           let* acc = acc in
-          match x with
-          | Str s ->
-            let* v = conv s in
+          match elem x with
+          | Some v ->
+            let* v = in_field field v in
             Stdlib.Ok (acc @ [ v ])
-          | _ ->
-            Stdlib.Error
-              (Printf.sprintf "spec field %S: expected an array of strings"
-                 field))
+          | None -> bad)
         (Stdlib.Ok []) xs
-    | Some _ ->
-      Stdlib.Error
-        (Printf.sprintf "spec field %S: expected an array of strings" field)
+    | Some _ -> bad
   in
-  let int_list field default =
+  let int ?(check = Result.ok) field default =
     match member field j with
     | None -> Stdlib.Ok default
-    | Some (Arr xs) ->
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          match x with
-          | Int i -> Stdlib.Ok (acc @ [ i ])
-          | _ ->
-            Stdlib.Error
-              (Printf.sprintf "spec field %S: expected an array of ints" field))
-        (Stdlib.Ok []) xs
-    | Some _ ->
-      Stdlib.Error
-        (Printf.sprintf "spec field %S: expected an array of ints" field)
-  in
-  let int field default =
-    match member field j with
-    | None -> Stdlib.Ok default
-    | Some (Int i) -> Stdlib.Ok i
+    | Some (Int i) -> in_field field (check i)
     | Some _ ->
       Stdlib.Error (Printf.sprintf "spec field %S: expected an int" field)
   in
   match j with
   | Obj _ ->
-    let* apps = str_list "apps" (fun s -> Stdlib.Ok s) base.apps in
-    let* policies = str_list "policies" policy_of_string base.policies in
-    let* errors = int_list "errors" base.errors in
-    let* trials = int "trials" base.trials in
+    let str conv = function Str s -> Some (conv s) | _ -> None in
+    let* apps = list "apps" "strings" (str Result.ok) base.apps in
+    let* policies =
+      list "policies" "strings" (str policy_of_string) base.policies
+    in
+    let* errors =
+      list "errors" "ints"
+        (function Int i -> Some (check_errors i) | _ -> None)
+        base.errors
+    in
+    let* trials = int ~check:check_trials "trials" base.trials in
     let* seed = int "seed" base.seed in
     let* mode =
       match member "literal" j with

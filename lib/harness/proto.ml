@@ -57,10 +57,11 @@ type request =
 (* Defaults mirror the CLI flags (etap inject -e 10 -t 20 --seed 1). *)
 let inject_defaults = { app = ""; errors = 10; trials = 20; seed = 1; literal = false }
 
-let field_int j name default =
+let field_int ?(check = Result.ok) j name default =
   match J.member name j with
   | None -> Ok default
-  | Some (J.Int i) -> Ok i
+  | Some (J.Int i) ->
+    Result.map_error (Printf.sprintf "field %S: %s" name) (check i)
   | Some _ -> Error (Printf.sprintf "field %S: expected an int" name)
 
 let field_bool j name default =
@@ -78,8 +79,8 @@ let inject_of_json (j : J.t) : (request, string) result =
     | None -> Error "inject request: missing \"app\""
   in
   let d = inject_defaults in
-  let* errors = field_int j "errors" d.errors in
-  let* trials = field_int j "trials" d.trials in
+  let* errors = field_int ~check:Matrix.check_errors j "errors" d.errors in
+  let* trials = field_int ~check:Matrix.check_trials j "trials" d.trials in
   let* seed = field_int j "seed" d.seed in
   let* literal = field_bool j "literal" d.literal in
   Ok (Inject { app; errors; trials; seed; literal })

@@ -8,7 +8,7 @@
    (inject-shaped campaigns and matrix-shaped sweeps) with the same
    typed-status [etap-report/1] documents the CLI emits, bit-identical
    to standalone runs because both sides route through the same
-   builders ([inject_report] here, [Matrix.run_cell]/[Matrix.report_meta]
+   builders ([inject_report] here, [Matrix.run_with]/[Matrix.report_meta]
    for sweeps) and the same [Core.Memo] result cache.
 
    Three layers:
@@ -355,69 +355,21 @@ let run_inject t ~acc (i : Proto.inject_req) :
     in
     (Some rep, None)
 
-let dedup xs =
-  List.rev
-    (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
-
+(* A matrix request is [Matrix.run_with] on the daemon's own state:
+   apps resolve through the warm registry, targets through its
+   prepared table, and cells — each with its missed trials as a nested
+   batch — run on the shared executor, interleaving with any other
+   in-flight request's batches. *)
 let run_matrix t ~acc (s : Matrix.spec) : Report.t option * string option =
-  let t_run = Unix.gettimeofday () in
-  let sp = Obs.span_begin () in
-  let cells = Matrix.cells_of_spec s in
-  (* Apps resolve through the warm registry — sequentially, since on a
-     warm daemon they are table lookups. Unknown names never load;
-     their cells fail below, exactly like the CLI sweep. *)
-  let t_load = Unix.gettimeofday () in
-  let loaded =
-    List.filter_map
-      (fun n ->
-        Option.map
-          (fun app -> (n, registry_load t ~acc app ~seed:s.Matrix.seed))
-          (Apps.Registry.find n))
-      (dedup s.Matrix.apps)
-  in
-  let load_s = Unix.gettimeofday () -. t_load in
-  let lookup n = List.assoc_opt n loaded in
-  let pool_of (l : Experiment.loaded) policy =
-    let tgt = l.Experiment.target s.Matrix.mode in
-    Core.Campaign.injectable_pool tgt
-      (Core.Tagging.mask tgt.Core.Campaign.tagging policy)
-  in
-  let prepared_of n policy =
-    let l = List.assoc n loaded in
-    let pool = pool_of l policy in
-    if pool = 0 then (0, None)
-    else
-      ( pool,
-        Some
-          (registry_prepared t l ~name:n ~seed:s.Matrix.seed
-             ~mode:s.Matrix.mode policy) )
-  in
-  (* Cells are one batch on the shared executor (interleaving with any
-     other in-flight request's batches), and each cell's missed trials
-     a nested batch on the same executor, claimed by whichever worker
-     is free — the same shape as the CLI sweep. *)
-  let statuses =
-    Core.Executor.map t.ex ~help:true
-      (Matrix.run_cell ~lookup ~prepared_of ~memo_fanout:(memo_fanout t)
-         ~store:t.store)
-      cells
-  in
-  let cells =
-    List.map2
-      (fun cell status -> { Matrix.cell; status })
-      cells statuses
-  in
-  Matrix.record_counters cells;
-  Obs.span_end ~name:"matrix.run" ~cat:"matrix"
-    ~args:[ ("cells", string_of_int (List.length cells)) ]
-    sp;
+  let seed = s.Matrix.seed in
   let r =
-    {
-      Matrix.spec = s;
-      cells;
-      load_s;
-      wall_s = Unix.gettimeofday () -. t_run;
-    }
+    Matrix.run_with
+      { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
+      ~load:(fun app -> registry_load t ~acc app ~seed)
+      ~prepare:(fun l (name, mode, policy) ->
+        let p, sections = registry_prepared t l ~name ~seed ~mode policy in
+        (p, Some sections))
+      ~memo_fanout:(memo_fanout t) ~store:t.store s
   in
   let meta =
     Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r

@@ -38,36 +38,46 @@ let cells =
     ("adpcm", 56, 8.0, 53.5);
   ]
 
+(* Each paper cell runs three campaigns: protection on under both
+   tagging modes, and protection off. *)
+let with_full = (Experiment.Full, Core.Policy.Protect_control)
+let with_literal = (Experiment.Literal, Core.Policy.Protect_control)
+let without = (Experiment.Full, Core.Policy.Protect_nothing)
+let configs = [ with_full; with_literal; without ]
+
+let paper_cells loaded =
+  List.filter (fun (name, _, _, _) -> Experiment.mem loaded name) cells
+
+let cell ~trials ~seed app errors (mode, policy) =
+  Matrix.make_cell ~mode ~policy ~errors ~trials ~seed app
+
+(* The runner's cell list, for the paper cells whose app is loaded. *)
+let plan ~trials ~seed loaded : Matrix.cell_spec list =
+  List.concat_map
+    (fun (app, errors, _, _) ->
+      List.map (cell ~trials ~seed app errors) configs)
+    (paper_cells loaded)
+
 let run ?(trials = 25) ?(seed = 11) ?jobs (loaded : Experiment.loaded list) :
     row list =
-  List.filter_map
+  let point = Matrix.points ?jobs loaded (plan ~trials ~seed loaded) in
+  List.map
     (fun (name, errors, paper_with, paper_without) ->
-      match
-        List.find_opt
-          (fun (l : Experiment.loaded) -> l.Experiment.app.Apps.App.name = name)
-          loaded
-      with
-      | None -> None
-      | Some l ->
-        let pct mode policy =
-          Experiment.pct_catastrophic ?jobs l ~mode ~policy ~errors ~trials
-            ~seed
-        in
-        Some
-          {
-            app_name = name;
-            errors;
-            total_instructions =
-              (l.Experiment.target Experiment.Full).Core.Campaign.baseline
-                .Sim.Interp.dyn_count;
-            pct_with = pct Experiment.Full Core.Policy.Protect_control;
-            pct_with_literal =
-              pct Experiment.Literal Core.Policy.Protect_control;
-            pct_without = pct Experiment.Full Core.Policy.Protect_nothing;
-            paper_with;
-            paper_without;
-          })
-    cells
+      let pct config =
+        (point (cell ~trials ~seed name errors config)).Experiment.pct_failed
+      in
+      {
+        app_name = name;
+        errors;
+        total_instructions =
+          (Experiment.find loaded name).Experiment.golden.Sim.Interp.dyn_count;
+        pct_with = pct with_full;
+        pct_with_literal = pct with_literal;
+        pct_without = pct without;
+        paper_with;
+        paper_without;
+      })
+    (paper_cells loaded)
 
 let to_table rows : Report.table =
   Report.table ~id:"table2"

@@ -24,28 +24,31 @@ let epsilon = 1e-9
 
 let run ?(errors = 10) ?(trials = 30) ?(seed = 41) ?jobs
     ~(mode : Experiment.mode) (loaded : Experiment.loaded list) : row list =
+  let cell (l : Experiment.loaded) =
+    Matrix.make_cell ~mode ~policy:Core.Policy.Protect_control ~errors ~trials
+      ~seed l.Experiment.app.Apps.App.name
+  in
+  let point = Matrix.points ?jobs loaded (List.map cell loaded) in
   List.map
     (fun (l : Experiment.loaded) ->
-      let p = l.Experiment.prepared mode Core.Policy.Protect_control in
+      let p = point (cell l) in
       let golden = l.Experiment.golden in
-      let score r = l.Experiment.built.Apps.App.score ~golden r in
-      let s = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
       let self_score = l.Experiment.built.Apps.App.score ~golden golden in
-      let fidelities = Core.Campaign.fidelities s in
       let benign =
         List.length
-          (List.filter (fun f -> Float.abs (f -. self_score) < epsilon) fidelities)
+          (List.filter
+             (fun f -> Float.abs (f -. self_score) < epsilon)
+             p.Experiment.fidelities)
       in
-      let completed = Core.Campaign.completed s in
-      let n = Core.Campaign.n s in
+      let n = p.Experiment.n in
       let pct x = 100.0 *. float_of_int x /. float_of_int (max 1 n) in
       {
         app_name = l.Experiment.app.Apps.App.name;
         errors;
         n;
         pct_benign = pct benign;
-        pct_degraded = pct (completed - benign);
-        pct_catastrophic = Core.Campaign.pct_catastrophic s;
+        pct_degraded = pct (p.Experiment.stats.Core.Stats.completed - benign);
+        pct_catastrophic = p.Experiment.pct_failed;
       })
     loaded
 
@@ -92,20 +95,36 @@ type audit_row = {
 
 let audit_policies = [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
 
-let audit ?(errors = 10) ?(trials = 30) ?(seed = 41) ?jobs
-    ~(mode : Experiment.mode) (loaded : Experiment.loaded list) :
-    audit_row list =
+let audit_plan ~errors ~trials ~seed ~mode loaded : Matrix.cell_spec list =
   List.concat_map
     (fun (l : Experiment.loaded) ->
       List.map
         (fun policy ->
-          let p = l.Experiment.prepared mode policy in
-          {
-            audit_app = l.Experiment.app.Apps.App.name;
-            report = Core.Audit.run ?jobs p ~errors ~trials ~seed;
-          })
+          Matrix.make_cell ~kind:Matrix.Audit ~mode ~policy ~errors ~trials
+            ~seed l.Experiment.app.Apps.App.name)
         audit_policies)
     loaded
+
+(* An audit cell's report. A skipped cell (empty injectable pool) ran
+   nothing: every trial is fault-free. A failed cell raises. *)
+let audit_report (c : Matrix.cell) : Core.Audit.report =
+  let s = c.Matrix.cell in
+  match c.Matrix.status with
+  | Matrix.Ok ok -> Option.get ok.Matrix.audit
+  | Matrix.Skipped _ ->
+    Core.Audit.fault_free ~policy:s.Matrix.policy ~errors:s.Matrix.errors
+      ~trials:s.Matrix.trials ~seed:s.Matrix.seed
+  | Matrix.Failed m -> failwith (Matrix.cell_label s ^ ": " ^ m)
+
+let audit ?(errors = 10) ?(trials = 30) ?(seed = 41) ?jobs
+    ~(mode : Experiment.mode) (loaded : Experiment.loaded list) :
+    audit_row list =
+  let plan = audit_plan ~errors ~trials ~seed ~mode loaded in
+  List.map2
+    (fun (c : Matrix.cell_spec) r ->
+      { audit_app = c.Matrix.app; report = audit_report r })
+    plan
+    (Matrix.run_cells ?jobs loaded plan)
 
 let audit_table ~(mode : Experiment.mode) (rows : audit_row list) :
     Report.table =

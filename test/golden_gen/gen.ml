@@ -118,7 +118,8 @@ let () =
           ~mode:Harness.Experiment.Literal
           [ List.hd loaded ]));
   write dir "fig3_quick.txt"
-    (Harness.Figures.render (Harness.Figures.fig3 ~trials:4 ~jobs:1 loaded));
+    (Harness.Figures.render (Harness.Figures.run ~trials:4 ~jobs:1 loaded
+          (Harness.Figures.by_id "fig3")));
   write dir "ablation_quick.txt"
     (Harness.Ablation.render_address
        (Harness.Ablation.address ~trials:4 ~jobs:1 loaded));

@@ -44,7 +44,8 @@ let test_audit () =
 let test_fig3 () =
   check_golden "fig3_quick.txt"
     (Harness.Figures.render
-       (Harness.Figures.fig3 ~trials:4 ~jobs:1 (Lazy.force loaded)))
+       (Harness.Figures.run ~trials:4 ~jobs:1 (Lazy.force loaded)
+          (Harness.Figures.by_id "fig3")))
 
 let test_ablation () =
   check_golden "ablation_quick.txt"

@@ -110,8 +110,10 @@ let test_statuses () =
 (* -------------- bit-identity vs standalone campaigns --------------- *)
 
 (* The standalone equivalent of one matrix cell: exactly what
-   `etap inject` runs for (app, policy, errors, trials, seed) — same
-   loaded context, same scorer, same campaign seed offset. *)
+   `etap inject` runs for (app, policy, errors, trials) — same loaded
+   context, same scorer. [seed] is the cell's campaign seed, which
+   [cells_of_spec] already offset from the spec seed by 100, as `etap
+   inject` offsets its --seed. *)
 let standalone (l : Harness.Experiment.loaded) ~mode ~policy ~errors ~trials
     ~seed =
   let b = l.Harness.Experiment.built in
@@ -119,7 +121,7 @@ let standalone (l : Harness.Experiment.loaded) ~mode ~policy ~errors ~trials
   let golden = target.Core.Campaign.baseline in
   let score r = b.Apps.App.score ~golden r in
   let p = l.Harness.Experiment.prepared mode policy in
-  Core.Campaign.run ~jobs:1 ~score p ~errors ~trials ~seed:(seed + 100)
+  Core.Campaign.run ~jobs:1 ~score p ~errors ~trials ~seed
 
 let test_bit_identity_and_warm () =
   let seed = 3 and trials = 6 in
@@ -136,6 +138,13 @@ let test_bit_identity_and_warm () =
   with_store @@ fun store ->
   let cold = Harness.Matrix.run ~jobs:2 ~store spec in
   Alcotest.(check bool) "no failures" false (Harness.Matrix.any_failed cold);
+  Alcotest.(check (list int)) "campaign seed = spec seed + 100"
+    [ seed + 100 ]
+    (Harness.Matrix.dedup
+       (List.map
+          (fun (c : Harness.Matrix.cell) ->
+            c.Harness.Matrix.cell.Harness.Matrix.seed)
+          cold.Harness.Matrix.cells));
   let l =
     Harness.Experiment.load ~seed
       (Option.get (Apps.Registry.find "gsm"))
@@ -301,6 +310,78 @@ let test_cache_shared_with_inject () =
       (compare (summary_core s) (summary_core ok.Harness.Matrix.summary) = 0)
   | _ -> Alcotest.fail "expected exactly one ok cell"
 
+(* ------------------- experiments as cell lists --------------------- *)
+
+(* One mixed cell list — Table 2, Figure 3 and audit cells over mcf and
+   adpcm, plus a campaign cell on adpcm's empty protect-control pool —
+   run without a store. The results cannot depend on [jobs], and each
+   cell equals the point-at-a-time entry the paper-repro benchmark
+   calls for it. *)
+let test_runner_differential () =
+  let loaded =
+    List.map
+      (fun n ->
+        Harness.Experiment.load ~seed:1 (Option.get (Apps.Registry.find n)))
+      [ "mcf"; "adpcm" ]
+  in
+  let trials = 3 in
+  let table2 = Harness.Table2.plan ~trials ~seed:11 loaded in
+  let cells =
+    table2
+    @ List.filter
+        (fun (c : Harness.Matrix.cell_spec) -> c.Harness.Matrix.errors <= 20)
+        (Harness.Figures.plan ~trials (Harness.Figures.by_id "fig3"))
+    @ Harness.Taxonomy.audit_plan ~errors:2 ~trials ~seed:41
+        ~mode:Harness.Experiment.Full loaded
+    @ [
+        Harness.Matrix.make_cell ~mode:Harness.Experiment.Full
+          ~policy:Core.Policy.Protect_control ~errors:2 ~trials ~seed:5
+          "adpcm";
+      ]
+  in
+  let r1 = Harness.Matrix.run_cells ~jobs:1 loaded cells in
+  let r2 = Harness.Matrix.run_cells ~jobs:2 loaded cells in
+  let kinds =
+    List.map (fun (c : Harness.Matrix.cell) ->
+        Harness.Matrix.status_kind c.Harness.Matrix.status)
+  in
+  Alcotest.(check (list string)) "statuses" (kinds r1) (kinds r2);
+  Alcotest.(check bool) "an empty pool is skipped" true
+    (List.mem "skipped" (kinds r1));
+  Alcotest.(check bool) "jobs 1 and 2 give identical cells" true
+    (compare r1 r2 = 0);
+  List.iter
+    (fun (c : Harness.Matrix.cell) ->
+      let cs = c.Harness.Matrix.cell in
+      let { Harness.Matrix.app; mode; policy; errors; trials; seed; kind } =
+        cs
+      in
+      let l = Harness.Experiment.find loaded app in
+      let label = Harness.Matrix.cell_label cs in
+      match kind with
+      | Harness.Matrix.Audit ->
+        let direct =
+          Core.Audit.run ~jobs:1 (l.Harness.Experiment.prepared mode policy)
+            ~errors ~trials ~seed
+        in
+        Alcotest.(check bool) (label ^ ": = Core.Audit.run") true
+          (compare (Harness.Taxonomy.audit_report c) direct = 0)
+      | Harness.Matrix.Campaign ->
+        let p = Harness.Matrix.point l c in
+        let direct =
+          Harness.Experiment.sweep_point ~jobs:1 l ~mode ~policy ~errors
+            ~trials ~seed
+        in
+        Alcotest.(check bool) (label ^ ": = Experiment.sweep_point") true
+          (compare p direct = 0);
+        if List.mem cs table2 then
+          Alcotest.(check (float 0.0))
+            (label ^ ": = Experiment.pct_catastrophic")
+            (Harness.Experiment.pct_catastrophic ~jobs:1 l ~mode ~policy
+               ~errors ~trials ~seed)
+            p.Harness.Experiment.pct_failed)
+    r1
+
 (* --------------------------- reporting ----------------------------- *)
 
 let test_report_tables () =
@@ -372,9 +453,43 @@ let test_spec_of_json () =
   (match parse {|{"policies": ["bogus"]}|} with
    | Ok _ -> Alcotest.fail "bogus policy accepted"
    | Error _ -> ());
-  match parse {|[1, 2]|} with
-  | Ok _ -> Alcotest.fail "non-object spec accepted"
-  | Error _ -> ()
+  (match parse {|[1, 2]|} with
+   | Ok _ -> Alcotest.fail "non-object spec accepted"
+   | Error _ -> ());
+  (* Campaign sizes: errors >= 0 (0 is the fault-free point), trials
+     >= 1; anything else is a parse error, never a cell. *)
+  (match parse {|{"errors": [0, 3], "trials": 1}|} with
+   | Ok s ->
+     Alcotest.(check (list int)) "errors 0 accepted" [ 0; 3 ]
+       s.Harness.Matrix.errors
+   | Error e -> Alcotest.failf "errors 0 rejected: %s" e);
+  List.iter
+    (fun bad ->
+      match parse bad with
+      | Ok _ -> Alcotest.failf "out-of-range spec accepted: %s" bad
+      | Error _ -> ())
+    [
+      {|{"errors": [-3]}|};
+      {|{"errors": [1, -1]}|};
+      {|{"trials": -2}|};
+      {|{"trials": 0}|};
+    ]
+
+let test_make_cell () =
+  let make ~errors ~trials =
+    Harness.Matrix.make_cell ~mode:Harness.Experiment.Full
+      ~policy:Core.Policy.Protect_control ~errors ~trials ~seed:1 "gsm"
+  in
+  let c = make ~errors:0 ~trials:1 in
+  Alcotest.(check int) "errors 0 accepted" 0 c.Harness.Matrix.errors;
+  Alcotest.(check bool) "campaign kind by default" true
+    (c.Harness.Matrix.kind = Harness.Matrix.Campaign);
+  List.iter
+    (fun (errors, trials) ->
+      match make ~errors ~trials with
+      | _ -> Alcotest.failf "cell e=%d t=%d accepted" errors trials
+      | exception Invalid_argument _ -> ())
+    [ (-3, 4); (2, 0); (2, -2) ]
 
 let () =
   Alcotest.run "matrix"
@@ -391,9 +506,18 @@ let () =
           Alcotest.test_case "schedule-independent over jobs and cell order"
             `Quick test_schedule_independent;
         ] );
+      ( "experiments",
+        [
+          Alcotest.test_case "mixed cell list = point-at-a-time, any jobs"
+            `Quick test_runner_differential;
+        ] );
       ( "reporting",
         [ Alcotest.test_case "tables carry every cell" `Quick
             test_report_tables ] );
       ( "spec",
-        [ Alcotest.test_case "JSON spec parsing" `Quick test_spec_of_json ] );
+        [
+          Alcotest.test_case "JSON spec parsing" `Quick test_spec_of_json;
+          Alcotest.test_case "cell constructor range rule" `Quick
+            test_make_cell;
+        ] );
     ]

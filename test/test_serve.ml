@@ -87,6 +87,11 @@ let exchange t (lines : string list) : string list =
   close_in_noerr ic;
   responses
 
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
 let reply_exn line =
   match Harness.Proto.reply_of_line line with
   | Ok r -> r
@@ -449,11 +454,6 @@ let test_typed_failures () =
     (r1.Harness.Proto.id = Report.Json.Null);
   let r2 = reply_exn (List.nth responses 1) in
   Alcotest.(check bool) "unknown app fails" false r2.Harness.Proto.ok;
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
-    at 0
-  in
   Alcotest.(check bool) "unknown app named in the error" true
     (match r2.Harness.Proto.error with
      | Some e -> contains e {|"nope"|}
@@ -462,6 +462,37 @@ let test_typed_failures () =
   Alcotest.(check bool) "connection still serves real work" true
     r3.Harness.Proto.ok;
   Alcotest.(check int) "daemon-side failure count" 2
+    (Harness.Serve.failed_requests t)
+
+(* Campaign sizes out of range are parse errors: each such line gets a
+   typed failed reply under its own id, and no work runs. *)
+let test_out_of_range_counts () =
+  with_serve @@ fun t ->
+  let lines =
+    [
+      inject_line ~id:4 ~errors:(-3) ~trials:2 ~seed:1 "gsm";
+      inject_line ~id:5 ~errors:1 ~trials:0 ~seed:1 "gsm";
+      {|{"id":6,"cmd":"matrix","spec":{"apps":["gsm"],"errors":[-1]}}|};
+      {|{"id":7,"cmd":"matrix","spec":{"apps":["gsm"],"trials":-2}}|};
+    ]
+  in
+  let replies = List.map reply_exn (exchange t lines) in
+  Alcotest.(check (list int)) "each line answered under its id" [ 4; 5; 6; 7 ]
+    (List.map
+       (fun (r : Harness.Proto.reply) ->
+         match r.Harness.Proto.id with Report.Json.Int i -> i | _ -> -1)
+       replies);
+  List.iter
+    (fun (r : Harness.Proto.reply) ->
+      Alcotest.(check bool) "typed failure" false r.Harness.Proto.ok;
+      Alcotest.(check bool) "no report" true (r.Harness.Proto.report = None);
+      Alcotest.(check bool) "error names the rule" true
+        (match r.Harness.Proto.error with
+         | Some e ->
+           contains e "errors must be >= 0" || contains e "trials must be >= 1"
+         | None -> false))
+    replies;
+  Alcotest.(check int) "daemon-side failure count" 4
     (Harness.Serve.failed_requests t)
 
 let test_client_disconnect () =
@@ -538,5 +569,7 @@ let () =
             test_typed_failures;
           Alcotest.test_case "client disconnect mid-request" `Quick
             test_client_disconnect;
+          Alcotest.test_case "out-of-range counts get typed failures" `Quick
+            test_out_of_range_counts;
         ] );
     ]
