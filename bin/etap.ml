@@ -364,9 +364,6 @@ let inject_cmd =
           else Harness.Experiment.Full
         in
         let b = l.Harness.Experiment.built in
-        let target = l.Harness.Experiment.target mode in
-        let golden = target.Core.Campaign.baseline in
-        let score r = b.Apps.App.score ~golden r in
         let store =
           if incremental then Some (Core.Memo.Store.open_ cache_dir)
           else None
@@ -375,10 +372,11 @@ let inject_cmd =
         let summaries =
           List.map
             (fun policy ->
-              let p = l.Harness.Experiment.prepared mode policy in
-              let s, (st : Core.Memo.stats) =
-                Harness.Matrix.campaign ?jobs ?store ~score ~salt:name p
-                  ~errors ~trials ~seed:(seed + 100)
+              let pool, s, (st : Core.Memo.stats) =
+                Harness.Matrix.inject_policy ?jobs ?store
+                  ~prepare:(fun policy ->
+                    (l.Harness.Experiment.prepared mode policy, None))
+                  l ~mode ~errors ~trials ~seed:(seed + 100) policy
               in
               if incremental then begin
                 cache_total := Harness.Serve.add_stats !cache_total st;
@@ -405,7 +403,7 @@ let inject_cmd =
                 say
                   "  note: injectable pool (%d) smaller than request — \
                    each plan holds %d fault(s), not %d"
-                  p.Core.Campaign.injectable_total
+                  pool
                   s.Core.Campaign.errors_planned errors;
               (policy, s))
             [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]

@@ -359,40 +359,62 @@ let first_ordinal (p : Campaign.prepared) ~errors ~seed i =
   in
   Hashtbl.fold (fun o _ acc -> min o acc) plan max_int
 
-(* Owner of each requested ordinal: one golden walk on the reference
-   engine, pausing at [o + 1] for each (ascending) ordinal [o]. The
-   pause check precedes dispatch and [cur_fid] is re-synced before the
-   call-return write-back hook, so the fid read at ordinal [o + 1] is
-   exactly the frame that consumed ordinal [o]. If the machine halts
-   before a pause (only possible after the last injectable consumption)
-   the remaining ordinals attribute to the entry section — the
-   conservative bucket, since the entry's composed hash covers the
-   whole program. *)
+(* Owner of each requested ordinal: the golden walk paused at [o + 1]
+   for each (ascending) ordinal [o]. The pause check precedes dispatch
+   and [cur_fid] is re-synced before the call-return write-back hook,
+   so the fid read at ordinal [o + 1] is exactly the frame that
+   consumed ordinal [o]. The walk runs on the prepared fast-engine
+   image and jumps ahead by resuming the nearest golden checkpoint at
+   or below [o + 1] whenever that lies past the machine's ordinal: a
+   checkpoint is the golden walk's own state at its ordinal, and both
+   engines pause in the same state (DESIGN.md §15). Without
+   checkpoints one machine walks from ordinal 0. If the machine halts
+   before a pause (only possible after the last injectable
+   consumption) the remaining ordinals attribute to the entry section
+   — the conservative bucket, since the entry's composed hash covers
+   the whole program. *)
 let owners_of (p : Campaign.prepared) ~(ordinals : int list) :
     (int, int) Hashtbl.t =
   let tbl = Hashtbl.create (2 * List.length ordinals) in
-  (match ordinals with
-   | [] -> ()
-   | _ ->
-     let t = p.Campaign.target in
-     let entry_fid = t.Campaign.code.Sim.Code.entry_fid in
-     let injection = Fault_model.profiling_injection ~tags:p.Campaign.tags in
-     let m =
-       Sim.Interp.machine ~injection ~budget:p.Campaign.budget
-         ~memory:(Sim.Memory.copy t.Campaign.proto)
-         t.Campaign.code
-     in
-     let halted = ref false in
-     List.iter
-       (fun o ->
-         if !halted then Hashtbl.replace tbl o entry_fid
-         else
-           match Sim.Interp.advance m ~pause_at:(o + 1) with
-           | `Paused -> Hashtbl.replace tbl o (Sim.Interp.machine_fid m)
-           | `Halted ->
-             halted := true;
-             Hashtbl.replace tbl o entry_fid)
-       ordinals);
+  let t = p.Campaign.target in
+  let entry_fid = t.Campaign.code.Sim.Code.entry_fid in
+  let injection = Fault_model.profiling_injection ~tags:p.Campaign.tags in
+  let image = p.Campaign.image in
+  (* The walking machine and the ordinal it stands at; none until the
+     first requested ordinal, so an empty request builds nothing. *)
+  let m = ref None and at = ref 0 and halted = ref false in
+  let start_for o =
+    match p.Campaign.snapshots with
+    | Some snaps ->
+      let s = Sim.Snapshot.nearest snaps ~ordinal:(o + 1) in
+      let so = Sim.Interp.snapshot_ordinal s in
+      if Option.is_none !m || so > !at then begin
+        m := Some (Sim.Interp.resume ?image ~injection s);
+        at := so
+      end
+    | None ->
+      if Option.is_none !m then
+        m :=
+          Some
+            (Sim.Interp.machine ?image ~injection ~budget:p.Campaign.budget
+               ~memory:(Sim.Memory.copy t.Campaign.proto)
+               t.Campaign.code)
+  in
+  List.iter
+    (fun o ->
+      if !halted then Hashtbl.replace tbl o entry_fid
+      else begin
+        start_for o;
+        let m = Option.get !m in
+        match Sim.Interp.advance m ~pause_at:(o + 1) with
+        | `Paused ->
+          at := o + 1;
+          Hashtbl.replace tbl o (Sim.Interp.machine_fid m)
+        | `Halted ->
+          halted := true;
+          Hashtbl.replace tbl o entry_fid
+      end)
+    ordinals;
   tbl
 
 (* Entry-state class of each trial: digest of the checkpoint it resumes

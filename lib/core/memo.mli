@@ -85,10 +85,13 @@ val sections_of : Campaign.prepared -> Analysis.Section.t
 
 val owners_of : Campaign.prepared -> ordinals:int list -> (int, int) Hashtbl.t
 (** Owning fid of each requested injectable ordinal (ascending list),
-    from one golden walk on the reference engine pausing at [o + 1] —
-    the paused frame is exactly the one that consumed ordinal [o].
-    Ordinals past the last pause point attribute to the entry
-    section. *)
+    from the golden walk pausing at [o + 1] — the paused frame is
+    exactly the one that consumed ordinal [o]. The walk runs on the
+    prepared fast-engine image (when there is one) and resumes the
+    nearest golden checkpoint at or below [o + 1] whenever it lies
+    ahead of the walking machine; the owners equal a reference-engine
+    walk from ordinal 0. Ordinals past the last pause point attribute
+    to the entry section. *)
 
 val trial_to_json : Campaign.trial -> Report.Json.t
 (** Cache-entry encoding of one trial record. Floats travel as hexfloat

@@ -115,18 +115,38 @@ let point_of_summary ~errors (s : Core.Campaign.summary) : sweep_point =
     stats = s.Core.Campaign.stats;
   }
 
-(* The point of a campaign with nothing to inject into: every trial
-   runs fault-free, so none fails and each scores what the golden run
-   scores against itself. *)
-let fault_free_point (l : loaded) ~errors ~trials : sweep_point =
+(* The summary of a campaign with nothing to inject into: every trial
+   runs the golden run, so none fails, none plans a fault, and each
+   scores what the golden run scores against itself. Both modes share
+   one baseline, so the mode does not enter. *)
+let fault_free_summary (l : loaded) ~errors ~trials : Core.Campaign.summary =
   let f = l.built.Apps.App.score ~golden:l.golden l.golden in
-  let fidelities = List.init trials (fun _ -> f) in
-  let observe s f =
-    Core.Stats.observe s Core.Outcome.Completed ~fidelity:(Some f)
+  let trial index =
+    {
+      Core.Campaign.index;
+      outcome = Core.Outcome.Completed;
+      dyn_count = l.golden.Sim.Interp.dyn_count;
+      faults_planned = 0;
+      faults_landed = 0;
+      fidelity = Some f;
+      fault_flow = None;
+    }
   in
-  let stats = List.fold_left observe Core.Stats.empty fidelities in
-  let mean_fidelity = Core.Stats.mean_fidelity stats in
-  { errors; n = trials; pct_failed = 0.0; mean_fidelity; fidelities; stats }
+  let trials = List.init trials trial in
+  let observe s (t : Core.Campaign.trial) =
+    Core.Stats.observe s t.outcome ~fidelity:t.fidelity
+  in
+  {
+    Core.Campaign.trials;
+    stats = List.fold_left observe Core.Stats.empty trials;
+    errors_requested = errors;
+    errors_planned = Core.Fault_model.planned ~injectable_total:0 ~errors;
+    resumed_trials = 0;
+    skipped_dyn = 0;
+  }
+
+let fault_free_point l ~errors ~trials : sweep_point =
+  point_of_summary ~errors (fault_free_summary l ~errors ~trials)
 
 let sweep_point ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed :
     sweep_point =

@@ -155,6 +155,33 @@ let campaign ?jobs ?fanout ?sections ?store ~score ~salt p ~errors ~trials
     let s = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
     (s, all_run s)
 
+(* Injectable pool size of [l]'s target under [mode] and [policy], as
+   [prepare] would size it — without preparing. *)
+let pool_of (l : Experiment.loaded) mode policy =
+  let t = l.Experiment.target mode in
+  Core.Campaign.injectable_pool t
+    (Core.Tagging.mask t.Core.Campaign.tagging policy)
+
+(* One policy of an inject-shaped campaign — `etap inject` and the
+   daemon's inject requests — as (pool size, summary, cache stats). An
+   empty pool gives the fault-free summary without preparing, as
+   [collect] skips such a cell; any other pool runs [campaign] on the
+   target and section partition [prepare] returns. *)
+let inject_policy ?jobs ?fanout ?store ~prepare (l : Experiment.loaded) ~mode
+    ~errors ~trials ~seed policy =
+  match pool_of l mode policy with
+  | 0 ->
+    (0, Experiment.fault_free_summary l ~errors ~trials, Core.Memo.zero_stats)
+  | pool ->
+    let p, sections = prepare policy in
+    let golden = (l.Experiment.target mode).Core.Campaign.baseline in
+    let score r = l.Experiment.built.Apps.App.score ~golden r in
+    let s, st =
+      campaign ?jobs ?fanout ?sections ?store ~score
+        ~salt:l.Experiment.app.Apps.App.name p ~errors ~trials ~seed
+    in
+    (pool, s, st)
+
 (* One cell. [lookup] resolves an app name to its loaded context (None
    = unknown app, a Failed cell); [prepared_of] gives the cell's
    injectable pool size and, for a non-empty pool, its prepared target
@@ -258,11 +285,7 @@ let collect (sched : scheduler) ?jobs ?prepare ?memo_fanout ?store
     sched.map
       (fun ((app, mode, policy) as k) ->
         let l = List.assoc app loaded in
-        let t = l.Experiment.target mode in
-        let pool =
-          Core.Campaign.injectable_pool t
-            (Core.Tagging.mask t.Core.Campaign.tagging policy)
-        in
+        let pool = pool_of l mode policy in
         (k, if pool = 0 then (0, None) else (pool, Some (prepare l k))))
       targets
   in

@@ -13,12 +13,15 @@
 
    Three layers:
 
-   - {b Warm registry} — loaded apps keyed by (name, seed), prepared
-     targets and section partitions keyed by (app, seed, mode, policy),
-     built once on first use under a registry lock. [Experiment.load]'s
-     internal memos keep targets lazy, so a request only ever builds
-     the modes/policies it touches. Every campaign still routes
-     through [Core.Memo], so results persist across daemon restarts.
+   - {b Warm registry} — one entry per (app, seed): the loaded app,
+     the targets prepared for it with their section partitions, and a
+     last-use stamp, each built once on first use under a registry
+     lock. [Experiment.load]'s internal memos keep targets lazy, so a
+     request only ever builds the modes/policies it touches. The
+     registry holds at most [registry_capacity] entries and evicts the
+     least recently used one, prepared targets with it. Every campaign
+     still routes through [Core.Memo], so results persist across
+     daemon restarts and evictions.
 
    - {b In-flight coalescing} — concurrent requests whose
      [Proto.group_key]s collide attach to the running computation (a
@@ -77,6 +80,16 @@ type flight = {
   mutable waiters : int;
 }
 
+(* A warm-registry entry: an app loaded at one seed and the targets
+   prepared for it, keyed by (mode, policy tag), each with its section
+   partition. Evicting the entry drops them all. *)
+type entry = {
+  loaded : Experiment.loaded;
+  prepped :
+    (string * int, Core.Campaign.prepared * Analysis.Section.t) Hashtbl.t;
+  mutable last_use : int;  (* [t.clock] at the entry's latest use *)
+}
+
 type t = {
   cfg : config;
   store : Core.Memo.Store.t;
@@ -88,11 +101,8 @@ type t = {
   mutable stopping : bool;
   mutable failures : int;  (* requests answered with status "failed" *)
   rl : Mutex.t;  (* warm registry *)
-  apps : (string * int, Experiment.loaded) Hashtbl.t;  (* (name, seed) *)
-  prepped :
-    ( string * int * string * int,
-      Core.Campaign.prepared * Analysis.Section.t )
-    Hashtbl.t;  (* (name, seed, mode, policy tag) *)
+  registry : (string * int, entry) Hashtbl.t;  (* (name, seed) *)
+  mutable clock : int;  (* registry uses so far, under [rl] *)
   sink : Obs.sink;  (* the sink the [stats] verb snapshots *)
   owns_sink : bool;  (* we installed it; restore [disabled] on shutdown *)
   started_us : float;
@@ -138,8 +148,8 @@ let create ?(config = default_config) () : t =
     stopping = false;
     failures = 0;
     rl = Mutex.create ();
-    apps = Hashtbl.create 8;
-    prepped = Hashtbl.create 16;
+    registry = Hashtbl.create 8;
+    clock = 0;
     sink;
     owns_sink;
     started_us;
@@ -174,21 +184,52 @@ type access_acc = {
 
 let fresh_acc () = { acc_warm_hits = 0; acc_warm_misses = 0 }
 
-(* Called from worker domains only (each its own obs buffer). The
-   registry lock is held across cold builds: concurrent first requests
-   for the same app serialize instead of building twice. *)
+(* The registry bound: one seed of every app plus one spare entry, so
+   a one-seed sweep over the whole app registry stays warm while
+   requests for other seeds rotate through the spare. An entry costs
+   about 0.4-0.7 MiB of heap (a loaded app plus two prepared targets),
+   which an unbounded registry paid again for every new seed. *)
+let registry_capacity = List.length Apps.Registry.all + 1
+
+(* [f] under the registry lock. Registry operations hold it across
+   cold builds, so concurrent first requests for the same key serialize
+   instead of building twice. *)
+let with_registry t f =
+  Mutex.lock t.rl;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.rl) f
+
+let touch t e =
+  t.clock <- t.clock + 1;
+  e.last_use <- t.clock
+
+(* Room for one more entry: drop least recently used entries until the
+   registry is below its bound. *)
+let evict_for_one t =
+  while Hashtbl.length t.registry >= registry_capacity do
+    let lru =
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with
+          | Some (_, old) when old.last_use <= e.last_use -> acc
+          | _ -> Some (k, e))
+        t.registry None
+    in
+    Hashtbl.remove t.registry (fst (Option.get lru));
+    Obs.count "serve.warm_evicted" 1
+  done
+
+(* Called from worker domains only (each its own obs buffer), like
+   [registry_prepared]. *)
 let registry_load t ~(acc : access_acc) (app : Apps.App.t) ~seed :
     Experiment.loaded =
   let key = (app.Apps.App.name, seed) in
-  Mutex.lock t.rl;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.rl)
-    (fun () ->
-      match Hashtbl.find_opt t.apps key with
-      | Some l ->
+  with_registry t (fun () ->
+      match Hashtbl.find_opt t.registry key with
+      | Some e ->
         Obs.count "serve.warm_hit" 1;
         acc.acc_warm_hits <- acc.acc_warm_hits + 1;
-        l
+        touch t e;
+        e.loaded
       | None ->
         Obs.count "serve.warm_miss" 1;
         acc.acc_warm_misses <- acc.acc_warm_misses + 1;
@@ -197,30 +238,44 @@ let registry_load t ~(acc : access_acc) (app : Apps.App.t) ~seed :
         Obs.span_end ~name:"serve.load" ~cat:"serve"
           ~args:[ ("app", app.Apps.App.name) ]
           sp;
-        Hashtbl.replace t.apps key l;
+        evict_for_one t;
+        let e = { loaded = l; prepped = Hashtbl.create 4; last_use = 0 } in
+        touch t e;
+        Hashtbl.replace t.registry key e;
         l)
 
-let registry_prepared t (l : Experiment.loaded) ~name ~seed ~mode policy :
-    Core.Campaign.prepared * Analysis.Section.t =
-  let key =
-    (name, seed, Experiment.mode_name mode, Core.Policy.seed_tag policy)
-  in
-  Mutex.lock t.rl;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.rl)
-    (fun () ->
-      match Hashtbl.find_opt t.prepped key with
-      | Some v -> v
-      | None ->
-        let sp = Obs.span_begin () in
-        let p = l.Experiment.prepared mode policy in
-        let v = (p, Core.Memo.sections_of p) in
-        Obs.span_end ~name:"serve.prepare" ~cat:"serve"
-          ~args:
-            [ ("app", name); ("policy", Core.Policy.to_string policy) ]
-          sp;
-        Hashtbl.replace t.prepped key v;
-        v)
+(* The prepared target and section partition of [l] under (mode,
+   policy), cached in [l]'s registry entry, in the shape the runner's
+   [prepare] hooks take. A request whose entry was evicted after it
+   loaded [l] (or replaced by a rebuild) still gets them, uncached: no
+   target outlives its entry. *)
+let registry_prepared t (l : Experiment.loaded) ~seed ~mode policy :
+    Core.Campaign.prepared * Analysis.Section.t option =
+  let name = l.Experiment.app.Apps.App.name in
+  let pkey = (Experiment.mode_name mode, Core.Policy.seed_tag policy) in
+  with_registry t (fun () ->
+      let entry =
+        match Hashtbl.find_opt t.registry (name, seed) with
+        | Some e when e.loaded == l ->
+          touch t e;
+          Some e
+        | _ -> None
+      in
+      let p, sections =
+        match Option.bind entry (fun e -> Hashtbl.find_opt e.prepped pkey) with
+        | Some v -> v
+        | None ->
+          let sp = Obs.span_begin () in
+          let p = l.Experiment.prepared mode policy in
+          let v = (p, Core.Memo.sections_of p) in
+          Obs.span_end ~name:"serve.prepare" ~cat:"serve"
+            ~args:
+              [ ("app", name); ("policy", Core.Policy.to_string policy) ]
+            sp;
+          Option.iter (fun e -> Hashtbl.replace e.prepped pkey v) entry;
+          v
+      in
+      (p, Some sections))
 
 (* ----------------------------- reports ----------------------------- *)
 
@@ -325,21 +380,15 @@ let run_inject t ~acc (i : Proto.inject_req) :
     let mode =
       if i.literal then Experiment.Literal else Experiment.Full
     in
-    let b = l.Experiment.built in
-    let target = l.Experiment.target mode in
-    let golden = target.Core.Campaign.baseline in
-    let score r = b.Apps.App.score ~golden r in
     let totals = ref Core.Memo.zero_stats in
     let summaries =
       List.map
         (fun policy ->
-          let p, sections =
-            registry_prepared t l ~name:i.app ~seed:i.seed ~mode policy
-          in
-          let s, st =
-            Core.Memo.run ~fanout:(memo_fanout t) ~score ~salt:i.app
-              ~sections ~store:t.store p ~errors:i.errors ~trials:i.trials
-              ~seed:(i.seed + 100)
+          let _, s, st =
+            Matrix.inject_policy ~fanout:(memo_fanout t) ~store:t.store
+              ~prepare:(registry_prepared t l ~seed:i.seed ~mode)
+              l ~mode ~errors:i.errors ~trials:i.trials ~seed:(i.seed + 100)
+              policy
           in
           totals := add_stats !totals st;
           (policy, s))
@@ -349,7 +398,7 @@ let run_inject t ~acc (i : Proto.inject_req) :
       inject_report ~app:i.app ~errors:i.errors ~trials:i.trials ~seed:i.seed
         ~literal:i.literal ~engine:Sim.Interp.Fast ~jobs:None
         ~checkpoint_stride:None
-        ~fidelity_units:b.Apps.App.fidelity_units
+        ~fidelity_units:l.Experiment.built.Apps.App.fidelity_units
         ~cache:(Some (t.cfg.cache_dir, !totals))
         summaries
     in
@@ -366,9 +415,8 @@ let run_matrix t ~acc (s : Matrix.spec) : Report.t option * string option =
     Matrix.run_with
       { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
       ~load:(fun app -> registry_load t ~acc app ~seed)
-      ~prepare:(fun l (name, mode, policy) ->
-        let p, sections = registry_prepared t l ~name ~seed ~mode policy in
-        (p, Some sections))
+      ~prepare:(fun l (_, mode, policy) ->
+        registry_prepared t l ~seed ~mode policy)
       ~memo_fanout:(memo_fanout t) ~store:t.store s
   in
   let meta =
@@ -470,12 +518,11 @@ let gc_configured t = t.cfg.gc_max_bytes <> None || t.cfg.gc_max_age_days <> Non
    safe against eviction by construction of the store. *)
 let maybe_gc t =
   if gc_configured t then begin
-    Mutex.lock t.rl;
     let st =
-      Core.Memo.Store.gc ?max_bytes:t.cfg.gc_max_bytes
-        ?max_age_days:t.cfg.gc_max_age_days t.store
+      with_registry t (fun () ->
+          Core.Memo.Store.gc ?max_bytes:t.cfg.gc_max_bytes
+            ?max_age_days:t.cfg.gc_max_age_days t.store)
     in
-    Mutex.unlock t.rl;
     Mutex.lock t.m;
     Obs.count "serve.gc_runs" 1;
     Obs.count "serve.gc_evicted" st.Core.Memo.Store.gc_evicted;
@@ -529,10 +576,12 @@ let latency_json (v : Obs.view) =
    Counter deltas are [Obs.diff]s of mergeable families: exact and
    jobs-invariant (DESIGN.md §18). *)
 let stats_json t : J.t =
-  Mutex.lock t.rl;
-  let apps = Hashtbl.length t.apps in
-  let prepped = Hashtbl.length t.prepped in
-  Mutex.unlock t.rl;
+  let apps, prepped =
+    with_registry t (fun () ->
+        ( Hashtbl.length t.registry,
+          Hashtbl.fold (fun _ e n -> n + Hashtbl.length e.prepped) t.registry 0
+        ))
+  in
   let entries = Core.Memo.Store.scan t.store in
   let store_entries = List.length entries in
   let store_bytes = List.fold_left (fun a (_, sz, _) -> a + sz) 0 entries in

@@ -409,6 +409,47 @@ let test_empty_plan_bucket () =
       check_same_records "errors=0 warm" mono s2;
       Alcotest.(check int) "entry bucket hit" 1 st2.Core.Memo.hits)
 
+(* ------------------------ owner attribution ------------------------ *)
+
+(* [Memo.owners_of] resumes golden checkpoints on the fast engine; the
+   reference walk from ordinal 0 (test/owners) is its oracle. Every
+   mode and policy of one app, boundary ordinals included. *)
+let test_owners_match_walk name () =
+  let rng = Random.State.make [| 11 |] in
+  let app = Option.get (Apps.Registry.find name) in
+  let checked, bad = Owner_oracle.check_app ~rng ~rounds:1 app in
+  List.iter (fun m -> print_endline (Owner_oracle.pp_mismatch m)) bad;
+  Alcotest.(check bool) "ordinals compared" true (checked > 0);
+  Alcotest.(check int) "owners differing from the reference walk" 0
+    (List.length bad)
+
+(* The two other shapes of a prepared target: no checkpoints (one
+   fast-engine machine from ordinal 0) and no fast-engine image
+   (checkpoints resumed on the reference engine). *)
+let test_owners_other_shapes () =
+  let b = built "gsm" in
+  let fast = Core.Campaign.of_prog b.Apps.App.prog in
+  let reference =
+    Core.Campaign.of_prog ~engine:Sim.Interp.Ref b.Apps.App.prog
+  in
+  let rng = Random.State.make [| 12 |] in
+  List.iter
+    (fun (target, p) ->
+      List.iter
+        (fun ordinals ->
+          let bad = Owner_oracle.mismatches ~target p ~ordinals in
+          List.iter (fun m -> print_endline (Owner_oracle.pp_mismatch m)) bad;
+          Alcotest.(check int) (target ^ ": owners differing") 0
+            (List.length bad))
+        (Owner_oracle.ordinal_sets ~rng ~rounds:1 p))
+    [
+      ( "no checkpoints",
+        Core.Campaign.prepare ~checkpoint_stride:0 fast
+          Core.Policy.Protect_nothing );
+      ( "reference engine",
+        Core.Campaign.prepare reference Core.Policy.Protect_control );
+    ]
+
 (* ------------------------- concurrency ----------------------------- *)
 
 (* The store's atomic-publish contract under real concurrency: unique
@@ -582,6 +623,15 @@ let () =
             test_corrupt_store_degrades;
           Alcotest.test_case "empty plans go to the entry bucket" `Quick
             test_empty_plan_bucket;
+        ] );
+      ( "owners",
+        [
+          Alcotest.test_case "adpcm owners = reference walk" `Quick
+            (test_owners_match_walk "adpcm");
+          Alcotest.test_case "mcf owners = reference walk" `Quick
+            (test_owners_match_walk "mcf");
+          Alcotest.test_case "no checkpoints, no image" `Quick
+            test_owners_other_shapes;
         ] );
       ( "concurrency",
         [

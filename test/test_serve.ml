@@ -9,6 +9,9 @@
    - the second identical request is answered from the warm registry —
      no app reload, no target re-preparation, zero trials executed,
      and at most 0.1x the cold request's wall;
+   - the warm registry is bounded: past its capacity of (app, seed)
+     entries it evicts the least recently used one, an evicted key
+     reloads cold with an identical table, and a key in use stays warm;
    - two identical in-flight requests coalesce: trials run exactly
      once and both clients receive the same document;
    - between-requests GC evicts what the daemon stored: with a zero
@@ -288,6 +291,23 @@ let spans_named name (v : Obs.view) =
 let counter name (v : Obs.view) =
   Option.value ~default:0 (List.assoc_opt name v.Obs.counters)
 
+let geti path doc =
+  match List.fold_left (fun acc k -> member_exn k acc) doc path with
+  | Report.Json.Int i -> i
+  | j -> Alcotest.failf "expected an int, got %s" (Report.Json.to_compact_string j)
+
+let stats_of t =
+  let r = reply_exn (List.hd (exchange t [ {|{"id":9,"cmd":"stats"}|} ])) in
+  member_exn "stats" r.Harness.Proto.body
+
+(* A daemon-lifetime counter from a [stats] reply; 0 until first
+   counted. *)
+let total_counter name stats =
+  let counters = member_exn "counters" (member_exn "totals" stats) in
+  match Report.Json.member name counters with
+  | Some (Report.Json.Int i) -> i
+  | _ -> 0
+
 let test_warm_reuse () =
   with_serve @@ fun t ->
   let line = inject_line ~errors:2 ~trials:4 ~seed:1 "adpcm" in
@@ -316,11 +336,14 @@ let test_warm_reuse () =
 
 (* Speed guard on the warm path: repeating gsm -e 3 (8 trials per
    policy) on the same daemon must take at most 0.1x the cold request's
-   wall, with a 50 ms floor for when cold itself is fast. A warm request
-   is ~30 ms of owner walks on one core, so load from test binaries
-   running alongside can double it: the warm wall is the best of up to
-   20 repeats, stopping at the first one within the bound. A warm path
-   that is slow on every repeat still fails. *)
+   wall, with a 50 ms floor for when cold itself is fast. A warm repeat
+   loads nothing, prepares nothing and runs no trial — the stats
+   counters pin that exactly — so what is left is reading the cached
+   records and a few owner lookups from the golden checkpoints, a few
+   ms. Test binaries running alongside can still stall one repeat, so
+   the warm wall is the best of up to 20 repeats, stopping at the first
+   one within the bound. A warm path that is slow on every repeat
+   still fails. *)
 let test_warm_speed () =
   with_serve @@ fun t ->
   let line = inject_line ~errors:3 ~trials:8 ~seed:1 "gsm" in
@@ -331,28 +354,84 @@ let test_warm_speed () =
     Unix.gettimeofday () -. t0
   in
   let cold = timed_exchange () in
+  let before = stats_of t in
   let bound = Float.max (0.1 *. cold) 0.05 in
   let rec best n acc =
     if n = 0 || acc <= bound then acc
     else best (n - 1) (Float.min acc (timed_exchange ()))
   in
   let warm = best 20 infinity in
+  let after = stats_of t in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " over the warm repeats")
+        (total_counter name before) (total_counter name after))
+    [ "serve.warm_miss"; "memo.trials_run"; "campaign.prepares" ];
   Printf.printf "gsm e3 t8: cold %.3f s, warm %.3f s (%.3fx)\n%!" cold warm
     (warm /. cold);
   if warm > bound then
     Alcotest.failf "warm request too slow: %.3f s vs cold %.3f s (> 0.1x)"
       warm cold
 
+(* ------------------------- registry bound -------------------------- *)
+
+(* Twice the capacity in distinct (app, seed) keys through one daemon:
+   the registry never holds more than its capacity, each key past it
+   evicts one entry, and the first key — long evicted — comes back as
+   a cold load whose table is byte-identical to its first reply. *)
+let test_registry_bound () =
+  with_serve @@ fun t ->
+  let cap = Harness.Serve.registry_capacity in
+  let key k = ((if k mod 2 = 0 then "mcf" else "adpcm"), 10 + k) in
+  let request (app, seed) =
+    let line = inject_line ~errors:1 ~trials:2 ~seed app in
+    let r = reply_exn (List.hd (exchange t [ line ])) in
+    Alcotest.(check bool) "request ok" true r.Harness.Proto.ok;
+    r
+  in
+  let first = request (key 0) in
+  for k = 1 to (2 * cap) - 1 do
+    ignore (request (key k));
+    let apps = geti [ "warm"; "apps" ] (stats_of t) in
+    if apps > cap then
+      Alcotest.failf "%d registry entries after key %d, capacity %d" apps k cap
+  done;
+  let before = stats_of t in
+  Alcotest.(check int) "full registry" cap (geti [ "warm"; "apps" ] before);
+  Alcotest.(check int) "one eviction per key past capacity" cap
+    (total_counter "serve.warm_evicted" before);
+  let again = request (key 0) in
+  let after = stats_of t in
+  Alcotest.(check int) "evicted key is a warm miss"
+    (total_counter "serve.warm_miss" before + 1)
+    (total_counter "serve.warm_miss" after);
+  Alcotest.(check string) "reloaded table identical to the first reply"
+    (tables_of first) (tables_of again)
+
+(* A key requested between new-seed requests is never the least
+   recently used entry, so it survives twice the capacity in new keys
+   and its last request still hits. *)
+let test_registry_keeps_used_key () =
+  with_serve @@ fun t ->
+  let cap = Harness.Serve.registry_capacity in
+  let hot = inject_line ~errors:1 ~trials:2 ~seed:1 "mcf" in
+  let ok line =
+    Alcotest.(check bool) "request ok" true
+      (reply_exn (List.hd (exchange t [ line ]))).Harness.Proto.ok
+  in
+  ok hot;
+  for k = 1 to 2 * cap do
+    ok (inject_line ~errors:1 ~trials:2 ~seed:(100 + k) "adpcm");
+    let before = stats_of t in
+    ok hot;
+    Alcotest.(check int) "used key stays warm"
+      (total_counter "serve.warm_miss" before)
+      (total_counter "serve.warm_miss" (stats_of t))
+  done;
+  Alcotest.(check bool) "new keys were evicted" true
+    (total_counter "serve.warm_evicted" (stats_of t) > 0)
+
 (* ------------------------------- gc -------------------------------- *)
-
-let geti path doc =
-  match List.fold_left (fun acc k -> member_exn k acc) doc path with
-  | Report.Json.Int i -> i
-  | j -> Alcotest.failf "expected an int, got %s" (Report.Json.to_compact_string j)
-
-let stats_of t =
-  let r = reply_exn (List.hd (exchange t [ {|{"id":9,"cmd":"stats"}|} ])) in
-  member_exn "stats" r.Harness.Proto.body
 
 (* The same inject twice on one daemon, the store checked in between;
    returns the repeat's [cache_trials_run]. With [gc_max_bytes = Some 0]
@@ -552,6 +631,13 @@ let () =
             test_warm_reuse;
           Alcotest.test_case "warm repeat at most 0.1x cold" `Quick
             test_warm_speed;
+        ] );
+      ( "registry bound",
+        [
+          Alcotest.test_case "capacity holds, evicted key reloads identically"
+            `Quick test_registry_bound;
+          Alcotest.test_case "a key in use stays warm" `Quick
+            test_registry_keeps_used_key;
         ] );
       ( "store gc",
         [
