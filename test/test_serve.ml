@@ -632,10 +632,10 @@ let () =
           Alcotest.test_case "warm repeat at most 0.1x cold" `Quick
             test_warm_speed;
         ] );
-      ( "registry bound",
+      ( "registry",
         [
-          Alcotest.test_case "capacity holds, evicted key reloads identically"
-            `Quick test_registry_bound;
+          Alcotest.test_case "capacity holds, reloads identically" `Quick
+            test_registry_bound;
           Alcotest.test_case "a key in use stays warm" `Quick
             test_registry_keeps_used_key;
         ] );
