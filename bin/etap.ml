@@ -10,9 +10,7 @@
      matrix [--apps ...]       cached sweep over apps x policies x errors
      audit [APP]               dynamic taint audit of the tagging analysis
      profile APP               fault-site attribution profile
-     table2 | table3           reproduce the paper's tables
-     figure N                  reproduce one figure
-     ablation                  run the ablation studies *)
+     reproduce [EXPERIMENT...] the paper's tables, figures and ablations *)
 
 open Cmdliner
 
@@ -134,14 +132,18 @@ let with_obs ~trace ~metrics ~command ~meta f =
 
 (* One emitter for every subcommand: the text table(s) go to stdout
    unchanged; [--json PATH] additionally writes the same tables as an
-   etap-report/1 document. *)
-let emit ?json ~command ~meta tables =
-  List.iter (fun t -> say "%s" (Report.to_text t)) tables;
+   etap-report/1 document ([write_json] alone when the text says more
+   than the tables). *)
+let write_json json report =
   match json with
   | None -> ()
   | Some path ->
-    Report.write_json ~path (Report.make ~command ~meta tables);
+    Report.write_json ~path report;
     say "wrote %s" path
+
+let emit ?json ~command ~meta tables =
+  List.iter (fun t -> say "%s" (Report.to_text t)) tables;
+  write_json json (Report.make ~command ~meta tables)
 
 let meta_int k v = (k, Report.Json.Int v)
 let meta_jobs jobs = ("jobs", Report.Json.of_int_opt jobs)
@@ -408,20 +410,15 @@ let inject_cmd =
               (policy, s))
             [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
         in
-        match json with
-        | None -> ()
-        | Some path ->
-          (* The document itself comes from the builder the serve
-             daemon uses, so the two surfaces cannot drift apart. *)
-          Report.write_json ~path
-            (Harness.Serve.inject_report ~app:name ~errors ~trials ~seed
-               ~literal ~engine:Sim.Interp.Fast ~jobs ~checkpoint_stride:None
-               ~fidelity_units:b.Apps.App.fidelity_units
-               ~cache:
-                 (if incremental then Some (cache_dir, !cache_total)
-                  else None)
-               summaries);
-          say "wrote %s" path)
+        (* The document itself comes from the builder the serve daemon
+           uses, so the two surfaces cannot drift apart. *)
+        write_json json
+          (Harness.Serve.inject_report ~app:name ~errors ~trials ~seed
+             ~literal ~engine:Sim.Interp.Fast ~jobs ~checkpoint_stride:None
+             ~fidelity_units:b.Apps.App.fidelity_units
+             ~cache:
+               (if incremental then Some (cache_dir, !cache_total) else None)
+             summaries))
       (find_app name)
   in
   Cmd.v
@@ -668,13 +665,9 @@ let audit_cmd =
             ~mode loaded
         in
         say "%s" (Harness.Taxonomy.render_audit ~mode rows);
-        (match json with
-         | None -> ()
-         | Some path ->
-           Report.write_json ~path
-             (Report.make ~command:"audit" ~meta
-                [ Harness.Taxonomy.audit_table ~mode rows ]);
-           say "wrote %s" path);
+        write_json json
+          (Report.make ~command:"audit" ~meta
+             [ Harness.Taxonomy.audit_table ~mode rows ]);
         match Harness.Taxonomy.audit_violations rows with
         | [] -> Ok ()
         | bad ->
@@ -728,11 +721,7 @@ let profile_cmd =
         in
         let top = if top <= 0 then None else Some top in
         say "%s" (Harness.Profile.render ?top p);
-        match json with
-        | None -> ()
-        | Some path ->
-          Report.write_json ~path (Harness.Profile.report ?top p);
-          say "wrote %s" path)
+        write_json json (Harness.Profile.report ?top p))
       (find_app name)
   in
   Cmd.v
@@ -747,72 +736,147 @@ let profile_cmd =
        $ literal_arg $ jobs_arg $ top_arg $ json_arg $ trace_arg
        $ metrics_arg))
 
-(* A paper experiment over every registered app: load them, then
-   print (and with --json write) the tables [tables] builds. *)
-let experiment ~command ~meta ~jobs tables json trace metrics =
-  with_obs ~trace ~metrics ~command ~meta @@ fun () ->
-  emit ?json ~command ~meta (tables (Harness.Experiment.load_all ?jobs ()))
-
-let table2_cmd =
-  let action trials jobs =
-    experiment ~command:"table2"
-      ~meta:[ meta_int "trials" trials; meta_jobs jobs ]
-      ~jobs (fun loaded ->
-        [ Harness.Table2.to_table (Harness.Table2.run ~trials ?jobs loaded) ])
+(* The reproduction driver: the paper's tables and figures, the
+   fault-flow audit, the ablations and the extensions, at the fixed
+   trial counts EXPERIMENTS.md is built from. Each section prints a
+   banner and its text as soon as it is computed; a wall-time ledger
+   closes the run. All campaigns are deterministic for a fixed seed
+   and for any --jobs value: trial RNGs derive from the trial index. *)
+let reproduce_cmd =
+  let figure_ids =
+    List.map (fun (f : Harness.Figures.figure) -> f.Harness.Figures.id)
+      Harness.Figures.figures
   in
-  Cmd.v (Cmd.info "table2" ~doc:"Reproduce paper Table 2")
-    Term.(const action $ trials_arg $ jobs_arg $ json_arg $ trace_arg
-          $ metrics_arg)
-
-let table3_cmd =
-  let action jobs =
-    experiment ~command:"table3" ~meta:[ meta_jobs jobs ] ~jobs (fun loaded ->
-        [ Harness.Table3.to_table (Harness.Table3.run ?jobs loaded) ])
+  let experiments =
+    [ "table2"; "table3"; "figures"; "ablation"; "extensions" ] @ figure_ids
   in
-  Cmd.v (Cmd.info "table3" ~doc:"Reproduce paper Table 3")
-    Term.(const action $ jobs_arg $ json_arg $ trace_arg $ metrics_arg)
-
-let figure_cmd =
-  let n_arg =
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"1-6")
-  in
-  let action n trials jobs json trace metrics =
-    let figure =
-      if n < 1 then None else List.nth_opt Harness.Figures.figures (n - 1)
+  let experiments_arg =
+    let doc =
+      Printf.sprintf
+        "Experiments to run (default: all): %s. $(b,table2) includes the \
+         fault-flow audit, $(b,figures) stands for every figure, \
+         $(b,extensions) is the cost model and the outcome taxonomy."
+        (String.concat ", " experiments)
     in
-    match figure with
-    | Some f ->
-      experiment ~command:"figure"
-        ~meta:[ meta_int "figure" n; meta_int "trials" trials; meta_jobs jobs ]
-        ~jobs
-        (fun loaded ->
-          let r = Harness.Figures.run ~trials ?jobs loaded f in
-          [ Harness.Figures.to_table r ])
-        json trace metrics;
-      Ok ()
-    | None -> Error (`Msg "figure number must be 1-6")
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun e -> (e, e)) experiments)) []
+      & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  Cmd.v (Cmd.info "figure" ~doc:"Reproduce one paper figure")
+  let quick_arg =
+    let doc =
+      "Reduced trial counts: Table 2 and the audit at 10 trials per cell \
+       instead of 25, every other campaign at 8 instead of 20."
+    in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let action names quick jobs json trace metrics =
+    let trials = if quick then 8 else 20 in
+    let t2_trials = if quick then 10 else 25 in
+    let want name =
+      names = [] || List.mem name names
+      || (List.mem name figure_ids && List.mem "figures" names)
+    in
+    let meta =
+      [
+        ( "experiments",
+          Report.Json.Arr (List.map (fun e -> Report.Json.Str e) names) );
+        ("quick", Report.Json.Bool quick);
+        meta_int "table2_trials" t2_trials;
+        meta_int "trials" trials;
+        meta_jobs jobs;
+      ]
+    in
+    with_obs ~trace ~metrics ~command:"reproduce" ~meta @@ fun () ->
+    let t0 = Unix.gettimeofday () in
+    let times = ref [] and tables = ref [] in
+    let timed name f =
+      let t = Unix.gettimeofday () in
+      let r = f () in
+      times := (name, Unix.gettimeofday () -. t) :: !times;
+      r
+    in
+    (* A banner, then the table [compute] yields under ledger [name],
+       printed as [text] when the section says more than its table. *)
+    let section ?text title name compute table =
+      say "";
+      say "%s" (String.make 72 '=');
+      say "%s" title;
+      say "%s" (String.make 72 '=');
+      let r = timed name compute in
+      let t = table r in
+      say "%s"
+        (match text with Some text -> text r | None -> Report.to_text t);
+      tables := t :: !tables
+    in
+    say "building applications and baselines... (jobs=%s)"
+      (match jobs with
+       | Some j -> string_of_int j
+       | None -> Printf.sprintf "auto:%d" (Core.Pool.default_jobs ()));
+    let loaded =
+      timed "load_apps" (fun () -> Harness.Experiment.load_all ?jobs ())
+    in
+    if want "table2" then begin
+      section "Table 2 — catastrophic failures with/without control protection"
+        "table2"
+        (fun () -> Harness.Table2.run ~trials:t2_trials ?jobs loaded)
+        Harness.Table2.to_table;
+      let mode = Harness.Experiment.Full in
+      section "Fault-flow taxonomy (dynamic taint audit)" "fault_flow"
+        (fun () -> Harness.Taxonomy.audit ~trials:t2_trials ?jobs ~mode loaded)
+        (Harness.Taxonomy.audit_table ~mode)
+        ~text:(Harness.Taxonomy.render_audit ~mode)
+    end;
+    if want "table3" then
+      section "Table 3 — % of dynamic instructions tagged low-reliability"
+        "table3"
+        (fun () -> Harness.Table3.run ?jobs loaded)
+        Harness.Table3.to_table;
+    List.iter
+      (fun (f : Harness.Figures.figure) ->
+        let id = f.Harness.Figures.id in
+        if want id then
+          section (String.uppercase_ascii id) id
+            (fun () -> Harness.Figures.run ~trials ?jobs loaded f)
+            Harness.Figures.to_table)
+      Harness.Figures.figures;
+    if want "ablation" then begin
+      section "Ablation A — address protection" "ablation_address"
+        (fun () -> Harness.Ablation.address ~trials ?jobs loaded)
+        Harness.Ablation.address_table;
+      section "Ablation B — programmer eligibility marking"
+        "ablation_eligibility"
+        (fun () -> Harness.Ablation.eligibility ~trials ?jobs ())
+        Harness.Ablation.eligibility_table
+    end;
+    if want "extensions" then begin
+      let mode = Harness.Experiment.Literal in
+      section "Cost model — selective vs uniform protection (paper Sec. 5.3)"
+        "cost_model"
+        (fun () -> Harness.Cost_model.run ?jobs ~mode loaded)
+        (Harness.Cost_model.to_table ~mode);
+      section "Fault outcome taxonomy (benign / degraded / catastrophic)"
+        "taxonomy"
+        (fun () -> Harness.Taxonomy.run ~trials ?jobs ~mode loaded)
+        (Harness.Taxonomy.to_table ~mode)
+    end;
+    say "";
+    List.iter
+      (fun (name, secs) -> say "  %-28s %7.2f s" name secs)
+      (List.rev !times);
+    say "total wall time: %.1f s" (Unix.gettimeofday () -. t0);
+    write_json json
+      (Report.make ~command:"reproduce" ~meta (List.rev !tables))
+  in
+  Cmd.v
+    (Cmd.info "reproduce"
+       ~doc:
+         "Reproduce the paper's Table 2, Table 3 and Figures 1-6, the \
+          fault-flow audit, the ablations and the extensions; \
+          $(b,--json) collects every printed table into one document")
     Term.(
-      term_result
-        (const action $ n_arg $ trials_arg $ jobs_arg $ json_arg $ trace_arg
-       $ metrics_arg))
-
-let ablation_cmd =
-  let action trials jobs =
-    experiment ~command:"ablation"
-      ~meta:[ meta_int "trials" trials; meta_jobs jobs ]
-      ~jobs (fun loaded ->
-        [
-          Harness.Ablation.address_table
-            (Harness.Ablation.address ~trials ?jobs loaded);
-          Harness.Ablation.eligibility_table
-            (Harness.Ablation.eligibility ~trials ?jobs ());
-        ])
-  in
-  Cmd.v (Cmd.info "ablation" ~doc:"Run the ablation studies")
-    Term.(const action $ trials_arg $ jobs_arg $ json_arg $ trace_arg
-          $ metrics_arg)
+      const action $ experiments_arg $ quick_arg $ jobs_arg $ json_arg
+      $ trace_arg $ metrics_arg)
 
 let serve_cmd =
   let socket_arg =
@@ -1153,7 +1217,6 @@ let () =
        (Cmd.group info
           [
             list_cmd; run_cmd; tag_cmd; sections_cmd; disasm_cmd; asm_cmd;
-            compile_cmd; inject_cmd; matrix_cmd; audit_cmd; profile_cmd; table2_cmd;
-            table3_cmd; figure_cmd; ablation_cmd; serve_cmd; top_cmd;
-            cache_cmd;
+            compile_cmd; inject_cmd; matrix_cmd; audit_cmd; profile_cmd;
+            reproduce_cmd; serve_cmd; top_cmd; cache_cmd;
           ]))

@@ -1,10 +1,11 @@
-(* Generic iterative dataflow over [Ir.Cfg].
+(* Generic iterative backward dataflow over [Ir.Cfg] (liveness and the
+   tagging analysis).
 
-   Both directions use a worklist fixpoint with join over the relevant
-   CFG edges. Transfer functions are given per instruction, so clients
-   never re-implement block walking. Termination requires the usual
-   conditions: [join] monotone w.r.t. [equal]-quotiented domain with
-   finite ascending chains (all our domains are finite powersets). *)
+   A worklist fixpoint with join over the successor edges. Transfer
+   functions are given per instruction, so clients never re-implement
+   block walking. Termination requires the usual conditions: [join]
+   monotone w.r.t. [equal]-quotiented domain with finite ascending
+   chains (our domain is a finite powerset). *)
 
 module type DOMAIN = sig
   type t
@@ -79,74 +80,11 @@ module Backward (D : DOMAIN) = struct
       cfg.Ir.Cfg.blocks
 end
 
-module Forward (D : DOMAIN) = struct
-  type result = {
-    in_state : D.t array;
-    out_state : D.t array;
-  }
-
-  let solve (cfg : Ir.Cfg.t) ~entry_state
-      ~(transfer : int -> Ir.Instr.t -> D.t -> D.t) : result =
-    let n = Ir.Cfg.n_blocks cfg in
-    let in_state = Array.make n D.bottom in
-    let out_state = Array.make n D.bottom in
-    let transfer_block b inn =
-      let state = ref inn in
-      Ir.Cfg.iter_instrs cfg (Ir.Cfg.block cfg b) (fun i instr ->
-          state := transfer i instr !state);
-      !state
-    in
-    let order = Ir.Cfg.reverse_postorder cfg in
-    let in_work = Array.make n true in
-    let work = Queue.create () in
-    List.iter (fun b -> Queue.add b work) order;
-    while not (Queue.is_empty work) do
-      let b = Queue.pop work in
-      in_work.(b) <- false;
-      let blk = Ir.Cfg.block cfg b in
-      let inn =
-        if b = 0 then
-          List.fold_left
-            (fun acc p -> D.join acc out_state.(p))
-            entry_state blk.Ir.Cfg.preds
-        else
-          match blk.Ir.Cfg.preds with
-          | [] -> D.bottom  (* unreachable block *)
-          | preds ->
-            List.fold_left (fun acc p -> D.join acc out_state.(p)) D.bottom preds
-      in
-      in_state.(b) <- inn;
-      let out = transfer_block b inn in
-      if not (D.equal out out_state.(b)) then begin
-        out_state.(b) <- out;
-        List.iter
-          (fun s ->
-            if not in_work.(s) then begin
-              in_work.(s) <- true;
-              Queue.add s work
-            end)
-          blk.Ir.Cfg.succs
-      end
-    done;
-    { in_state; out_state }
-end
-
-(* Shared powerset domains. *)
-
+(* The shared powerset domain. *)
 module Reg_set_domain = struct
   type t = Ir.Reg.Set.t
 
   let bottom = Ir.Reg.Set.empty
   let equal = Ir.Reg.Set.equal
   let join = Ir.Reg.Set.union
-end
-
-module Int_set_domain = struct
-  module S = Set.Make (Int)
-
-  type t = S.t
-
-  let bottom = S.empty
-  let equal = S.equal
-  let join = S.union
 end

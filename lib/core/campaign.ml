@@ -260,32 +260,33 @@ let run_trial ?score ?taint (p : prepared) ~errors ~rng ~index : trial =
 let trial_rng ~seed ~errors ~policy index =
   Random.State.make [| seed; index; errors; Policy.seed_tag policy |]
 
-let run ?jobs ?score ?taint (p : prepared) ~errors ~trials ~seed : summary =
-  let results =
-    Pool.map_n ?jobs trials (fun i ->
-        let rng = trial_rng ~seed ~errors ~policy:p.policy i in
-        run_trial_skip ?score ?taint p ~errors ~rng ~index:i)
-  in
-  let stats =
-    Array.fold_left
-      (fun acc (t, _) ->
-        let flow =
-          Option.map (fun (s : Sim.Taint.summary) -> s.Sim.Taint.flow)
-            t.fault_flow
-        in
-        Stats.observe ?flow acc t.outcome ~fidelity:t.fidelity)
-      Stats.empty results
+(* The one summary fold. [results] holds each trial with the dynamic
+   instructions a checkpoint restore let it skip, in trial-index order;
+   a trial that ran nothing in this call (a cache hit) carries 0. *)
+let summary_of ~injectable_total ~errors (results : (trial * int) list) :
+    summary =
+  let observe acc (t, _) =
+    let flow =
+      Option.map (fun (s : Sim.Taint.summary) -> s.Sim.Taint.flow) t.fault_flow
+    in
+    Stats.observe ?flow acc t.outcome ~fidelity:t.fidelity
   in
   {
-    trials = Array.to_list (Array.map fst results);
-    stats;
+    trials = List.map fst results;
+    stats = List.fold_left observe Stats.empty results;
     errors_requested = errors;
-    errors_planned =
-      Fault_model.planned ~injectable_total:p.injectable_total ~errors;
+    errors_planned = Fault_model.planned ~injectable_total ~errors;
     resumed_trials =
-      Array.fold_left (fun n (_, sk) -> if sk > 0 then n + 1 else n) 0 results;
-    skipped_dyn = Array.fold_left (fun n (_, sk) -> n + sk) 0 results;
+      List.fold_left (fun n (_, sk) -> if sk > 0 then n + 1 else n) 0 results;
+    skipped_dyn = List.fold_left (fun n (_, sk) -> n + sk) 0 results;
   }
+
+let run ?jobs ?score ?taint (p : prepared) ~errors ~trials ~seed : summary =
+  Pool.map_n ?jobs trials (fun i ->
+      let rng = trial_rng ~seed ~errors ~policy:p.policy i in
+      run_trial_skip ?score ?taint p ~errors ~rng ~index:i)
+  |> Array.to_list
+  |> summary_of ~injectable_total:p.injectable_total ~errors
 
 (* True when the pool was too small for the request, so each plan holds
    fewer faults than asked — surfaced by the CLI next to the summary. *)

@@ -153,6 +153,15 @@ val trial_rng :
 (** The RNG {!run} derives for trial [i]: a function of
     [(seed, i, errors, policy)] only, via {!Policy.seed_tag}. *)
 
+val summary_of :
+  injectable_total:int -> errors:int -> (trial * int) list -> summary
+(** The summary of [results]: each trial, in trial-index order, with the
+    dynamic instructions a checkpoint restore let it skip (0 for a
+    trial this call did not execute). The one place a summary's
+    [stats], [errors_planned], [resumed_trials] and [skipped_dyn] are
+    folded; {!run}, {!Memo.run} and fault-free sweep points all call
+    it. *)
+
 val run :
   ?jobs:int ->
   ?score:(Sim.Interp.result -> float) ->

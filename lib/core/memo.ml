@@ -613,6 +613,8 @@ let run ?jobs ?fanout ?score ?(salt = "") ?sections ~(store : Store.t)
               hits = !st.hits + 1;
               trials_reused = !st.trials_reused + List.length idxs;
             };
+          (* Resume accounting covers executed trials only: a reused
+             trial ran nothing, so it skipped nothing in this run. *)
           List.map (fun t -> (t, 0)) cached
         | `Miss (sec, key, idxs) ->
           let group = List.map (fun i -> Hashtbl.find ran i) idxs in
@@ -633,29 +635,9 @@ let run ?jobs ?fanout ?score ?(salt = "") ?sections ~(store : Store.t)
       (fun (a, _) (b, _) -> Int.compare a.Campaign.index b.Campaign.index)
       collected
   in
-  let stats_acc =
-    List.fold_left
-      (fun acc (t, _) ->
-        Stats.observe acc t.Campaign.outcome ~fidelity:t.Campaign.fidelity)
-      Stats.empty all
-  in
   let summary =
-    {
-      Campaign.trials = List.map fst all;
-      stats = stats_acc;
-      errors_requested = errors;
-      errors_planned =
-        Fault_model.planned ~injectable_total:p.Campaign.injectable_total
-          ~errors;
-      (* Resume accounting covers executed trials only: reused trials
-         ran nothing, so they neither resumed nor skipped anything in
-         this run. *)
-      resumed_trials =
-        List.fold_left
-          (fun n (_, sk) -> if sk > 0 then n + 1 else n)
-          0 collected;
-      skipped_dyn = List.fold_left (fun n (_, sk) -> n + sk) 0 collected;
-    }
+    Campaign.summary_of ~injectable_total:p.Campaign.injectable_total ~errors
+      all
   in
   if Obs.enabled () then begin
     (* All jobs-invariant: pure functions of the request + cache

@@ -77,8 +77,6 @@ let address_table rows : Report.table =
          ])
        rows)
 
-let render_address rows = Report.to_text (address_table rows)
-
 (* ------------------------------------------------------------------ *)
 
 (* B. Eligibility: the paper's benchmarks concentrate all work in
@@ -219,5 +217,3 @@ let eligibility_table rows : Report.table =
            Report.opt ~missing:"n/a (all failed)" Report.pct r.mean_fidelity;
          ])
        rows)
-
-let render_eligibility rows = Report.to_text (eligibility_table rows)

@@ -71,6 +71,3 @@ let to_table ~(mode : Experiment.mode) rows : Report.table =
            factor r.cost_vs_unprotected;
          ])
        rows)
-
-let render ~(mode : Experiment.mode) rows =
-  Report.to_text (to_table ~mode rows)

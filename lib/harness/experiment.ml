@@ -132,18 +132,8 @@ let fault_free_summary (l : loaded) ~errors ~trials : Core.Campaign.summary =
       fault_flow = None;
     }
   in
-  let trials = List.init trials trial in
-  let observe s (t : Core.Campaign.trial) =
-    Core.Stats.observe s t.outcome ~fidelity:t.fidelity
-  in
-  {
-    Core.Campaign.trials;
-    stats = List.fold_left observe Core.Stats.empty trials;
-    errors_requested = errors;
-    errors_planned = Core.Fault_model.planned ~injectable_total:0 ~errors;
-    resumed_trials = 0;
-    skipped_dyn = 0;
-  }
+  Core.Campaign.summary_of ~injectable_total:0 ~errors
+    (List.init trials (fun i -> (trial i, 0)))
 
 let fault_free_point l ~errors ~trials : sweep_point =
   point_of_summary ~errors (fault_free_summary l ~errors ~trials)

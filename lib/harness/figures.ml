@@ -120,5 +120,3 @@ let to_table (r : result) : Report.table =
   Report.table ~id:r.id
     ~title:(r.title ^ "  [" ^ r.fidelity_name ^ "]")
     ~columns rows
-
-let render (r : result) : string = Report.to_text (to_table r)

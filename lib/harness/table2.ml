@@ -108,5 +108,3 @@ let to_table rows : Report.table =
            Report.pct r.paper_without;
          ])
        rows)
-
-let render rows = Report.to_text (to_table rows)

@@ -68,5 +68,3 @@ let to_table rows : Report.table =
            Report.pct r.paper_pct;
          ])
        rows)
-
-let render rows = Report.to_text (to_table rows)

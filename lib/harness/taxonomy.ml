@@ -78,9 +78,6 @@ let to_table ~(mode : Experiment.mode) rows : Report.table =
          ])
        rows)
 
-let render ~(mode : Experiment.mode) rows =
-  Report.to_text (to_table ~mode rows)
-
 (* ------------------------------------------------------------------ *)
 (* Fault-flow taxonomy: the shadow-taint audit (DESIGN §11), per app
    under the two informative policies. [Protect_control] carries the

@@ -96,11 +96,6 @@ let rev_iter_instrs t blk f =
     f i t.func.Func.body.(i)
   done
 
-let iter_instrs t blk f =
-  for i = blk.lo to blk.hi do
-    f i t.func.Func.body.(i)
-  done
-
 (* Reverse postorder from the entry block, for fast forward fixpoints;
    unreachable blocks are appended at the end in index order. *)
 let reverse_postorder t =

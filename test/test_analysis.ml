@@ -1,4 +1,4 @@
-(* Tests for the dataflow framework and the classic analyses. *)
+(* Tests for the dataflow framework and the liveness analysis. *)
 
 open Ir
 
@@ -64,114 +64,6 @@ let test_live_after () =
   Alcotest.(check bool) "acc live after init" true (Reg.Set.mem r1 after.(0))
 
 (* ------------------------------------------------------------------ *)
-(* Reaching definitions.                                               *)
-
-let test_reaching_diamond () =
-  let cfg = Cfg.build diamond in
-  let reach = Analysis.Reaching.compute cfg in
-  (* both arm definitions of r1 reach the final ret *)
-  let defs = Analysis.Reaching.reaching_defs_of_use reach ~use_index:6 ~reg:r1 in
-  Alcotest.(check (list int)) "both defs reach" [ 1; 4 ]
-    (List.sort compare (Analysis.Reaching.IS.elements defs))
-
-let test_reaching_params () =
-  let cfg = Cfg.build diamond in
-  let reach = Analysis.Reaching.compute cfg in
-  (* the use of r0 in the branch sees the parameter pseudo-site -1 *)
-  let defs = Analysis.Reaching.reaching_defs_of_use reach ~use_index:0 ~reg:r0 in
-  Alcotest.(check (list int)) "param site" [ -1 ]
-    (Analysis.Reaching.IS.elements defs)
-
-let test_reaching_kill () =
-  (* r1 = 1; r1 = 2; use r1 -> only the second def reaches *)
-  let f =
-    Func.make ~name:"k" ~params:[] ~ret:(Some Ty.I32)
-      [ Instr.Li (r1, 1l); Instr.Li (r1, 2l); Instr.Ret (Some r1) ]
-  in
-  let reach = Analysis.Reaching.compute (Cfg.build f) in
-  let defs = Analysis.Reaching.reaching_defs_of_use reach ~use_index:2 ~reg:r1 in
-  Alcotest.(check (list int)) "killed" [ 1 ]
-    (Analysis.Reaching.IS.elements defs)
-
-(* ------------------------------------------------------------------ *)
-(* Dominators.                                                         *)
-
-let test_dominators_diamond () =
-  let cfg = Cfg.build diamond in
-  let dom = Analysis.Dominators.compute cfg in
-  (* entry dominates everything; neither arm dominates the join *)
-  Alcotest.(check bool) "entry dominates join" true
-    (Analysis.Dominators.dominates dom 0 3);
-  Alcotest.(check bool) "arm does not dominate join" false
-    (Analysis.Dominators.dominates dom 1 3);
-  Alcotest.(check (option int)) "idom of join is entry" (Some 0)
-    (Analysis.Dominators.idom dom 3)
-
-let test_back_edges () =
-  let cfg = Cfg.build loop_func in
-  let dom = Analysis.Dominators.compute cfg in
-  match Analysis.Dominators.back_edges dom with
-  | [ (src, dst) ] ->
-    Alcotest.(check bool) "target dominates source" true
-      (Analysis.Dominators.dominates dom dst src)
-  | edges -> Alcotest.failf "expected 1 back edge, got %d" (List.length edges)
-
-let test_no_back_edges_in_dag () =
-  let cfg = Cfg.build diamond in
-  let dom = Analysis.Dominators.compute cfg in
-  Alcotest.(check int) "dag" 0
-    (List.length (Analysis.Dominators.back_edges dom))
-
-(* ------------------------------------------------------------------ *)
-(* Call graph.                                                         *)
-
-let call ?dst func args = Instr.Call { dst; func; args }
-
-let three_func_prog () =
-  let leaf =
-    Func.make ~name:"leaf" ~params:[] ~ret:None [ Instr.Ret None ]
-  in
-  let mid =
-    Func.make ~name:"mid" ~params:[] ~ret:None
-      [ call "leaf" []; Instr.Ret None ]
-  in
-  let island =
-    Func.make ~name:"island" ~params:[] ~ret:None [ Instr.Ret None ]
-  in
-  let main =
-    Func.make ~name:"main" ~params:[] ~ret:None
-      [ call "mid" []; Instr.Ret None ]
-  in
-  Prog.make ~globals:[] [ main; mid; leaf; island ]
-
-let test_callgraph () =
-  let cg = Analysis.Callgraph.compute (three_func_prog ()) in
-  Alcotest.(check (list string)) "main calls mid" [ "mid" ]
-    (Analysis.Callgraph.SS.elements (Analysis.Callgraph.callees cg "main"));
-  Alcotest.(check (list string)) "leaf called by mid" [ "mid" ]
-    (Analysis.Callgraph.SS.elements (Analysis.Callgraph.callers cg "leaf"));
-  let reach = Analysis.Callgraph.reachable cg in
-  Alcotest.(check bool) "leaf reachable" true
-    (Analysis.Callgraph.SS.mem "leaf" reach);
-  Alcotest.(check bool) "island unreachable" false
-    (Analysis.Callgraph.SS.mem "island" reach)
-
-let test_recursion_detection () =
-  let self =
-    Func.make ~name:"self" ~params:[] ~ret:None
-      [ call "self" []; Instr.Ret None ]
-  in
-  let main =
-    Func.make ~name:"main" ~params:[] ~ret:None
-      [ call "self" []; Instr.Ret None ]
-  in
-  let cg = Analysis.Callgraph.compute (Prog.make ~globals:[] [ main; self ]) in
-  Alcotest.(check bool) "self recursive" true
-    (Analysis.Callgraph.is_recursive cg "self");
-  Alcotest.(check bool) "main not recursive" false
-    (Analysis.Callgraph.is_recursive cg "main")
-
-(* ------------------------------------------------------------------ *)
 (* Property: liveness solution is a fixpoint (retransfer stable).      *)
 
 let liveness_fixpoint_prop =
@@ -221,22 +113,5 @@ let () =
           Alcotest.test_case "loop" `Quick test_liveness_loop;
           Alcotest.test_case "live after" `Quick test_live_after;
           QCheck_alcotest.to_alcotest liveness_fixpoint_prop;
-        ] );
-      ( "reaching",
-        [
-          Alcotest.test_case "diamond merge" `Quick test_reaching_diamond;
-          Alcotest.test_case "parameters" `Quick test_reaching_params;
-          Alcotest.test_case "kill" `Quick test_reaching_kill;
-        ] );
-      ( "dominators",
-        [
-          Alcotest.test_case "diamond" `Quick test_dominators_diamond;
-          Alcotest.test_case "back edges" `Quick test_back_edges;
-          Alcotest.test_case "dag has none" `Quick test_no_back_edges_in_dag;
-        ] );
-      ( "callgraph",
-        [
-          Alcotest.test_case "edges and reachability" `Quick test_callgraph;
-          Alcotest.test_case "recursion" `Quick test_recursion_detection;
         ] );
     ]

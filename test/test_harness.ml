@@ -127,7 +127,7 @@ let test_table3_shape () =
         && r.Harness.Table3.pct_low_literal <= 100.0))
     rows;
   Alcotest.(check bool) "renders" true
-    (String.length (Harness.Table3.render rows) > 0)
+    (String.length (Report.to_text (Harness.Table3.to_table rows)) > 0)
 
 let test_figure_render () =
   (* structural check on a tiny synthetic figure result *)
@@ -150,7 +150,7 @@ let test_figure_render () =
         [ { Harness.Figures.label = "s"; points = [ point 0; point 5 ] } ];
     }
   in
-  let s = Harness.Figures.render r in
+  let s = Report.to_text (Harness.Figures.to_table r) in
   Alcotest.(check bool) "has error rows" true
     (String.length s > 0
     && String.split_on_char '\n' s

@@ -99,14 +99,23 @@ let stability_qcheck =
 (* Transitive callers of [f], plus [f] itself: the exact set whose
    composed hash must change under any edit confined to [f]. *)
 let dirty_set prog f =
-  let cg = Analysis.Callgraph.compute prog in
+  let callers g =
+    List.filter_map
+      (fun (h : Ir.Func.t) ->
+        if
+          Array.exists
+            (function Ir.Instr.Call { func; _ } -> func = g | _ -> false)
+            h.Ir.Func.body
+        then Some h.Ir.Func.name
+        else None)
+      (Ir.Prog.funcs prog)
+    |> SS.of_list
+  in
   let rec go acc frontier =
     match frontier with
     | [] -> acc
     | g :: rest ->
-      let fresh =
-        SS.diff (Analysis.Callgraph.callers cg g) acc |> SS.elements
-      in
+      let fresh = SS.diff (callers g) acc |> SS.elements in
       go (List.fold_left (fun a x -> SS.add x a) acc fresh) (fresh @ rest)
   in
   go (SS.singleton f) [ f ]
