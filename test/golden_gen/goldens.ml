@@ -112,6 +112,48 @@ let susan_metrics () =
          ]
        (snd (Lazy.force susan_profile)))
 
+(* The inject report's table, as `etap inject` and the daemon's inject
+   verb print it, for adpcm and gsm under both tagging modes at seed 1,
+   without a result store. adpcm's Full/protect-control pool is empty,
+   so the file also covers a campaign with nothing to inject into. *)
+let inject_quick () =
+  let errors = 3 and trials = 4 and seed = 1 in
+  String.concat "\n"
+    (List.concat_map
+       (fun name ->
+         let l =
+           Harness.Experiment.load ~seed (Option.get (Apps.Registry.find name))
+         in
+         List.map
+           (fun literal ->
+             let mode =
+               if literal then Harness.Experiment.Literal
+               else Harness.Experiment.Full
+             in
+             let summaries =
+               List.map
+                 (fun policy ->
+                   let _, s, _ =
+                     Harness.Matrix.inject_policy
+                       ~prepare:(fun policy ->
+                         (l.Harness.Experiment.prepared mode policy, None))
+                       l ~mode ~errors ~trials ~seed:(seed + 100) policy
+                   in
+                   (policy, s))
+                 [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
+             in
+             let r =
+               Harness.Serve.inject_report ~app:name ~errors ~trials ~seed
+                 ~literal ~engine:Sim.Interp.Fast ~jobs:None
+                 ~checkpoint_stride:None
+                 ~fidelity_units:
+                   l.Harness.Experiment.built.Apps.App.fidelity_units
+                 ~cache:None summaries
+             in
+             String.concat "\n" (List.map table r.Report.tables))
+           [ false; true ])
+       [ "adpcm"; "gsm" ])
+
 (* (test case name, file under test/golden/, content). *)
 let all : (string * string * (unit -> string)) list =
   let loaded () = Lazy.force loaded in
@@ -160,4 +202,5 @@ let all : (string * string * (unit -> string)) list =
         table
           (Harness.Ablation.address_table
              (Harness.Ablation.address ~trials:4 ~jobs:1 (loaded ()))) );
+    ("inject quick", "inject_quick.txt", inject_quick);
   ]
