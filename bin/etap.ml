@@ -341,8 +341,7 @@ let disasm_cmd =
 let inject_cmd =
   let action name seed errors trials literal jobs incremental cache_dir json
       trace metrics =
-    Result.map
-      (fun (app : Apps.App.t) ->
+    Result.bind (find_app name) (fun (app : Apps.App.t) ->
         let meta =
           [
             ("app", Report.Json.Str name);
@@ -361,65 +360,56 @@ let inject_cmd =
         in
         with_obs ~trace ~metrics ~command:"inject" ~meta @@ fun () ->
         let l = Harness.Experiment.load ~seed app in
-        let mode =
-          if literal then Harness.Experiment.Literal
-          else Harness.Experiment.Full
-        in
-        let b = l.Harness.Experiment.built in
         let store =
           if incremental then Some (Core.Memo.Store.open_ cache_dir)
           else None
         in
-        let cache_total = ref Core.Memo.zero_stats in
-        let summaries =
-          List.map
-            (fun policy ->
-              let pool, s, (st : Core.Memo.stats) =
-                Harness.Matrix.inject_policy ?jobs ?store
-                  ~prepare:(fun policy ->
-                    (l.Harness.Experiment.prepared mode policy, None))
-                  l ~mode ~errors ~trials ~seed:(seed + 100) policy
-              in
+        let req = { Harness.Proto.app = name; errors; trials; seed; literal } in
+        let cells =
+          Harness.Matrix.run_cells ?jobs ?store [ l ]
+            (Harness.Serve.inject_cells req)
+        in
+        match Harness.Matrix.cells_failures_message cells with
+        | Some msg -> Error (`Msg msg)
+        | None ->
+          List.iter
+            (fun (c : Harness.Matrix.cell) ->
+              let policy = Core.Policy.to_string c.Harness.Matrix.cell.policy in
+              let s = Harness.Matrix.summary l c in
               if incremental then begin
-                cache_total := Harness.Serve.add_stats !cache_total st;
+                let st = Harness.Matrix.cache c in
                 say
                   "%-18s cache: %d/%d section groups hit — %d trial(s) \
                    reused, %d run"
-                  (Core.Policy.to_string policy)
-                  st.Core.Memo.hits st.Core.Memo.sections
+                  policy st.Core.Memo.hits st.Core.Memo.sections
                   st.Core.Memo.trials_reused st.Core.Memo.trials_run
               end;
               say
                 "%-18s errors=%-4d trials=%-3d catastrophic=%5.1f%% (%d \
                  crash, %d infinite)  mean fidelity=%s"
-                (Core.Policy.to_string policy)
-                errors (Core.Campaign.n s)
+                policy errors (Core.Campaign.n s)
                 (Core.Campaign.pct_catastrophic s)
                 (Core.Campaign.crashes s)
                 (Core.Campaign.infinite s)
                 (match Core.Campaign.mean_fidelity s with
                  | None -> "n/a"
                  | Some m ->
-                   Printf.sprintf "%.1f %s" m b.Apps.App.fidelity_units);
+                   Printf.sprintf "%.1f %s" m
+                     l.Harness.Experiment.built.Apps.App.fidelity_units);
               if Core.Campaign.errors_capped s then
                 say
                   "  note: injectable pool (%d) smaller than request — \
                    each plan holds %d fault(s), not %d"
-                  pool
-                  s.Core.Campaign.errors_planned errors;
-              (policy, s))
-            [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
-        in
-        (* The document itself comes from the builder the serve daemon
-           uses, so the two surfaces cannot drift apart. *)
-        write_json json
-          (Harness.Serve.inject_report ~app:name ~errors ~trials ~seed
-             ~literal ~engine:Sim.Interp.Fast ~jobs ~checkpoint_stride:None
-             ~fidelity_units:b.Apps.App.fidelity_units
-             ~cache:
-               (if incremental then Some (cache_dir, !cache_total) else None)
-             summaries))
-      (find_app name)
+                  (match c.Harness.Matrix.status with
+                   | Harness.Matrix.Ok ok -> ok.Harness.Matrix.pool
+                   | _ -> 0)
+                  s.Core.Campaign.errors_planned errors)
+            cells;
+          write_json json
+            (Harness.Serve.inject_of_cells ~jobs
+               ~cache_dir:(if incremental then Some cache_dir else None)
+               req l cells);
+          Ok ())
   in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign on one app")
@@ -490,9 +480,7 @@ let matrix_cmd =
           (match apps with
            | None -> Harness.Matrix.default_spec.Harness.Matrix.apps
            | Some s -> split_commas s);
-        mode =
-          (if literal then Harness.Experiment.Literal
-           else Harness.Experiment.Full);
+        mode = Harness.Experiment.mode_of_literal literal;
         policies;
         errors;
         trials;
@@ -634,9 +622,7 @@ let audit_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
   in
   let action app seed errors trials literal jobs json trace metrics =
-    let mode =
-      if literal then Harness.Experiment.Literal else Harness.Experiment.Full
-    in
+    let mode = Harness.Experiment.mode_of_literal literal in
     let loaded_res =
       match app with
       | None -> Ok (Harness.Experiment.load_all ~seed ?jobs ())
@@ -661,8 +647,8 @@ let audit_cmd =
         in
         with_obs ~trace ~metrics ~command:"audit" ~meta @@ fun () ->
         let rows =
-          Harness.Taxonomy.audit ~errors ~trials ~seed:(seed + 100) ?jobs
-            ~mode loaded
+          Harness.Taxonomy.audit ~errors ~trials
+            ~seed:(Harness.Matrix.campaign_seed seed) ?jobs ~mode loaded
         in
         say "%s" (Harness.Taxonomy.render_audit ~mode rows);
         write_json json
@@ -699,10 +685,7 @@ let profile_cmd =
   let action name seed errors trials literal jobs top json trace metrics =
     Result.map
       (fun (app : Apps.App.t) ->
-        let mode =
-          if literal then Harness.Experiment.Literal
-          else Harness.Experiment.Full
-        in
+        let mode = Harness.Experiment.mode_of_literal literal in
         let meta =
           [
             ("app", Report.Json.Str name);
@@ -717,7 +700,8 @@ let profile_cmd =
         with_obs ~trace ~metrics ~command:"profile" ~meta @@ fun () ->
         let l = Harness.Experiment.load ~seed app in
         let p =
-          Harness.Profile.run ~errors ~trials ~seed:(seed + 100) ?jobs ~mode l
+          Harness.Profile.run ~errors ~trials
+            ~seed:(Harness.Matrix.campaign_seed seed) ?jobs ~mode l
         in
         let top = if top <= 0 then None else Some top in
         say "%s" (Harness.Profile.render ?top p);

@@ -15,6 +15,10 @@ type mode =
 
 let mode_name = function Full -> "full" | Literal -> "literal"
 
+(* The mode a request's [literal] flag names — `--literal`, a spec's or
+   a daemon request's ["literal"] field. *)
+let mode_of_literal literal = if literal then Literal else Full
+
 type loaded = {
   app : Apps.App.t;
   built : Apps.App.built;
@@ -134,9 +138,6 @@ let fault_free_summary (l : loaded) ~errors ~trials : Core.Campaign.summary =
   in
   Core.Campaign.summary_of ~injectable_total:0 ~errors
     (List.init trials (fun i -> (trial i, 0)))
-
-let fault_free_point l ~errors ~trials : sweep_point =
-  point_of_summary ~errors (fault_free_summary l ~errors ~trials)
 
 let sweep_point ?jobs (l : loaded) ~mode ~policy ~errors ~trials ~seed :
     sweep_point =

@@ -1,16 +1,15 @@
 (* The experiment runner: an explicit list of (app, mode, policy,
    errors) cells, each a scored campaign or a taint audit, run as
    nested executor batches with a typed status per cell. Table 2, the
-   figures, the audits, Ablation A, `etap matrix` and the serve
-   daemon's matrix requests all run through here; DESIGN.md §16
-   describes the shape of a run.
+   figures, the audits, Ablation A, `etap matrix`, `etap inject` and
+   the serve daemon's inject and matrix requests all run through here;
+   DESIGN.md §16 describes the shape of a run.
 
    A campaign cell scores its trials with the app's scorer against the
-   mode's golden baseline. With a store it goes through [Core.Memo.run]
-   — the configuration of [etap inject --incremental], so a matrix
-   cell and the equivalent standalone run share cache entries — and
-   without one it is a plain [Core.Campaign.run]; the two give
-   bit-identical summaries. An audit cell runs shadow-taint trials
+   mode's golden baseline. With a store it goes through [Core.Memo.run],
+   so a sweep's cell and the equivalent inject cell share cache
+   entries, and without one it is a plain [Core.Campaign.run]; the two
+   give bit-identical summaries. An audit cell runs shadow-taint trials
    (Core.Audit) and never goes through the store. *)
 
 type spec = {
@@ -88,6 +87,11 @@ let at_least what min v =
 let check_errors = at_least "errors" 0
 let check_trials = at_least "trials" 1
 
+(* The campaign seed of a request at workload seed [seed]: sweeps,
+   inject requests, `etap audit` and `etap profile` all run their
+   campaigns at this offset, so equal requests share cache entries. *)
+let campaign_seed seed = seed + 100
+
 let make_cell ?(kind = Campaign) ~mode ~policy ~errors ~trials ~seed app =
   let valid = function
     | Stdlib.Ok v -> v
@@ -111,8 +115,7 @@ let status_kind = function
 (* Requested cells in deterministic spec order: app-major, then policy,
    then error count. Duplicates in the spec stay duplicates here —
    every requested cell appears in the output exactly once per
-   request. A sweep's campaign seed is [spec.seed + 100], the offset
-   `etap inject` applies, so the two share cache entries. *)
+   request. *)
 let cells_of_spec (s : spec) : cell_spec list =
   List.concat_map
     (fun app ->
@@ -121,7 +124,7 @@ let cells_of_spec (s : spec) : cell_spec list =
           List.map
             (fun errors ->
               make_cell ~mode:s.mode ~policy ~errors ~trials:s.trials
-                ~seed:(s.seed + 100) app)
+                ~seed:(campaign_seed s.seed) app)
             s.errors)
         s.policies)
     s.apps
@@ -142,45 +145,12 @@ let pool ?jobs () = { map = (fun f xs -> Core.Pool.map_list ?jobs f xs) }
 let all_run (s : Core.Campaign.summary) =
   { Core.Memo.zero_stats with Core.Memo.trials_run = Core.Campaign.n s }
 
-(* One scored campaign, and the store branch in one place: through the
-   result cache when [store] is given, else a plain run that counts
-   every trial as run. Both give the same summary. *)
-let campaign ?jobs ?fanout ?sections ?store ~score ~salt p ~errors ~trials
-    ~seed =
-  match store with
-  | Some store ->
-    Core.Memo.run ?jobs ?fanout ~score ~salt ?sections ~store p ~errors
-      ~trials ~seed
-  | None ->
-    let s = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
-    (s, all_run s)
-
 (* Injectable pool size of [l]'s target under [mode] and [policy], as
    [prepare] would size it — without preparing. *)
 let pool_of (l : Experiment.loaded) mode policy =
   let t = l.Experiment.target mode in
   Core.Campaign.injectable_pool t
     (Core.Tagging.mask t.Core.Campaign.tagging policy)
-
-(* One policy of an inject-shaped campaign — `etap inject` and the
-   daemon's inject requests — as (pool size, summary, cache stats). An
-   empty pool gives the fault-free summary without preparing, as
-   [collect] skips such a cell; any other pool runs [campaign] on the
-   target and section partition [prepare] returns. *)
-let inject_policy ?jobs ?fanout ?store ~prepare (l : Experiment.loaded) ~mode
-    ~errors ~trials ~seed policy =
-  match pool_of l mode policy with
-  | 0 ->
-    (0, Experiment.fault_free_summary l ~errors ~trials, Core.Memo.zero_stats)
-  | pool ->
-    let p, sections = prepare policy in
-    let golden = (l.Experiment.target mode).Core.Campaign.baseline in
-    let score r = l.Experiment.built.Apps.App.score ~golden r in
-    let s, st =
-      campaign ?jobs ?fanout ?sections ?store ~score
-        ~salt:l.Experiment.app.Apps.App.name p ~errors ~trials ~seed
-    in
-    (pool, s, st)
 
 (* One cell. [lookup] resolves an app name to its loaded context (None
    = unknown app, a Failed cell); [prepared_of] gives the cell's
@@ -208,12 +178,20 @@ let exec_cell ?jobs ~(lookup : string -> Experiment.loaded option)
         | Audit ->
           let s = Core.Campaign.run ?jobs ~taint:true p ~errors ~trials ~seed in
           (s, all_run s, Some (Core.Audit.of_summary p ~errors ~trials ~seed s))
-        | Campaign ->
-          let s, st =
-            campaign ?jobs ?fanout:memo_fanout ?sections ?store ~score
-              ~salt:c.app p ~errors ~trials ~seed
-          in
-          (s, st, None)
+        | Campaign -> (
+          (* Through the result cache when [store] is given, else a
+             plain run that counts every trial as run; both give the
+             same summary. *)
+          match store with
+          | Some store ->
+            let s, st =
+              Core.Memo.run ?jobs ?fanout:memo_fanout ~score ~salt:c.app
+                ?sections ~store p ~errors ~trials ~seed
+            in
+            (s, st, None)
+          | None ->
+            let s = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
+            (s, all_run s, None))
       in
       Ok { summary; cache; pool; audit })
 
@@ -313,9 +291,9 @@ let run_cells ?jobs ?store (loaded : Experiment.loaded list)
 
 (* A spec's sweep: each distinct known app resolved once by [load],
    fanned over the scheduler (unknown names never load — their cells
-   fail), then the spec's cells. *)
-let run_with (sched : scheduler) ?jobs ~load ?prepare ?memo_fanout ?store
-    (s : spec) : result =
+   fail), then the spec's cells through [collect]: {!collect} with the
+   caller's scheduler and hooks applied. *)
+let run_with (sched : scheduler) ~load ~collect (s : spec) : result =
   let t_run = Unix.gettimeofday () in
   let loaded =
     sched.map
@@ -325,23 +303,31 @@ let run_with (sched : scheduler) ?jobs ~load ?prepare ?memo_fanout ?store
          (dedup s.apps))
   in
   let load_s = Unix.gettimeofday () -. t_run in
-  let cells =
-    collect sched ?jobs ?prepare ?memo_fanout ?store ~loaded (cells_of_spec s)
-  in
+  let cells = collect ~loaded (cells_of_spec s) in
   { spec = s; cells; load_s; wall_s = Unix.gettimeofday () -. t_run }
 
 let run ?jobs ?store (s : spec) : result =
-  run_with (pool ?jobs ()) ?jobs ~load:(Experiment.load ~seed:s.seed) ?store s
+  let sched = pool ?jobs () in
+  run_with sched ~load:(Experiment.load ~seed:s.seed)
+    ~collect:(fun ~loaded cells -> collect sched ?jobs ?store ~loaded cells)
+    s
 
-(* A campaign cell's result as a sweep point, for the renderers. A
-   skipped cell (empty injectable pool) stands for trials that each
-   run fault-free; a failed cell raises, as its campaign did. *)
-let point (l : Experiment.loaded) (c : cell) : Experiment.sweep_point =
+(* A campaign cell's summary, for the renderers. A skipped cell (empty
+   injectable pool) stands for trials that each run fault-free; a
+   failed cell raises, as its campaign did. *)
+let summary (l : Experiment.loaded) (c : cell) : Core.Campaign.summary =
   match c.status with
-  | Ok ok -> Experiment.point_of_summary ~errors:c.cell.errors ok.summary
+  | Ok ok -> ok.summary
   | Skipped _ ->
-    Experiment.fault_free_point l ~errors:c.cell.errors ~trials:c.cell.trials
+    Experiment.fault_free_summary l ~errors:c.cell.errors ~trials:c.cell.trials
   | Failed m -> failwith (cell_label c.cell ^ ": " ^ m)
+
+(* A cell's cache stats: a skipped cell ran and reused nothing. *)
+let cache (c : cell) : Core.Memo.stats =
+  match c.status with Ok ok -> ok.cache | _ -> Core.Memo.zero_stats
+
+let point l (c : cell) : Experiment.sweep_point =
+  Experiment.point_of_summary ~errors:c.cell.errors (summary l c)
 
 (* Run an experiment's cells and read each one back as a sweep point. *)
 let points ?jobs loaded (cells : cell_spec list) :
@@ -388,26 +374,28 @@ let totals (r : result) : totals =
     trials_run = sum (fun c -> c.Core.Memo.trials_run);
   }
 
-let any_failed (r : result) =
-  List.exists (fun c -> match c.status with Failed _ -> true | _ -> false) r.cells
-
-let failures (r : result) =
+let failed (cells : cell list) =
   List.filter_map
     (fun c ->
       match c.status with Failed m -> Some (cell_label c.cell, m) | _ -> None)
-    r.cells
+    cells
 
-(* One diagnostic string for the fail-fast surface — shared verbatim by
-   the CLI's non-zero exit message and the daemon's typed [Failed]
-   response. [None] when every cell is ok or skipped. *)
-let failures_message (r : result) : string option =
-  match failures r with
+let failures (r : result) = failed r.cells
+let any_failed (r : result) = failures r <> []
+
+(* One diagnostic string for the fail-fast surface of any cell list —
+   shared verbatim by the CLI's non-zero exit message and the daemon's
+   typed [Failed] response. [None] when every cell is ok or skipped. *)
+let cells_failures_message (cells : cell list) : string option =
+  match failed cells with
   | [] -> None
   | fs ->
     Some
       (Printf.sprintf "%d matrix cell(s) failed:\n%s" (List.length fs)
          (String.concat "\n"
             (List.map (fun (l, m) -> "  " ^ l ^ ": " ^ m) fs)))
+
+let failures_message (r : result) = cells_failures_message r.cells
 
 (* ------------------------------------------------------------------ *)
 (* Anomaly clustering: recurring oddities across the sweep, ranked by
@@ -707,8 +695,7 @@ let spec_of_json ~(base : spec) (j : Report.Json.t) :
     let* mode =
       match member "literal" j with
       | None -> Stdlib.Ok base.mode
-      | Some (Bool true) -> Stdlib.Ok Experiment.Literal
-      | Some (Bool false) -> Stdlib.Ok Experiment.Full
+      | Some (Bool literal) -> Stdlib.Ok (Experiment.mode_of_literal literal)
       | Some _ -> Stdlib.Error "spec field \"literal\": expected a bool"
     in
     Stdlib.Ok { apps; mode; policies; errors; trials; seed }

@@ -7,9 +7,10 @@
    long-running process answers line-delimited [Proto] requests
    (inject-shaped campaigns and matrix-shaped sweeps) with the same
    typed-status [etap-report/1] documents the CLI emits, bit-identical
-   to standalone runs because both sides route through the same
-   builders ([inject_report] here, [Matrix.run_with]/[Matrix.report_meta]
-   for sweeps) and the same [Core.Memo] result cache.
+   to standalone runs because both sides run the same [Matrix] cells
+   through the same builders ([inject_of_cells] here,
+   [Matrix.report_meta] for sweeps) and the same [Core.Memo] result
+   cache.
 
    Three layers:
 
@@ -29,9 +30,8 @@
      after a flight lands run fresh — and hit the result cache.
 
    - {b Shared executor} — one [Core.Executor] of worker domains
-     executes every job the daemon schedules: trial batches from inject
-     requests, cells and their trial batches from matrix requests,
-     across all connections. Workers take one job from the head batch
+     executes every job the daemon schedules: the cells of every
+     request and their trial batches, across all connections. Workers take one job from the head batch
      then rotate it to the tail, so concurrent requests interleave
      fairly instead of queueing behind each other. Submitters on
      worker domains {e help} (they execute queued jobs — their own
@@ -280,12 +280,12 @@ let registry_prepared t (l : Experiment.loaded) ~seed ~mode policy :
 (* ----------------------------- reports ----------------------------- *)
 
 (* The inject report, byte-for-byte the document `etap inject --json`
-   writes — bin/etap.ml calls this too, so the CLI and the daemon
-   cannot drift apart. [cache = Some (dir, totals)] is the incremental
-   path; [None] reproduces a plain (non-incremental) run's meta. Every
-   caller passes [~engine:Fast ~checkpoint_stride:None], the constants
-   campaigns run with; the labels stay because etapbench's serve-mix
-   workload calls this builder with them. *)
+   writes — both build it through [inject_of_cells], so the CLI and the
+   daemon cannot drift apart. [cache = Some (dir, totals)] is the
+   incremental path; [None] reproduces a plain (non-incremental) run's
+   meta. Every caller passes [~engine:Fast ~checkpoint_stride:None],
+   the constants campaigns run with; the labels stay because
+   etapbench's serve-mix workload calls this builder with them. *)
 let inject_report ~app ~errors ~trials ~seed ~literal ~engine ~jobs
     ~checkpoint_stride ~fidelity_units
     ~(cache : (string * Core.Memo.stats) option)
@@ -350,7 +350,16 @@ let inject_report ~app ~errors ~trials ~seed ~literal ~engine ~jobs
         ])
     [ table ]
 
-(* ----------------------------- handlers ---------------------------- *)
+(* An inject request — the daemon's inject verb, or `etap inject`'s
+   flags — as cells: one campaign cell per default policy at the
+   request's app, mode, error count, trial count and campaign seed. *)
+let inject_cells (i : Proto.inject_req) : Matrix.cell_spec list =
+  List.map
+    (fun policy ->
+      Matrix.make_cell ~mode:(Experiment.mode_of_literal i.literal) ~policy
+        ~errors:i.errors ~trials:i.trials ~seed:(Matrix.campaign_seed i.seed)
+        i.app)
+    Matrix.default_policies
 
 let add_stats (a : Core.Memo.stats) (b : Core.Memo.stats) : Core.Memo.stats =
   Core.Memo.
@@ -362,74 +371,52 @@ let add_stats (a : Core.Memo.stats) (b : Core.Memo.stats) : Core.Memo.stats =
       trials_run = a.trials_run + b.trials_run;
     }
 
-(* Trial fan-out for inject campaigns: hand [Memo.run]'s miss batch to
-   the shared executor. The submitter is an orchestration job on a
-   worker domain, so it helps. *)
+(* An inject request's report read back from its cells, a skipped cell
+   as fault-free trials ([Matrix.summary]). [cache_dir] is [Some] on
+   the result-cache path, whose meta adds the cells' summed cache
+   stats. `etap inject --json` writes this document too. *)
+let inject_of_cells ~jobs ~cache_dir (i : Proto.inject_req)
+    (l : Experiment.loaded) (cells : Matrix.cell list) : Report.t =
+  let totals =
+    List.fold_left
+      (fun acc c -> add_stats acc (Matrix.cache c))
+      Core.Memo.zero_stats cells
+  in
+  inject_report ~app:i.app ~errors:i.errors ~trials:i.trials ~seed:i.seed
+    ~literal:i.literal ~engine:Sim.Interp.Fast ~jobs ~checkpoint_stride:None
+    ~fidelity_units:l.Experiment.built.Apps.App.fidelity_units
+    ~cache:(Option.map (fun d -> (d, totals)) cache_dir)
+    (List.map (fun (c : Matrix.cell) -> (c.cell.policy, Matrix.summary l c)) cells)
+
+(* Trial fan-out for a cell: hand [Memo.run]'s miss batch to the shared
+   executor. The submitter is a cell job on a worker domain, so it
+   helps. *)
 let memo_fanout t exec indices = Core.Executor.map t.ex ~help:true exec indices
 
 let unknown_app name =
   Printf.sprintf "unknown application %S (known: %s)" name
     (String.concat ", " Apps.Registry.names)
 
-let run_inject t ~acc (i : Proto.inject_req) :
-    Report.t option * string option =
-  match Apps.Registry.find i.app with
-  | None -> (None, Some (unknown_app i.app))
-  | Some app ->
-    let l = registry_load t ~acc app ~seed:i.seed in
-    let mode =
-      if i.literal then Experiment.Literal else Experiment.Full
-    in
-    let totals = ref Core.Memo.zero_stats in
-    let summaries =
-      List.map
-        (fun policy ->
-          let _, s, st =
-            Matrix.inject_policy ~fanout:(memo_fanout t) ~store:t.store
-              ~prepare:(registry_prepared t l ~seed:i.seed ~mode)
-              l ~mode ~errors:i.errors ~trials:i.trials ~seed:(i.seed + 100)
-              policy
-          in
-          totals := add_stats !totals st;
-          (policy, s))
-        [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
-    in
-    let rep =
-      inject_report ~app:i.app ~errors:i.errors ~trials:i.trials ~seed:i.seed
-        ~literal:i.literal ~engine:Sim.Interp.Fast ~jobs:None
-        ~checkpoint_stride:None
-        ~fidelity_units:l.Experiment.built.Apps.App.fidelity_units
-        ~cache:(Some (t.cfg.cache_dir, !totals))
-        summaries
-    in
-    (Some rep, None)
+(* The daemon's one work path: a request's cells over apps the warm
+   registry resolved, through [Matrix.collect] on the shared executor
+   with the registry's prepared targets. Cells — each with its missed
+   trials as a nested batch — interleave with any other in-flight
+   request's batches. *)
+let scheduler t =
+  { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
 
-(* A matrix request is [Matrix.run_with] on the daemon's own state:
-   apps resolve through the warm registry, targets through its
-   prepared table, and cells — each with its missed trials as a nested
-   batch — run on the shared executor, interleaving with any other
-   in-flight request's batches. *)
-let run_matrix t ~acc (s : Matrix.spec) : Report.t option * string option =
-  let seed = s.Matrix.seed in
-  let r =
-    Matrix.run_with
-      { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
-      ~load:(fun app -> registry_load t ~acc app ~seed)
-      ~prepare:(fun l (_, mode, policy) ->
-        registry_prepared t l ~seed ~mode policy)
-      ~memo_fanout:(memo_fanout t) ~store:t.store s
-  in
-  let meta =
-    Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r
-  in
-  let rep =
-    Report.make ~command:"matrix" ~meta
-      [ Matrix.to_table r; Matrix.anomaly_table r ]
-  in
-  (* A failed cell is a failed response — but the full typed report
-     still ships with it: never a silent partial result. *)
-  (Some rep, Matrix.failures_message r)
+let collect t ~seed ~loaded cells =
+  Matrix.collect (scheduler t)
+    ~prepare:(fun l (_, mode, policy) ->
+      registry_prepared t l ~seed ~mode policy)
+    ~memo_fanout:(memo_fanout t) ~store:t.store ~loaded cells
 
+(* The two work verbs differ only in their cell list and renderer: an
+   inject request is [inject_cells] over its one app, a matrix request
+   the spec's cells over its apps, loaded on the executor. A failed cell
+   is a failed response; a matrix reply still ships its full typed
+   report (never a silent partial result), an inject reply, whose table
+   has no failed-cell row, does not. *)
 let dispatch t ~acc (req : Proto.request) : Report.t option * string option =
   let sp = Obs.span_begin () in
   let kind =
@@ -438,10 +425,33 @@ let dispatch t ~acc (req : Proto.request) : Report.t option * string option =
     | Proto.Matrix _ -> "matrix"
     | Proto.Ping | Proto.Stats | Proto.Shutdown -> "control"
   in
-  let (_, err) as r =
+  let ((_, err) as r) =
     match req with
-    | Proto.Inject i -> run_inject t ~acc i
-    | Proto.Matrix s -> run_matrix t ~acc s
+    | Proto.Inject i -> (
+      match Apps.Registry.find i.app with
+      | None -> (None, Some (unknown_app i.app))
+      | Some app -> (
+        let l = registry_load t ~acc app ~seed:i.seed in
+        let cells =
+          collect t ~seed:i.seed ~loaded:[ (i.app, l) ] (inject_cells i)
+        in
+        match Matrix.cells_failures_message cells with
+        | Some m -> (None, Some m)
+        | None ->
+          let cache_dir = Some t.cfg.cache_dir in
+          (Some (inject_of_cells ~jobs:None ~cache_dir i l cells), None)))
+    | Proto.Matrix s ->
+      let seed = s.Matrix.seed in
+      let r =
+        Matrix.run_with (scheduler t)
+          ~load:(fun app -> registry_load t ~acc app ~seed)
+          ~collect:(collect t ~seed) s
+      in
+      let meta = Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r in
+      ( Some
+          (Report.make ~command:"matrix" ~meta
+             [ Matrix.to_table r; Matrix.anomaly_table r ]),
+        Matrix.failures_message r )
     | Proto.Ping | Proto.Stats | Proto.Shutdown -> (None, None)
   in
   Obs.span_end ~name:"serve.request" ~cat:"serve"

@@ -140,17 +140,6 @@ elif kind in ("report", "matrix", "serve", "stats"):
             for row in t["rows"]:
                 expect(list(row.keys()) == keys,
                        f"{where}table {t['id']}: row keys diverge from columns")
-            if t["id"] == "experiments":
-                # Bench wall-time rows mark experiments that did no
-                # fresh work with an explicit boolean — the wall cell
-                # is null exactly when it is set.
-                for row in t["rows"]:
-                    expect(isinstance(row.get("skipped"), bool),
-                           f"{where}experiments row {row.get('name')!r}: "
-                           "skipped is not a boolean")
-                    expect((row["wall_s"] is None) == row["skipped"],
-                           f"{where}experiments row {row.get('name')!r}: "
-                           "wall_s null-ness diverges from skipped")
 
     def check_stats(doc, where=""):
         expect(doc.get("schema") == "etap-stats/1",

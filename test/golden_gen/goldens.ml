@@ -126,29 +126,16 @@ let inject_quick () =
          in
          List.map
            (fun literal ->
-             let mode =
-               if literal then Harness.Experiment.Literal
-               else Harness.Experiment.Full
+             let req =
+               { Harness.Proto.app = name; errors; trials; seed; literal }
              in
-             let summaries =
-               List.map
-                 (fun policy ->
-                   let _, s, _ =
-                     Harness.Matrix.inject_policy
-                       ~prepare:(fun policy ->
-                         (l.Harness.Experiment.prepared mode policy, None))
-                       l ~mode ~errors ~trials ~seed:(seed + 100) policy
-                   in
-                   (policy, s))
-                 [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
+             let cells =
+               Harness.Matrix.run_cells ~jobs:1 [ l ]
+                 (Harness.Serve.inject_cells req)
              in
              let r =
-               Harness.Serve.inject_report ~app:name ~errors ~trials ~seed
-                 ~literal ~engine:Sim.Interp.Fast ~jobs:None
-                 ~checkpoint_stride:None
-                 ~fidelity_units:
-                   l.Harness.Experiment.built.Apps.App.fidelity_units
-                 ~cache:None summaries
+               Harness.Serve.inject_of_cells ~jobs:None ~cache_dir:None req l
+                 cells
              in
              String.concat "\n" (List.map table r.Report.tables))
            [ false; true ])

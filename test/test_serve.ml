@@ -201,11 +201,35 @@ let test_proto_responses () =
   Alcotest.(check (option string)) "error carried" (Some "boom")
     failed.Harness.Proto.error
 
+(* An inject request is one campaign cell per default policy at the
+   request's coordinates; cells over an app that did not load fail,
+   and the failure message names each of them. *)
+let test_inject_cells () =
+  let req =
+    { Harness.Proto.app = "gsm"; errors = 3; trials = 7; seed = 5;
+      literal = true }
+  in
+  let cells = Harness.Serve.inject_cells req in
+  Alcotest.(check (list string)) "one cell per policy"
+    [ "gsm/literal/protect-control e=3 t=7";
+      "gsm/literal/protect-nothing e=3 t=7" ]
+    (List.map Harness.Matrix.cell_label cells);
+  Alcotest.(check (list int)) "campaign seed = seed + 100" [ 105; 105 ]
+    (List.map (fun (c : Harness.Matrix.cell_spec) -> c.seed) cells);
+  let failed = Harness.Matrix.run_cells [] cells in
+  Alcotest.(check (option string)) "failed cells end the request"
+    (Some
+       "2 matrix cell(s) failed:\n\
+       \  gsm/literal/protect-control e=3 t=7: unknown application \"gsm\"\n\
+       \  gsm/literal/protect-nothing e=3 t=7: unknown application \"gsm\"")
+    (Harness.Matrix.cells_failures_message failed)
+
 (* --------------------- served = standalone ------------------------- *)
 
-(* The CLI inject path, daemon-free: Experiment.load + Memo.run over
-   Pool fan-out, the same report builder. Distinct cache, same seed
-   derivation — trials must be bit-identical. *)
+(* An independent inject oracle, free of the daemon and the runner:
+   Experiment.load + Memo.run on both policies (an empty pool
+   included) over Pool fan-out, the same report builder. Distinct
+   cache, same seed derivation — trials must be bit-identical. *)
 let direct_inject ~errors ~trials ~seed app_name =
   let dir = fresh_cache_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -236,21 +260,27 @@ let direct_inject ~errors ~trials ~seed app_name =
     ~cache:(Some (dir, !totals))
     summaries
 
+(* gsm, and adpcm, whose Full/protect-control pool is empty: the daemon
+   skips that cell, while [direct_inject] runs it fault-free. *)
 let test_inject_bit_identity () =
   let errors = 2 and trials = 5 and seed = 1 in
-  let served =
-    with_serve @@ fun t ->
-    reply_exn
-      (List.hd (exchange t [ inject_line ~errors ~trials ~seed "gsm" ]))
-  in
-  Alcotest.(check bool) "served ok" true served.Harness.Proto.ok;
-  let direct = direct_inject ~errors ~trials ~seed "gsm" in
-  let direct_tables =
-    Report.Json.to_compact_string
-      (member_exn "tables" (Report.to_json direct))
-  in
-  Alcotest.(check string) "tables bit-identical to the standalone run"
-    direct_tables (tables_of served)
+  List.iter
+    (fun app ->
+      let served =
+        with_serve @@ fun t ->
+        reply_exn
+          (List.hd (exchange t [ inject_line ~errors ~trials ~seed app ]))
+      in
+      Alcotest.(check bool) (app ^ " served ok") true served.Harness.Proto.ok;
+      let direct = direct_inject ~errors ~trials ~seed app in
+      let direct_tables =
+        Report.Json.to_compact_string
+          (member_exn "tables" (Report.to_json direct))
+      in
+      Alcotest.(check string)
+        (app ^ " tables bit-identical to the standalone run")
+        direct_tables (tables_of served))
+    [ "gsm"; "adpcm" ]
 
 let test_matrix_bit_identity () =
   let spec_json =
@@ -617,6 +647,8 @@ let () =
             test_proto_group_key;
           Alcotest.test_case "responses round-trip" `Quick
             test_proto_responses;
+          Alcotest.test_case "inject requests are two cells" `Quick
+            test_inject_cells;
         ] );
       ( "equivalence",
         [
