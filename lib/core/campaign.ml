@@ -75,18 +75,17 @@ type summary = {
 
 let timeout_factor = 10
 
-(* [lenient] defaults to true: the paper ran on SimpleScalar sim-safe,
-   whose sparse memory does not fault wild accesses. *)
-let of_prog ?protect_addresses ?(lenient = true)
-    ?(engine = Sim.Interp.Fast) (prog : Ir.Prog.t) =
+(* Trials run lenient: the paper ran on SimpleScalar sim-safe, whose
+   sparse memory does not fault wild accesses. *)
+let of_prog ?protect_addresses ?(engine = Sim.Interp.Fast) (prog : Ir.Prog.t) =
   let code = Sim.Code.of_prog prog in
   let tagging = Tagging.compute ?protect_addresses prog in
   (* The baseline profiles exec counts, which only the reference engine
      supports — engine choice applies to trials, not to this run. *)
   let baseline = Sim.Interp.run_exn ~count_exec:true code in
-  let proto = Sim.Memory.of_prog ~lenient prog in
+  let proto = Sim.Memory.of_prog ~lenient:true prog in
   let baseline_digest = Sim.Memory.digest baseline.Sim.Interp.memory in
-  { code; tagging; baseline; lenient; proto; engine; baseline_digest }
+  { code; tagging; baseline; lenient = true; proto; engine; baseline_digest }
 
 (* The injectable pool needs no profiling interpretation: the baseline
    already counted every dynamic execution, and the fault hook fires

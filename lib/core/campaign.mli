@@ -23,8 +23,9 @@ type target = {
   baseline : Sim.Interp.result;  (** fault-free run, with exec counts *)
   lenient : bool;  (** sim-safe sparse-memory model for injected runs *)
   proto : Sim.Memory.t;
-      (** prototype trial image: globals laid out once, per-trial
-          memories are blit-copies *)
+      (** the one pristine image every trial machine starts from:
+          globals laid out once, per-trial memories (and the golden
+          checkpoint pass) are blit-copies *)
   engine : Sim.Interp.engine;
       (** which interpreter executes trials (default [Fast]); the
           baseline and taint trials always use the reference loop *)
@@ -80,13 +81,12 @@ val timeout_factor : int
 
 val of_prog :
   ?protect_addresses:bool ->
-  ?lenient:bool ->
   ?engine:Sim.Interp.engine ->
   Ir.Prog.t ->
   target
-(** Compile, tag and run the fault-free baseline. [lenient] defaults to
-    [true] — the SimpleScalar sim-safe memory model the paper used.
-    [engine] (default [Fast]) selects the trial interpreter; both
+(** Compile, tag and run the fault-free baseline, and lay out the
+    target's prototype in the lenient model — the SimpleScalar sim-safe
+    memory the paper ran every campaign on. [engine] (default [Fast]) selects the trial interpreter; both
     engines produce bit-identical summaries (the differential suite in
     [test_engine] pins this). *)
 

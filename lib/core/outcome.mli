@@ -19,9 +19,6 @@ type t =
 val of_result : Sim.Interp.result -> t
 val is_catastrophic : t -> bool
 
-val site_to_string : site -> string
-(** ["func+pc"]. *)
-
 val to_string : t -> string
 (** Frozen classification wording (no site), as used by campaign text
     output and golden fingerprints. *)

@@ -98,10 +98,6 @@ let flows_merge (a : flows) (b : flows) =
     reached_control = a.reached_control + b.reached_control;
   }
 
-let flows_total (f : flows) =
-  f.vanished + f.data_only + f.reached_memory + f.reached_address
-  + f.reached_control
-
 let flows_get (f : flows) (c : Sim.Taint.flow) =
   match c with
   | Sim.Taint.Vanished -> f.vanished

@@ -40,10 +40,6 @@ type flows = {
   reached_control : int;
 }
 
-val flows_empty : flows
-val flows_add : flows -> Sim.Taint.flow -> flows
-val flows_merge : flows -> flows -> flows
-val flows_total : flows -> int
 val flows_get : flows -> Sim.Taint.flow -> int
 
 type t = {

@@ -20,20 +20,6 @@ let snr_db (reference : int array) (signal : int array) =
   else if !sig_pow = 0.0 then 0.0
   else Float.min (10.0 *. log10 (!sig_pow /. !noise_pow)) cap_db
 
-let snr_db_f (reference : float array) (signal : float array) =
-  if Array.length reference <> Array.length signal then
-    invalid_arg "snr: length mismatch";
-  let sig_pow = ref 0.0 and noise_pow = ref 0.0 in
-  Array.iteri
-    (fun i r ->
-      let d = signal.(i) -. r in
-      sig_pow := !sig_pow +. (r *. r);
-      noise_pow := !noise_pow +. (d *. d))
-    reference;
-  if !noise_pow = 0.0 then cap_db
-  else if !sig_pow = 0.0 then 0.0
-  else Float.min (10.0 *. log10 (!sig_pow /. !noise_pow)) cap_db
-
 (* dB lost relative to a baseline SNR (e.g. MPEG's per-frame quality
    drop against the fault-free reconstruction). *)
 let loss_db ~baseline_db ~observed_db = baseline_db -. observed_db

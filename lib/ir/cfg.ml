@@ -85,10 +85,6 @@ let n_blocks t = Array.length t.blocks
 let block t id = t.blocks.(id)
 let block_of_index t i = t.block_of_index.(i)
 
-let instr_indices blk =
-  let rec range i acc = if i < blk.lo then acc else range (i - 1) (i :: acc) in
-  range blk.hi []
-
 (* Iterate instructions of a block in reverse order (for backward
    analyses), calling [f index instr]. *)
 let rev_iter_instrs t blk f =

@@ -124,8 +124,6 @@ let is_control = function
   | Br _ | Brz _ | Jmp _ | Ret _ -> true
   | _ -> false
 
-let is_branch = function Br _ | Brz _ -> true | _ -> false
-
 let branch_target = function
   | Br (_, _, _, l) | Brz (_, _, l) | Jmp l -> Some l
   | _ -> None

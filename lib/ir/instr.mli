@@ -58,7 +58,6 @@ val stored_value : t -> Reg.t option
 val is_control : t -> bool
 (** Branches, jumps and returns. *)
 
-val is_branch : t -> bool
 val branch_target : t -> label option
 
 val is_terminator : t -> bool

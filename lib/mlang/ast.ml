@@ -82,6 +82,4 @@ type program = {
 
 exception Type_error of string
 
-let type_errorf fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
-
 let string_of_ty = function TInt -> "int" | TFlt -> "float"

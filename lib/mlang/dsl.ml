@@ -39,7 +39,6 @@ let ( >! ) a b = Cmp (Gt, a, b)
 let ( >=! ) a b = Cmp (Ge, a, b)
 
 let neg e = Neg e
-let not_ e = Not e
 
 (* Short-circuit-free logical connectives on 0/1 ints. *)
 let ( &&! ) a b = Bin (BAnd, a, b)
@@ -76,7 +75,6 @@ let proc ?(eligible = true) name params body =
   { name; params; ret = None; body; eligible }
 
 let p_int name = (name, TInt)
-let p_flt name = (name, TFlt)
 
 let garray ?(init = GZero) name size =
   { gname = name; gty = TInt; byte = false; size; init }

@@ -70,13 +70,6 @@ let accept_punct p s =
     true
   | _ -> false
 
-let accept_op p s =
-  match peek p with
-  | Lexer.OP x when x = s ->
-    advance p;
-    true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Expressions.                                                        *)
 

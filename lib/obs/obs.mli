@@ -43,10 +43,6 @@ module Hist : sig
   val buckets : t -> (int * int) list
   (** [(bucket index, count)] pairs in ascending bucket order. *)
 
-  val bucket_value : int -> float
-  (** Representative value of a bucket: [2^(i/8)], or [0.] for the
-      underflow bucket. Always finite. *)
-
   val diff : t -> t -> t
   (** [diff newer older] subtracts bucket-wise, clamping each bucket at
       zero and dropping emptied buckets. On two readings of one
@@ -179,18 +175,11 @@ val cls_index : cls -> int
 (** Index of a class in a {!view} site tally: 0 crash, 1 infinite,
     2 completed. *)
 
-val trace_schema_version : string
-(** ["etap-trace/1"]. *)
-
-val metrics_schema_version : string
-(** ["etap-metrics/1"]. *)
-
-val trace_json : view -> Report.Json.t
-(** Chrome trace-event document (loadable by chrome://tracing and
-    Perfetto): one ["ph": "X"] complete event per span plus thread-name
-    metadata, under a top-level [schema] marker. *)
-
 val write_trace : path:string -> view -> unit
+(** Write the Chrome trace-event document (loadable by chrome://tracing
+    and Perfetto): one ["ph": "X"] complete event per span plus
+    thread-name metadata, under a top-level [schema] marker
+    (["etap-trace/1"]). *)
 
 val metrics_lines :
   ?redact_volatile:bool ->

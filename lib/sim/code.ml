@@ -130,6 +130,5 @@ let of_prog (prog : Ir.Prog.t) =
   in
   { prog; funcs; fid_of_name; entry_fid = Hashtbl.find fid_of_name prog.Ir.Prog.entry }
 
-let n_funcs t = Array.length t.funcs
 let func t fid = t.funcs.(fid)
 let fid t name = Hashtbl.find_opt t.fid_of_name name

@@ -108,10 +108,9 @@ let compile = Threaded.compile
 
 type machine = Machine.t
 
-let machine ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code
-    : machine =
-  Machine.make ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory
-    code
+let machine ?image ?injection ?budget ?count_exec ?taint ?memory code : machine
+    =
+  Machine.make ?image ?injection ?budget ?count_exec ?taint ?memory code
 
 (* ------------------------- shadow taint ------------------------- *)
 
@@ -474,14 +473,12 @@ let machine_fid = Machine.machine_fid
 let resume ?image ?injection ?taint (s : snapshot) : machine =
   Machine.restore ?image ?injection ?taint s
 
-let run ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code :
-    result =
-  finish
-    (machine ?image ?injection ?lenient ?budget ?count_exec ?taint ?memory code)
+let run ?image ?injection ?budget ?count_exec ?taint ?memory code : result =
+  finish (machine ?image ?injection ?budget ?count_exec ?taint ?memory code)
 
 (* Fault-free execution, trusting the program: raises on trap/timeout. *)
-let run_exn ?image ?lenient ?budget ?count_exec code =
-  let r = run ?image ?lenient ?budget ?count_exec code in
+let run_exn ?image ?count_exec code =
+  let r = run ?image ?count_exec code in
   match r.outcome with
   | Done _ -> r
   | Trapped t -> failwith ("fault-free run trapped: " ^ Trap.to_string t)

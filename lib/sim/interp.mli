@@ -109,7 +109,6 @@ type machine
 val machine :
   ?image:image ->
   ?injection:injection ->
-  ?lenient:bool ->
   ?budget:int ->
   ?count_exec:bool ->
   ?taint:bool ->
@@ -117,10 +116,10 @@ val machine :
   Code.t ->
   machine
 (** A fresh machine at the entry function, same defaults as {!run}.
-    [memory] supplies a pre-built image (ownership transfers to the
-    machine; [lenient] is then ignored — the image carries its own
-    access model) instead of laying one out from the program's
-    globals. [taint] (default off) adds shadow-taint state: per-register
+    [memory] supplies a pre-built memory image, which carries its own
+    access model (ownership transfers to the machine); without it the
+    machine lays out the program's globals in the strict model
+    ({!Memory.of_prog}). [taint] (default off) adds shadow-taint state: per-register
     and per-memory-cell masks and a sink tracker, summarized into the
     result's [fault_flow]. [image] selects the fast engine; it must
     have been compiled from this [code] and with the same tag-mask
@@ -196,7 +195,6 @@ val machine_fid : machine -> int
 val run :
   ?image:image ->
   ?injection:injection ->
-  ?lenient:bool ->
   ?budget:int ->
   ?count_exec:bool ->
   ?taint:bool ->
@@ -204,17 +202,11 @@ val run :
   Code.t ->
   result
 (** Execute from the entry function. [budget] defaults to 10^8 dynamic
-    instructions; [lenient] selects the memory model (default strict).
+    instructions; the memory model is [memory]'s (default strict).
     [taint] (default off) adds shadow taint: identical architectural
     behaviour and fault landings, plus a {!Taint.summary} in
     [fault_flow]. [image], [taint] and [memory] as in {!machine}:
     [finish (machine ...)]. *)
 
-val run_exn :
-  ?image:image ->
-  ?lenient:bool ->
-  ?budget:int ->
-  ?count_exec:bool ->
-  Code.t ->
-  result
+val run_exn : ?image:image -> ?count_exec:bool -> Code.t -> result
 (** Like {!run} for fault-free execution: fails on trap or timeout. *)

@@ -163,12 +163,6 @@ type image = {
   icode : Code.t;
   itags : bool array array;
   iops : op array array;
-  (* Pristine memory prototypes, one per access model: a machine built
-     from an image deep-copies one of these (a handful of memcpys)
-     instead of replaying the global-initialization walk of
-     [Memory.of_prog] on every run. *)
-  imem_strict : Memory.t;
-  imem_lenient : Memory.t;
 }
 
 let shadow_of ~shadow regs =
@@ -215,19 +209,21 @@ let tracker ~taint memory =
   if taint then Some (Taint.make ~cells:(Memory.size_bytes memory / 4))
   else None
 
-let make ?image ?injection ?lenient ?(budget = default_budget)
-    ?(count_exec = false) ?(taint = false) ?memory (code : Code.t) : t =
+(* The one initializer of the machine record, behind both [make] (a
+   fresh run at the entry function) and [restore] (a resumed snapshot):
+   it validates the image, decodes the injection into the plan arrays
+   and tag rows, and starts the plan cursor at [inj_seen]. [stack] is
+   the live frame stack, innermost first and never empty. *)
+let init ~image ~injection ~taint ~count_exec ~budget ~memory ~dyn ~inj_seen
+    ~depth ~stack (code : Code.t) : t =
   check_image ~count_exec ~taint image injection code;
-  let memory =
-    match memory with
-    | Some mem -> mem
-    | None -> (
-      match image with
-      | Some img ->
-        Memory.copy
-          (if lenient = Some true then img.imem_lenient else img.imem_strict)
-      | None -> Memory.of_prog ?lenient code.Code.prog)
+  let all_tags, plan_ords, plan_bits =
+    match (injection : injection option) with
+    | Some { tags; plan_ords; plan_bits } -> (tags, plan_ords, plan_bits)
+    | None -> ([||], no_counts, no_counts)
   in
+  if Array.length plan_ords > 0 && plan_ords.(0) < inj_seen then
+    invalid_arg "Interp.resume: plan ordinal precedes snapshot";
   (* Per-function execution counters are only materialized when
      requested: campaigns run hundreds of trials per prepared target
      and none of them profiles. *)
@@ -238,17 +234,7 @@ let make ?image ?injection ?lenient ?(budget = default_budget)
         code.Code.funcs
     else [||]
   in
-  let plan_ords, plan_bits =
-    match (injection : injection option) with
-    | Some { plan_ords; plan_bits; _ } -> (plan_ords, plan_bits)
-    | None -> (no_counts, no_counts)
-  in
-  let all_tags =
-    match (injection : injection option) with
-    | Some { tags; _ } -> tags
-    | None -> [||]
-  in
-  let entry = fresh_frame code ~shadow:taint code.Code.entry_fid in
+  let head = List.hd stack in
   {
     code;
     memory;
@@ -262,20 +248,32 @@ let make ?image ?injection ?lenient ?(budget = default_budget)
     cursor = 0;
     next_planned =
       (if Array.length plan_ords > 0 then plan_ords.(0) else max_int);
-    dyn = 0;
-    inj_seen = 0;
+    dyn;
+    inj_seen;
     landed = 0;
     land_fids = Array.make (Array.length plan_ords) 0;
     land_pcs = Array.make (Array.length plan_ords) 0;
-    cur_fid = code.Code.entry_fid;
-    stack = [ entry ];
-    depth = 0;
+    cur_fid = head.fid;
+    stack;
+    depth;
     status = Running;
     taint = tracker ~taint memory;
     fast = (match image with Some img -> img.iops | None -> [||]);
     pause_at = max_int;
-    run_fr = entry;
+    run_fr = head;
   }
+
+(* Without [memory] the machine lays out the program's globals in the
+   strict model; campaigns pass a copy of their target's prototype. *)
+let make ?image ?injection ?(budget = default_budget) ?(count_exec = false)
+    ?(taint = false) ?memory (code : Code.t) : t =
+  let memory =
+    match memory with Some mem -> mem | None -> Memory.of_prog code.Code.prog
+  in
+  init ~image ~injection ~taint ~count_exec ~budget ~memory ~dyn:0
+    ~inj_seen:0 ~depth:0
+    ~stack:[ fresh_frame code ~shadow:taint code.Code.entry_fid ]
+    code
 
 let advance_plan m =
   let c = m.cursor + 1 in
@@ -416,52 +414,11 @@ let snapshot_dyn s = s.s_dyn
 let snapshot_memory s = Memory.thaw s.s_memory
 
 let restore ?image ?injection ?(taint = false) (s : snapshot) : t =
-  check_image ~count_exec:false ~taint image injection s.s_code;
-  let plan_ords, plan_bits =
-    match (injection : injection option) with
-    | Some { plan_ords; plan_bits; _ } -> (plan_ords, plan_bits)
-    | None -> (no_counts, no_counts)
-  in
-  if Array.length plan_ords > 0 && plan_ords.(0) < s.s_inj_seen then
-    invalid_arg "Interp.resume: plan ordinal precedes snapshot";
-  let all_tags =
-    match (injection : injection option) with
-    | Some { tags; _ } -> tags
-    | None -> [||]
-  in
-  let frames = Array.map (copy_frame ~shadow:taint) s.s_frames in
-  let head =
-    if Array.length frames > 0 then frames.(0)
-    else fresh_frame s.s_code ~shadow:taint s.s_code.Code.entry_fid
-  in
-  let memory = Memory.thaw s.s_memory in
-  {
-    code = s.s_code;
-    memory;
-    budget = s.s_budget;
-    count_exec = false;
-    exec_counts = [||];
-    all_tags;
-    has_injection = Array.length all_tags > 0;
-    plan_ords;
-    plan_bits;
-    cursor = 0;
-    next_planned =
-      (if Array.length plan_ords > 0 then plan_ords.(0) else max_int);
-    dyn = s.s_dyn;
-    inj_seen = s.s_inj_seen;
-    landed = 0;
-    land_fids = Array.make (Array.length plan_ords) 0;
-    land_pcs = Array.make (Array.length plan_ords) 0;
-    cur_fid = head.fid;
-    stack = Array.to_list frames;
-    depth = s.s_depth;
-    status = Running;
-    taint = tracker ~taint memory;
-    fast = (match image with Some img -> img.iops | None -> [||]);
-    pause_at = max_int;
-    run_fr = head;
-  }
+  init ~image ~injection ~taint ~count_exec:false ~budget:s.s_budget
+    ~memory:(Memory.thaw s.s_memory) ~dyn:s.s_dyn ~inj_seen:s.s_inj_seen
+    ~depth:s.s_depth
+    ~stack:(Array.to_list (Array.map (copy_frame ~shadow:taint) s.s_frames))
+    s.s_code
 
 (* Fid of the frame the dispatch loop is executing in. At a pause this
    is exactly the frame that consumed the most recent injectable

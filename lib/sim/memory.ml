@@ -53,7 +53,6 @@ let copy t =
   }
 
 let size_bytes t = t.size_bytes
-let is_lenient t = t.lenient
 
 (* Frozen images: the storage format of golden checkpoints. A chain
    keeps one full copy at its root; every later image is the set of

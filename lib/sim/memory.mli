@@ -14,7 +14,6 @@ type t
 
 val create : ?lenient:bool -> cells:int -> unit -> t
 val size_bytes : t -> int
-val is_lenient : t -> bool
 
 val copy : t -> t
 (** Deep copy (fresh cell arrays, same access model). Copying a

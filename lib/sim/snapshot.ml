@@ -43,13 +43,13 @@ let auto_stride ~injectable_total ~image_bytes =
   let n = max 1 (min max_checkpoints by_mem) in
   max 1 ((injectable_total + n - 1) / n)
 
-let build ~stride ~tags ?image ?lenient ?budget ?memory code : t =
+let build ~stride ~tags ?image ?budget ?memory code : t =
   if stride <= 0 then invalid_arg "Snapshot.build: stride must be positive";
   let t0 = Obs.span_begin () in
   (* Empty plan: the injection only installs the tag mask, so ordinals
      advance exactly as they will in every trial, and no fault fires. *)
   let injection = Interp.injection ~tags ~plan:[] in
-  let m = Interp.machine ?image ~injection ?lenient ?budget ?memory code in
+  let m = Interp.machine ?image ~injection ?budget ?memory code in
   let first = Interp.capture m in
   (* Each later capture is chained onto the one before it, diffed
      against [running], which tracks that checkpoint's image in place. *)

@@ -17,7 +17,6 @@ val build :
   stride:int ->
   tags:bool array array ->
   ?image:Interp.image ->
-  ?lenient:bool ->
   ?budget:int ->
   ?memory:Memory.t ->
   Code.t ->
@@ -30,7 +29,7 @@ val build :
     itself fails ([Campaign] targets are validated by their baseline
     first). [image] runs the golden pass on the fast engine (it must
     carry the same [tags] array); checkpoints are engine-independent.
-    [memory]/[lenient] as in {!Interp.machine}. *)
+    [memory] as in {!Interp.machine}. *)
 
 val auto_stride : injectable_total:int -> image_bytes:int -> int
 (** Stride giving [n = clamp (64 MiB / image_bytes) 1 64] evenly spaced

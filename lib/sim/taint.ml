@@ -59,9 +59,6 @@ type flow =
   | Reached_address (* a tainted base address / div denominator / F2i operand *)
   | Reached_control (* a tainted branch operand *)
 
-let all_flows =
-  [ Vanished; Data_only; Reached_memory; Reached_address; Reached_control ]
-
 let flow_to_string = function
   | Vanished -> "vanished"
   | Data_only -> "data-only"

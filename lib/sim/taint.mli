@@ -16,9 +16,6 @@ val none : mask
 val fresh : mask
 (** Seeded at an injection site: tainted along a memory-free chain. *)
 
-val is_tainted : mask -> bool
-val via_memory : mask -> bool
-
 val loaded : cell:mask -> base:mask -> mask
 (** Taint of a loaded value: union of the cell's and the base
     register's taint, marked as through-memory (clean stays clean). *)
@@ -35,9 +32,6 @@ type flow =
       (** a tainted load/store base, integer div/rem denominator or
           [F2i] operand — the crash-capable operand sinks *)
   | Reached_control (** a tainted branch operand *)
-
-val all_flows : flow list
-(** In ascending severity order. *)
 
 val flow_to_string : flow -> string
 val pp_flow : Format.formatter -> flow -> unit

@@ -598,8 +598,6 @@ let compile ?(tags = ([||] : bool array array)) (code : Code.t) : image =
     itags = tags;
     iops =
       Array.mapi (fun fid df -> compile_func code tags fid df) code.Code.funcs;
-    imem_strict = Memory.of_prog ~lenient:false code.Code.prog;
-    imem_lenient = Memory.of_prog ~lenient:true code.Code.prog;
   }
 
 (* The driver: re-entered once per frame switch (and once at start /

@@ -30,6 +30,11 @@ type ctx = {
 
 let ctx_cache : (int, ctx) Hashtbl.t = Hashtbl.create 16
 
+(* A fresh sim-safe (lenient) memory image of [prog]: the model every
+   campaign trial runs on, so random faults may make wild accesses
+   without trapping. A machine takes ownership of its image. *)
+let lenient prog = Sim.Memory.of_prog ~lenient:true prog
+
 let ctx_of_seed seed =
   match Hashtbl.find_opt ctx_cache seed with
   | Some c -> c
@@ -42,7 +47,7 @@ let ctx_of_seed seed =
     let baseline =
       Sim.Interp.run
         ~injection:(Core.Fault_model.profiling_injection ~tags)
-        ~lenient:true code
+        ~memory:(lenient prog) code
     in
     let c =
       {
@@ -99,7 +104,8 @@ let run_engine ctx ~engine plan =
   let image =
     match engine with Sim.Interp.Fast -> Some ctx.image | Sim.Interp.Ref -> None
   in
-  Sim.Interp.run ?image ~injection ~lenient:true ~budget:ctx.budget ctx.code
+  Sim.Interp.run ?image ~injection ~budget:ctx.budget
+    ~memory:(lenient ctx.prog) ctx.code
 
 let plan_of ctx ~seed ~errors =
   let rng = Random.State.make [| 0x51de; seed; errors |] in
@@ -148,7 +154,7 @@ let pause_resume_cross =
         (fun (cap_e, res_e) ->
           let m =
             Sim.Interp.machine ?image:(image_of cap_e) ~injection
-              ~lenient:true ~budget:ctx.budget ctx.code
+              ~budget:ctx.budget ~memory:(lenient ctx.prog) ctx.code
           in
           let r =
             match Sim.Interp.advance m ~pause_at:p with
@@ -248,10 +254,13 @@ let test_campaign_taint_flows () =
    provenance, agrees between engines without any injection.           *)
 
 let check_parity name prog =
-  let code = Sim.Code.of_prog (Mlang.Compile.to_ir prog) in
+  let prog = Mlang.Compile.to_ir prog in
+  let code = Sim.Code.of_prog prog in
   let image = Sim.Interp.compile code in
   let ctx_like r = (outcome_str r, r.Sim.Interp.dyn_count) in
-  let run image = Sim.Interp.run ?image ~lenient:true ~budget:2_000 code in
+  let run image =
+    Sim.Interp.run ?image ~budget:2_000 ~memory:(lenient prog) code
+  in
   Alcotest.(check (pair string int))
     name
     (ctx_like (run None))
@@ -309,14 +318,13 @@ let test_engine_guards () =
        ignore
          (Sim.Interp.machine ~image:ctx.image
             ~injection:(Sim.Interp.injection ~tags:copy ~plan:[])
-            ~lenient:true ctx.code);
+            ctx.code);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "count_exec stays on the reference loop" true
     (try
        ignore
-         (Sim.Interp.machine ~image:ctx.image ~count_exec:true ~lenient:true
-            ctx.code);
+         (Sim.Interp.machine ~image:ctx.image ~count_exec:true ctx.code);
        false
      with Invalid_argument _ -> true);
   (* Taint is rejected by every constructor that takes an image, even
@@ -331,7 +339,7 @@ let test_engine_guards () =
          msg = "Interp: taint mode requires the reference engine")
   in
   let snap =
-    let m = Sim.Interp.machine ~injection ~lenient:true ctx.code in
+    let m = Sim.Interp.machine ~injection ctx.code in
     assert (Sim.Interp.advance m ~pause_at:0 = `Paused);
     Sim.Interp.capture m
   in
@@ -340,7 +348,29 @@ let test_engine_guards () =
   rejects_taint "taint machine stays on the reference loop" (fun () ->
       Sim.Interp.machine ~image:ctx.image ~injection ~taint:true ctx.code);
   rejects_taint "taint resume stays on the reference loop" (fun () ->
-      Sim.Interp.resume ~image:ctx.image ~injection ~taint:true snap)
+      Sim.Interp.resume ~image:ctx.image ~injection ~taint:true snap);
+  (* Without [~memory] a machine lays out the strict model whichever
+     engine runs it: a wild store traps, at the same site, on both. *)
+  let wild =
+    Sim.Code.of_prog
+      (Mlang.Compile.to_ir
+         (program
+            [ garray "out" 2 ]
+            [
+              fn "main" [] ~ret:(Some Mlang.Ast.TInt)
+                [ let_ "k" (i 100_000); sto "out" (v "k") (i 1); ret (i 0) ];
+            ]))
+  in
+  let strict image = Sim.Interp.finish (Sim.Interp.machine ?image wild) in
+  let ref_run = strict None in
+  (match ref_run.Sim.Interp.outcome with
+   | Sim.Interp.Trapped (Sim.Trap.Out_of_bounds _) -> ()
+   | _ -> Alcotest.failf "strict wild store: %s" (outcome_str ref_run));
+  Alcotest.(check (pair string int))
+    "strict wild store traps alike"
+    (outcome_str ref_run, ref_run.Sim.Interp.dyn_count)
+    (let r = strict (Some (Sim.Interp.compile wild)) in
+     (outcome_str r, r.Sim.Interp.dyn_count))
 
 (* ------------------------------------------------------------------ *)
 (* Speed guard: the fast engine must beat the reference loop on the

@@ -142,10 +142,10 @@ let test_read_global_ints_nonfinite () =
 (* Interpreter semantics.                                              *)
 
 (* Build a one-function program returning an int expression. *)
-let run_main ?injection ?lenient ?budget body =
+let run_main ?injection ?budget body =
   let f = Func.make ~name:"main" ~params:[] ~ret:(Some Ty.I32) body in
   let p = Prog.make ~globals:[ Prog.global "g" Ty.I32 8 ] [ f ] in
-  Sim.Interp.run ?injection ?lenient ?budget (Sim.Code.of_prog p)
+  Sim.Interp.run ?injection ?budget (Sim.Code.of_prog p)
 
 let expect_ret name body expected =
   match (run_main body).Sim.Interp.outcome with

@@ -25,6 +25,10 @@ let gcd_mlang =
         ];
     ]
 
+(* A fresh sim-safe (lenient) memory image of [prog], the model
+   campaign trials run on. A machine takes ownership of its image. *)
+let lenient prog = Sim.Memory.of_prog ~lenient:true prog
+
 (* Shared fixture: program, code, protect-nothing tags (the densest
    pool), fault-free baseline. *)
 let fixture =
@@ -34,7 +38,7 @@ let fixture =
      let tagging = Core.Tagging.compute prog in
      let tags = Core.Tagging.mask tagging Core.Policy.Protect_nothing in
      let injection = Core.Fault_model.profiling_injection ~tags in
-     let baseline = Sim.Interp.run ~injection ~lenient:true code in
+     let baseline = Sim.Interp.run ~injection ~memory:(lenient prog) code in
      (prog, code, tags, baseline))
 
 let campaign_target =
@@ -68,13 +72,14 @@ let fingerprint (r : Sim.Interp.result) =
              (Sim.Memory.read_global_ints r.Sim.Interp.memory prog "out"))))
 
 let run_scratch plan =
-  let _, code, tags, _ = Lazy.force fixture in
+  let prog, code, tags, _ = Lazy.force fixture in
   let injection = Sim.Interp.injection ~tags ~plan in
-  Sim.Interp.run ~injection ~lenient:true ~budget:(budget ()) code
+  Sim.Interp.run ~injection ~budget:(budget ()) ~memory:(lenient prog) code
 
 let snapshots stride =
-  let _, code, tags, _ = Lazy.force fixture in
-  Sim.Snapshot.build ~stride ~tags ~lenient:true ~budget:(budget ()) code
+  let prog, code, tags, _ = Lazy.force fixture in
+  Sim.Snapshot.build ~stride ~tags ~budget:(budget ()) ~memory:(lenient prog)
+    code
 
 let run_resumed snaps plan =
   let _, _, tags, _ = Lazy.force fixture in
@@ -92,11 +97,11 @@ let check_equiv ~stride msg plan =
 (* Machine API basics.                                                 *)
 
 let test_pause_points () =
-  let _, code, tags, baseline = Lazy.force fixture in
+  let prog, code, tags, baseline = Lazy.force fixture in
   let total = baseline.Sim.Interp.injectable_seen in
   Alcotest.(check bool) "pool non-trivial" true (total > 10);
   let injection = Sim.Interp.injection ~tags ~plan:[] in
-  let m = Sim.Interp.machine ~injection ~lenient:true code in
+  let m = Sim.Interp.machine ~injection ~memory:(lenient prog) code in
   (* Pause at 0 = initial state; then walk forward and capture; every
      capture sits exactly on its requested ordinal. *)
   Alcotest.(check bool) "pause at 0" true
@@ -124,20 +129,22 @@ let test_pause_points () =
     (fingerprint r')
 
 let test_capture_guards () =
-  let _, code, tags, _ = Lazy.force fixture in
+  let prog, code, tags, _ = Lazy.force fixture in
   let injection = Sim.Interp.injection ~tags ~plan:[] in
-  let m = Sim.Interp.machine ~injection ~lenient:true code in
+  let m = Sim.Interp.machine ~injection ~memory:(lenient prog) code in
   ignore (Sim.Interp.advance m ~pause_at:max_int);
   Alcotest.check_raises "capture after halt"
     (Invalid_argument "Interp.capture: machine has halted") (fun () ->
       ignore (Sim.Interp.capture m));
-  let mp = Sim.Interp.machine ~count_exec:true ~lenient:true code in
+  let mp =
+    Sim.Interp.machine ~count_exec:true ~memory:(lenient prog) code
+  in
   ignore (Sim.Interp.advance mp ~pause_at:0);
   Alcotest.check_raises "capture under count_exec"
     (Invalid_argument "Interp.capture: profiling machines are not snapshotable")
     (fun () -> ignore (Sim.Interp.capture mp));
   (* A plan ordinal before the snapshot could never land: rejected. *)
-  let m2 = Sim.Interp.machine ~injection ~lenient:true code in
+  let m2 = Sim.Interp.machine ~injection ~memory:(lenient prog) code in
   ignore (Sim.Interp.advance m2 ~pause_at:5);
   let s = Sim.Interp.capture m2 in
   Alcotest.check_raises "plan precedes snapshot"
@@ -385,11 +392,14 @@ let chained_equals_full =
       let tagging = Core.Tagging.compute code.Sim.Code.prog in
       let tags = Core.Tagging.mask tagging Core.Policy.Protect_nothing in
       let image = Sim.Interp.compile ~tags code in
-      let snaps = Sim.Snapshot.build ~stride ~tags ~image ~lenient:true code in
+      let snaps =
+        Sim.Snapshot.build ~stride ~tags ~image
+          ~memory:(lenient code.Sim.Code.prog) code
+      in
       let m =
         Sim.Interp.machine
           ~injection:(Sim.Interp.injection ~tags ~plan:[])
-          ~lenient:true code
+          ~memory:(lenient code.Sim.Code.prog) code
       in
       let key s =
         ( Sim.Interp.snapshot_digest ~fid_key:string_of_int s,

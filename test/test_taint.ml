@@ -23,7 +23,8 @@ let build ?(globals = []) ?ret body =
 let run_directed ?globals ?ret ?lenient ~tags body : Sim.Taint.summary =
   let code = build ?globals ?ret body in
   let injection = Sim.Interp.injection ~tags:[| tags |] ~plan:[ (0, 1) ] in
-  let r = Sim.Interp.run ~injection ?lenient ~taint:true code in
+  let memory = Sim.Memory.of_prog ?lenient code.Sim.Code.prog in
+  let r = Sim.Interp.run ~injection ~taint:true ~memory code in
   Alcotest.(check int) "fault landed" 1 r.Sim.Interp.faults_landed;
   match r.Sim.Interp.fault_flow with
   | Some s -> s
