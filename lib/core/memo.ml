@@ -200,8 +200,12 @@ module Store = struct
     List.iter
       (fun (p, sz, mtime) ->
         if mtime < cutoff || over_budget () then begin
-          (try Sys.remove p with Sys_error _ -> ());
-          incr evicted;
+          (* An entry a concurrent sweep removed first is that sweep's
+             eviction, not this one's. *)
+          (try
+             Sys.remove p;
+             incr evicted
+           with Sys_error _ -> ());
           live := !live - sz
         end)
       by_age;

@@ -30,7 +30,9 @@ type loaded = {
 (* Mutex-protected so the per-app closures may be forced from worker
    domains (e.g. Table 3 computing its rows in parallel, one app per
    domain). The lock is held across the compute: concurrent callers of
-   the same memo serialize, distinct apps (distinct memos) do not. *)
+   the same memo serialize, distinct apps (distinct memos) do not, and
+   an exception caches nothing. The serve daemon's warm registry entries
+   are such memos too: its per-key promises. *)
 let memo f =
   let tbl = Hashtbl.create 4 in
   let lock = Mutex.create () in

@@ -87,6 +87,26 @@ let at_least what min v =
 let check_errors = at_least "errors" 0
 let check_trials = at_least "trials" 1
 
+(* An optional field of a JSON object, [default] when absent; [conv]
+   reads its value, [None] for the wrong type. Spec files and daemon
+   requests read their fields here; every error names the field. *)
+let field ~expected conv (j : Report.Json.t) name default =
+  let bad = Stdlib.Error ("expected " ^ expected) in
+  Result.map_error (Printf.sprintf "field %S: %s" name)
+    (match Report.Json.member name j with
+     | None -> Stdlib.Ok default
+     | Some v -> Option.value (conv v) ~default:bad)
+
+let field_int ?(check = Result.ok) =
+  field ~expected:"an int" (function
+    | Report.Json.Int i -> Some (check i)
+    | _ -> None)
+
+let field_bool =
+  field ~expected:"a bool" (function
+    | Report.Json.Bool b -> Some (Stdlib.Ok b)
+    | _ -> None)
+
 (* The campaign seed of a request at workload seed [seed]: sweeps,
    inject requests, `etap audit` and `etap profile` all run their
    campaigns at this offset, so equal requests share cache entries. *)
@@ -292,7 +312,8 @@ let run_cells ?jobs ?store (loaded : Experiment.loaded list)
 (* A spec's sweep: each distinct known app resolved once by [load],
    fanned over the scheduler (unknown names never load — their cells
    fail), then the spec's cells through [collect]: {!collect} with the
-   caller's scheduler and hooks applied. *)
+   caller's scheduler and hooks applied. [load] gives what [collect]
+   reads: a loaded app for [run], a warm-registry entry for the daemon. *)
 let run_with (sched : scheduler) ~load ~collect (s : spec) : result =
   let t_run = Unix.gettimeofday () in
   let loaded =
@@ -648,55 +669,37 @@ let spec_of_json ~(base : spec) (j : Report.Json.t) :
     (spec, string) Stdlib.result =
   let open Report.Json in
   let ( let* ) = Result.bind in
-  let in_field field r =
-    Result.map_error (Printf.sprintf "spec field %S: %s" field) r
-  in
   (* [elem] reads one array element, [None] when it has the wrong type. *)
-  let list field what elem default =
-    let bad =
-      Stdlib.Error
-        (Printf.sprintf "spec field %S: expected an array of %s" field what)
-    in
-    match member field j with
-    | None -> Stdlib.Ok default
-    | Some (Arr xs) ->
+  let list name what elem =
+    let expected = "an array of " ^ what in
+    let bad = Stdlib.Error ("expected " ^ expected) in
+    let elems xs =
       List.fold_left
         (fun acc x ->
           let* acc = acc in
-          match elem x with
-          | Some v ->
-            let* v = in_field field v in
-            Stdlib.Ok (acc @ [ v ])
-          | None -> bad)
+          let* v = Option.value (elem x) ~default:bad in
+          Stdlib.Ok (acc @ [ v ]))
         (Stdlib.Ok []) xs
-    | Some _ -> bad
-  in
-  let int ?(check = Result.ok) field default =
-    match member field j with
-    | None -> Stdlib.Ok default
-    | Some (Int i) -> in_field field (check i)
-    | Some _ ->
-      Stdlib.Error (Printf.sprintf "spec field %S: expected an int" field)
+    in
+    field ~expected (function Arr xs -> Some (elems xs) | _ -> None) j name
   in
   match j with
   | Obj _ ->
     let str conv = function Str s -> Some (conv s) | _ -> None in
-    let* apps = list "apps" "strings" (str Result.ok) base.apps in
-    let* policies =
-      list "policies" "strings" (str policy_of_string) base.policies
-    in
-    let* errors =
-      list "errors" "ints"
-        (function Int i -> Some (check_errors i) | _ -> None)
-        base.errors
-    in
-    let* trials = int ~check:check_trials "trials" base.trials in
-    let* seed = int "seed" base.seed in
-    let* mode =
-      match member "literal" j with
-      | None -> Stdlib.Ok base.mode
-      | Some (Bool literal) -> Stdlib.Ok (Experiment.mode_of_literal literal)
-      | Some _ -> Stdlib.Error "spec field \"literal\": expected a bool"
-    in
-    Stdlib.Ok { apps; mode; policies; errors; trials; seed }
+    Result.map_error (( ^ ) "spec ")
+      (let* apps = list "apps" "strings" (str Result.ok) base.apps in
+       let* policies =
+         list "policies" "strings" (str policy_of_string) base.policies
+       in
+       let* errors =
+         list "errors" "ints"
+           (function Int i -> Some (check_errors i) | _ -> None)
+           base.errors
+       in
+       let* trials = field_int ~check:check_trials j "trials" base.trials in
+       let* seed = field_int j "seed" base.seed in
+       let* literal = field_bool j "literal" (base.mode = Experiment.Literal) in
+       Stdlib.Ok
+         { apps; mode = Experiment.mode_of_literal literal; policies; errors;
+           trials; seed })
   | _ -> Stdlib.Error "matrix spec: expected a JSON object"

@@ -14,15 +14,15 @@
 
    Three layers:
 
-   - {b Warm registry} — one entry per (app, seed): the loaded app,
-     the targets prepared for it with their section partitions, and a
-     last-use stamp, each built once on first use under a registry
-     lock. [Experiment.load]'s internal memos keep targets lazy, so a
-     request only ever builds the modes/policies it touches. The
-     registry holds at most [registry_capacity] entries and evicts the
-     least recently used one, prepared targets with it. Every campaign
-     still routes through [Core.Memo], so results persist across
-     daemon restarts and evictions.
+   - {b Warm registry} — one entry per (app, seed): two
+     [Experiment.memo]s, the loaded app and its prepared targets with
+     their section partitions, plus a last-use stamp. The registry lock
+     only finds, inserts, touches and evicts entries; builds run outside
+     it, once per key, so a cold key never delays another key's lookup.
+     The registry holds at most [registry_capacity] entries and evicts
+     the least recently used one, prepared targets with it. Every
+     campaign still routes through [Core.Memo], so results persist
+     across daemon restarts and evictions.
 
    - {b In-flight coalescing} — concurrent requests whose
      [Proto.group_key]s collide attach to the running computation (a
@@ -80,13 +80,15 @@ type flight = {
   mutable waiters : int;
 }
 
-(* A warm-registry entry: an app loaded at one seed and the targets
-   prepared for it, keyed by (mode, policy tag), each with its section
+(* A warm-registry entry: memos of an app loaded at one seed and of its
+   targets prepared under (mode, policy), each with its section
    partition. Evicting the entry drops them all. *)
 type entry = {
-  loaded : Experiment.loaded;
-  prepped :
-    (string * int, Core.Campaign.prepared * Analysis.Section.t) Hashtbl.t;
+  loaded : unit -> Experiment.loaded;
+  prepared :
+    Experiment.mode * Core.Policy.t ->
+    Core.Campaign.prepared * Analysis.Section.t option;
+  n_prepared : int Atomic.t;  (* targets [prepared] has built *)
   mutable last_use : int;  (* [t.clock] at the entry's latest use *)
 }
 
@@ -191,16 +193,11 @@ let fresh_acc () = { acc_warm_hits = 0; acc_warm_misses = 0 }
    which an unbounded registry paid again for every new seed. *)
 let registry_capacity = List.length Apps.Registry.all + 1
 
-(* [f] under the registry lock. Registry operations hold it across
-   cold builds, so concurrent first requests for the same key serialize
-   instead of building twice. *)
+(* [f] under the registry lock, which only finds, inserts, touches and
+   evicts entries: nothing is built while it is held. *)
 let with_registry t f =
   Mutex.lock t.rl;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.rl) f
-
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.last_use <- t.clock
 
 (* Room for one more entry: drop least recently used entries until the
    registry is below its bound. *)
@@ -218,64 +215,69 @@ let evict_for_one t =
     Obs.count "serve.warm_evicted" 1
   done
 
-(* Called from worker domains only (each its own obs buffer), like
-   [registry_prepared]. *)
-let registry_load t ~(acc : access_acc) (app : Apps.App.t) ~seed :
-    Experiment.loaded =
-  let key = (app.Apps.App.name, seed) in
-  with_registry t (fun () ->
-      match Hashtbl.find_opt t.registry key with
-      | Some e ->
-        Obs.count "serve.warm_hit" 1;
-        acc.acc_warm_hits <- acc.acc_warm_hits + 1;
-        touch t e;
-        e.loaded
-      | None ->
-        Obs.count "serve.warm_miss" 1;
-        acc.acc_warm_misses <- acc.acc_warm_misses + 1;
+(* An unbuilt entry for [app] at [seed]. Its prepared targets sit on
+   the app's own [prepared] memo, each with its section partition. *)
+let new_entry (app : Apps.App.t) ~seed =
+  let name = app.Apps.App.name in
+  let loaded =
+    Experiment.memo (fun () ->
         let sp = Obs.span_begin () in
         let l = Experiment.load ~seed app in
-        Obs.span_end ~name:"serve.load" ~cat:"serve"
-          ~args:[ ("app", app.Apps.App.name) ]
-          sp;
-        evict_for_one t;
-        let e = { loaded = l; prepped = Hashtbl.create 4; last_use = 0 } in
-        touch t e;
-        Hashtbl.replace t.registry key e;
+        Obs.span_end ~name:"serve.load" ~cat:"serve" ~args:[ ("app", name) ] sp;
         l)
+  in
+  let n_prepared = Atomic.make 0 in
+  let prepared =
+    Experiment.memo (fun (mode, policy) ->
+        let l = loaded () in
+        let sp = Obs.span_begin () in
+        let p = l.Experiment.prepared mode policy in
+        let v = (p, Some (Core.Memo.sections_of p)) in
+        Obs.span_end ~name:"serve.prepare" ~cat:"serve"
+          ~args:[ ("app", name); ("policy", Core.Policy.to_string policy) ]
+          sp;
+        Atomic.incr n_prepared;
+        v)
+  in
+  { loaded; prepared; n_prepared; last_use = 0 }
 
-(* The prepared target and section partition of [l] under (mode,
-   policy), cached in [l]'s registry entry, in the shape the runner's
-   [prepare] hooks take. A request whose entry was evicted after it
-   loaded [l] (or replaced by a rebuild) still gets them, uncached: no
-   target outlives its entry. *)
-let registry_prepared t (l : Experiment.loaded) ~seed ~mode policy :
-    Core.Campaign.prepared * Analysis.Section.t option =
-  let name = l.Experiment.app.Apps.App.name in
-  let pkey = (Experiment.mode_name mode, Core.Policy.seed_tag policy) in
-  with_registry t (fun () ->
-      let entry =
-        match Hashtbl.find_opt t.registry (name, seed) with
-        | Some e when e.loaded == l ->
-          touch t e;
-          Some e
-        | _ -> None
-      in
-      let p, sections =
-        match Option.bind entry (fun e -> Hashtbl.find_opt e.prepped pkey) with
-        | Some v -> v
-        | None ->
-          let sp = Obs.span_begin () in
-          let p = l.Experiment.prepared mode policy in
-          let v = (p, Core.Memo.sections_of p) in
-          Obs.span_end ~name:"serve.prepare" ~cat:"serve"
-            ~args:
-              [ ("app", name); ("policy", Core.Policy.to_string policy) ]
-            sp;
-          Option.iter (fun e -> Hashtbl.replace e.prepped pkey v) entry;
-          v
-      in
-      (p, Some sections))
+(* The entry of (app, seed), its app loaded. A miss inserts the entry
+   unbuilt; the build runs after the registry lock is released, in the
+   entry's memo, so concurrent requests for this key wait for one build
+   while lookups of other keys go ahead. A build that raises caches
+   nothing and takes its entry out again: the next request for the key
+   is a miss that builds afresh. Called from worker domains only (each
+   its own obs buffer). *)
+let registry_load t ~(acc : access_acc) (app : Apps.App.t) ~seed : entry =
+  let key = (app.Apps.App.name, seed) in
+  let e =
+    with_registry t (fun () ->
+        let e =
+          match Hashtbl.find_opt t.registry key with
+          | Some e ->
+            Obs.count "serve.warm_hit" 1;
+            acc.acc_warm_hits <- acc.acc_warm_hits + 1;
+            e
+          | None ->
+            Obs.count "serve.warm_miss" 1;
+            acc.acc_warm_misses <- acc.acc_warm_misses + 1;
+            evict_for_one t;
+            let e = new_entry app ~seed in
+            Hashtbl.replace t.registry key e;
+            e
+        in
+        t.clock <- t.clock + 1;
+        e.last_use <- t.clock;
+        e)
+  in
+  match e.loaded () with
+  | _ -> e
+  | exception ex ->
+    with_registry t (fun () ->
+        match Hashtbl.find_opt t.registry key with
+        | Some cur when cur == e -> Hashtbl.remove t.registry key
+        | _ -> ());
+    raise ex
 
 (* ----------------------------- reports ----------------------------- *)
 
@@ -397,19 +399,21 @@ let unknown_app name =
   Printf.sprintf "unknown application %S (known: %s)" name
     (String.concat ", " Apps.Registry.names)
 
-(* The daemon's one work path: a request's cells over apps the warm
-   registry resolved, through [Matrix.collect] on the shared executor
-   with the registry's prepared targets. Cells — each with its missed
+(* The daemon's one work path: a request's cells over the warm-registry
+   entries it resolved, through [Matrix.collect] on the shared executor
+   with targets prepared in those entries. Cells — each with its missed
    trials as a nested batch — interleave with any other in-flight
    request's batches. *)
 let scheduler t =
   { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
 
-let collect t ~seed ~loaded cells =
+let collect t ~(loaded : (string * entry) list) cells =
   Matrix.collect (scheduler t)
-    ~prepare:(fun l (_, mode, policy) ->
-      registry_prepared t l ~seed ~mode policy)
-    ~memo_fanout:(memo_fanout t) ~store:t.store ~loaded cells
+    ~prepare:(fun _ (app, mode, policy) ->
+      (List.assoc app loaded).prepared (mode, policy))
+    ~memo_fanout:(memo_fanout t) ~store:t.store
+    ~loaded:(List.map (fun (name, e) -> (name, e.loaded ())) loaded)
+    cells
 
 (* The two work verbs differ only in their cell list and renderer: an
    inject request is [inject_cells] over its one app, a matrix request
@@ -431,21 +435,20 @@ let dispatch t ~acc (req : Proto.request) : Report.t option * string option =
       match Apps.Registry.find i.app with
       | None -> (None, Some (unknown_app i.app))
       | Some app -> (
-        let l = registry_load t ~acc app ~seed:i.seed in
-        let cells =
-          collect t ~seed:i.seed ~loaded:[ (i.app, l) ] (inject_cells i)
-        in
+        let e = registry_load t ~acc app ~seed:i.seed in
+        let cells = collect t ~loaded:[ (i.app, e) ] (inject_cells i) in
         match Matrix.cells_failures_message cells with
         | Some m -> (None, Some m)
         | None ->
           let cache_dir = Some t.cfg.cache_dir in
-          (Some (inject_of_cells ~jobs:None ~cache_dir i l cells), None)))
+          ( Some (inject_of_cells ~jobs:None ~cache_dir i (e.loaded ()) cells),
+            None )))
     | Proto.Matrix s ->
       let seed = s.Matrix.seed in
       let r =
         Matrix.run_with (scheduler t)
           ~load:(fun app -> registry_load t ~acc app ~seed)
-          ~collect:(collect t ~seed) s
+          ~collect:(collect t) s
       in
       let meta = Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r in
       ( Some
@@ -521,17 +524,14 @@ let inflight_waiters t ~key =
 
 (* ------------------------------- gc -------------------------------- *)
 
-let gc_configured t = t.cfg.gc_max_bytes <> None || t.cfg.gc_max_age_days <> None
-
-(* Between-requests cache maintenance. Under the registry lock so at
-   most one sweep runs at a time; concurrent campaign reads/writes are
-   safe against eviction by construction of the store. *)
+(* Between-requests cache maintenance, under no daemon lock: the store
+   is safe against eviction by construction, whether the concurrent
+   mutation is a campaign's read or write or another request's sweep. *)
 let maybe_gc t =
-  if gc_configured t then begin
+  if t.cfg.gc_max_bytes <> None || t.cfg.gc_max_age_days <> None then begin
     let st =
-      with_registry t (fun () ->
-          Core.Memo.Store.gc ?max_bytes:t.cfg.gc_max_bytes
-            ?max_age_days:t.cfg.gc_max_age_days t.store)
+      Core.Memo.Store.gc ?max_bytes:t.cfg.gc_max_bytes
+        ?max_age_days:t.cfg.gc_max_age_days t.store
     in
     Mutex.lock t.m;
     Obs.count "serve.gc_runs" 1;
@@ -589,7 +589,7 @@ let stats_json t : J.t =
   let apps, prepped =
     with_registry t (fun () ->
         ( Hashtbl.length t.registry,
-          Hashtbl.fold (fun _ e n -> n + Hashtbl.length e.prepped) t.registry 0
+          Hashtbl.fold (fun _ e n -> n + Atomic.get e.n_prepared) t.registry 0
         ))
   in
   let entries = Core.Memo.Store.scan t.store in

@@ -12,6 +12,10 @@
    - the warm registry is bounded: past its capacity of (app, seed)
      entries it evicts the least recently used one, an evicted key
      reloads cold with an identical table, and a key in use stays warm;
+   - registry builds run outside the registry lock: a parked cold
+     build leaves other keys' lookups free, concurrent first lookups
+     of one key build it once, and a build that raises is a typed
+     failure that caches nothing;
    - two identical in-flight requests coalesce: trials run exactly
      once and both clients receive the same document;
    - between-requests GC evicts what the daemon stored: with a zero
@@ -461,6 +465,133 @@ let test_registry_keeps_used_key () =
   Alcotest.(check bool) "new keys were evicted" true
     (total_counter "serve.warm_evicted" (stats_of t) > 0)
 
+(* ------------------------- registry builds ------------------------- *)
+
+let gsm = Option.get (Apps.Registry.find "gsm")
+
+(* Polls [p] until it holds (true) or 10 s pass (false). *)
+let eventually p =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    if p () then true
+    else if Unix.gettimeofday () >= deadline then false
+    else begin
+      Unix.sleepf 0.001;
+      go ()
+    end
+  in
+  go ()
+
+(* A gsm twin whose build parks until [opened] is set, so a test can
+   hold a cold build open: [parked] counts builds waiting, [builds]
+   every build started. A build parked for 10 s gives up and sets
+   [gave_up], so a lookup the parked build blocks fails the test
+   instead of hanging it. *)
+type held = {
+  app : Apps.App.t;
+  opened : bool Atomic.t;
+  parked : int Atomic.t;
+  builds : int Atomic.t;
+  gave_up : bool Atomic.t;
+}
+
+let held_app () =
+  let opened = Atomic.make false and parked = Atomic.make 0 in
+  let builds = Atomic.make 0 and gave_up = Atomic.make false in
+  let build ~seed =
+    Atomic.incr builds;
+    Atomic.incr parked;
+    if not (eventually (fun () -> Atomic.get opened)) then
+      Atomic.set gave_up true;
+    Atomic.decr parked;
+    gsm.Apps.App.build ~seed
+  in
+  { app = { gsm with Apps.App.name = "gsm-held"; build };
+    opened; parked; builds; gave_up }
+
+let lookup t ?(acc = Harness.Serve.fresh_acc ()) (app : Apps.App.t) =
+  Harness.Serve.registry_load t ~acc app ~seed:1
+
+(* While a cold build is parked, a lookup of an already loaded key
+   returns: the registry lock is not held across the build. *)
+let test_cold_build_leaves_other_keys () =
+  with_serve @@ fun t ->
+  ignore (lookup t gsm);
+  let h = held_app () in
+  let cold = Domain.spawn (fun () -> lookup t h.app) in
+  Alcotest.(check bool) "held build started" true
+    (eventually (fun () -> Atomic.get h.parked = 1));
+  let acc = Harness.Serve.fresh_acc () in
+  ignore (lookup t ~acc gsm);
+  let parked_through = Atomic.get h.parked = 1 && not (Atomic.get h.gave_up) in
+  Atomic.set h.opened true;
+  ignore (Domain.join cold);
+  Alcotest.(check bool) "warm lookup returned while the build was parked" true
+    parked_through;
+  Alcotest.(check int) "the warm lookup hit" 1 acc.Harness.Serve.acc_warm_hits
+
+(* Two first lookups of one key: the second finds the first's entry
+   while its build is parked, waits on the entry's memo, and gets the
+   same app — one build, one load span, one miss. *)
+let test_first_lookups_build_once () =
+  with_serve @@ fun t ->
+  let h = held_app () in
+  let sink = Obs.make () in
+  let second_acc = Harness.Serve.fresh_acc () in
+  let first, second, second_waited =
+    Obs.with_sink sink (fun () ->
+        let first = Domain.spawn (fun () -> lookup t h.app) in
+        ignore (eventually (fun () -> Atomic.get h.parked = 1));
+        let second = Domain.spawn (fun () -> lookup t ~acc:second_acc h.app) in
+        let waited =
+          eventually (fun () -> second_acc.Harness.Serve.acc_warm_hits = 1)
+          && not (Atomic.get h.gave_up)
+        in
+        Atomic.set h.opened true;
+        (Domain.join first, Domain.join second, waited))
+  in
+  let v = Obs.view sink in
+  Alcotest.(check bool) "second lookup found the entry mid-build" true
+    second_waited;
+  Alcotest.(check int) "one build" 1 (Atomic.get h.builds);
+  Alcotest.(check int) "one serve.load span" 1 (spans_named "serve.load" v);
+  Alcotest.(check int) "one warm miss" 1 (counter "serve.warm_miss" v);
+  Alcotest.(check int) "one warm hit" 1 (counter "serve.warm_hit" v);
+  Alcotest.(check bool) "both got the same app" true
+    (first.Harness.Serve.loaded () == second.Harness.Serve.loaded ())
+
+(* A build that raises fails its request with the exception — the
+   [Error] a request's worker job returns becomes its typed "failed"
+   reply — and leaves nothing behind: the key is not in the registry,
+   and the next lookup builds again. *)
+let test_failing_build () =
+  with_serve @@ fun t ->
+  let builds = Atomic.make 0 and fail = Atomic.make true in
+  let build ~seed =
+    Atomic.incr builds;
+    if Atomic.get fail then failwith "build failed"
+    else gsm.Apps.App.build ~seed
+  in
+  let app = { gsm with Apps.App.name = "gsm-failing"; build } in
+  let acc = Harness.Serve.fresh_acc () in
+  let on_worker () = Harness.Serve.on_worker t (fun () -> lookup t ~acc app) in
+  let apps () = geti [ "warm"; "apps" ] (stats_of t) in
+  (match on_worker () with
+   | Error (Failure m) ->
+     Alcotest.(check string) "the build's error" "build failed" m
+   | Error e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+   | Ok _ -> Alcotest.fail "a failing build returned an entry");
+  Alcotest.(check int) "failed entry not kept" 0 (apps ());
+  Atomic.set fail false;
+  Alcotest.(check bool) "next lookup loads" true (Result.is_ok (on_worker ()));
+  Alcotest.(check int) "build ran again" 2 (Atomic.get builds);
+  Alcotest.(check int) "both lookups were misses" 2
+    acc.Harness.Serve.acc_warm_misses;
+  Alcotest.(check int) "entry kept once built" 1 (apps ());
+  let line = inject_line ~errors:1 ~trials:2 ~seed:1 "adpcm" in
+  Alcotest.(check bool) "daemon still serves" true
+    (reply_exn (List.hd (exchange t [ line ]))).Harness.Proto.ok
+
 (* ------------------------------- gc -------------------------------- *)
 
 (* The same inject twice on one daemon, the store checked in between;
@@ -670,6 +801,12 @@ let () =
             test_registry_bound;
           Alcotest.test_case "a key in use stays warm" `Quick
             test_registry_keeps_used_key;
+          Alcotest.test_case "a cold build leaves other keys" `Quick
+            test_cold_build_leaves_other_keys;
+          Alcotest.test_case "first lookups of a key build once" `Quick
+            test_first_lookups_build_once;
+          Alcotest.test_case "a failing build caches nothing" `Quick
+            test_failing_build;
         ] );
       ( "store gc",
         [
