@@ -203,7 +203,7 @@ let tag_cmd =
       (fun (app : Apps.App.t) ->
         let b = app.Apps.App.build ~seed in
         let code = Sim.Code.of_prog b.Apps.App.prog in
-        let baseline = Sim.Interp.run_exn ~count_exec:true code in
+        let baseline, _ = Sim.Snapshot.golden ~masks:[] code in
         say "%-28s %10s %10s" "" "ctrl+addr" "literal";
         let line label f = say "%-28s %10s %10s" label (f true) (f false) in
         let tagging pa = Core.Tagging.compute ~protect_addresses:pa b.Apps.App.prog in

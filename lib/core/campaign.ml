@@ -75,17 +75,27 @@ type summary = {
 
 let timeout_factor = 10
 
-(* Trials run lenient: the paper ran on SimpleScalar sim-safe, whose
-   sparse memory does not fault wild accesses. *)
-let of_prog ?protect_addresses ?(engine = Sim.Interp.Fast) (prog : Ir.Prog.t) =
+(* The targets of one program under several taggings, sharing its
+   code, baseline, prototype and digest. The baseline is the counted
+   golden pass ([Sim.Snapshot.golden]) on the fast engine whatever the
+   trial engine: it equals the reference engine's counted run field
+   for field, at about half the cost. Trials run lenient: the paper ran
+   on SimpleScalar sim-safe, whose sparse memory does not fault wild
+   accesses. *)
+let targets ?(engine = Sim.Interp.Fast) ~masks taggings (prog : Ir.Prog.t) =
   let code = Sim.Code.of_prog prog in
-  let tagging = Tagging.compute ?protect_addresses prog in
-  (* The baseline profiles exec counts, which only the reference engine
-     supports — engine choice applies to trials, not to this run. *)
-  let baseline = Sim.Interp.run_exn ~count_exec:true code in
+  let baseline, golden = Sim.Snapshot.golden ~masks code in
   let proto = Sim.Memory.of_prog ~lenient:true prog in
   let baseline_digest = Sim.Memory.digest baseline.Sim.Interp.memory in
-  { code; tagging; baseline; lenient = true; proto; engine; baseline_digest }
+  ( List.map
+      (fun tagging ->
+        { code; tagging; baseline; lenient = true; proto; engine; baseline_digest })
+      taggings,
+    golden )
+
+let of_prog ?protect_addresses ?engine (prog : Ir.Prog.t) =
+  let tagging = Tagging.compute ?protect_addresses prog in
+  List.hd (fst (targets ?engine ~masks:[] [ tagging ] prog))
 
 (* The injectable pool needs no profiling interpretation: the baseline
    already counted every dynamic execution, and the fault hook fires
@@ -106,9 +116,59 @@ let injectable_pool (t : target) (tags : bool array array) =
     tags;
   !total
 
-let prepare ?checkpoint_stride (t : target) (policy : Policy.t) =
+let auto_stride (t : target) tags =
+  Sim.Snapshot.auto_stride
+    ~injectable_total:(injectable_pool t tags)
+    ~image_bytes:(Sim.Memory.size_bytes t.proto)
+
+(* A golden chain derived for one tag mask. *)
+type chain = { c_tags : bool array array; c_snaps : Sim.Snapshot.t }
+
+type chains = chain list
+
+(* One counted golden pass for every distinct mask the taggings'
+   control and nothing policies give (protect-all is never derived: its
+   pool is empty wherever it is prepared), then each mask's
+   auto-stride chain derived from the pass's provisional checkpoints,
+   which are dropped on return. *)
+let of_taggings taggings prog =
+  let masks =
+    List.fold_left
+      (fun acc tagging ->
+        List.fold_left
+          (fun acc policy ->
+            let m = Tagging.mask tagging policy in
+            if List.mem m acc then acc else acc @ [ m ])
+          acc
+          [ Policy.Protect_control; Policy.Protect_nothing ])
+      [] taggings
+  in
+  let targets, golden = targets ~masks taggings prog in
+  let t = List.hd targets in
+  let budget = timeout_factor * t.baseline.Sim.Interp.dyn_count in
+  ( targets,
+    List.map
+      (fun tags ->
+        {
+          c_tags = tags;
+          c_snaps =
+            Sim.Snapshot.derive ~stride:(auto_stride t tags) ~tags
+              ~image:(Sim.Interp.compile ~tags t.code)
+              ~budget golden;
+        })
+      masks )
+
+let prepare ?checkpoint_stride ?(chains = []) (t : target) (policy : Policy.t) =
   let t0 = Obs.span_begin () in
   let tags = Tagging.mask t.tagging policy in
+  (* A chain derived for this mask stands for the auto-stride golden
+     pass below, checkpoint for checkpoint. *)
+  let derived =
+    match checkpoint_stride with
+    | None -> List.find_opt (fun c -> c.c_tags = tags) chains
+    | Some _ -> None
+  in
+  let tags = match derived with Some c -> c.c_tags | None -> tags in
   let injectable_total = injectable_pool t tags in
   let budget = timeout_factor * t.baseline.Sim.Interp.dyn_count in
   (* Fast engine: compile the (code, tags) pair once per prepared
@@ -121,25 +181,21 @@ let prepare ?checkpoint_stride (t : target) (policy : Policy.t) =
   in
   (* Golden checkpointing pass: one fault-free interpretation under the
      policy's tag mask, recording a snapshot every [stride] injectable
-     ordinals. Costs what the retired profiling run used to cost, and
-     every trial of this prepared target fast-forwards from it. *)
+     ordinals. Every trial of this prepared target fast-forwards from
+     it. *)
   let snapshots =
-    let stride =
-      match checkpoint_stride with
-      | Some 0 -> None  (* checkpointing off: trials run from scratch *)
-      | Some s when s < 0 ->
-        invalid_arg "Campaign.prepare: negative checkpoint stride"
-      | Some s -> Some s
-      | None ->
-        Some
-          (Sim.Snapshot.auto_stride ~injectable_total
-             ~image_bytes:(Sim.Memory.size_bytes t.proto))
-    in
-    Option.map
-      (fun stride ->
-        Sim.Snapshot.build ~stride ~tags ?image ~budget
-          ~memory:(Sim.Memory.copy t.proto) t.code)
-      stride
+    match (derived, checkpoint_stride) with
+    | Some c, _ ->
+      Sim.Snapshot.claim c.c_snaps;
+      Some c.c_snaps
+    | None, Some 0 -> None  (* checkpointing off: trials run from scratch *)
+    | None, Some s when s < 0 ->
+      invalid_arg "Campaign.prepare: negative checkpoint stride"
+    | None, stride ->
+      let stride = Option.value stride ~default:(auto_stride t tags) in
+      Some
+        (Sim.Snapshot.build ~stride ~tags ?image ~budget
+           ~memory:(Sim.Memory.copy t.proto) t.code)
   in
   if Obs.enabled () then begin
     Obs.count "campaign.prepares" 1;

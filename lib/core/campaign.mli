@@ -86,9 +86,24 @@ val of_prog :
   target
 (** Compile, tag and run the fault-free baseline, and lay out the
     target's prototype in the lenient model — the SimpleScalar sim-safe
-    memory the paper ran every campaign on. [engine] (default [Fast]) selects the trial interpreter; both
-    engines produce bit-identical summaries (the differential suite in
-    [test_engine] pins this). *)
+    memory the paper ran every campaign on. The baseline is one counted
+    run on the fast engine ({!Sim.Snapshot.golden}), equal to the
+    reference engine's counted run field for field. [engine] (default
+    [Fast]) selects the trial interpreter; both engines produce
+    bit-identical summaries (the differential suite in [test_engine]
+    pins this). *)
+
+type chains
+(** Golden checkpoint chains derived from one counted pass, one per
+    distinct tag mask. *)
+
+val of_taggings : Tagging.t list -> Ir.Prog.t -> target list * chains
+(** One target per tagging of the program (fast engine), all sharing
+    one code, baseline, prototype and baseline digest — each equal to
+    [of_prog]'s — from a single counted golden pass. The pass also
+    yields the auto-stride checkpoint chain of every distinct mask the
+    taggings' protect-control and protect-nothing policies give
+    ({!Sim.Snapshot.derive}), for {!prepare}'s [chains]. *)
 
 val injectable_pool : target -> bool array array -> int
 (** Size of the injectable pool under a tag mask: the sum of the
@@ -97,7 +112,8 @@ val injectable_pool : target -> bool array array -> int
     detect an empty pool — and skip the cell — without paying for the
     checkpointing pass and engine compilation a full prepare implies. *)
 
-val prepare : ?checkpoint_stride:int -> target -> Policy.t -> prepared
+val prepare :
+  ?checkpoint_stride:int -> ?chains:chains -> target -> Policy.t -> prepared
 (** Size the injectable pool (arithmetically, from the baseline's exec
     counts over the policy's tag mask — no profiling interpretation)
     and run the golden checkpointing pass: one fault-free execution
@@ -108,7 +124,13 @@ val prepare : ?checkpoint_stride:int -> target -> Policy.t -> prepared
 
     [checkpoint_stride] defaults to {!Sim.Snapshot.auto_stride}; [0]
     disables checkpointing (trials run from scratch); negative values
-    raise [Invalid_argument]. Taint trials ({!run} with [~taint:true])
+    raise [Invalid_argument].
+
+    [chains] (from {!of_taggings} for this target) replaces the golden
+    pass: with the default stride and a chain for the policy's mask,
+    the prepared target adopts that chain — identical checkpoints, the
+    same [campaign.prepares], [snapshot.builds], [snapshot.checkpoints]
+    and [snapshot.build] telemetry — and runs nothing. Other masks fall back to the pass. Taint trials ({!run} with [~taint:true])
     resume from the same checkpoints, on the reference engine, with
     clean shadow taint — exact, because no fault has landed before any
     checkpoint. *)

@@ -385,15 +385,20 @@ let owners_of (p : Campaign.prepared) ~(ordinals : int list) :
   let injection = Fault_model.profiling_injection ~tags:p.Campaign.tags in
   let image = p.Campaign.image in
   (* The walking machine and the ordinal it stands at; none until the
-     first requested ordinal, so an empty request builds nothing. *)
+     first requested ordinal, so an empty request builds nothing. Every
+     resume thaws into one working image: the walk is its only owner,
+     and a resume drops the machine that held it. *)
   let m = ref None and at = ref 0 and halted = ref false in
+  let work = lazy (Sim.Memory.copy t.Campaign.proto) in
   let start_for o =
     match p.Campaign.snapshots with
     | Some snaps ->
       let s = Sim.Snapshot.nearest snaps ~ordinal:(o + 1) in
       let so = Sim.Interp.snapshot_ordinal s in
       if Option.is_none !m || so > !at then begin
-        m := Some (Sim.Interp.resume ?image ~injection s);
+        m :=
+          Some
+            (Sim.Interp.resume ?image ~injection ~memory:(Lazy.force work) s);
         at := so
       end
     | None ->

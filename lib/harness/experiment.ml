@@ -27,50 +27,56 @@ type loaded = {
   prepared : mode -> Core.Policy.t -> Core.Campaign.prepared;
 }
 
-(* Mutex-protected so the per-app closures may be forced from worker
-   domains (e.g. Table 3 computing its rows in parallel, one app per
-   domain). The lock is held across the compute: concurrent callers of
-   the same memo serialize, distinct apps (distinct memos) do not, and
-   an exception caches nothing. The serve daemon's warm registry entries
+(* Memoize [f] for use from any domain (e.g. Table 3 computing its
+   rows in parallel, one app per domain). Each key has its own slot
+   with its own lock, held across that key's compute: concurrent
+   callers of one key build it once, callers of distinct keys build at
+   the same time, and an exception leaves the slot empty, so it caches
+   nothing and the next caller builds again. The table lock covers only
+   finding or adding a slot. The serve daemon's warm registry entries
    are such memos too: its per-key promises. *)
 let memo f =
   let tbl = Hashtbl.create 4 in
   let lock = Mutex.create () in
   fun k ->
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match Hashtbl.find_opt tbl k with
+    let lk, cell =
+      Mutex.protect lock (fun () ->
+          match Hashtbl.find_opt tbl k with
+          | Some slot -> slot
+          | None ->
+            let slot = (Mutex.create (), ref None) in
+            Hashtbl.replace tbl k slot;
+            slot)
+    in
+    Mutex.protect lk (fun () ->
+        match !cell with
         | Some v -> v
         | None ->
           let v = f k in
-          Hashtbl.replace tbl k v;
+          cell := Some v;
           v)
 
-(* The two modes differ only in tagging: [Campaign.of_prog]'s baseline
-   is a reference-engine run that ignores tags, and the code and
-   prototype image do not depend on them either. So the Full target is
-   built eagerly (its baseline is [golden]) and the Literal target
-   shares its code, baseline, prototype and baseline digest: one
-   baseline run per app, whichever modes are used. The Literal memo
-   reads [full] directly rather than calling [target Full], and a memo
-   rather than a [lazy] keeps two domains from forcing it at once. *)
+(* One counted golden pass per app serves both modes: the modes differ
+   only in tagging, so the Full and Literal targets share the code,
+   baseline, prototype and baseline digest, and the pass derives the
+   checkpoint chain of each distinct protect-control and
+   protect-nothing mask (at most three) up front. A prepared target
+   then only sizes its pool, compiles its image and adopts its chain. *)
 let load ?(seed = 1) (app : Apps.App.t) : loaded =
   let built = app.Apps.App.build ~seed in
   let prog = built.Apps.App.prog in
-  let full = Core.Campaign.of_prog ~protect_addresses:true prog in
-  let literal =
-    memo (fun () ->
-        {
-          full with
-          Core.Campaign.tagging =
-            Core.Tagging.compute ~protect_addresses:false prog;
-        })
+  let tagging protect_addresses =
+    Core.Tagging.compute ~protect_addresses prog
   in
-  let target = function Full -> full | Literal -> literal () in
+  let full, literal, chains =
+    match Core.Campaign.of_taggings [ tagging true; tagging false ] prog with
+    | [ full; literal ], chains -> (full, literal, chains)
+    | _ -> assert false
+  in
+  let target = function Full -> full | Literal -> literal in
   let prepared =
-    memo (fun (mode, policy) -> Core.Campaign.prepare (target mode) policy)
+    memo (fun (mode, policy) ->
+        Core.Campaign.prepare ~chains (target mode) policy)
   in
   {
     app;

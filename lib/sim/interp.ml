@@ -104,13 +104,21 @@ let engine_name = function Fast -> "fast" | Ref -> "ref"
 
 type image = Machine.image
 
-let compile = Threaded.compile
+let compile ?tags code = Threaded.compile ?tags code
 
 type machine = Machine.t
 
-let machine ?image ?injection ?budget ?count_exec ?taint ?memory code : machine
-    =
-  Machine.make ?image ?injection ?budget ?count_exec ?taint ?memory code
+(* A counting machine on the fast engine runs the counting flavour of
+   its image, compiled here from the same (code, tags) pair. *)
+let machine ?image ?injection ?budget ?(count_exec = false) ?taint ?memory code
+    : machine =
+  let image =
+    match image with
+    | Some (img : image) when count_exec && not img.icounting ->
+      Some (Threaded.compile ~tags:img.itags ~counting:true img.icode)
+    | _ -> image
+  in
+  Machine.make ?image ?injection ?budget ~count_exec ?taint ?memory code
 
 (* ------------------------- shadow taint ------------------------- *)
 
@@ -470,16 +478,17 @@ let snapshot_memory = Machine.snapshot_memory
 let snapshot_digest = Machine.snapshot_digest
 let machine_fid = Machine.machine_fid
 
-let resume ?image ?injection ?taint (s : snapshot) : machine =
-  Machine.restore ?image ?injection ?taint s
+let resume ?image ?injection ?taint ?memory (s : snapshot) : machine =
+  Machine.restore ?image ?injection ?taint ?memory s
 
 let run ?image ?injection ?budget ?count_exec ?taint ?memory code : result =
   finish (machine ?image ?injection ?budget ?count_exec ?taint ?memory code)
 
-(* Fault-free execution, trusting the program: raises on trap/timeout. *)
-let run_exn ?image ?count_exec code =
-  let r = run ?image ?count_exec code in
+let done_exn r =
   match r.outcome with
   | Done _ -> r
   | Trapped t -> failwith ("fault-free run trapped: " ^ Trap.to_string t)
   | Timeout -> failwith "fault-free run exceeded budget"
+
+(* Fault-free execution, trusting the program: raises on trap/timeout. *)
+let run_exn ?image ?count_exec code = done_exn (run ?image ?count_exec code)

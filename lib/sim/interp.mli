@@ -14,7 +14,7 @@
     (ordinals are assigned in increasing order). Build values with
     {!injection} rather than filling the record directly. *)
 
-type injection = {
+type injection = Machine.injection = {
   tags : bool array array;  (** fid -> body index -> injectable *)
   plan_ords : int array;    (** planned ordinals, strictly increasing *)
   plan_bits : int array;    (** bit to flip, parallel to [plan_ords] *)
@@ -81,10 +81,11 @@ type engine =
 
 val engine_name : engine -> string
 
-type image
+type image = Machine.image
 (** A program compiled for the fast engine against one (code, tags)
     pair. Immutable and safe to share across domains; compile once per
-    prepared campaign target, reuse for every trial. *)
+    prepared campaign target, reuse for every trial. (Its record, like
+    {!machine}'s and {!snapshot}'s, is internal to [Sim].) *)
 
 val compile : ?tags:bool array array -> Code.t -> image
 (** Compile every function body into its closure table. [tags]
@@ -103,7 +104,7 @@ val compile : ?tags:bool array array -> Code.t -> image
     ([taint]) runs are the same machine driven by the same reference
     dispatch loop. *)
 
-type machine
+type machine = Machine.t
 (** A paused or running execution. Mutable; single-owner. *)
 
 val machine :
@@ -124,8 +125,11 @@ val machine :
     result's [fault_flow]. [image] selects the fast engine; it must
     have been compiled from this [code] and with the same tag-mask
     array as [injection] (physical equality), and is incompatible with
-    [count_exec] and [taint] (profiling and taint stay on the reference
-    engine) — raises [Invalid_argument] otherwise. *)
+    [taint] (taint stays on the reference engine) — raises
+    [Invalid_argument] otherwise. [count_exec] with an [image] counts
+    on the fast engine: the machine runs a counting flavour compiled
+    from the image's code and tags, and the image itself (the one
+    trials share) stays count-free. *)
 
 val advance : machine -> pause_at:int -> [ `Halted | `Paused ]
 (** Execute until the machine halts, or pause as soon as [pause_at]
@@ -140,7 +144,7 @@ val finish : machine -> result
     result, with [fault_flow] summarized from the tracker of a taint
     machine. *)
 
-type snapshot
+type snapshot = Machine.snapshot
 (** An immutable copy of a paused machine's full architectural state
     (memory image, frame stack, counters). One snapshot can seed any
     number of {!resume}d trials, concurrently across domains — restore
@@ -158,8 +162,17 @@ val capture : ?prev:snapshot * Memory.t -> machine -> snapshot
     snapshot restores, resumes and digests identically. *)
 
 val resume :
-  ?image:image -> ?injection:injection -> ?taint:bool -> snapshot -> machine
+  ?image:image ->
+  ?injection:injection ->
+  ?taint:bool ->
+  ?memory:Memory.t ->
+  snapshot ->
+  machine
 (** A fresh machine restored from the snapshot, with a new plan.
+    [memory] is a working image of the same size to thaw the snapshot
+    into ({!Memory.thaw_into}; ownership passes to the machine), for a
+    single-owner walk that resumes many times — without it the machine
+    gets a freshly thawed image.
     Raises [Invalid_argument] if the plan's first ordinal precedes the
     snapshot's ordinal (that fault could never land). [image] selects
     the fast engine for the resumed execution, with the same validity
@@ -209,4 +222,8 @@ val run :
     [finish (machine ...)]. *)
 
 val run_exn : ?image:image -> ?count_exec:bool -> Code.t -> result
-(** Like {!run} for fault-free execution: fails on trap or timeout. *)
+(** Like {!run} for fault-free execution: fails on trap or timeout.
+    Without [image], [count_exec] counts on the reference engine. *)
+
+val done_exn : result -> result
+(** [r] if it ran to completion; otherwise fails as {!run_exn} does. *)

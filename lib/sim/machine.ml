@@ -12,6 +12,9 @@
    [Taint.tracker] in [taint] plus per-frame register masks, all absent
    when taint is off. Only the reference loop maintains them, so
    [check_image] rejects a taint machine built from an image.
+   Execution counting runs on either engine: the fast engine counts
+   through a separately compiled counting image, so trial images carry
+   no counting code.
 
    The [fast] field selects the engine: a machine built from a
    compiled [image] carries the closure table and is driven by
@@ -163,6 +166,9 @@ type image = {
   icode : Code.t;
   itags : bool array array;
   iops : op array array;
+  icounting : bool;
+      (* the ops also bump [exec_counts] (Threaded.compile ~counting);
+         only counted golden runs build such an image *)
 }
 
 let shadow_of ~shadow regs =
@@ -193,8 +199,10 @@ let check_image ~count_exec ~taint (image : image option)
   | Some img ->
     if img.icode != code then
       invalid_arg "Interp: image was compiled from a different program";
-    if count_exec then
-      invalid_arg "Interp: count_exec requires the reference engine";
+    if count_exec <> img.icounting then
+      invalid_arg
+        (if count_exec then "Interp: count_exec requires a counting image"
+         else "Interp: a counting image requires count_exec");
     if taint then
       invalid_arg "Interp: taint mode requires the reference engine";
     let tags = match injection with Some { tags; _ } -> tags | None -> no_ops in
@@ -388,37 +396,97 @@ let copy_frame ~shadow fr =
     ftn = shadow_of ~shadow fr.fregs;
   }
 
-let capture ?prev m : snapshot =
+(* [copy] is a snapshot's copy of the live frame [fr] as it stood then:
+   same function, pc and registers, floats compared bit for bit. *)
+let same_frame (copy : frame) (fr : frame) =
+  copy.fid = fr.fid && copy.pc = fr.pc && copy.iregs = fr.iregs
+  &&
+  let a = copy.fregs and b = fr.fregs in
+  Array.length a = Array.length b
+  &&
+  let rec eq i =
+    i = Array.length a
+    || Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float b.(i))
+       && eq (i + 1)
+  in
+  eq 0
+
+(* Snapshot frames are never mutated ([restore] copies them), so a
+   capture chained onto [prev] shares each of [prev]'s frame copies
+   that still matches the live frame at the same depth: the callers
+   parked below the running frame rarely change between two
+   checkpoints. *)
+let frames_of ?prev stack =
+  let live = Array.of_list stack in
+  let n = Array.length live in
+  let before = match prev with Some p -> p.s_frames | None -> [||] in
+  Array.mapi
+    (fun i fr ->
+      let j = Array.length before - n + i in
+      if j >= 0 && same_frame before.(j) fr then before.(j)
+      else copy_frame ~shadow:false fr)
+    live
+
+(* The state capture behind [capture]; the counted golden pass
+   (Snapshot.golden) also takes it from its counting machine, whose
+   checkpoints are only ever resumed at re-derived ordinals. [root], a
+   frozen image equal to the machine's memory, is shared instead of
+   frozen anew. *)
+let freeze_state ?prev ?root m : snapshot =
   (match m.status with
    | Running -> ()
    | _ -> invalid_arg "Interp.capture: machine has halted");
-  if m.count_exec then
-    invalid_arg "Interp.capture: profiling machines are not snapshotable";
   if m.landed > 0 then
     invalid_arg "Interp.capture: snapshots must be fault-free";
   {
     s_code = m.code;
     s_budget = m.budget;
     s_memory =
-      Memory.freeze
-        ?prev:(Option.map (fun (p, running) -> (p.s_memory, running)) prev)
-        m.memory;
-    s_frames = Array.of_list (List.map (copy_frame ~shadow:false) m.stack);
+      (match root with
+       | Some r -> r
+       | None ->
+         Memory.freeze
+           ?prev:(Option.map (fun (p, running) -> (p.s_memory, running)) prev)
+           m.memory);
+    s_frames = frames_of ?prev:(Option.map fst prev) m.stack;
     s_depth = m.depth;
     s_dyn = m.dyn;
     s_inj_seen = m.inj_seen;
   }
 
+let capture ?prev m : snapshot =
+  if m.count_exec then
+    invalid_arg "Interp.capture: profiling machines are not snapshotable";
+  freeze_state ?prev m
+
 let snapshot_ordinal s = s.s_inj_seen
 let snapshot_dyn s = s.s_dyn
 let snapshot_memory s = Memory.thaw s.s_memory
 
-let restore ?image ?injection ?(taint = false) (s : snapshot) : t =
-  init ~image ~injection ~taint ~count_exec:false ~budget:s.s_budget
-    ~memory:(Memory.thaw s.s_memory) ~dyn:s.s_dyn ~inj_seen:s.s_inj_seen
-    ~depth:s.s_depth
+(* A machine resuming [s] on [memory], which already holds the
+   snapshot's image, at [ordinal] under [budget]: with the snapshot's
+   own, this is [restore]; with others, a checkpoint of one golden pass
+   restarts under another tag mask at the ordinal it sits at under that
+   mask (Snapshot.derive). *)
+let restore_on ?image ?injection ?(taint = false) ~memory ~ordinal ~budget
+    (s : snapshot) : t =
+  init ~image ~injection ~taint ~count_exec:false ~budget ~memory ~dyn:s.s_dyn
+    ~inj_seen:ordinal ~depth:s.s_depth
     ~stack:(Array.to_list (Array.map (copy_frame ~shadow:taint) s.s_frames))
     s.s_code
+
+(* [memory], when given, is a working image the snapshot is thawed
+   into, its arrays reused. *)
+let restore ?image ?injection ?taint ?memory (s : snapshot) : t =
+  let memory =
+    match memory with
+    | Some mem ->
+      Memory.thaw_into s.s_memory mem;
+      mem
+    | None -> Memory.thaw s.s_memory
+  in
+  restore_on ?image ?injection ?taint ~memory ~ordinal:s.s_inj_seen
+    ~budget:s.s_budget s
 
 (* Fid of the frame the dispatch loop is executing in. At a pause this
    is exactly the frame that consumed the most recent injectable

@@ -113,18 +113,93 @@ let freeze ?prev t =
       cells;
     Delta { parent; cells; d_ints; d_flts; d_kind }
 
-(* Root copy plus every delta on the path, oldest first. *)
-let rec thaw = function
-  | Root t -> copy t
+let apply_delta t d =
+  match d with
+  | Root _ -> ()
   | Delta d ->
-    let t = thaw d.parent in
     for j = 0 to Array.length d.cells - 1 do
       let i = Array.unsafe_get d.cells j in
       Bytes.unsafe_set t.kind i (Bytes.unsafe_get d.d_kind j);
       Array.unsafe_set t.ints i (Array.unsafe_get d.d_ints j);
       Array.unsafe_set t.flts i (Array.unsafe_get d.d_flts j)
-    done;
+    done
+
+(* Root copy plus every delta on the path, oldest first. *)
+let rec thaw = function
+  | Root t -> copy t
+  | Delta { parent; _ } as d ->
+    let t = thaw parent in
+    apply_delta t d;
     t
+
+(* [src]'s cells over [dst]'s; [dst] keeps its access model. *)
+let blit ~src ~dst =
+  if Array.length src.ints <> Array.length dst.ints then
+    invalid_arg "Memory.blit: image size differs";
+  Array.blit src.ints 0 dst.ints 0 (Array.length src.ints);
+  Array.blit src.flts 0 dst.flts 0 (Array.length src.flts);
+  Bytes.blit src.kind 0 dst.kind 0 (Bytes.length src.kind)
+
+(* [thaw] into [t]'s own arrays: the root's cells blitted over [t]'s,
+   then every delta on the path — or, when [t] already holds [from]'s
+   image, only the deltas after [from]. [t] keeps its access model, so
+   a strict chain can be thawed into a lenient working image. *)
+let thaw_into ?from f t =
+  let rec root = function Root r -> r | Delta d -> root d.parent in
+  if Array.length (root f).ints <> Array.length t.ints then
+    invalid_arg "Memory.thaw_into: image size differs";
+  let rec go f =
+    match (f, from) with
+    | _, Some a when a == f -> ()
+    | Root _, Some _ ->
+      invalid_arg "Memory.thaw_into: [from] is not an ancestor"
+    | Root r, None -> blit ~src:r ~dst:t
+    | Delta { parent; _ }, _ ->
+      go parent;
+      apply_delta t f
+  in
+  go f
+
+(* Two consecutive deltas folded into one on [parent]: the union of
+   their cells, the later delta's values winning. Both index arrays
+   are ascending, so one merge pass keeps the union ascending. *)
+let join ~parent a b =
+  match (a, b) with
+  | Delta a, Delta b ->
+    let na = Array.length a.cells and nb = Array.length b.cells in
+    let cells = Array.make (na + nb) 0 and d_ints = Array.make (na + nb) 0 in
+    let d_flts = Array.make (na + nb) 0.0 and d_kind = Bytes.create (na + nb) in
+    let put k c ints flts kind j =
+      cells.(k) <- c;
+      d_ints.(k) <- ints.(j);
+      d_flts.(k) <- flts.(j);
+      Bytes.set d_kind k (Bytes.get kind j)
+    in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < na || !j < nb do
+      let ca = if !i < na then a.cells.(!i) else max_int
+      and cb = if !j < nb then b.cells.(!j) else max_int in
+      if cb <= ca then begin
+        put !k cb b.d_ints b.d_flts b.d_kind !j;
+        incr j;
+        if ca = cb then incr i
+      end
+      else begin
+        put !k ca a.d_ints a.d_flts a.d_kind !i;
+        incr i
+      end;
+      incr k
+    done;
+    let n = !k in
+    Delta
+      {
+        parent;
+        cells = Array.sub cells 0 n;
+        d_ints = Array.sub d_ints 0 n;
+        d_flts = Array.sub d_flts 0 n;
+        d_kind = Bytes.sub d_kind 0 n;
+      }
+  | _ -> invalid_arg "Memory.join: both images must be deltas"
 
 (* Address checks are split so the interpreter reports the most precise
    trap: the null guard occupies bytes 0..3. Returns the cell index, or

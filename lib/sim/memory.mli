@@ -38,6 +38,25 @@ val thaw : frozen -> t
     with the same {!digest}): the root's copy with every delta on the
     path applied, oldest first. *)
 
+val thaw_into : ?from:frozen -> frozen -> t -> unit
+(** [thaw_into f t] overwrites [t]'s cells so that [t] equals [thaw f]
+    cell for cell, reusing [t]'s arrays instead of allocating an image.
+    [t] keeps its own access model. With [from], [t] must already hold
+    [thaw from], where [from] is [f] or an ancestor of it on its chain,
+    and only the deltas after [from] are applied. Raises
+    [Invalid_argument] if the sizes differ or [from] is not on [f]'s
+    chain. *)
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst]'s cells with [src]'s; [dst] keeps its access
+    model. Raises [Invalid_argument] if the sizes differ. *)
+
+val join : parent:frozen -> frozen -> frozen -> frozen
+(** [join ~parent a b] folds two consecutive deltas — [b] frozen on
+    [a], [a] on an image equal to [parent] — into one delta on
+    [parent] that thaws to what [b] thaws to. Thins a chain without
+    re-thawing it. Raises [Invalid_argument] if [a] or [b] is a root. *)
+
 val load_int : t -> int -> int
 val load_flt : t -> int -> float
 val store_int : t -> int -> int -> unit

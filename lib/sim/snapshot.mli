@@ -47,3 +47,51 @@ val stride : t -> int
 
 val count : t -> int
 (** Number of checkpoints recorded (including ordinal 0). *)
+
+(** {1 One golden pass per program}
+
+    {!build} runs a golden pass per tag mask. A program's campaign
+    targets differ only in their masks, so one counted pass can stand
+    for all of them: it pauses on the ordinals of the masks' union to
+    record a short sequence of provisional checkpoints, each tagged
+    with its ordinal under every mask, and {!derive} then re-creates
+    each mask's chain from them, checkpoint for checkpoint. *)
+
+type golden
+(** The provisional checkpoints of one counted pass. Single-owner;
+    drop it once every mask's chain is derived. *)
+
+val golden :
+  masks:bool array array list -> Code.t -> Interp.result * golden
+(** Run [code] fault-free once on the fast engine with execution
+    counting, in the strict model and the default budget. The result
+    equals [Interp.run_exn ~count_exec:true code] (reference engine)
+    field for field and records the same [sim.*] counters; fails as
+    {!Interp.run_exn} does. Provisional checkpoints are spaced by an
+    internal rule that scales with the image size and thins the
+    sequence as the run grows, so the pass retains one image plus at
+    most 256 deltas. With [masks = []] the pass never pauses. *)
+
+val derive :
+  stride:int ->
+  tags:bool array array ->
+  ?image:Interp.image ->
+  budget:int ->
+  golden ->
+  t
+(** The chain [build ~stride ~tags ?image ~budget ~memory] builds from
+    the program's initial image in the lenient model (campaign trials'
+    model, [Memory.of_prog ~lenient:true]), for one of the masks the
+    pass was given ([tags] must be one of them, physically;
+    [Invalid_argument] otherwise): equal stride and count, and every
+    checkpoint equal in ordinal, dynamic count and
+    {!Interp.snapshot_digest}. Each checkpoint resumes the latest
+    provisional one before it under [tags] and advances to it.
+    Checkpoint 0 shares its image with every chain derived from the
+    same pass, and a mask with an empty pool gets checkpoint 0 without
+    running the program. Records no telemetry; see {!claim}. *)
+
+val claim : t -> unit
+(** Record a build's telemetry for a derived chain as its campaign
+    target adopts it: the [snapshot.builds] and [snapshot.checkpoints]
+    counters and a [snapshot.build] span, as {!build} records them. *)

@@ -573,7 +573,22 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
       bump m;
       return m None
 
-let compile_func (code : Code.t) (tags : bool array array) fid
+(* Counting flavour of an op: bump the instruction's execution count,
+   then run it. The count is skipped when the op's own budget check is
+   about to time out, as the reference loop counts only after that
+   check; DNop is neither counted nor wrapped. The chain runs through
+   the wrappers (they sit in the same [ops] table), so counting costs
+   one extra indirect call per instruction and only counting images
+   pay it. *)
+let counted fid pc (op : op) : op =
+ fun m ->
+  if m.dyn < m.budget then begin
+    let row = Array.unsafe_get m.exec_counts fid in
+    Array.unsafe_set row pc (Array.unsafe_get row pc + 1)
+  end;
+  op m
+
+let compile_func ~counting (code : Code.t) (tags : bool array array) fid
     (df : Code.dfunc) : op array =
   let body = df.Code.dbody in
   let len = Array.length body in
@@ -588,16 +603,28 @@ let compile_func (code : Code.t) (tags : bool array array) fid
   let ops = Array.make (len + 1) guard in
   for pc = 0 to len - 1 do
     let tg = Array.length ftags > 0 && Array.unsafe_get ftags pc in
-    ops.(pc) <- compile_instr code ops tg pc body.(pc)
+    let op = compile_instr code ops tg pc body.(pc) in
+    ops.(pc) <-
+      (match body.(pc) with
+       | Code.DNop -> op
+       | _ when counting -> counted fid pc op
+       | _ -> op)
   done;
   ops
 
-let compile ?(tags = ([||] : bool array array)) (code : Code.t) : image =
+(* [counting] compiles the counting flavour (see [counted]), for
+   machines built with [count_exec]; campaign trial images never
+   count. *)
+let compile ?(tags = ([||] : bool array array)) ?(counting = false)
+    (code : Code.t) : image =
   {
     icode = code;
     itags = tags;
     iops =
-      Array.mapi (fun fid df -> compile_func code tags fid df) code.Code.funcs;
+      Array.mapi
+        (fun fid df -> compile_func ~counting code tags fid df)
+        code.Code.funcs;
+    icounting = counting;
   }
 
 (* The driver: re-entered once per frame switch (and once at start /

@@ -321,12 +321,20 @@ let test_engine_guards () =
             ctx.code);
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "count_exec stays on the reference loop" true
-    (try
-       ignore
-         (Sim.Interp.machine ~image:ctx.image ~count_exec:true ctx.code);
-       false
-     with Invalid_argument _ -> true);
+  (* Counting runs on the fast engine too (through a counting flavour
+     of the image) and counts what the reference loop counts. *)
+  let counted image =
+    Sim.Interp.finish
+      (Sim.Interp.machine ?image
+         ~injection:(Sim.Interp.injection ~tags:ctx.tags ~plan:[])
+         ~count_exec:true ctx.code)
+  in
+  let fast = counted (Some ctx.image) and slow = counted None in
+  Alcotest.(check bool) "count_exec runs on the fast engine" true
+    (fast.Sim.Interp.exec_counts = slow.Sim.Interp.exec_counts
+    && fast.Sim.Interp.dyn_count = slow.Sim.Interp.dyn_count
+    && fast.Sim.Interp.injectable_seen = slow.Sim.Interp.injectable_seen
+    && Array.exists (Array.exists (fun c -> c > 0)) fast.Sim.Interp.exec_counts);
   (* Taint is rejected by every constructor that takes an image, even
      with the matching tag mask. *)
   let injection = Sim.Interp.injection ~tags:ctx.tags ~plan:[] in
@@ -347,6 +355,10 @@ let test_engine_guards () =
       Sim.Interp.run ~image:ctx.image ~injection ~taint:true ctx.code);
   rejects_taint "taint machine stays on the reference loop" (fun () ->
       Sim.Interp.machine ~image:ctx.image ~injection ~taint:true ctx.code);
+  rejects_taint "counting taint machine stays on the reference loop"
+    (fun () ->
+      Sim.Interp.machine ~image:ctx.image ~injection ~count_exec:true
+        ~taint:true ctx.code);
   rejects_taint "taint resume stays on the reference loop" (fun () ->
       Sim.Interp.resume ~image:ctx.image ~injection ~taint:true snap);
   (* Without [~memory] a machine lays out the strict model whichever

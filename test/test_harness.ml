@@ -98,6 +98,43 @@ let test_concurrent_first_use () =
       Alcotest.(check bool) "records" true (records c = records s))
     concurrent sequential
 
+(* Per-key memo slots: two domains forcing different keys of one memo
+   build at the same time. Each build waits (up to 5 s) on a latch the
+   other one opens, so under one lock held across every build the
+   first would time out alone. Each key still builds once. *)
+let test_memo_keys_overlap () =
+  let arrived = Atomic.make 0 and builds = Atomic.make 0 in
+  let memo =
+    Harness.Experiment.memo (fun k ->
+        Atomic.incr builds;
+        Atomic.incr arrived;
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        (k, Atomic.get arrived >= 2))
+  in
+  let d1 = Domain.spawn (fun () -> memo 1)
+  and d2 = Domain.spawn (fun () -> memo 2) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  Alcotest.(check bool) "builds overlapped" true (snd r1 && snd r2);
+  Alcotest.(check bool) "cached" true (memo 1 == r1 && memo 2 == r2);
+  Alcotest.(check int) "one build per key" 2 (Atomic.get builds)
+
+(* A raising build caches nothing: the next caller builds again. *)
+let test_memo_failure_uncached () =
+  let calls = ref 0 in
+  let memo =
+    Harness.Experiment.memo (fun k ->
+        incr calls;
+        if !calls = 1 then failwith "build failed" else k)
+  in
+  Alcotest.check_raises "first build raises" (Failure "build failed")
+    (fun () -> ignore (memo 3));
+  Alcotest.(check int) "second build" 3 (memo 3);
+  Alcotest.(check int) "then cached" 3 (memo 3);
+  Alcotest.(check int) "two builds" 2 !calls
+
 let test_sweep_zero_errors_is_clean () =
   let l = Lazy.force loaded in
   let p =
@@ -220,6 +257,10 @@ let () =
             test_concurrent_first_use;
           Alcotest.test_case "zero errors clean" `Quick
             test_sweep_zero_errors_is_clean;
+          Alcotest.test_case "memo builds distinct keys at once" `Quick
+            test_memo_keys_overlap;
+          Alcotest.test_case "memo caches no failed build" `Quick
+            test_memo_failure_uncached;
         ] );
       ( "tables",
         [ Alcotest.test_case "table 3 shape" `Quick test_table3_shape ] );

@@ -458,6 +458,181 @@ let gsm_prepared =
      in
      Core.Campaign.prepare target Core.Policy.Protect_control)
 
+
+(* The counted golden pass on the fast engine stands for the reference
+   engine's counted run: equal execution counts, dynamic count, pools
+   and final image on every app, at two seeds. *)
+let test_fast_counted_baseline () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (app : Apps.App.t) ->
+          let prog = (app.Apps.App.build ~seed).Apps.App.prog in
+          let fast = Core.Campaign.of_prog prog in
+          let slow =
+            {
+              fast with
+              Core.Campaign.baseline =
+                Sim.Interp.run_exn ~count_exec:true fast.Core.Campaign.code;
+            }
+          in
+          let what = Printf.sprintf "%s seed %d" app.Apps.App.name seed in
+          let fb = fast.Core.Campaign.baseline
+          and sb = slow.Core.Campaign.baseline in
+          Alcotest.(check bool) (what ^ " exec counts") true
+            (fb.Sim.Interp.exec_counts = sb.Sim.Interp.exec_counts);
+          Alcotest.(check int) (what ^ " dyn count") sb.Sim.Interp.dyn_count
+            fb.Sim.Interp.dyn_count;
+          Alcotest.(check int) (what ^ " injectable seen")
+            sb.Sim.Interp.injectable_seen fb.Sim.Interp.injectable_seen;
+          Alcotest.(check string) (what ^ " final image")
+            (Sim.Memory.digest sb.Sim.Interp.memory)
+            fast.Core.Campaign.baseline_digest;
+          List.iter
+            (fun protect_addresses ->
+              let tagging = Core.Tagging.compute ~protect_addresses prog in
+              List.iter
+                (fun policy ->
+                  let tags = Core.Tagging.mask tagging policy in
+                  Alcotest.(check int)
+                    (what ^ " pool " ^ Core.Policy.to_string policy)
+                    (Core.Campaign.injectable_pool slow tags)
+                    (Core.Campaign.injectable_pool fast tags))
+                Core.Policy.all)
+            [ true; false ])
+        Apps.Registry.all)
+    [ 1; 7 ]
+
+(* A tiny image and a long run: the pass holds thousands of
+   provisional checkpoints' worth of ordinals, so it thins its sequence
+   over and over. A call per iteration keeps call-return write-backs
+   pending at many pauses. *)
+let long_run_mlang =
+  let open Mlang.Dsl in
+  program
+    [ garray "out" 2 ]
+    [
+      fn "step" [ p_int "a"; p_int "k" ] ~ret:(Some Mlang.Ast.TInt)
+        [ ret (((v "a" *! i 3) +! v "k") %! i 1000003) ];
+      fn "main" [] ~ret:(Some Mlang.Ast.TInt)
+        [
+          let_ "acc" (i 1);
+          for_ "k" (i 0) (i 20000)
+            [
+              set "acc" (call "step" [ v "acc"; v "k" ]);
+              when_ (v "acc" %! i 7 ==! i 0) [ sto "out" (i 0) (v "acc") ];
+            ];
+          sto "out" (i 1) (v "acc");
+          ret (v "acc" %! i 256);
+        ];
+    ]
+
+(* Every chain [Experiment.load] derives equals the chain the golden
+   pass builds, checkpoint for checkpoint, under both control masks and
+   protect-nothing: on every app — mcf (large image, short run) derives
+   from a handful of provisional checkpoints, susan (small image, long
+   run) from a couple of hundred — and on [long_run_mlang]. *)
+let check_derived name prog =
+  let tagging protect_addresses =
+    Core.Tagging.compute ~protect_addresses prog
+  in
+  let targets, chains =
+    Core.Campaign.of_taggings [ tagging true; tagging false ] prog
+  in
+  let full = List.nth targets 0 and literal = List.nth targets 1 in
+  List.iter
+    (fun (label, t, policy) ->
+      let what = Printf.sprintf "%s %s" name label in
+      let snaps p = Option.get p.Core.Campaign.snapshots in
+      let derived = snaps (Core.Campaign.prepare ~chains t policy)
+      and built = snaps (Core.Campaign.prepare t policy) in
+      Alcotest.(check int) (what ^ " stride") (Sim.Snapshot.stride built)
+        (Sim.Snapshot.stride derived);
+      Alcotest.(check int) (what ^ " count") (Sim.Snapshot.count built)
+        (Sim.Snapshot.count derived);
+      for k = 0 to Sim.Snapshot.count built - 1 do
+        let at c = Sim.Snapshot.nearest c ~ordinal:(k * Sim.Snapshot.stride c) in
+        let key s =
+          ( Sim.Interp.snapshot_ordinal s,
+            Sim.Interp.snapshot_dyn s,
+            Sim.Interp.snapshot_digest ~fid_key:string_of_int s )
+        in
+        Alcotest.(check (triple int int string))
+          (Printf.sprintf "%s checkpoint %d" what k)
+          (key (at built)) (key (at derived))
+      done)
+    [
+      ("full/control", full, Core.Policy.Protect_control);
+      ("literal/control", literal, Core.Policy.Protect_control);
+      ("nothing", full, Core.Policy.Protect_nothing);
+    ]
+
+let test_derived_chains () =
+  List.iter
+    (fun (app : Apps.App.t) ->
+      check_derived app.Apps.App.name (app.Apps.App.build ~seed:1).Apps.App.prog)
+    Apps.Registry.all;
+  check_derived "long run" (Mlang.Compile.to_ir long_run_mlang)
+
+(* Thawing into a working image: every checkpoint of a gsm chain,
+   frozen as a delta chain, thaws into a dirtied image — from its root,
+   or stepped from its predecessor — with the digest [thaw] gives; two
+   joined deltas thaw like the later one; and a resume into a reused
+   image runs like one into a fresh image. *)
+let test_thaw_into () =
+  let p = Lazy.force gsm_prepared in
+  let snaps = Option.get p.Core.Campaign.snapshots in
+  let stride = Sim.Snapshot.stride snaps in
+  let images =
+    Array.init (Sim.Snapshot.count snaps) (fun k ->
+        Sim.Interp.snapshot_memory (Sim.Snapshot.nearest snaps ~ordinal:(k * stride)))
+  in
+  let running = Sim.Memory.copy images.(0) in
+  let frozen = Array.make (Array.length images) (Sim.Memory.freeze images.(0)) in
+  for k = 1 to Array.length images - 1 do
+    frozen.(k) <- Sim.Memory.freeze ~prev:(frozen.(k - 1), running) images.(k)
+  done;
+  let dirty () =
+    let m = Sim.Memory.copy p.Core.Campaign.target.Core.Campaign.proto in
+    for c = 1 to (Sim.Memory.size_bytes m / 4) - 1 do
+      if c mod 7 = 0 then Sim.Memory.store_int m (4 * c) (c * 31)
+    done;
+    m
+  in
+  let stepped = dirty () in
+  Array.iteri
+    (fun k f ->
+      let want = Sim.Memory.digest (Sim.Memory.thaw f) in
+      Alcotest.(check string) (Printf.sprintf "checkpoint %d" k)
+        (Sim.Memory.digest images.(k)) want;
+      let m = dirty () in
+      Sim.Memory.thaw_into f m;
+      Alcotest.(check string) (Printf.sprintf "thaw_into %d" k) want
+        (Sim.Memory.digest m);
+      Sim.Memory.thaw_into
+        ?from:(if k = 0 then None else Some frozen.(k - 1))
+        f stepped;
+      Alcotest.(check string) (Printf.sprintf "stepped %d" k) want
+        (Sim.Memory.digest stepped))
+    frozen;
+  let n = Array.length frozen in
+  Alcotest.(check string) "joined deltas"
+    (Sim.Memory.digest images.(n - 1))
+    (Sim.Memory.digest
+       (Sim.Memory.thaw
+          (Sim.Memory.join ~parent:frozen.(n - 3) frozen.(n - 2) frozen.(n - 1))));
+  let snap = Sim.Snapshot.nearest snaps ~ordinal:(n / 2 * stride) in
+  let injection = Sim.Interp.injection ~tags:p.Core.Campaign.tags ~plan:[] in
+  let finish memory =
+    let r =
+      Sim.Interp.finish
+        (Sim.Interp.resume ?image:p.Core.Campaign.image ~injection ?memory snap)
+    in
+    (r.Sim.Interp.dyn_count, Sim.Memory.digest r.Sim.Interp.memory)
+  in
+  Alcotest.(check (pair int string)) "resume into a reused image"
+    (finish None) (finish (Some (dirty ())))
+
 let test_gsm_digests_pinned () =
   let p = Lazy.force gsm_prepared in
   Alcotest.(check string) "prototype image digest"
@@ -537,6 +712,14 @@ let () =
           QCheck_alcotest.to_alcotest chained_equals_full;
           Alcotest.test_case "chain smaller than full copies" `Quick
             test_chain_smaller_than_full;
+        ] );
+      ( "one pass",
+        [
+          Alcotest.test_case "fast counted baseline == reference" `Quick
+            test_fast_counted_baseline;
+          Alcotest.test_case "derived chains == built chains" `Quick
+            test_derived_chains;
+          Alcotest.test_case "thaw into a working image" `Quick test_thaw_into;
         ] );
       ( "cache keys",
         [
