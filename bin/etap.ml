@@ -183,7 +183,7 @@ let run_cmd =
       (fun (app : Apps.App.t) ->
         let b = app.Apps.App.build ~seed in
         let code = Sim.Code.of_prog b.Apps.App.prog in
-        let r = Sim.Interp.run_exn code in
+        let r = Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code in
         say "%s: %d dynamic instructions, fault-free" name
           r.Sim.Interp.dyn_count;
         (match b.Apps.App.host_check r with
@@ -543,15 +543,18 @@ let asm_cmd =
     | Error m -> Error (`Msg m)
     | Ok prog ->
       (match Ir.Validate.check prog with
-       | [] ->
-         let r = Sim.Interp.run_exn (Sim.Code.of_prog prog) in
-         say "ran %d dynamic instructions" r.Sim.Interp.dyn_count;
-         (match r.Sim.Interp.outcome with
-          | Sim.Interp.Done (Some v) ->
-            say "main returned %s" (Sim.Value.to_string v)
-          | Sim.Interp.Done None -> say "main returned (void)"
-          | _ -> ());
-         Ok ()
+       | [] -> (
+         let code = Sim.Code.of_prog prog in
+         match Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code with
+         | exception Failure m -> Error (`Msg m)
+         | r ->
+           say "ran %d dynamic instructions" r.Sim.Interp.dyn_count;
+           (match r.Sim.Interp.outcome with
+            | Sim.Interp.Done (Some v) ->
+              say "main returned %s" (Sim.Value.to_string v)
+            | Sim.Interp.Done None -> say "main returned (void)"
+            | _ -> ());
+           Ok ())
        | errs ->
          Error
            (`Msg
@@ -584,7 +587,7 @@ let compile_cmd =
        | prog ->
          if show then say "%s" (Format.asprintf "%a" Ir.Prog.pp prog);
          let code = Sim.Code.of_prog prog in
-         let r = Sim.Interp.run_exn code in
+         let r = Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code in
          say "ran %d dynamic instructions%s" r.Sim.Interp.dyn_count
            (match r.Sim.Interp.outcome with
             | Sim.Interp.Done (Some v) ->
@@ -814,7 +817,7 @@ let reproduce_cmd =
     if want "table3" then
       section "Table 3 — % of dynamic instructions tagged low-reliability"
         "table3"
-        (fun () -> Harness.Table3.run ?jobs loaded)
+        (fun () -> Harness.Table3.run loaded)
         Harness.Table3.to_table;
     List.iter
       (fun (f : Harness.Figures.figure) ->
@@ -837,7 +840,7 @@ let reproduce_cmd =
       let mode = Harness.Experiment.Literal in
       section "Cost model — selective vs uniform protection (paper Sec. 5.3)"
         "cost_model"
-        (fun () -> Harness.Cost_model.run ?jobs ~mode loaded)
+        (fun () -> Harness.Cost_model.run ~mode loaded)
         (Harness.Cost_model.to_table ~mode);
       section "Fault outcome taxonomy (benign / degraded / catastrophic)"
         "taxonomy"

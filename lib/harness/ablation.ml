@@ -31,12 +31,7 @@ let address ?(errors = 20) ?(trials = 20) ?(seed = 31) ?jobs
   in
   List.map
     (fun (l : Experiment.loaded) ->
-      let frac mode =
-        let t = l.Experiment.target mode in
-        100.0
-        *. Core.Tagging.dynamic_low_fraction t.Core.Campaign.tagging
-             t.Core.Campaign.baseline.Sim.Interp.exec_counts
-      in
+      let frac mode = 100.0 *. Experiment.low_fraction l mode in
       let fail mode = (point (cell l mode)).Experiment.pct_failed in
       {
         app_name = l.Experiment.app.Apps.App.name;

@@ -24,17 +24,11 @@ let speedup ~k ~p = k /. ((k *. (1.0 -. p)) +. p)
 
 let selective_cost ~k ~p = (k *. (1.0 -. p)) +. p
 
-(* Analysis-only (no campaigns): [jobs] fans the per-app target
-   computations out across domains, as in {!Table3.run}. *)
-let run ?jobs ~(mode : Experiment.mode) (loaded : Experiment.loaded list) :
+let run ~(mode : Experiment.mode) (loaded : Experiment.loaded list) :
     row list =
-  Core.Pool.map_list ?jobs
+  List.map
     (fun (l : Experiment.loaded) ->
-      let t = l.Experiment.target mode in
-      let p =
-        Core.Tagging.dynamic_low_fraction t.Core.Campaign.tagging
-          t.Core.Campaign.baseline.Sim.Interp.exec_counts
-      in
+      let p = Experiment.low_fraction l mode in
       {
         app_name = l.Experiment.app.Apps.App.name;
         pct_low = 100.0 *. p;

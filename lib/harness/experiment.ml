@@ -27,35 +27,6 @@ type loaded = {
   prepared : mode -> Core.Policy.t -> Core.Campaign.prepared;
 }
 
-(* Memoize [f] for use from any domain (e.g. Table 3 computing its
-   rows in parallel, one app per domain). Each key has its own slot
-   with its own lock, held across that key's compute: concurrent
-   callers of one key build it once, callers of distinct keys build at
-   the same time, and an exception leaves the slot empty, so it caches
-   nothing and the next caller builds again. The table lock covers only
-   finding or adding a slot. The serve daemon's warm registry entries
-   are such memos too: its per-key promises. *)
-let memo f =
-  let tbl = Hashtbl.create 4 in
-  let lock = Mutex.create () in
-  fun k ->
-    let lk, cell =
-      Mutex.protect lock (fun () ->
-          match Hashtbl.find_opt tbl k with
-          | Some slot -> slot
-          | None ->
-            let slot = (Mutex.create (), ref None) in
-            Hashtbl.replace tbl k slot;
-            slot)
-    in
-    Mutex.protect lk (fun () ->
-        match !cell with
-        | Some v -> v
-        | None ->
-          let v = f k in
-          cell := Some v;
-          v)
-
 (* One counted golden pass per app serves both modes: the modes differ
    only in tagging, so the Full and Literal targets share the code,
    baseline, prototype and baseline digest, and the pass derives the
@@ -74,17 +45,28 @@ let load ?(seed = 1) (app : Apps.App.t) : loaded =
     | _ -> assert false
   in
   let target = function Full -> full | Literal -> literal in
-  let prepared =
-    memo (fun (mode, policy) ->
-        Core.Campaign.prepare ~chains (target mode) policy)
-  in
+  (* Prepared on first use, from any domain (Table 2's cells, the
+     daemon's requests): one build per (mode, policy), kept. *)
+  let prepared = Core.Once.create All in
   {
     app;
     built;
     golden = full.Core.Campaign.baseline;
     target;
-    prepared = (fun m p -> prepared (m, p));
+    prepared =
+      (fun mode policy ->
+        fst
+          (Core.Once.get prepared (mode, policy) (fun () ->
+               Core.Campaign.prepare ~chains (target mode) policy)));
   }
+
+(* The fraction of [l]'s fault-free dynamic instructions that [mode]'s
+   tagging marks low-reliability: Table 3, Ablation A and the cost
+   model read it off the baseline counted at load. *)
+let low_fraction (l : loaded) mode =
+  let t = l.target mode in
+  Core.Tagging.dynamic_low_fraction t.Core.Campaign.tagging
+    t.Core.Campaign.baseline.Sim.Interp.exec_counts
 
 (* Building an app (workload generation, Mlang compilation, tagging,
    baseline run) touches no cross-app state, so the builds themselves

@@ -14,20 +14,20 @@
 
    Three layers:
 
-   - {b Warm registry} — one entry per (app, seed): two
-     [Experiment.memo]s, the loaded app and its prepared targets with
-     their section partitions, plus a last-use stamp. The registry lock
-     only finds, inserts, touches and evicts entries; builds run outside
-     it, once per key, so a cold key never delays another key's lookup.
-     The registry holds at most [registry_capacity] entries and evicts
-     the least recently used one, prepared targets with it. Every
-     campaign still routes through [Core.Memo], so results persist
-     across daemon restarts and evictions.
+   - {b Warm registry} — one entry per (app, seed): the loaded app
+     and its table of prepared targets with their section partitions.
+     Both are [Core.Once] tables, so each key builds once, outside the
+     table lock, and a cold key never delays another key's lookup. The
+     registry keeps the [registry_capacity] most recently used entries,
+     prepared targets with them. Every campaign still routes through
+     [Core.Memo], so results persist across daemon restarts and
+     evictions.
 
    - {b In-flight coalescing} — concurrent requests whose
      [Proto.group_key]s collide attach to the running computation (a
-     promise table): one execution, N responses. New requests arriving
-     after a flight lands run fresh — and hit the result cache.
+     [Core.Once] table that keeps a key only until its build returns):
+     one execution, N responses. New requests arriving after a flight
+     lands run fresh — and hit the result cache.
 
    - {b Shared executor} — one [Core.Executor] of worker domains
      executes every job the daemon schedules: the cells of every
@@ -60,7 +60,7 @@ type config = {
       (* one etap-access/1 JSONL line per request, appended *)
   gate : (string -> unit) option;
       (* test hook: a flight winner calls this with its group key after
-         registering in the promise table and before computing, so
+         registering in the flight table and before computing, so
          tests can hold the winner until an attacher has joined. *)
 }
 
@@ -74,37 +74,31 @@ let default_config =
     gate = None;
   }
 
-type flight = {
-  mutable outcome : (Report.t option * string option) option;
-      (* None while the winner computes *)
-  mutable waiters : int;
+(* A warm-registry entry: an app loaded at one seed and its targets
+   prepared under (mode, policy), each with its section partition.
+   Evicting the entry drops them all. *)
+type entry = {
+  loaded : Experiment.loaded;
+  prepared :
+    ( Experiment.mode * Core.Policy.t,
+      Core.Campaign.prepared * Analysis.Section.t option )
+    Core.Once.t;
 }
 
-(* A warm-registry entry: memos of an app loaded at one seed and of its
-   targets prepared under (mode, policy), each with its section
-   partition. Evicting the entry drops them all. *)
-type entry = {
-  loaded : unit -> Experiment.loaded;
-  prepared :
-    Experiment.mode * Core.Policy.t ->
-    Core.Campaign.prepared * Analysis.Section.t option;
-  n_prepared : int Atomic.t;  (* targets [prepared] has built *)
-  mutable last_use : int;  (* [t.clock] at the entry's latest use *)
-}
+(* A request's reply, and whether each warm-registry lookup it made
+   found its entry (true) or built it. *)
+type outcome = (Report.t option * string option) * bool list
 
 type t = {
   cfg : config;
   store : Core.Memo.Store.t;
   ex : Core.Executor.t;
-  m : Mutex.t;  (* inflight table + stopping + domain-0 obs writes
-                   + stats baseline + access-log channel *)
-  flight_done : Condition.t;
-  inflight : (string, flight) Hashtbl.t;
+  m : Mutex.t;  (* stopping + domain-0 obs writes + stats baseline
+                   + access-log channel *)
+  flights : (string, outcome) Core.Once.t;  (* by [Proto.group_key] *)
   mutable stopping : bool;
   mutable failures : int;  (* requests answered with status "failed" *)
-  rl : Mutex.t;  (* warm registry *)
-  registry : (string * int, entry) Hashtbl.t;  (* (name, seed) *)
-  mutable clock : int;  (* registry uses so far, under [rl] *)
+  registry : (string * int, entry) Core.Once.t;  (* (name, seed) *)
   sink : Obs.sink;  (* the sink the [stats] verb snapshots *)
   owns_sink : bool;  (* we installed it; restore [disabled] on shutdown *)
   started_us : float;
@@ -113,6 +107,13 @@ type t = {
          the next interval section *)
   access : out_channel option;  (* etap-access/1 JSONL, written under [m] *)
 }
+
+(* The registry bound: one seed of every app plus one spare entry, so
+   a one-seed sweep over the whole app registry stays warm while
+   requests for other seeds rotate through the spare. An entry costs
+   about 0.4-0.7 MiB of heap (a loaded app plus two prepared targets),
+   which an unbounded registry paid again for every new seed. *)
+let registry_capacity = List.length Apps.Registry.all + 1
 
 let create ?(config = default_config) () : t =
   (* A client vanishing mid-response must fail that [output_string],
@@ -145,13 +146,12 @@ let create ?(config = default_config) () : t =
     store = Core.Memo.Store.open_ config.cache_dir;
     ex;
     m = Mutex.create ();
-    flight_done = Condition.create ();
-    inflight = Hashtbl.create 8;
+    flights = Core.Once.create Until_built;
     stopping = false;
     failures = 0;
-    rl = Mutex.create ();
-    registry = Hashtbl.create 8;
-    clock = 0;
+    registry =
+      Core.Once.create (Recent registry_capacity) ~on_evict:(fun () ->
+          Obs.count "serve.warm_evicted" 1);
     sink;
     owns_sink;
     started_us;
@@ -172,112 +172,39 @@ let shutdown t =
 
 (* ---------------------------- warm registry ------------------------ *)
 
-(* Per-request accounting for the access log. Warm-registry outcomes
-   are recorded here as well as in the global counters — under the
-   registry lock, so the mutation is serialized even when a matrix
-   request's cells resolve apps from several worker domains — which is
-   what lets one request's access-log line sum exactly the work it did
-   while other requests run concurrently (global counter deltas cannot
-   be attributed per request). *)
-type access_acc = {
-  mutable acc_warm_hits : int;
-  mutable acc_warm_misses : int;
-}
-
-let fresh_acc () = { acc_warm_hits = 0; acc_warm_misses = 0 }
-
-(* The registry bound: one seed of every app plus one spare entry, so
-   a one-seed sweep over the whole app registry stays warm while
-   requests for other seeds rotate through the spare. An entry costs
-   about 0.4-0.7 MiB of heap (a loaded app plus two prepared targets),
-   which an unbounded registry paid again for every new seed. *)
-let registry_capacity = List.length Apps.Registry.all + 1
-
-(* [f] under the registry lock, which only finds, inserts, touches and
-   evicts entries: nothing is built while it is held. *)
-let with_registry t f =
-  Mutex.lock t.rl;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.rl) f
-
-(* Room for one more entry: drop least recently used entries until the
-   registry is below its bound. *)
-let evict_for_one t =
-  while Hashtbl.length t.registry >= registry_capacity do
-    let lru =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, old) when old.last_use <= e.last_use -> acc
-          | _ -> Some (k, e))
-        t.registry None
-    in
-    Hashtbl.remove t.registry (fst (Option.get lru));
-    Obs.count "serve.warm_evicted" 1
-  done
-
-(* An unbuilt entry for [app] at [seed]. Its prepared targets sit on
-   the app's own [prepared] memo, each with its section partition. *)
-let new_entry (app : Apps.App.t) ~seed =
+(* The entry of (app, seed), its app loaded, and whether the lookup
+   found it. Concurrent lookups of one key wait for its one build while
+   lookups of other keys go ahead; a build that raises caches nothing,
+   so the next lookup builds afresh. Called from worker domains only
+   (each its own obs buffer). *)
+let registry_load t (app : Apps.App.t) ~seed : entry * bool =
   let name = app.Apps.App.name in
-  let loaded =
-    Experiment.memo (fun () ->
+  let ((_, found) as r) =
+    Core.Once.get t.registry (name, seed) (fun () ->
         let sp = Obs.span_begin () in
-        let l = Experiment.load ~seed app in
+        let loaded = Experiment.load ~seed app in
         Obs.span_end ~name:"serve.load" ~cat:"serve" ~args:[ ("app", name) ] sp;
-        l)
+        { loaded; prepared = Core.Once.create All })
   in
-  let n_prepared = Atomic.make 0 in
-  let prepared =
-    Experiment.memo (fun (mode, policy) ->
-        let l = loaded () in
-        let sp = Obs.span_begin () in
-        let p = l.Experiment.prepared mode policy in
-        let v = (p, Some (Core.Memo.sections_of p)) in
-        Obs.span_end ~name:"serve.prepare" ~cat:"serve"
-          ~args:[ ("app", name); ("policy", Core.Policy.to_string policy) ]
-          sp;
-        Atomic.incr n_prepared;
-        v)
-  in
-  { loaded; prepared; n_prepared; last_use = 0 }
+  Obs.count (if found then "serve.warm_hit" else "serve.warm_miss") 1;
+  r
 
-(* The entry of (app, seed), its app loaded. A miss inserts the entry
-   unbuilt; the build runs after the registry lock is released, in the
-   entry's memo, so concurrent requests for this key wait for one build
-   while lookups of other keys go ahead. A build that raises caches
-   nothing and takes its entry out again: the next request for the key
-   is a miss that builds afresh. Called from worker domains only (each
-   its own obs buffer). *)
-let registry_load t ~(acc : access_acc) (app : Apps.App.t) ~seed : entry =
-  let key = (app.Apps.App.name, seed) in
-  let e =
-    with_registry t (fun () ->
-        let e =
-          match Hashtbl.find_opt t.registry key with
-          | Some e ->
-            Obs.count "serve.warm_hit" 1;
-            acc.acc_warm_hits <- acc.acc_warm_hits + 1;
-            e
-          | None ->
-            Obs.count "serve.warm_miss" 1;
-            acc.acc_warm_misses <- acc.acc_warm_misses + 1;
-            evict_for_one t;
-            let e = new_entry app ~seed in
-            Hashtbl.replace t.registry key e;
-            e
-        in
-        t.clock <- t.clock + 1;
-        e.last_use <- t.clock;
-        e)
-  in
-  match e.loaded () with
-  | _ -> e
-  | exception ex ->
-    with_registry t (fun () ->
-        match Hashtbl.find_opt t.registry key with
-        | Some cur when cur == e -> Hashtbl.remove t.registry key
-        | _ -> ());
-    raise ex
+(* [e]'s target prepared under (mode, policy), with its section
+   partition: built once per entry, on top of the app's own table. *)
+let prepared (e : entry) ((mode, policy) as key) =
+  fst
+    (Core.Once.get e.prepared key (fun () ->
+         let sp = Obs.span_begin () in
+         let p = e.loaded.Experiment.prepared mode policy in
+         let v = (p, Some (Core.Memo.sections_of p)) in
+         Obs.span_end ~name:"serve.prepare" ~cat:"serve"
+           ~args:
+             [
+               ("app", e.loaded.Experiment.app.Apps.App.name);
+               ("policy", Core.Policy.to_string policy);
+             ]
+           sp;
+         v))
 
 (* ----------------------------- reports ----------------------------- *)
 
@@ -410,9 +337,9 @@ let scheduler t =
 let collect t ~(loaded : (string * entry) list) cells =
   Matrix.collect (scheduler t)
     ~prepare:(fun _ (app, mode, policy) ->
-      (List.assoc app loaded).prepared (mode, policy))
+      prepared (List.assoc app loaded) (mode, policy))
     ~memo_fanout:(memo_fanout t) ~store:t.store
-    ~loaded:(List.map (fun (name, e) -> (name, e.loaded ())) loaded)
+    ~loaded:(List.map (fun (name, e) -> (name, e.loaded)) loaded)
     cells
 
 (* The two work verbs differ only in their cell list and renderer: an
@@ -421,7 +348,7 @@ let collect t ~(loaded : (string * entry) list) cells =
    is a failed response; a matrix reply still ships its full typed
    report (never a silent partial result), an inject reply, whose table
    has no failed-cell row, does not. *)
-let dispatch t ~acc (req : Proto.request) : Report.t option * string option =
+let dispatch t (req : Proto.request) : outcome =
   let sp = Obs.span_begin () in
   let kind =
     match req with
@@ -429,33 +356,38 @@ let dispatch t ~acc (req : Proto.request) : Report.t option * string option =
     | Proto.Matrix _ -> "matrix"
     | Proto.Ping | Proto.Stats | Proto.Shutdown -> "control"
   in
-  let ((_, err) as r) =
+  let (((_, err), _) as r) =
     match req with
     | Proto.Inject i -> (
       match Apps.Registry.find i.app with
-      | None -> (None, Some (unknown_app i.app))
+      | None -> ((None, Some (unknown_app i.app)), [])
       | Some app -> (
-        let e = registry_load t ~acc app ~seed:i.seed in
+        let e, found = registry_load t app ~seed:i.seed in
         let cells = collect t ~loaded:[ (i.app, e) ] (inject_cells i) in
         match Matrix.cells_failures_message cells with
-        | Some m -> (None, Some m)
+        | Some m -> ((None, Some m), [ found ])
         | None ->
           let cache_dir = Some t.cfg.cache_dir in
-          ( Some (inject_of_cells ~jobs:None ~cache_dir i (e.loaded ()) cells),
-            None )))
+          ( (Some (inject_of_cells ~jobs:None ~cache_dir i e.loaded cells), None),
+            [ found ] )))
     | Proto.Matrix s ->
       let seed = s.Matrix.seed in
+      let lookups = ref [] in
       let r =
         Matrix.run_with (scheduler t)
-          ~load:(fun app -> registry_load t ~acc app ~seed)
-          ~collect:(collect t) s
+          ~load:(fun app -> registry_load t app ~seed)
+          ~collect:(fun ~loaded cells ->
+            lookups := List.map (fun (_, (_, found)) -> found) loaded;
+            collect t ~loaded:(List.map (fun (n, (e, _)) -> (n, e)) loaded) cells)
+          s
       in
       let meta = Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r in
-      ( Some
-          (Report.make ~command:"matrix" ~meta
-             [ Matrix.to_table r; Matrix.anomaly_table r ]),
-        Matrix.failures_message r )
-    | Proto.Ping | Proto.Stats | Proto.Shutdown -> (None, None)
+      ( ( Some
+            (Report.make ~command:"matrix" ~meta
+               [ Matrix.to_table r; Matrix.anomaly_table r ]),
+          Matrix.failures_message r ),
+        !lookups )
+    | Proto.Ping | Proto.Stats | Proto.Shutdown -> ((None, None), [])
   in
   Obs.span_end ~name:"serve.request" ~cat:"serve"
     ~args:
@@ -474,53 +406,26 @@ let on_worker t (f : unit -> 'a) : ('a, exn) result =
   Option.get !slot
 
 (* One execution per in-flight group key: the first request in wins
-   and computes; any request with the same key arriving before the
-   outcome lands attaches as a waiter and receives the same payload.
-   The returned flag says which side this call was — [true] for a
-   waiter, whose access-log line must not claim the winner's work.
-   Runs on handler threads — domain-0 obs writes stay under [t.m]. *)
-let coalesced_run t ~key (compute : unit -> Report.t option * string option)
-    : (Report.t option * string option) * bool =
-  Mutex.lock t.m;
-  match Hashtbl.find_opt t.inflight key with
-  | Some f ->
-    f.waiters <- f.waiters + 1;
-    Obs.count "serve.coalesced" 1;
-    while f.outcome = None do
-      Condition.wait t.flight_done t.m
-    done;
-    f.waiters <- f.waiters - 1;
-    let r = Option.get f.outcome in
-    Mutex.unlock t.m;
-    (r, true)
-  | None ->
-    let f = { outcome = None; waiters = 0 } in
-    Hashtbl.replace t.inflight key f;
-    Mutex.unlock t.m;
-    (match t.cfg.gate with Some g -> g key | None -> ());
-    let r =
-      match compute () with
-      | r -> r
-      | exception e -> (None, Some (Printexc.to_string e))
-    in
-    Mutex.lock t.m;
-    f.outcome <- Some r;
-    Hashtbl.remove t.inflight key;
-    Condition.broadcast t.flight_done;
-    Mutex.unlock t.m;
-    (r, false)
+   and dispatches [req] on a worker; any request with the same key
+   arriving before the outcome lands attaches as a waiter and receives
+   the same outcome. The returned flag says which side this call was —
+   [true] for a waiter, whose access-log line must not claim the
+   winner's work. Runs on handler threads — domain-0 obs writes stay
+   under [t.m]. *)
+let coalesced_run t ~key (req : Proto.request) : outcome * bool =
+  let ((_, coalesced) as r) =
+    Core.Once.get t.flights key (fun () ->
+        Option.iter (fun g -> g key) t.cfg.gate;
+        match on_worker t (fun () -> dispatch t req) with
+        | Ok r -> r
+        | Error e -> ((None, Some (Printexc.to_string e)), []))
+  in
+  if coalesced then Mutex.protect t.m (fun () -> Obs.count "serve.coalesced" 1);
+  r
 
 (* Waiters currently attached to [key]'s flight — 0 when none is in
    flight. Lets a [gate] hook hold a winner until an attacher joins. *)
-let inflight_waiters t ~key =
-  Mutex.lock t.m;
-  let n =
-    match Hashtbl.find_opt t.inflight key with
-    | Some f -> f.waiters
-    | None -> 0
-  in
-  Mutex.unlock t.m;
-  n
+let inflight_waiters t ~key = Core.Once.waiters t.flights key
 
 (* ------------------------------- gc -------------------------------- *)
 
@@ -586,11 +491,12 @@ let latency_json (v : Obs.view) =
    Counter deltas are [Obs.diff]s of mergeable families: exact and
    jobs-invariant (DESIGN.md §18). *)
 let stats_json t : J.t =
-  let apps, prepped =
-    with_registry t (fun () ->
-        ( Hashtbl.length t.registry,
-          Hashtbl.fold (fun _ e n -> n + Atomic.get e.n_prepared) t.registry 0
-        ))
+  let apps = Core.Once.length t.registry in
+  let prepped =
+    List.fold_left
+      (fun n e -> n + Core.Once.length e.prepared)
+      0
+      (Core.Once.values t.registry)
   in
   let entries = Core.Memo.Store.scan t.store in
   let store_entries = List.length entries in
@@ -673,13 +579,13 @@ let info_json t : J.t =
 
 (* One etap-access/1 JSONL line per request. Work accounting comes
    from the request's own report meta (cache_hits/cells_hit, trial
-   counts) plus the warm accumulator — never from global counters, so
-   concurrent requests cannot bleed into each other's lines. Waiters
-   of a coalesced flight pass [report:None]: the pair logs exactly one
-   execution, on the winner's line. Written and flushed under [t.m] so
+   counts) plus its own warm-registry [lookups] — never from global
+   counters, so concurrent requests cannot bleed into each other's
+   lines. Waiters of a coalesced flight pass [report:None] and no
+   lookups: the pair logs exactly one execution, on the winner's line. Written and flushed under [t.m] so
    lines from concurrent handler threads never interleave. *)
-let log_access t ~rid ~kind ~key ~status ~wall_us ~coalesced
-    ~(acc : access_acc) ~(report : Report.t option) =
+let log_access t ~rid ~kind ~key ~status ~wall_us ~coalesced ~lookups
+    ~(report : Report.t option) =
   match t.access with
   | None -> ()
   | Some oc ->
@@ -705,8 +611,9 @@ let log_access t ~rid ~kind ~key ~status ~wall_us ~coalesced
           ("status", J.Str status);
           ("wall_us", J.Int wall_us);
           ("coalesced", J.Bool coalesced);
-          ("warm_hits", J.Int acc.acc_warm_hits);
-          ("warm_misses", J.Int acc.acc_warm_misses);
+          ("warm_hits", J.Int (List.length (List.filter Fun.id lookups)));
+          ( "warm_misses",
+            J.Int (List.length (List.filter not lookups)) );
           ("cache_hits", J.Int (meta_int "cache_hits" + meta_int "cells_hit"));
           ( "cache_misses",
             J.Int (meta_int "cache_misses" + meta_int "cells_miss") );
@@ -761,17 +668,18 @@ let serve_connection t ~ic ~oc : [ `Closed | `Shutdown ] =
       let wall () = int_of_float (Obs.now_us () -. t0) in
       count "serve.requests";
       let rid, parsed = Proto.request_of_line line in
-      let finish ~kind ~key ~status ~coalesced ~acc ~logged_report resp cont =
+      let finish ~kind ~key ~status ~coalesced ~lookups ~logged_report resp
+          cont =
         let w = wall () in
         observe_latency kind (float_of_int w);
-        log_access t ~rid ~kind ~key ~status ~wall_us:w ~coalesced ~acc
+        log_access t ~rid ~kind ~key ~status ~wall_us:w ~coalesced ~lookups
           ~report:logged_report;
         if send resp then cont () else `Closed
       in
       let simple ~kind ?error ?(extra = []) cont =
         finish ~kind ~key:None
           ~status:(if error = None then "ok" else "failed")
-          ~coalesced:false ~acc:(fresh_acc ()) ~logged_report:None
+          ~coalesced:false ~lookups:[] ~logged_report:None
           { Proto.rid; report = None; error; extra }
           cont
       in
@@ -791,7 +699,7 @@ let serve_connection t ~ic ~oc : [ `Closed | `Shutdown ] =
         let w = wall () in
         observe_latency "shutdown" (float_of_int w);
         log_access t ~rid ~kind:"shutdown" ~key:None ~status:"ok" ~wall_us:w
-          ~coalesced:false ~acc:(fresh_acc ()) ~report:None;
+          ~coalesced:false ~lookups:[] ~report:None;
         ignore (send { Proto.rid; report = None; error = None; extra = [] });
         `Shutdown
       | Ok req ->
@@ -799,18 +707,13 @@ let serve_connection t ~ic ~oc : [ `Closed | `Shutdown ] =
         let kind =
           match req with Proto.Matrix _ -> "matrix" | _ -> "inject"
         in
-        let acc = fresh_acc () in
-        let (report, error), coalesced =
-          coalesced_run t ~key (fun () ->
-              match on_worker t (fun () -> dispatch t ~acc req) with
-              | Ok r -> r
-              | Error e -> (None, Some (Printexc.to_string e)))
-        in
+        let ((report, error), lookups), coalesced = coalesced_run t ~key req in
         maybe_gc t;
         if error <> None then count ~fail:true "serve.failed";
         finish ~kind ~key:(Some key)
           ~status:(if error = None then "ok" else "failed")
-          ~coalesced ~acc
+          ~coalesced
+          ~lookups:(if coalesced then [] else lookups)
           ~logged_report:(if coalesced then None else report)
           { Proto.rid; report; error; extra = [] }
           loop)

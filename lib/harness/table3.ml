@@ -20,19 +20,11 @@ let paper_pcts =
     ("adpcm", 93.26); ("gsm", 19.6); ("art", 70.8);
   ]
 
-(* No campaigns here, but each row forces the app's Literal-mode target
-   (tagging + profiling run) — independent work per app, so rows fan
-   out across domains. *)
-let run ?jobs (loaded : Experiment.loaded list) : row list =
-  Core.Pool.map_list ?jobs
+let run (loaded : Experiment.loaded list) : row list =
+  List.map
     (fun (l : Experiment.loaded) ->
       let name = l.Experiment.app.Apps.App.name in
-      let frac mode =
-        let t = l.Experiment.target mode in
-        100.0
-        *. Core.Tagging.dynamic_low_fraction t.Core.Campaign.tagging
-             t.Core.Campaign.baseline.Sim.Interp.exec_counts
-      in
+      let frac mode = 100.0 *. Experiment.low_fraction l mode in
       {
         app_name = name;
         instructions =

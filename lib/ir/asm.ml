@@ -238,7 +238,8 @@ let parse_func_header ln line =
     match String.index_opt line ';' with
     | Some i ->
       let c = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-      c = "protected"
+      (* [Func.pp] prints "func main() -> i32  ; protected:" *)
+      c = "protected" || c = "protected:"
     | None -> false
   in
   match tokens_of_line line with
@@ -261,15 +262,16 @@ let parse_func_header ln line =
           String.sub name 0 (String.length name - 1)
         else name
       in
+      (* "func f():" leaves the header's colon as a lone token *)
       let params =
-        List.map
+        List.filter_map
           (fun p ->
             let p =
               if String.length p > 0 && p.[String.length p - 1] = ':' then
                 String.sub p 0 (String.length p - 1)
               else p
             in
-            parse_param ln p)
+            if p = "" then None else Some (parse_param ln p))
           params
       in
       {

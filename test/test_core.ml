@@ -578,6 +578,118 @@ let test_run_trial_result_matches_scratch () =
         [ Sim.Interp.Fast; Sim.Interp.Ref ])
     Apps.Registry.all
 
+(* ------------------------------------------------------------------ *)
+(* Core.Once: one build per key, three retentions.  Concurrent builds
+   of distinct keys and a raising build with no waiter are covered by
+   test_harness's "memo" cases. *)
+
+(* Polls [p] until it holds (true) or 10 s pass (false). *)
+let eventually p =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    p () || (Unix.gettimeofday () < deadline && (Domain.cpu_relax (); go ()))
+  in
+  go ()
+
+(* A build that parks until [opened] is set, then returns a fresh
+   value or raises: [builds] counts builds started. *)
+type latch = { opened : bool Atomic.t; builds : int Atomic.t }
+
+let latch () = { opened = Atomic.make false; builds = Atomic.make 0 }
+
+let parked l ?(fail = fun _ -> false) k () =
+  let n = 1 + Atomic.fetch_and_add l.builds 1 in
+  ignore (eventually (fun () -> Atomic.get l.opened));
+  if fail n then failwith "build failed" else ref k
+
+(* Three callers join a parked build of one key: all get its one value,
+   the first caller with [false], the joiners with [true]. *)
+let test_once_one_build_per_key () =
+  let t = Core.Once.create All and l = latch () in
+  let get () = Core.Once.get t "k" (parked l "k") in
+  let first = Domain.spawn get in
+  ignore (eventually (fun () -> Atomic.get l.builds = 1));
+  let joiners = List.init 3 (fun _ -> Domain.spawn get) in
+  Alcotest.(check bool) "three waiters" true
+    (eventually (fun () -> Core.Once.waiters t "k" = 3));
+  Atomic.set l.opened true;
+  let v, built_found = Domain.join first in
+  let joined = List.map Domain.join joiners in
+  Alcotest.(check bool) "the first caller ran the build" false built_found;
+  List.iter
+    (fun (w, found) ->
+      Alcotest.(check bool) "joiner found it" true found;
+      Alcotest.(check bool) "joiner got the one value" true (w == v))
+    joined;
+  Alcotest.(check int) "one build" 1 (Atomic.get l.builds);
+  Alcotest.(check int) "no waiters left" 0 (Core.Once.waiters t "k");
+  Alcotest.(check bool) "kept" true (fst (Core.Once.get t "k" (fun () -> assert false)) == v)
+
+(* A build that raises stores nothing: its waiter builds again itself,
+   and that value is kept. *)
+let test_once_failed_build_waiter_rebuilds () =
+  let t = Core.Once.create All and l = latch () in
+  let get () = Core.Once.get t "k" (parked l ~fail:(fun n -> n = 1) "k") in
+  let first = Domain.spawn (fun () -> try Ok (get ()) with e -> Error e) in
+  ignore (eventually (fun () -> Atomic.get l.builds = 1));
+  let waiter = Domain.spawn get in
+  ignore (eventually (fun () -> Core.Once.waiters t "k" = 1));
+  Atomic.set l.opened true;
+  (match Domain.join first with
+   | Error (Failure m) -> Alcotest.(check string) "the first build raised" "build failed" m
+   | _ -> Alcotest.fail "the first build did not raise");
+  let v, found = Domain.join waiter in
+  Alcotest.(check bool) "waiter built again" false found;
+  Alcotest.(check int) "two builds" 2 (Atomic.get l.builds);
+  Alcotest.(check int) "one key held" 1 (Core.Once.length t);
+  Alcotest.(check bool) "the rebuilt value is kept" true
+    (Core.Once.get t "k" (fun () -> assert false) = (v, true))
+
+(* A [Recent 2] table holds two keys and evicts the least recently
+   used one, counting each eviction; an evicted key builds again. *)
+let test_once_recent_evicts_lru () =
+  let evicted = ref 0 and builds = ref [] in
+  let t = Core.Once.create (Recent 2) ~on_evict:(fun () -> incr evicted) in
+  let get k =
+    snd
+      (Core.Once.get t k (fun () ->
+           builds := k :: !builds;
+           k))
+  in
+  let found = List.map get [ "a"; "b"; "a"; "c" ] in
+  Alcotest.(check (list bool)) "a b a c" [ false; false; true; false ] found;
+  Alcotest.(check int) "one eviction" 1 !evicted;
+  Alcotest.(check (list string)) "b, the least recently used, went"
+    [ "a"; "c" ]
+    (List.sort compare (Core.Once.values t));
+  Alcotest.(check (list bool)) "a stays, b comes back" [ true; false ]
+    (List.map get [ "a"; "b" ]);
+  Alcotest.(check (list string)) "then c went" [ "a"; "b" ]
+    (List.sort compare (Core.Once.values t));
+  Alcotest.(check int) "at most two keys" 2 (Core.Once.length t);
+  Alcotest.(check int) "two evictions" 2 !evicted;
+  Alcotest.(check (list string)) "builds" [ "b"; "c"; "b"; "a" ] !builds
+
+(* An [Until_built] table keeps a key only while its build runs: a
+   caller that joined mid-build gets the value, a later one builds. *)
+let test_once_until_built () =
+  let t = Core.Once.create Until_built and l = latch () in
+  let get () = Core.Once.get t "k" (parked l "k") in
+  let first = Domain.spawn get in
+  ignore (eventually (fun () -> Atomic.get l.builds = 1));
+  let joiner = Domain.spawn get in
+  Alcotest.(check bool) "joined mid-build" true
+    (eventually (fun () -> Core.Once.waiters t "k" = 1));
+  Atomic.set l.opened true;
+  let v, _ = Domain.join first in
+  let w, found = Domain.join joiner in
+  Alcotest.(check bool) "joiner got the value" true (found && w == v);
+  Alcotest.(check int) "forgotten once built" 0 (Core.Once.length t);
+  let v', found' = get () in
+  Alcotest.(check bool) "a later caller builds afresh" true
+    ((not found') && v' != v);
+  Alcotest.(check int) "two builds" 2 (Atomic.get l.builds)
+
 let () =
   Alcotest.run "core"
     [
@@ -629,5 +741,16 @@ let () =
             test_outcome_classification;
           Alcotest.test_case "run_trial_result matches scratch" `Quick
             test_run_trial_result_matches_scratch;
+        ] );
+      ( "once",
+        [
+          Alcotest.test_case "one build per key" `Quick
+            test_once_one_build_per_key;
+          Alcotest.test_case "a failed build's waiter rebuilds" `Quick
+            test_once_failed_build_waiter_rebuilds;
+          Alcotest.test_case "recent evicts the least recently used" `Quick
+            test_once_recent_evicts_lru;
+          Alcotest.test_case "until-built forgets a built key" `Quick
+            test_once_until_built;
         ] );
     ]

@@ -98,6 +98,12 @@ let test_concurrent_first_use () =
       Alcotest.(check bool) "records" true (records c = records s))
     concurrent sequential
 
+(* A keep-all [Core.Once] table over one build function, as
+   [Experiment.load] keeps its prepared targets. *)
+let memo f =
+  let t = Core.Once.create All in
+  fun k -> fst (Core.Once.get t k (fun () -> f k))
+
 (* Per-key memo slots: two domains forcing different keys of one memo
    build at the same time. Each build waits (up to 5 s) on a latch the
    other one opens, so under one lock held across every build the
@@ -105,7 +111,7 @@ let test_concurrent_first_use () =
 let test_memo_keys_overlap () =
   let arrived = Atomic.make 0 and builds = Atomic.make 0 in
   let memo =
-    Harness.Experiment.memo (fun k ->
+    memo (fun k ->
         Atomic.incr builds;
         Atomic.incr arrived;
         let deadline = Unix.gettimeofday () +. 5.0 in
@@ -125,7 +131,7 @@ let test_memo_keys_overlap () =
 let test_memo_failure_uncached () =
   let calls = ref 0 in
   let memo =
-    Harness.Experiment.memo (fun k ->
+    memo (fun k ->
         incr calls;
         if !calls = 1 then failwith "build failed" else k)
   in

@@ -348,13 +348,25 @@ let exercise_all_instrs () =
       Instr.Ret (Some r1);
     ]
 
+(* The hand-built program (with a void function of no parameters,
+   printed "func tick():") and every app's program print, parse and
+   print again to the same text. *)
 let test_asm_roundtrip () =
   let f = exercise_all_instrs () in
-  let prog = Prog.make ~globals:[ Prog.global "g" Ty.I32 4 ] [ f ] in
-  let printed = Format.asprintf "%a" Prog.pp prog in
-  let reparsed = Ir.Asm.parse_program printed in
-  let reprinted = Format.asprintf "%a" Prog.pp reparsed in
-  Alcotest.(check string) "print/parse/print fixpoint" printed reprinted
+  let tick = Func.make ~name:"tick" ~params:[] ~ret:None [ Instr.Ret None ] in
+  let fixpoint name prog =
+    let printed = Format.asprintf "%a" Prog.pp prog in
+    let reparsed = Ir.Asm.parse_program ~entry:prog.Prog.entry printed in
+    let reprinted = Format.asprintf "%a" Prog.pp reparsed in
+    Alcotest.(check string) (name ^ " print/parse/print fixpoint") printed
+      reprinted
+  in
+  fixpoint "exercise"
+    (Prog.make ~globals:[ Prog.global "g" Ty.I32 4 ] [ f; tick ]);
+  List.iter
+    (fun (app : Apps.App.t) ->
+      fixpoint app.Apps.App.name (app.Apps.App.build ~seed:1).Apps.App.prog)
+    Apps.Registry.all
 
 let test_asm_errors () =
   let expect_err src =

@@ -509,8 +509,9 @@ let held_app () =
   { app = { gsm with Apps.App.name = "gsm-held"; build };
     opened; parked; builds; gave_up }
 
-let lookup t ?(acc = Harness.Serve.fresh_acc ()) (app : Apps.App.t) =
-  Harness.Serve.registry_load t ~acc app ~seed:1
+(* The registry entry of [app] at seed 1, and whether the lookup found
+   it. *)
+let lookup t (app : Apps.App.t) = Harness.Serve.registry_load t app ~seed:1
 
 (* While a cold build is parked, a lookup of an already loaded key
    returns: the registry lock is not held across the build. *)
@@ -521,30 +522,30 @@ let test_cold_build_leaves_other_keys () =
   let cold = Domain.spawn (fun () -> lookup t h.app) in
   Alcotest.(check bool) "held build started" true
     (eventually (fun () -> Atomic.get h.parked = 1));
-  let acc = Harness.Serve.fresh_acc () in
-  ignore (lookup t ~acc gsm);
+  let _, found = lookup t gsm in
   let parked_through = Atomic.get h.parked = 1 && not (Atomic.get h.gave_up) in
   Atomic.set h.opened true;
   ignore (Domain.join cold);
   Alcotest.(check bool) "warm lookup returned while the build was parked" true
     parked_through;
-  Alcotest.(check int) "the warm lookup hit" 1 acc.Harness.Serve.acc_warm_hits
+  Alcotest.(check bool) "the warm lookup hit" true found
 
 (* Two first lookups of one key: the second finds the first's entry
-   while its build is parked, waits on the entry's memo, and gets the
-   same app — one build, one load span, one miss. *)
+   while its build is parked, waits on it, and gets the same app — one
+   build, one load span, one miss. *)
 let test_first_lookups_build_once () =
   with_serve @@ fun t ->
   let h = held_app () in
   let sink = Obs.make () in
-  let second_acc = Harness.Serve.fresh_acc () in
+  let key = (h.app.Apps.App.name, 1) in
   let first, second, second_waited =
     Obs.with_sink sink (fun () ->
         let first = Domain.spawn (fun () -> lookup t h.app) in
         ignore (eventually (fun () -> Atomic.get h.parked = 1));
-        let second = Domain.spawn (fun () -> lookup t ~acc:second_acc h.app) in
+        let second = Domain.spawn (fun () -> lookup t h.app) in
         let waited =
-          eventually (fun () -> second_acc.Harness.Serve.acc_warm_hits = 1)
+          eventually (fun () ->
+              Core.Once.waiters t.Harness.Serve.registry key = 1)
           && not (Atomic.get h.gave_up)
         in
         Atomic.set h.opened true;
@@ -557,8 +558,10 @@ let test_first_lookups_build_once () =
   Alcotest.(check int) "one serve.load span" 1 (spans_named "serve.load" v);
   Alcotest.(check int) "one warm miss" 1 (counter "serve.warm_miss" v);
   Alcotest.(check int) "one warm hit" 1 (counter "serve.warm_hit" v);
+  Alcotest.(check (pair bool bool)) "the first built, the second found" (false, true)
+    (snd first, snd second);
   Alcotest.(check bool) "both got the same app" true
-    (first.Harness.Serve.loaded () == second.Harness.Serve.loaded ())
+    ((fst first).Harness.Serve.loaded == (fst second).Harness.Serve.loaded)
 
 (* A build that raises fails its request with the exception — the
    [Error] a request's worker job returns becomes its typed "failed"
@@ -573,8 +576,7 @@ let test_failing_build () =
     else gsm.Apps.App.build ~seed
   in
   let app = { gsm with Apps.App.name = "gsm-failing"; build } in
-  let acc = Harness.Serve.fresh_acc () in
-  let on_worker () = Harness.Serve.on_worker t (fun () -> lookup t ~acc app) in
+  let on_worker () = Harness.Serve.on_worker t (fun () -> lookup t app) in
   let apps () = geti [ "warm"; "apps" ] (stats_of t) in
   (match on_worker () with
    | Error (Failure m) ->
@@ -583,10 +585,9 @@ let test_failing_build () =
    | Ok _ -> Alcotest.fail "a failing build returned an entry");
   Alcotest.(check int) "failed entry not kept" 0 (apps ());
   Atomic.set fail false;
-  Alcotest.(check bool) "next lookup loads" true (Result.is_ok (on_worker ()));
+  Alcotest.(check bool) "next lookup built afresh" true
+    (Result.map snd (on_worker ()) = Ok false);
   Alcotest.(check int) "build ran again" 2 (Atomic.get builds);
-  Alcotest.(check int) "both lookups were misses" 2
-    acc.Harness.Serve.acc_warm_misses;
   Alcotest.(check int) "entry kept once built" 1 (apps ());
   let line = inject_line ~errors:1 ~trials:2 ~seed:1 "adpcm" in
   Alcotest.(check bool) "daemon still serves" true
