@@ -10,7 +10,15 @@
      matrix [--apps ...]       cached sweep over apps x policies x errors
      audit [APP]               dynamic taint audit of the tagging analysis
      profile APP               fault-site attribution profile
-     reproduce [EXPERIMENT...] the paper's tables, figures and ablations *)
+     reproduce [EXPERIMENT...] the paper's tables, figures and ablations
+     asm FILE, compile FILE    assemble / compile and run a program
+     serve, top                campaign daemon and its live view
+     cache gc|stats            result-cache maintenance
+
+   The five campaign commands (inject, matrix, audit, profile,
+   reproduce) only parse their flags into a [Harness.Request.t]; one
+   shared call ([campaign]) runs it through [Harness.Request.run],
+   which the serve daemon runs too. *)
 
 open Cmdliner
 
@@ -23,9 +31,13 @@ let app_arg =
   let doc = "Benchmark application name (see `etap list`)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
 
+(* The named application, resolved; an unknown name is an error. *)
+let known_app_arg =
+  Term.(term_result' (const Harness.Request.find_app $ app_arg))
+
 let seed_arg =
   let doc = "Workload generation seed." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc)
+  Arg.(value & opt int Harness.Request.defaults.seed & info [ "seed" ] ~doc)
 
 (* Campaign sizes pass the runner's one range rule where they enter; a
    violation is a usage error. *)
@@ -42,11 +54,17 @@ let errors_count = count Harness.Matrix.check_errors
 
 let trials_arg =
   let doc = "Trials per campaign cell (at least 1)." in
-  Arg.(value & opt trials_count 20 & info [ "t"; "trials" ] ~doc)
+  Arg.(
+    value
+    & opt trials_count Harness.Request.defaults.trials
+    & info [ "t"; "trials" ] ~doc)
 
 let errors_arg =
   let doc = "Number of single-bit errors to insert per run (0 or more)." in
-  Arg.(value & opt errors_count 10 & info [ "e"; "errors" ] ~doc)
+  Arg.(
+    value
+    & opt errors_count Harness.Request.defaults.errors
+    & info [ "e"; "errors" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -79,11 +97,9 @@ let incremental_arg =
   in
   Arg.(value & flag & info [ "incremental" ] ~doc)
 
-let cache_dir_arg =
-  let doc =
+let cache_dir_arg ?(doc =
     "Result-cache root for $(b,--incremental) (created on demand; safe \
-     to delete at any time)."
-  in
+     to delete at any time).") () =
   Arg.(
     value & opt string "_etap_cache" & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
@@ -145,24 +161,6 @@ let emit ?json ~command ~meta tables =
   List.iter (fun t -> say "%s" (Report.to_text t)) tables;
   write_json json (Report.make ~command ~meta tables)
 
-let meta_int k v = (k, Report.Json.Int v)
-let meta_jobs jobs = ("jobs", Report.Json.of_int_opt jobs)
-
-(* Every campaign runs on the fast engine with the automatic checkpoint
-   stride; meta blocks still name both, as constants. *)
-let meta_engine =
-  ("engine", Report.Json.Str (Sim.Interp.engine_name Sim.Interp.Fast))
-let meta_stride = ("checkpoint_stride", Report.Json.Null)
-
-let find_app name =
-  match Apps.Registry.find name with
-  | Some app -> Ok app
-  | None ->
-    Error
-      (`Msg
-        (Printf.sprintf "unknown application %S (known: %s)" name
-           (String.concat ", " Apps.Registry.names)))
-
 (* ------------------------------------------------------------------ *)
 (* Commands.                                                           *)
 
@@ -178,62 +176,56 @@ let list_cmd =
     Term.(const action $ const ())
 
 let run_cmd =
-  let action name seed =
-    Result.map
-      (fun (app : Apps.App.t) ->
-        let b = app.Apps.App.build ~seed in
-        let code = Sim.Code.of_prog b.Apps.App.prog in
-        let r = Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code in
-        say "%s: %d dynamic instructions, fault-free" name
-          r.Sim.Interp.dyn_count;
-        (match b.Apps.App.host_check r with
-         | Ok () -> say "host reference check: OK"
-         | Error m -> say "host reference check: FAILED (%s)" m);
-        say "fidelity vs self: %.1f %s"
-          (b.Apps.App.score ~golden:r r)
-          b.Apps.App.fidelity_units)
-      (find_app name)
+  let action (app : Apps.App.t) seed =
+    let b = app.Apps.App.build ~seed in
+    let code = Sim.Code.of_prog b.Apps.App.prog in
+    let r = Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code in
+    say "%s: %d dynamic instructions, fault-free" app.Apps.App.name
+      r.Sim.Interp.dyn_count;
+    (match b.Apps.App.host_check r with
+     | Ok () -> say "host reference check: OK"
+     | Error m -> say "host reference check: FAILED (%s)" m);
+    say "fidelity vs self: %.1f %s"
+      (b.Apps.App.score ~golden:r r)
+      b.Apps.App.fidelity_units
   in
   Cmd.v (Cmd.info "run" ~doc:"Fault-free run with host-reference check")
-    Term.(term_result (const action $ app_arg $ seed_arg))
+    Term.(const action $ known_app_arg $ seed_arg)
 
 let tag_cmd =
-  let action name seed =
-    Result.map
-      (fun (app : Apps.App.t) ->
-        let b = app.Apps.App.build ~seed in
-        let code = Sim.Code.of_prog b.Apps.App.prog in
-        let baseline, _ = Sim.Snapshot.golden ~masks:[] code in
-        say "%-28s %10s %10s" "" "ctrl+addr" "literal";
-        let line label f = say "%-28s %10s %10s" label (f true) (f false) in
-        let tagging pa = Core.Tagging.compute ~protect_addresses:pa b.Apps.App.prog in
-        let t_full = tagging true and t_lit = tagging false in
-        let t_of pa = if pa then t_full else t_lit in
-        line "static tagged / producing" (fun pa ->
-            let `Tagged tg, `Producing pr, `Total _ =
-              Core.Tagging.static_stats (t_of pa)
-            in
-            Printf.sprintf "%d/%d" tg pr);
-        line "dynamic low-reliability %" (fun pa ->
-            Printf.sprintf "%.1f%%"
-              (100.0
-              *. Core.Tagging.dynamic_low_fraction (t_of pa)
-                   baseline.Sim.Interp.exec_counts));
-        say "dynamic instructions: %d" baseline.Sim.Interp.dyn_count;
-        List.iter
-          (fun (f : Ir.Func.t) ->
-            match Core.Tagging.low_reliability t_full f.Ir.Func.name with
-            | None -> ()
-            | Some low ->
-              let n = Array.fold_left (fun a b -> if b then a + 1 else a) 0 low in
-              say "  %-20s %4d/%4d static instrs tagged (ctrl+addr)%s"
-                f.Ir.Func.name n (Array.length low)
-                (if f.Ir.Func.eligible then "" else "  [ineligible]"))
-          (Ir.Prog.funcs b.Apps.App.prog))
-      (find_app name)
+  let action (app : Apps.App.t) seed =
+    let b = app.Apps.App.build ~seed in
+    let code = Sim.Code.of_prog b.Apps.App.prog in
+    let baseline, _ = Sim.Snapshot.golden ~masks:[] code in
+    say "%-28s %10s %10s" "" "ctrl+addr" "literal";
+    let line label f = say "%-28s %10s %10s" label (f true) (f false) in
+    let tagging pa = Core.Tagging.compute ~protect_addresses:pa b.Apps.App.prog in
+    let t_full = tagging true and t_lit = tagging false in
+    let t_of pa = if pa then t_full else t_lit in
+    line "static tagged / producing" (fun pa ->
+        let `Tagged tg, `Producing pr, `Total _ =
+          Core.Tagging.static_stats (t_of pa)
+        in
+        Printf.sprintf "%d/%d" tg pr);
+    line "dynamic low-reliability %" (fun pa ->
+        Printf.sprintf "%.1f%%"
+          (100.0
+          *. Core.Tagging.dynamic_low_fraction (t_of pa)
+               baseline.Sim.Interp.exec_counts));
+    say "dynamic instructions: %d" baseline.Sim.Interp.dyn_count;
+    List.iter
+      (fun (f : Ir.Func.t) ->
+        match Core.Tagging.low_reliability t_full f.Ir.Func.name with
+        | None -> ()
+        | Some low ->
+          let n = Array.fold_left (fun a b -> if b then a + 1 else a) 0 low in
+          say "  %-20s %4d/%4d static instrs tagged (ctrl+addr)%s"
+            f.Ir.Func.name n (Array.length low)
+            (if f.Ir.Func.eligible then "" else "  [ineligible]"))
+      (Ir.Prog.funcs b.Apps.App.prog)
   in
   Cmd.v (Cmd.info "tag" ~doc:"Show the control-protection tagging analysis")
-    Term.(term_result (const action $ app_arg $ seed_arg))
+    Term.(const action $ known_app_arg $ seed_arg)
 
 let sections_cmd =
   let policy_arg =
@@ -253,60 +245,57 @@ let sections_cmd =
       value & opt p Core.Policy.Protect_control
       & info [ "policy" ] ~docv:"POLICY" ~doc)
   in
-  let action name seed literal policy json =
-    Result.map
-      (fun (app : Apps.App.t) ->
-        let b = app.Apps.App.build ~seed in
-        let prog = b.Apps.App.prog in
-        let tagging =
-          Core.Tagging.compute ~protect_addresses:(not literal) prog
-        in
-        let tags = Core.Tagging.mask tagging policy in
-        let sections = Analysis.Section.compute ~tags prog in
-        let short h = String.sub h 0 12 in
-        let meta =
+  let action (app : Apps.App.t) seed literal policy json =
+    let name = app.Apps.App.name and b = app.Apps.App.build ~seed in
+    let prog = b.Apps.App.prog in
+    let tagging =
+      Core.Tagging.compute ~protect_addresses:(not literal) prog
+    in
+    let tags = Core.Tagging.mask tagging policy in
+    let sections = Analysis.Section.compute ~tags prog in
+    let short h = String.sub h 0 12 in
+    let meta =
+      [
+        ("app", Report.Json.Str name);
+        ("seed", Report.Json.Int seed);
+        ("literal", Report.Json.Bool literal);
+        ("policy", Report.Json.Str (Core.Policy.to_string policy));
+      ]
+    in
+    let table =
+      Report.table ~id:"sections"
+        ~title:
+          (Printf.sprintf "Section partition: %s (%s)" name
+             (Core.Policy.to_string policy))
+        ~columns:
           [
-            ("app", Report.Json.Str name);
-            meta_int "seed" seed;
-            ("literal", Report.Json.Bool literal);
-            ("policy", Report.Json.Str (Core.Policy.to_string policy));
+            Report.column ~key:"section" "section";
+            Report.column ~key:"static_slots" "static";
+            Report.column ~key:"tagged_slots" "tagged";
+            Report.column ~key:"callees" "callees";
+            Report.column ~key:"local_hash" "local hash";
+            Report.column ~key:"section_hash" "section hash";
           ]
-        in
-        let table =
-          Report.table ~id:"sections"
-            ~title:
-              (Printf.sprintf "Section partition: %s (%s)" name
-                 (Core.Policy.to_string policy))
-            ~columns:
-              [
-                Report.column ~key:"section" "section";
-                Report.column ~key:"static_slots" "static";
-                Report.column ~key:"tagged_slots" "tagged";
-                Report.column ~key:"callees" "callees";
-                Report.column ~key:"local_hash" "local hash";
-                Report.column ~key:"section_hash" "section hash";
-              ]
-            (Array.to_list
-               (Array.map
-                  (fun (i : Analysis.Section.info) ->
-                    [
-                      Report.text
-                        (if i.Analysis.Section.fid
-                            = (Analysis.Section.entry sections)
-                                .Analysis.Section.fid
-                         then i.Analysis.Section.name ^ " (entry)"
-                         else i.Analysis.Section.name);
-                      Report.int i.Analysis.Section.static_slots;
-                      Report.int i.Analysis.Section.tagged_slots;
-                      Report.text
-                        (String.concat "," i.Analysis.Section.callees);
-                      Report.text (short i.Analysis.Section.local_hash);
-                      Report.text (short i.Analysis.Section.section_hash);
-                    ])
-                  sections.Analysis.Section.infos))
-        in
-        emit ?json ~command:"sections" ~meta [ table ])
-      (find_app name)
+        (Array.to_list
+           (Array.map
+              (fun (i : Analysis.Section.info) ->
+                [
+                  Report.text
+                    (if i.Analysis.Section.fid
+                        = (Analysis.Section.entry sections)
+                            .Analysis.Section.fid
+                     then i.Analysis.Section.name ^ " (entry)"
+                     else i.Analysis.Section.name);
+                  Report.int i.Analysis.Section.static_slots;
+                  Report.int i.Analysis.Section.tagged_slots;
+                  Report.text
+                    (String.concat "," i.Analysis.Section.callees);
+                  Report.text (short i.Analysis.Section.local_hash);
+                  Report.text (short i.Analysis.Section.section_hash);
+                ])
+              sections.Analysis.Section.infos))
+    in
+    emit ?json ~command:"sections" ~meta [ table ]
   in
   Cmd.v
     (Cmd.info "sections"
@@ -315,222 +304,24 @@ let sections_cmd =
           content hashes (local and composed over the call subtree) that \
           key the incremental-injection result cache")
     Term.(
-      term_result
-        (const action $ app_arg $ seed_arg $ literal_arg $ policy_arg
-       $ json_arg))
+      const action $ known_app_arg $ seed_arg $ literal_arg $ policy_arg
+      $ json_arg)
 
 let disasm_cmd =
   let func_arg =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"FUNC")
   in
-  let action name func seed =
-    Result.map
-      (fun (app : Apps.App.t) ->
-        let b = app.Apps.App.build ~seed in
-        match func with
-        | None -> say "%s" (Format.asprintf "%a" Ir.Prog.pp b.Apps.App.prog)
-        | Some f ->
-          (match Ir.Prog.find_func b.Apps.App.prog f with
-           | Some fn -> say "%s" (Format.asprintf "%a" Ir.Func.pp fn)
-           | None -> say "no function %s" f))
-      (find_app name)
+  let action (app : Apps.App.t) func seed =
+    let prog = (app.Apps.App.build ~seed).Apps.App.prog in
+    match func with
+    | None -> say "%s" (Format.asprintf "%a" Ir.Prog.pp prog)
+    | Some f -> (
+      match Ir.Prog.find_func prog f with
+      | Some fn -> say "%s" (Format.asprintf "%a" Ir.Func.pp fn)
+      | None -> say "no function %s" f)
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Print compiled IR")
-    Term.(term_result (const action $ app_arg $ func_arg $ seed_arg))
-
-let inject_cmd =
-  let action name seed errors trials literal jobs incremental cache_dir json
-      trace metrics =
-    Result.bind (find_app name) (fun (app : Apps.App.t) ->
-        let meta =
-          [
-            ("app", Report.Json.Str name);
-            meta_int "errors" errors;
-            meta_int "trials" trials;
-            meta_int "seed" seed;
-            ("literal", Report.Json.Bool literal);
-            meta_engine;
-            meta_jobs jobs;
-            meta_stride;
-            ("incremental", Report.Json.Bool incremental);
-            ( "cache_dir",
-              if incremental then Report.Json.Str cache_dir
-              else Report.Json.Null );
-          ]
-        in
-        with_obs ~trace ~metrics ~command:"inject" ~meta @@ fun () ->
-        let l = Harness.Experiment.load ~seed app in
-        let store =
-          if incremental then Some (Core.Memo.Store.open_ cache_dir)
-          else None
-        in
-        let req = { Harness.Proto.app = name; errors; trials; seed; literal } in
-        let cells =
-          Harness.Matrix.run_cells ?jobs ?store [ l ]
-            (Harness.Serve.inject_cells req)
-        in
-        match Harness.Matrix.cells_failures_message cells with
-        | Some msg -> Error (`Msg msg)
-        | None ->
-          List.iter
-            (fun (c : Harness.Matrix.cell) ->
-              let policy = Core.Policy.to_string c.Harness.Matrix.cell.policy in
-              let s = Harness.Matrix.summary l c in
-              if incremental then begin
-                let st = Harness.Matrix.cache c in
-                say
-                  "%-18s cache: %d/%d section groups hit — %d trial(s) \
-                   reused, %d run"
-                  policy st.Core.Memo.hits st.Core.Memo.sections
-                  st.Core.Memo.trials_reused st.Core.Memo.trials_run
-              end;
-              say
-                "%-18s errors=%-4d trials=%-3d catastrophic=%5.1f%% (%d \
-                 crash, %d infinite)  mean fidelity=%s"
-                policy errors (Core.Campaign.n s)
-                (Core.Campaign.pct_catastrophic s)
-                (Core.Campaign.crashes s)
-                (Core.Campaign.infinite s)
-                (match Core.Campaign.mean_fidelity s with
-                 | None -> "n/a"
-                 | Some m ->
-                   Printf.sprintf "%.1f %s" m
-                     l.Harness.Experiment.built.Apps.App.fidelity_units);
-              if Core.Campaign.errors_capped s then
-                say
-                  "  note: injectable pool (%d) smaller than request — \
-                   each plan holds %d fault(s), not %d"
-                  (match c.Harness.Matrix.status with
-                   | Harness.Matrix.Ok ok -> ok.Harness.Matrix.pool
-                   | _ -> 0)
-                  s.Core.Campaign.errors_planned errors)
-            cells;
-          write_json json
-            (Harness.Serve.inject_of_cells ~jobs
-               ~cache_dir:(if incremental then Some cache_dir else None)
-               req l cells);
-          Ok ())
-  in
-  Cmd.v
-    (Cmd.info "inject" ~doc:"Run a fault-injection campaign on one app")
-    Term.(
-      term_result
-        (const action $ app_arg $ seed_arg $ errors_arg $ trials_arg
-       $ literal_arg $ jobs_arg $ incremental_arg $ cache_dir_arg $ json_arg
-       $ trace_arg $ metrics_arg))
-
-let matrix_cmd =
-  let split_commas s =
-    List.filter
-      (fun x -> x <> "")
-      (List.map String.trim (String.split_on_char ',' s))
-  in
-  let apps_arg =
-    let doc =
-      "Comma-separated application names to sweep (default: every \
-       registered app). Unknown names become $(b,failed) cells."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "apps" ] ~docv:"A,B,..." ~doc)
-  in
-  let policies_arg =
-    let doc =
-      "Comma-separated protection policies per app: $(b,control), \
-       $(b,nothing), $(b,all)."
-    in
-    let policy =
-      Arg.conv' (Harness.Matrix.policy_of_string, Core.Policy.pp)
-    in
-    Arg.(
-      value
-      & opt (list policy) Harness.Matrix.default_policies
-      & info [ "policies" ] ~docv:"P,..." ~doc)
-  in
-  let errors_list_arg =
-    let doc = "Comma-separated error counts — one campaign cell each." in
-    Arg.(
-      value
-      & opt (list errors_count) Harness.Matrix.default_errors
-      & info [ "e"; "errors" ] ~docv:"N,..." ~doc)
-  in
-  let spec_arg =
-    let doc =
-      "JSON spec file. Present fields ($(b,apps), $(b,policies), \
-       $(b,errors), $(b,trials), $(b,seed), $(b,literal)) override the \
-       corresponding flags."
-    in
-    Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
-  in
-  let matrix_cache_dir_arg =
-    let doc =
-      "Result-cache root (created on demand; safe to delete at any \
-       time). Every cell routes through the cache, so re-running an \
-       unchanged spec — or overlapping a previous `inject \
-       --incremental` run — reuses stored trial records."
-    in
-    Arg.(
-      value & opt string "_etap_cache" & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-  in
-  let action apps policies errors trials seed literal spec jobs cache_dir
-      json trace metrics =
-    let ( let* ) = Result.bind in
-    let base =
-      {
-        Harness.Matrix.apps =
-          (match apps with
-           | None -> Harness.Matrix.default_spec.Harness.Matrix.apps
-           | Some s -> split_commas s);
-        mode = Harness.Experiment.mode_of_literal literal;
-        policies;
-        errors;
-        trials;
-        seed;
-      }
-    in
-    let* s =
-      match spec with
-      | None -> Ok base
-      | Some path -> (
-        match
-          Report.Json.of_string
-            (In_channel.with_open_bin path In_channel.input_all)
-        with
-        | Error m -> Error (`Msg (Printf.sprintf "%s: %s" path m))
-        | Ok j -> (
-          match Harness.Matrix.spec_of_json ~base j with
-          | Ok s -> Ok s
-          | Error m -> Error (`Msg (Printf.sprintf "%s: %s" path m))))
-    in
-    let spec_meta = Harness.Matrix.spec_meta ~jobs ~cache_dir s in
-    with_obs ~trace ~metrics ~command:"matrix" ~meta:spec_meta @@ fun () ->
-    let store = Core.Memo.Store.open_ cache_dir in
-    let r = Harness.Matrix.run ?jobs ~store s in
-    let t = Harness.Matrix.totals r in
-    let meta = Harness.Matrix.report_meta ~jobs ~cache_dir r in
-    emit ?json ~command:"matrix" ~meta
-      [ Harness.Matrix.to_table r; Harness.Matrix.anomaly_table r ];
-    say
-      "cells: %d requested, %d ok (%d fully cached, %d executed), %d \
-       skipped, %d failed | trials: %d reused, %d run | cache: %s"
-      t.Harness.Matrix.requested t.Harness.Matrix.ok
-      t.Harness.Matrix.cells_hit t.Harness.Matrix.cells_miss
-      t.Harness.Matrix.skipped t.Harness.Matrix.failed
-      t.Harness.Matrix.trials_reused t.Harness.Matrix.trials_run cache_dir;
-    match Harness.Matrix.failures_message r with
-    | None -> Ok ()
-    | Some msg -> Error (`Msg msg)
-  in
-  Cmd.v
-    (Cmd.info "matrix"
-       ~doc:
-         "Sweep apps x policies x error counts through the result cache: \
-          every cell gets a typed status (ok/skipped/failed), anomalies \
-          are clustered and ranked, and any failed cell exits non-zero")
-    Term.(
-      term_result
-        (const action $ apps_arg $ policies_arg $ errors_list_arg
-       $ trials_arg $ seed_arg $ literal_arg $ spec_arg $ jobs_arg
-       $ matrix_cache_dir_arg $ json_arg $ trace_arg $ metrics_arg))
+    Term.(const action $ known_app_arg $ func_arg $ seed_arg)
 
 let asm_cmd =
   let file_arg =
@@ -617,6 +408,137 @@ let compile_cmd =
         (const action $ file_arg $ inject_arg $ show_arg $ trials_arg
        $ jobs_arg))
 
+(* ------------------------------------------------------------------ *)
+(* Campaign commands: flags parsed into a [Harness.Request.t], then one
+   shared call. *)
+
+(* A campaign command's term: its [request] (with the result store's
+   root, for the commands that go through one) and the flags every
+   campaign command shares, run by one shared call. It refuses an
+   unknown app before anything runs, then runs [Request.run] under one
+   obs scope — text to stdout, the report to [--json], a typed error to
+   a non-zero exit. *)
+let campaign request =
+  let run (cache, r) jobs json trace metrics =
+    match Harness.Request.unknown r with
+    | Some m -> Error m
+    | None -> (
+      let store = Option.map Core.Memo.Store.open_ cache in
+      let env = Harness.Request.local ?jobs ?store () in
+      with_obs ~trace ~metrics ~command:(Harness.Request.command r)
+        ~meta:(Harness.Request.meta env r)
+      @@ fun () ->
+      let say = say "%s" and emit = write_json json in
+      match Harness.Request.run env ~say ~emit r with
+      | _, None -> Ok ()
+      | _, Some m -> Error m)
+  in
+  Term.(
+    term_result'
+      (const run $ request $ jobs_arg $ json_arg $ trace_arg $ metrics_arg))
+
+let coords_arg =
+  let coords errors trials seed literal =
+    { Harness.Request.errors; trials; seed; literal }
+  in
+  Term.(const coords $ errors_arg $ trials_arg $ seed_arg $ literal_arg)
+
+let inject_cmd =
+  let request app at incremental cache_dir =
+    ( (if incremental then Some cache_dir else None),
+      Harness.Request.Inject { app; at } )
+  in
+  Cmd.v
+    (Cmd.info "inject" ~doc:"Run a fault-injection campaign on one app")
+    (campaign
+       Term.(const request $ app_arg $ coords_arg $ incremental_arg
+             $ cache_dir_arg ()))
+
+let matrix_cmd =
+  let split_commas s =
+    List.filter
+      (fun x -> x <> "")
+      (List.map String.trim (String.split_on_char ',' s))
+  in
+  let apps_arg =
+    let doc =
+      "Comma-separated application names to sweep (default: every \
+       registered app). Unknown names become $(b,failed) cells."
+    in
+    Arg.(
+      value & opt (some string) None & info [ "apps" ] ~docv:"A,B,..." ~doc)
+  in
+  let policies_arg =
+    let doc =
+      "Comma-separated protection policies per app: $(b,control), \
+       $(b,nothing), $(b,all)."
+    in
+    let policy =
+      Arg.conv' (Harness.Matrix.policy_of_string, Core.Policy.pp)
+    in
+    Arg.(
+      value
+      & opt (list policy) Harness.Matrix.default_policies
+      & info [ "policies" ] ~docv:"P,..." ~doc)
+  in
+  let errors_list_arg =
+    let doc = "Comma-separated error counts — one campaign cell each." in
+    Arg.(
+      value
+      & opt (list errors_count) Harness.Matrix.default_errors
+      & info [ "e"; "errors" ] ~docv:"N,..." ~doc)
+  in
+  let spec_arg =
+    let doc =
+      "JSON spec file. Present fields ($(b,apps), $(b,policies), \
+       $(b,errors), $(b,trials), $(b,seed), $(b,literal)) override the \
+       corresponding flags."
+    in
+    Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
+  in
+  let matrix_cache_dir_arg =
+    cache_dir_arg
+      ~doc:
+        "Result-cache root (created on demand; safe to delete at any \
+         time). Every cell routes through the cache, so re-running an \
+         unchanged spec — or overlapping a previous `inject \
+         --incremental` run — reuses stored trial records."
+      ()
+  in
+  let request apps policies errors trials seed literal spec cache_dir =
+    let apps =
+      match apps with
+      | None -> Harness.Matrix.default_spec.Harness.Matrix.apps
+      | Some s -> split_commas s
+    in
+    let mode = Harness.Experiment.mode_of_literal literal in
+    let base = { Harness.Matrix.apps; mode; policies; errors; trials; seed } in
+    let spec =
+      match spec with
+      | None -> Ok base
+      | Some path ->
+        Result.map_error
+          (Printf.sprintf "%s: %s" path)
+          (Result.bind
+             (Report.Json.of_string
+                (In_channel.with_open_bin path In_channel.input_all))
+             (Harness.Matrix.spec_of_json ~base))
+    in
+    Result.map (fun s -> (Some cache_dir, Harness.Request.Matrix s)) spec
+  in
+  Cmd.v
+    (Cmd.info "matrix"
+       ~doc:
+         "Sweep apps x policies x error counts through the result cache: \
+          every cell gets a typed status (ok/skipped/failed), anomalies \
+          are clustered and ranked, and any failed cell exits non-zero")
+    (campaign
+       Term.(
+         term_result'
+           (const request $ apps_arg $ policies_arg $ errors_list_arg
+          $ trials_arg $ seed_arg $ literal_arg $ spec_arg
+          $ matrix_cache_dir_arg)))
+
 let audit_cmd =
   let app_opt_arg =
     let doc =
@@ -624,92 +546,29 @@ let audit_cmd =
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"APP" ~doc)
   in
-  let action app seed errors trials literal jobs json trace metrics =
-    let mode = Harness.Experiment.mode_of_literal literal in
-    let loaded_res =
-      match app with
-      | None -> Ok (Harness.Experiment.load_all ~seed ?jobs ())
-      | Some name ->
-        Result.map
-          (fun a -> [ Harness.Experiment.load ~seed a ])
-          (find_app name)
-    in
-    Result.bind loaded_res (fun loaded ->
-        let meta =
-          [
-            ( "app",
-              match app with
-              | None -> Report.Json.Null
-              | Some a -> Report.Json.Str a );
-            meta_int "errors" errors;
-            meta_int "trials" trials;
-            meta_int "seed" seed;
-            ("literal", Report.Json.Bool literal);
-            meta_jobs jobs;
-          ]
-        in
-        with_obs ~trace ~metrics ~command:"audit" ~meta @@ fun () ->
-        let rows =
-          Harness.Taxonomy.audit ~errors ~trials
-            ~seed:(Harness.Matrix.campaign_seed seed) ?jobs ~mode loaded
-        in
-        say "%s" (Harness.Taxonomy.render_audit ~mode rows);
-        write_json json
-          (Report.make ~command:"audit" ~meta
-             [ Harness.Taxonomy.audit_table ~mode rows ]);
-        match Harness.Taxonomy.audit_violations rows with
-        | [] -> Ok ()
-        | bad ->
-          Error
-            (`Msg
-              (Printf.sprintf
-                 "tagging soundness violated in %d audit cell(s) — see \
-                  table above"
-                 (List.length bad))))
-  in
+  let request app at = (None, Harness.Request.Audit { app; at }) in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
          "Dynamic taint audit: classify where injected faults flow and \
           verify the tagging soundness invariant (exit non-zero on \
           violation)")
-    Term.(
-      term_result
-        (const action $ app_opt_arg $ seed_arg $ errors_arg $ trials_arg
-       $ literal_arg $ jobs_arg $ json_arg $ trace_arg $ metrics_arg))
+    (campaign Term.(const request $ app_opt_arg $ coords_arg))
 
 let profile_cmd =
   let top_arg =
     let doc = "Show at most $(docv) hottest sites (0 = all); sites past \
                the cutoff collapse into one aggregate row, so column \
                sums always equal the campaign totals." in
-    Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (count (Harness.Matrix.at_least "top" 0)) 20
+      & info [ "top" ] ~docv:"N" ~doc)
   in
-  let action name seed errors trials literal jobs top json trace metrics =
-    Result.map
-      (fun (app : Apps.App.t) ->
-        let mode = Harness.Experiment.mode_of_literal literal in
-        let meta =
-          [
-            ("app", Report.Json.Str name);
-            meta_int "errors" errors;
-            meta_int "trials" trials;
-            meta_int "seed" seed;
-            ("literal", Report.Json.Bool literal);
-            meta_jobs jobs;
-            meta_stride;
-          ]
-        in
-        with_obs ~trace ~metrics ~command:"profile" ~meta @@ fun () ->
-        let l = Harness.Experiment.load ~seed app in
-        let p =
-          Harness.Profile.run ~errors ~trials
-            ~seed:(Harness.Matrix.campaign_seed seed) ?jobs ~mode l
-        in
-        let top = if top <= 0 then None else Some top in
-        say "%s" (Harness.Profile.render ?top p);
-        write_json json (Harness.Profile.report ?top p))
-      (find_app name)
+  let request app at top =
+    ( None,
+      Harness.Request.Profile
+        { app; at; top = (if top = 0 then None else Some top) } )
   in
   Cmd.v
     (Cmd.info "profile"
@@ -717,37 +576,25 @@ let profile_cmd =
          "Fault-site attribution profile: run a campaign and rank the \
           (function, instruction) sites where injected faults landed by \
           how the trials ended")
-    Term.(
-      term_result
-        (const action $ app_arg $ seed_arg $ errors_arg $ trials_arg
-       $ literal_arg $ jobs_arg $ top_arg $ json_arg $ trace_arg
-       $ metrics_arg))
+    (campaign Term.(const request $ app_arg $ coords_arg $ top_arg))
 
 (* The reproduction driver: the paper's tables and figures, the
    fault-flow audit, the ablations and the extensions, at the fixed
-   trial counts EXPERIMENTS.md is built from. Each section prints a
-   banner and its text as soon as it is computed; a wall-time ledger
-   closes the run. All campaigns are deterministic for a fixed seed
-   and for any --jobs value: trial RNGs derive from the trial index. *)
+   trial counts EXPERIMENTS.md is built from. *)
 let reproduce_cmd =
-  let figure_ids =
-    List.map (fun (f : Harness.Figures.figure) -> f.Harness.Figures.id)
-      Harness.Figures.figures
-  in
-  let experiments =
-    [ "table2"; "table3"; "figures"; "ablation"; "extensions" ] @ figure_ids
-  in
   let experiments_arg =
     let doc =
       Printf.sprintf
         "Experiments to run (default: all): %s. $(b,table2) includes the \
          fault-flow audit, $(b,figures) stands for every figure, \
          $(b,extensions) is the cost model and the outcome taxonomy."
-        (String.concat ", " experiments)
+        (String.concat ", " Harness.Request.experiments)
     in
     Arg.(
       value
-      & pos_all (enum (List.map (fun e -> (e, e)) experiments)) []
+      & pos_all
+          (enum (List.map (fun e -> (e, e)) Harness.Request.experiments))
+          []
       & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let quick_arg =
@@ -757,103 +604,8 @@ let reproduce_cmd =
     in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
-  let action names quick jobs json trace metrics =
-    let trials = if quick then 8 else 20 in
-    let t2_trials = if quick then 10 else 25 in
-    let want name =
-      names = [] || List.mem name names
-      || (List.mem name figure_ids && List.mem "figures" names)
-    in
-    let meta =
-      [
-        ( "experiments",
-          Report.Json.Arr (List.map (fun e -> Report.Json.Str e) names) );
-        ("quick", Report.Json.Bool quick);
-        meta_int "table2_trials" t2_trials;
-        meta_int "trials" trials;
-        meta_jobs jobs;
-      ]
-    in
-    with_obs ~trace ~metrics ~command:"reproduce" ~meta @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let times = ref [] and tables = ref [] in
-    let timed name f =
-      let t = Unix.gettimeofday () in
-      let r = f () in
-      times := (name, Unix.gettimeofday () -. t) :: !times;
-      r
-    in
-    (* A banner, then the table [compute] yields under ledger [name],
-       printed as [text] when the section says more than its table. *)
-    let section ?text title name compute table =
-      say "";
-      say "%s" (String.make 72 '=');
-      say "%s" title;
-      say "%s" (String.make 72 '=');
-      let r = timed name compute in
-      let t = table r in
-      say "%s"
-        (match text with Some text -> text r | None -> Report.to_text t);
-      tables := t :: !tables
-    in
-    say "building applications and baselines... (jobs=%s)"
-      (match jobs with
-       | Some j -> string_of_int j
-       | None -> Printf.sprintf "auto:%d" (Core.Pool.default_jobs ()));
-    let loaded =
-      timed "load_apps" (fun () -> Harness.Experiment.load_all ?jobs ())
-    in
-    if want "table2" then begin
-      section "Table 2 — catastrophic failures with/without control protection"
-        "table2"
-        (fun () -> Harness.Table2.run ~trials:t2_trials ?jobs loaded)
-        Harness.Table2.to_table;
-      let mode = Harness.Experiment.Full in
-      section "Fault-flow taxonomy (dynamic taint audit)" "fault_flow"
-        (fun () -> Harness.Taxonomy.audit ~trials:t2_trials ?jobs ~mode loaded)
-        (Harness.Taxonomy.audit_table ~mode)
-        ~text:(Harness.Taxonomy.render_audit ~mode)
-    end;
-    if want "table3" then
-      section "Table 3 — % of dynamic instructions tagged low-reliability"
-        "table3"
-        (fun () -> Harness.Table3.run loaded)
-        Harness.Table3.to_table;
-    List.iter
-      (fun (f : Harness.Figures.figure) ->
-        let id = f.Harness.Figures.id in
-        if want id then
-          section (String.uppercase_ascii id) id
-            (fun () -> Harness.Figures.run ~trials ?jobs loaded f)
-            Harness.Figures.to_table)
-      Harness.Figures.figures;
-    if want "ablation" then begin
-      section "Ablation A — address protection" "ablation_address"
-        (fun () -> Harness.Ablation.address ~trials ?jobs loaded)
-        Harness.Ablation.address_table;
-      section "Ablation B — programmer eligibility marking"
-        "ablation_eligibility"
-        (fun () -> Harness.Ablation.eligibility ~trials ?jobs ())
-        Harness.Ablation.eligibility_table
-    end;
-    if want "extensions" then begin
-      let mode = Harness.Experiment.Literal in
-      section "Cost model — selective vs uniform protection (paper Sec. 5.3)"
-        "cost_model"
-        (fun () -> Harness.Cost_model.run ~mode loaded)
-        (Harness.Cost_model.to_table ~mode);
-      section "Fault outcome taxonomy (benign / degraded / catastrophic)"
-        "taxonomy"
-        (fun () -> Harness.Taxonomy.run ~trials ?jobs ~mode loaded)
-        (Harness.Taxonomy.to_table ~mode)
-    end;
-    say "";
-    List.iter
-      (fun (name, secs) -> say "  %-28s %7.2f s" name secs)
-      (List.rev !times);
-    say "total wall time: %.1f s" (Unix.gettimeofday () -. t0);
-    write_json json
-      (Report.make ~command:"reproduce" ~meta (List.rev !tables))
+  let request experiments quick =
+    (None, Harness.Request.Reproduce { experiments; quick })
   in
   Cmd.v
     (Cmd.info "reproduce"
@@ -861,9 +613,7 @@ let reproduce_cmd =
          "Reproduce the paper's Table 2, Table 3 and Figures 1-6, the \
           fault-flow audit, the ablations and the extensions; \
           $(b,--json) collects every printed table into one document")
-    Term.(
-      const action $ experiments_arg $ quick_arg $ jobs_arg $ json_arg
-      $ trace_arg $ metrics_arg)
+    (campaign Term.(const request $ experiments_arg $ quick_arg))
 
 let serve_cmd =
   let socket_arg =
@@ -930,19 +680,12 @@ let serve_cmd =
         gate = None;
       }
     in
-    let daemon_exit t =
-      match Harness.Serve.failed_requests t with
-      | 0 -> Ok ()
-      | n ->
-        Error
-          (`Msg (Printf.sprintf "%d request(s) answered with status failed" n))
-    in
     let meta transport =
       [
         ("transport", Report.Json.Str transport);
-        meta_jobs jobs;
-        meta_engine;
-        meta_stride;
+        ("jobs", Report.Json.of_int_opt jobs);
+        Harness.Request.meta_engine;
+        Harness.Request.meta_stride;
         ("cache_dir", Report.Json.Str cache_dir);
         ("gc_max_bytes", Report.Json.of_int_opt gc_max_bytes);
         ( "gc_max_age_days",
@@ -950,6 +693,19 @@ let serve_cmd =
           | None -> Report.Json.Null
           | Some d -> Report.Json.Float d );
       ]
+    in
+    (* The daemon under one obs scope; a non-zero exit when any request
+       was answered with status failed. *)
+    let daemon transport run =
+      with_obs ~trace ~metrics ~command:"serve" ~meta:(meta transport)
+      @@ fun () ->
+      let t = Harness.Serve.create ~config () in
+      run t;
+      match Harness.Serve.failed_requests t with
+      | 0 -> Ok ()
+      | n ->
+        Error
+          (`Msg (Printf.sprintf "%d request(s) answered with status failed" n))
     in
     match (connect, socket, stdio) with
     | Some path, None, false ->
@@ -977,19 +733,12 @@ let serve_cmd =
       else
         Error (`Msg (Printf.sprintf "%d request(s) failed" !failed))
     | None, Some path, false ->
-      with_obs ~trace ~metrics ~command:"serve" ~meta:(meta "socket")
-      @@ fun () ->
-      let t = Harness.Serve.create ~config () in
-      say "etap serve: listening on %s (cache: %s)" path cache_dir;
-      Harness.Serve.run_socket t ~path;
-      daemon_exit t
+      daemon "socket" (fun t ->
+          say "etap serve: listening on %s (cache: %s)" path cache_dir;
+          Harness.Serve.run_socket t ~path)
     | None, None, true ->
       (* stdout carries the protocol stream: no banner. *)
-      with_obs ~trace ~metrics ~command:"serve" ~meta:(meta "stdio")
-      @@ fun () ->
-      let t = Harness.Serve.create ~config () in
-      Harness.Serve.run_stdio t;
-      daemon_exit t
+      daemon "stdio" Harness.Serve.run_stdio
     | _ ->
       Error (`Msg "pass exactly one of --socket PATH, --stdio, --connect PATH")
   in
@@ -997,7 +746,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-running campaign daemon: answers line-delimited \
-          etap-serve/1 inject/matrix requests with the CLI's \
+          etap-serve/1 inject, matrix and audit requests with the CLI's \
           etap-report/1 documents, keeping loaded apps, compiled \
           engines, prepared targets and section partitions warm across \
           requests, coalescing identical in-flight requests, and \
@@ -1005,7 +754,7 @@ let serve_cmd =
     Term.(
       term_result
         (const action $ socket_arg $ stdio_arg $ connect_arg $ jobs_arg
-       $ cache_dir_arg $ gc_bytes_arg $ gc_days_arg $ access_log_arg
+       $ cache_dir_arg () $ gc_bytes_arg $ gc_days_arg $ access_log_arg
        $ trace_arg $ metrics_arg))
 
 let top_cmd =
@@ -1022,7 +771,10 @@ let top_cmd =
   in
   let count_arg =
     let doc = "Stop after $(docv) polls (0 = run until the daemon goes away)." in
-    Arg.(value & opt int 0 & info [ "count" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (count (Harness.Matrix.at_least "count" 0)) 0
+      & info [ "count" ] ~docv:"N" ~doc)
   in
   let action path interval count =
     let ic, oc = Harness.Serve.connect ~path in
@@ -1129,7 +881,7 @@ let cache_cmd =
             bound the pass only reports sizes and reaps stale temp \
             files")
       Term.(
-        const gc_action $ cache_dir_arg $ max_bytes_arg $ max_age_arg
+        const gc_action $ cache_dir_arg () $ max_bytes_arg $ max_age_arg
         $ json_arg)
   in
   let stats_action cache_dir json =
@@ -1186,7 +938,7 @@ let cache_cmd =
            "Report result-cache pressure without mutating it: entry \
             count, total bytes, and an age distribution over the same \
             store walk the GC pass uses")
-      Term.(const stats_action $ cache_dir_arg $ json_arg)
+      Term.(const stats_action $ cache_dir_arg () $ json_arg)
   in
   Cmd.group
     (Cmd.info "cache" ~doc:"Maintain the campaign result cache")

@@ -1,9 +1,9 @@
 (* The experiment runner: an explicit list of (app, mode, policy,
    errors) cells, each a scored campaign or a taint audit, run as
    nested executor batches with a typed status per cell. Table 2, the
-   figures, the audits, Ablation A, `etap matrix`, `etap inject` and
-   the serve daemon's inject and matrix requests all run through here;
-   DESIGN.md §16 describes the shape of a run.
+   figures, the audits, Ablation A and every [Request] that runs cells
+   (inject, matrix, audit, on the CLI and on the serve daemon) run
+   through here; DESIGN.md §16 describes the shape of a run.
 
    A campaign cell scores its trials with the app's scorer against the
    mode's golden baseline. With a store it goes through [Core.Memo.run],
@@ -60,8 +60,9 @@ type cell_ok = {
 (* The cell status model: one constructor per requested cell, always.
    [Skipped] is for cells that are structurally not runnable (empty
    injectable pool — nothing to inject into); [Failed] captures any
-   exception a cell raised. A single [Failed] cell makes a sweep exit
-   non-zero (see bin/etap.ml). *)
+   exception a cell raised. A single [Failed] cell fails the request
+   that ran it (see [Request.run]): a non-zero exit on the CLI, a
+   "failed" reply from the daemon. *)
 type status =
   | Ok of cell_ok
   | Skipped of string
@@ -176,9 +177,10 @@ let pool_of (l : Experiment.loaded) mode policy =
    = unknown app, a Failed cell); [prepared_of] gives the cell's
    injectable pool size and, for a non-empty pool, its prepared target
    with the section partition when a store is in use. [memo_fanout]
-   forwards to {!Core.Memo.run}'s external-scheduler entry; without it
-   the cell's trials fan out through [Core.Pool] at [jobs] — from
-   inside a pool job, a nested batch on the same executor. *)
+   forwards to the external-scheduler entry of {!Core.Memo.run} (and of
+   {!Core.Campaign.run} for an audit cell); without it the cell's
+   trials fan out through [Core.Pool] at [jobs] — from inside a pool
+   job, a nested batch on the same executor. *)
 let exec_cell ?jobs ~(lookup : string -> Experiment.loaded option)
     ~(prepared_of :
        cell_spec ->
@@ -196,7 +198,10 @@ let exec_cell ?jobs ~(lookup : string -> Experiment.loaded option)
       let summary, cache, audit =
         match c.kind with
         | Audit ->
-          let s = Core.Campaign.run ?jobs ~taint:true p ~errors ~trials ~seed in
+          let s =
+            Core.Campaign.run ?jobs ?fanout:memo_fanout ~taint:true p ~errors
+              ~trials ~seed
+          in
           (s, all_run s, Some (Core.Audit.of_summary p ~errors ~trials ~seed s))
         | Campaign -> (
           (* Through the result cache when [store] is given, else a
@@ -309,20 +314,22 @@ let run_cells ?jobs ?store (loaded : Experiment.loaded list)
   let named (l : Experiment.loaded) = (l.Experiment.app.Apps.App.name, l) in
   collect (pool ?jobs ()) ?jobs ?store ~loaded:(List.map named loaded) cells
 
-(* A spec's sweep: each distinct known app resolved once by [load],
-   fanned over the scheduler (unknown names never load — their cells
-   fail), then the spec's cells through [collect]: {!collect} with the
-   caller's scheduler and hooks applied. [load] gives what [collect]
-   reads: a loaded app for [run], a warm-registry entry for the daemon. *)
+(* Each distinct known name of [names] resolved once by [load], fanned
+   over the scheduler, paired with its name. Unknown names never load:
+   their cells fail. *)
+let load_known (sched : scheduler) ~load (names : string list) =
+  sched.map
+    (fun (n, app) -> (n, load app))
+    (List.filter_map
+       (fun n -> Option.map (fun a -> (n, a)) (Apps.Registry.find n))
+       (dedup names))
+
+(* A spec's sweep: its apps through [load_known], then the spec's cells
+   through [collect]: {!collect} with the caller's scheduler and hooks
+   applied. *)
 let run_with (sched : scheduler) ~load ~collect (s : spec) : result =
   let t_run = Unix.gettimeofday () in
-  let loaded =
-    sched.map
-      (fun (n, app) -> (n, load app))
-      (List.filter_map
-         (fun n -> Option.map (fun a -> (n, a)) (Apps.Registry.find n))
-         (dedup s.apps))
-  in
+  let loaded = load_known sched ~load s.apps in
   let load_s = Unix.gettimeofday () -. t_run in
   let cells = collect ~loaded (cells_of_spec s) in
   { spec = s; cells; load_s; wall_s = Unix.gettimeofday () -. t_run }
@@ -618,10 +625,10 @@ let anomaly_table (r : result) : Report.table =
 
 (* ------------------------------------------------------------------ *)
 (* Report meta: the invocation-parameter block of a matrix report,
-   shared by `etap matrix --json` and the serve daemon so the two
-   emit identical documents for identical work. [spec_meta] is the
-   pre-run half (also the obs-stream meta); [report_meta] appends the
-   sweep's cache/status accounting. The [engine] and
+   built by [Request.run] for `etap matrix --json` and the serve daemon
+   alike. [spec_meta] is the pre-run half (also the obs-stream meta);
+   [report_meta] appends the sweep's cache/status accounting.
+   [cache_dir] is the store's root, null without one. The [engine] and
    [checkpoint_stride] keys are the constants every sweep runs with. *)
 
 let spec_meta ~jobs ~cache_dir (s : spec) : (string * Report.Json.t) list =
@@ -637,7 +644,7 @@ let spec_meta ~jobs ~cache_dir (s : spec) : (string * Report.Json.t) list =
     ("engine", Str (Sim.Interp.engine_name Sim.Interp.Fast));
     ("jobs", of_int_opt jobs);
     ("checkpoint_stride", Null);
-    ("cache_dir", Str cache_dir);
+    ("cache_dir", match cache_dir with Some d -> Str d | None -> Null);
   ]
 
 let report_meta ~jobs ~cache_dir (r : result) : (string * Report.Json.t) list =

@@ -5,12 +5,11 @@
    fast-engine compilation, snapshot builds — before the first trial
    executes. This module keeps all of that warm across *requests*: a
    long-running process answers line-delimited [Proto] requests
-   (inject-shaped campaigns and matrix-shaped sweeps) with the same
-   typed-status [etap-report/1] documents the CLI emits, bit-identical
-   to standalone runs because both sides run the same [Matrix] cells
-   through the same builders ([inject_of_cells] here,
-   [Matrix.report_meta] for sweeps) and the same [Core.Memo] result
-   cache.
+   (inject, matrix and audit) with the same typed-status
+   [etap-report/1] documents the CLI emits, bit-identical to standalone
+   runs because both sides run the same [Request.t] through the same
+   [Request.run] — only its environment differs ([dispatch]) — and
+   the same [Core.Memo] result cache.
 
    Three layers:
 
@@ -24,7 +23,7 @@
      evictions.
 
    - {b In-flight coalescing} — concurrent requests whose
-     [Proto.group_key]s collide attach to the running computation (a
+     [Request.key]s collide attach to the running computation (a
      [Core.Once] table that keeps a key only until its build returns):
      one execution, N responses. New requests arriving after a flight
      lands run fresh — and hit the result cache.
@@ -95,7 +94,7 @@ type t = {
   ex : Core.Executor.t;
   m : Mutex.t;  (* stopping + domain-0 obs writes + stats baseline
                    + access-log channel *)
-  flights : (string, outcome) Core.Once.t;  (* by [Proto.group_key] *)
+  flights : (string, outcome) Core.Once.t;  (* by [Request.key] *)
   mutable stopping : bool;
   mutable failures : int;  (* requests answered with status "failed" *)
   registry : (string * int, entry) Core.Once.t;  (* (name, seed) *)
@@ -208,192 +207,59 @@ let prepared (e : entry) ((mode, policy) as key) =
 
 (* ----------------------------- reports ----------------------------- *)
 
-(* The inject report, byte-for-byte the document `etap inject --json`
-   writes — both build it through [inject_of_cells], so the CLI and the
-   daemon cannot drift apart. [cache = Some (dir, totals)] is the
-   incremental path; [None] reproduces a plain (non-incremental) run's
-   meta. Every caller passes [~engine:Fast ~checkpoint_stride:None],
-   the constants campaigns run with; the labels stay because
-   etapbench's serve-mix workload calls this builder with them. *)
-let inject_report ~app ~errors ~trials ~seed ~literal ~engine ~jobs
-    ~checkpoint_stride ~fidelity_units
-    ~(cache : (string * Core.Memo.stats) option)
-    (summaries : (Core.Policy.t * Core.Campaign.summary) list) : Report.t =
-  let table =
-    Report.table ~id:"inject"
-      ~title:
-        (Printf.sprintf "Fault-injection campaign: %s, %d errors" app errors)
-      ~columns:
-        [
-          Report.column ~key:"policy" "policy";
-          Report.column ~key:"trials" "trials";
-          Report.column ~key:"errors_planned" "errors planned";
-          Report.column ~key:"pct_catastrophic" "% catastrophic";
-          Report.column ~key:"crashes" "crashes";
-          Report.column ~key:"infinite" "infinite";
-          Report.column ~key:"completed" "completed";
-          Report.column ~key:"mean_fidelity" "mean fidelity";
-        ]
-      (List.map
-         (fun (policy, s) ->
-           [
-             Report.text (Core.Policy.to_string policy);
-             Report.int (Core.Campaign.n s);
-             Report.int s.Core.Campaign.errors_planned;
-             Report.pct (Core.Campaign.pct_catastrophic s);
-             Report.int (Core.Campaign.crashes s);
-             Report.int (Core.Campaign.infinite s);
-             Report.int (Core.Campaign.completed s);
-             Report.opt ~missing:"n/a"
-               (fun m -> Report.num ~text:(Printf.sprintf "%.1f" m) m)
-               (Core.Campaign.mean_fidelity s);
-           ])
-         summaries)
-  in
-  Report.make ~command:"inject"
-    ~meta:
-      ([
-         ("app", J.Str app);
-         ("errors", J.Int errors);
-         ("trials", J.Int trials);
-         ("seed", J.Int seed);
-         ("literal", J.Bool literal);
-         ("engine", J.Str (Sim.Interp.engine_name engine));
-         ("jobs", J.of_int_opt jobs);
-         ("checkpoint_stride", J.of_int_opt checkpoint_stride);
-         ("fidelity_units", J.Str fidelity_units);
-         ("incremental", J.Bool (cache <> None));
-         ( "cache_dir",
-           match cache with Some (d, _) -> J.Str d | None -> J.Null );
-       ]
-      @
-      match cache with
-      | None -> []
-      | Some (_, st) ->
-        [
-          ("cache_sections", J.Int st.Core.Memo.sections);
-          ("cache_hits", J.Int st.Core.Memo.hits);
-          ("cache_misses", J.Int st.Core.Memo.misses);
-          ("cache_trials_reused", J.Int st.Core.Memo.trials_reused);
-          ("cache_trials_run", J.Int st.Core.Memo.trials_run);
-        ])
-    [ table ]
+(* etapbench's serve-mix workload rebuilds inject reports with these. *)
+let inject_report = Request.inject_report
+let add_stats = Request.add_stats
 
-(* An inject request — the daemon's inject verb, or `etap inject`'s
-   flags — as cells: one campaign cell per default policy at the
-   request's app, mode, error count, trial count and campaign seed. *)
-let inject_cells (i : Proto.inject_req) : Matrix.cell_spec list =
-  List.map
-    (fun policy ->
-      Matrix.make_cell ~mode:(Experiment.mode_of_literal i.literal) ~policy
-        ~errors:i.errors ~trials:i.trials ~seed:(Matrix.campaign_seed i.seed)
-        i.app)
-    Matrix.default_policies
-
-let add_stats (a : Core.Memo.stats) (b : Core.Memo.stats) : Core.Memo.stats =
-  Core.Memo.
-    {
-      sections = a.sections + b.sections;
-      hits = a.hits + b.hits;
-      misses = a.misses + b.misses;
-      trials_reused = a.trials_reused + b.trials_reused;
-      trials_run = a.trials_run + b.trials_run;
-    }
-
-(* An inject request's report read back from its cells, a skipped cell
-   as fault-free trials ([Matrix.summary]). [cache_dir] is [Some] on
-   the result-cache path, whose meta adds the cells' summed cache
-   stats. `etap inject --json` writes this document too. *)
-let inject_of_cells ~jobs ~cache_dir (i : Proto.inject_req)
-    (l : Experiment.loaded) (cells : Matrix.cell list) : Report.t =
-  let totals =
-    List.fold_left
-      (fun acc c -> add_stats acc (Matrix.cache c))
-      Core.Memo.zero_stats cells
-  in
-  inject_report ~app:i.app ~errors:i.errors ~trials:i.trials ~seed:i.seed
-    ~literal:i.literal ~engine:Sim.Interp.Fast ~jobs ~checkpoint_stride:None
-    ~fidelity_units:l.Experiment.built.Apps.App.fidelity_units
-    ~cache:(Option.map (fun d -> (d, totals)) cache_dir)
-    (List.map (fun (c : Matrix.cell) -> (c.cell.policy, Matrix.summary l c)) cells)
-
-(* Trial fan-out for a cell: hand [Memo.run]'s miss batch to the shared
-   executor. The submitter is a cell job on a worker domain, so it
-   helps. *)
-let memo_fanout t exec indices = Core.Executor.map t.ex ~help:true exec indices
-
-let unknown_app name =
-  Printf.sprintf "unknown application %S (known: %s)" name
-    (String.concat ", " Apps.Registry.names)
-
-(* The daemon's one work path: a request's cells over the warm-registry
-   entries it resolved, through [Matrix.collect] on the shared executor
-   with targets prepared in those entries. Cells — each with its missed
-   trials as a nested batch — interleave with any other in-flight
-   request's batches. *)
-let scheduler t =
-  { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
-
-let collect t ~(loaded : (string * entry) list) cells =
-  Matrix.collect (scheduler t)
-    ~prepare:(fun _ (app, mode, policy) ->
-      prepared (List.assoc app loaded) (mode, policy))
-    ~memo_fanout:(memo_fanout t) ~store:t.store
-    ~loaded:(List.map (fun (name, e) -> (name, e.loaded)) loaded)
-    cells
-
-(* The two work verbs differ only in their cell list and renderer: an
-   inject request is [inject_cells] over its one app, a matrix request
-   the spec's cells over its apps, loaded on the executor. A failed cell
-   is a failed response; a matrix reply still ships its full typed
-   report (never a silent partial result), an inject reply, whose table
-   has no failed-cell row, does not. *)
-let dispatch t (req : Proto.request) : outcome =
+(* The daemon's one work path: [Request.run] in an environment whose
+   loads go through the warm registry, whose targets are prepared in
+   the registry entries the request resolved, and whose cells — each
+   with its trials as a nested batch — run on the shared executor,
+   interleaved with any other in-flight request's batches, through the
+   daemon's store. A failed cell or a soundness violation is a failed
+   response that still ships the full typed report (never a silent
+   partial result); an inject request with a failed cell, whose table
+   has no failed-cell row, ships none. *)
+let dispatch t (r : Request.t) : outcome =
   let sp = Obs.span_begin () in
-  let kind =
-    match req with
-    | Proto.Inject _ -> "inject"
-    | Proto.Matrix _ -> "matrix"
-    | Proto.Ping | Proto.Stats | Proto.Shutdown -> "control"
+  (* The registry lookups this request made, each with its found flag;
+     loads run on the executor, several at once for a sweep. *)
+  let m = Mutex.create () and lookups = ref [] in
+  let load ~seed app =
+    let ((e, _) as lookup) = registry_load t app ~seed in
+    Mutex.protect m (fun () -> lookups := lookup :: !lookups);
+    e.loaded
   in
-  let (((_, err), _) as r) =
-    match req with
-    | Proto.Inject i -> (
-      match Apps.Registry.find i.app with
-      | None -> ((None, Some (unknown_app i.app)), [])
-      | Some app -> (
-        let e, found = registry_load t app ~seed:i.seed in
-        let cells = collect t ~loaded:[ (i.app, e) ] (inject_cells i) in
-        match Matrix.cells_failures_message cells with
-        | Some m -> ((None, Some m), [ found ])
-        | None ->
-          let cache_dir = Some t.cfg.cache_dir in
-          ( (Some (inject_of_cells ~jobs:None ~cache_dir i e.loaded cells), None),
-            [ found ] )))
-    | Proto.Matrix s ->
-      let seed = s.Matrix.seed in
-      let lookups = ref [] in
-      let r =
-        Matrix.run_with (scheduler t)
-          ~load:(fun app -> registry_load t app ~seed)
-          ~collect:(fun ~loaded cells ->
-            lookups := List.map (fun (_, (_, found)) -> found) loaded;
-            collect t ~loaded:(List.map (fun (n, (e, _)) -> (n, e)) loaded) cells)
-          s
-      in
-      let meta = Matrix.report_meta ~jobs:None ~cache_dir:t.cfg.cache_dir r in
-      ( ( Some
-            (Report.make ~command:"matrix" ~meta
-               [ Matrix.to_table r; Matrix.anomaly_table r ]),
-          Matrix.failures_message r ),
-        !lookups )
-    | Proto.Ping | Proto.Stats | Proto.Shutdown -> ((None, None), [])
+  let prepare l (_, mode, policy) =
+    let entry (e, _) = e.loaded == l in
+    let e, _ = Mutex.protect m (fun () -> List.find entry !lookups) in
+    prepared e (mode, policy)
   in
+  (* Loads, cells and each cell's trial batch ([Memo.run]'s misses, an
+     audit cell's trials) all go to the shared executor. Submitters are
+     jobs on worker domains, so they help. *)
+  let sched =
+    { Matrix.map = (fun f xs -> Core.Executor.map t.ex ~help:true f xs) }
+  in
+  let env =
+    {
+      Request.jobs = None;
+      sched;
+      load;
+      prepare = Some prepare;
+      fanout = Some sched.map;
+      store = Some t.store;
+    }
+  in
+  let ((_, err) as reply) = Request.run env r in
   Obs.span_end ~name:"serve.request" ~cat:"serve"
     ~args:
-      [ ("kind", kind); ("status", if err = None then "ok" else "failed") ]
+      [
+        ("kind", Request.command r);
+        ("status", if err = None then "ok" else "failed");
+      ]
     sp;
-  r
+  (reply, List.rev_map snd !lookups)
 
 (* --------------------------- coalescing ---------------------------- *)
 
@@ -412,7 +278,7 @@ let on_worker t (f : unit -> 'a) : ('a, exn) result =
    [true] for a waiter, whose access-log line must not claim the
    winner's work. Runs on handler threads — domain-0 obs writes stay
    under [t.m]. *)
-let coalesced_run t ~key (req : Proto.request) : outcome * bool =
+let coalesced_run t ~key (req : Request.t) : outcome * bool =
   let ((_, coalesced) as r) =
     Core.Once.get t.flights key (fun () ->
         Option.iter (fun g -> g key) t.cfg.gate;
@@ -668,55 +534,49 @@ let serve_connection t ~ic ~oc : [ `Closed | `Shutdown ] =
       let wall () = int_of_float (Obs.now_us () -. t0) in
       count "serve.requests";
       let rid, parsed = Proto.request_of_line line in
-      let finish ~kind ~key ~status ~coalesced ~lookups ~logged_report resp
-          cont =
+      (* Observe, log and send one response; false when the send
+         failed (the client went away). *)
+      let finish ~kind ~key ~status ~coalesced ~lookups ~logged_report resp =
         let w = wall () in
         observe_latency kind (float_of_int w);
         log_access t ~rid ~kind ~key ~status ~wall_us:w ~coalesced ~lookups
           ~report:logged_report;
-        if send resp then cont () else `Closed
+        send resp
       in
-      let simple ~kind ?error ?(extra = []) cont =
+      let simple ~kind ?error ?(extra = []) () =
         finish ~kind ~key:None
           ~status:(if error = None then "ok" else "failed")
           ~coalesced:false ~lookups:[] ~logged_report:None
           { Proto.rid; report = None; error; extra }
-          cont
       in
+      let next sent = if sent then loop () else `Closed in
       match parsed with
       | Error msg ->
         count ~fail:true "serve.malformed";
-        simple ~kind:"malformed" ~error:msg loop
+        next (simple ~kind:"malformed" ~error:msg ())
       | Ok Proto.Ping ->
-        simple ~kind:"ping" ~extra:[ ("info", info_json t) ] loop
+        next (simple ~kind:"ping" ~extra:[ ("info", info_json t) ] ())
       | Ok Proto.Stats ->
         (* Answered inline on the handler thread — introspection must
            not queue behind campaign batches on a busy executor. *)
-        simple ~kind:"stats" ~extra:[ ("stats", stats_json t) ] loop
+        next (simple ~kind:"stats" ~extra:[ ("stats", stats_json t) ] ())
       | Ok Proto.Shutdown ->
         (* Stops the daemon even when the response write fails — a
            vanished client must not cancel an acknowledged shutdown. *)
-        let w = wall () in
-        observe_latency "shutdown" (float_of_int w);
-        log_access t ~rid ~kind:"shutdown" ~key:None ~status:"ok" ~wall_us:w
-          ~coalesced:false ~lookups:[] ~report:None;
-        ignore (send { Proto.rid; report = None; error = None; extra = [] });
+        ignore (simple ~kind:"shutdown" ());
         `Shutdown
-      | Ok req ->
-        let key = Proto.group_key req in
-        let kind =
-          match req with Proto.Matrix _ -> "matrix" | _ -> "inject"
-        in
+      | Ok (Proto.Run req) ->
+        let key = Request.key req in
         let ((report, error), lookups), coalesced = coalesced_run t ~key req in
         maybe_gc t;
         if error <> None then count ~fail:true "serve.failed";
-        finish ~kind ~key:(Some key)
-          ~status:(if error = None then "ok" else "failed")
-          ~coalesced
-          ~lookups:(if coalesced then [] else lookups)
-          ~logged_report:(if coalesced then None else report)
-          { Proto.rid; report; error; extra = [] }
-          loop)
+        next
+          (finish ~kind:(Request.command req) ~key:(Some key)
+             ~status:(if error = None then "ok" else "failed")
+             ~coalesced
+             ~lookups:(if coalesced then [] else lookups)
+             ~logged_report:(if coalesced then None else report)
+             { Proto.rid; report; error; extra = [] }))
   in
   loop ()
 

@@ -85,22 +85,20 @@ let to_table ~(mode : Experiment.mode) rows : Report.table =
    [Protect_nothing] is the positive control whose contamination shows
    the taint machinery actually observes faults reaching branches. *)
 
-type audit_row = {
-  audit_app : string;
-  report : Core.Audit.report;
-}
-
 let audit_policies = [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]
 
-let audit_plan ~errors ~trials ~seed ~mode loaded : Matrix.cell_spec list =
+(* The audit's cell list: one audit cell per app and audit policy. An
+   app the registry does not know makes failed cells, as in a sweep. *)
+let audit_plan ~errors ~trials ~seed ~mode (apps : string list) :
+    Matrix.cell_spec list =
   List.concat_map
-    (fun (l : Experiment.loaded) ->
+    (fun app ->
       List.map
         (fun policy ->
           Matrix.make_cell ~kind:Matrix.Audit ~mode ~policy ~errors ~trials
-            ~seed l.Experiment.app.Apps.App.name)
+            ~seed app)
         audit_policies)
-    loaded
+    apps
 
 (* An audit cell's report. A skipped cell (empty injectable pool) ran
    nothing: every trial is fault-free. A failed cell raises. *)
@@ -113,20 +111,21 @@ let audit_report (c : Matrix.cell) : Core.Audit.report =
       ~trials:s.Matrix.trials ~seed:s.Matrix.seed
   | Matrix.Failed m -> failwith (Matrix.cell_label s ^ ": " ^ m)
 
+(* The audit of apps already loaded: its plan, collected cells. *)
 let audit ?(errors = 10) ?(trials = 30) ?(seed = 41) ?jobs
     ~(mode : Experiment.mode) (loaded : Experiment.loaded list) :
-    audit_row list =
-  let plan = audit_plan ~errors ~trials ~seed ~mode loaded in
-  List.map2
-    (fun (c : Matrix.cell_spec) r ->
-      { audit_app = c.Matrix.app; report = audit_report r })
-    plan
-    (Matrix.run_cells ?jobs loaded plan)
+    Matrix.cell list =
+  Matrix.run_cells ?jobs loaded
+    (audit_plan ~errors ~trials ~seed ~mode
+       (List.map (fun (l : Experiment.loaded) -> l.Experiment.app.Apps.App.name)
+          loaded))
 
-let audit_table ~(mode : Experiment.mode) (rows : audit_row list) :
+(* One row per audit cell; a failed cell's row is dashes and the
+   verdict "failed". *)
+let audit_table ~(mode : Experiment.mode) (cells : Matrix.cell list) :
     Report.table =
   let errors, trials =
-    match rows with [] -> (0, 0) | r :: _ -> (r.report.Core.Audit.errors, r.report.Core.Audit.trials)
+    match cells with [] -> (0, 0) | c :: _ -> (c.cell.errors, c.cell.trials)
   in
   Report.table ~id:"audit"
     ~title:
@@ -150,32 +149,44 @@ let audit_table ~(mode : Experiment.mode) (rows : audit_row list) :
         Report.column ~key:"verdict" "verdict";
       ]
     (List.map
-       (fun r ->
-         let rep = r.report in
-         let f = rep.Core.Audit.stats.Core.Stats.flows in
-         [
-           Report.text r.audit_app;
-           Report.text (Core.Policy.to_string rep.Core.Audit.policy);
-           Report.count f.Core.Stats.vanished;
-           Report.count f.Core.Stats.data_only;
-           Report.count f.Core.Stats.reached_memory;
-           Report.count f.Core.Stats.reached_address;
-           Report.count f.Core.Stats.reached_control;
-           Report.count rep.Core.Audit.control_free;
-           Report.count rep.Core.Audit.control_via_memory;
-           Report.text
-             (match rep.Core.Audit.policy with
-              | Core.Policy.Protect_nothing -> "n/a"
-              | _ -> if Core.Audit.sound rep then "sound" else "VIOLATED");
-         ])
-       rows)
+       (fun (c : Matrix.cell) ->
+         let s = c.Matrix.cell in
+         Report.text s.Matrix.app
+         :: Report.text (Core.Policy.to_string s.Matrix.policy)
+         ::
+         (match c.Matrix.status with
+          | Matrix.Failed _ ->
+            List.init 7 (fun _ -> Report.Missing "-") @ [ Report.text "failed" ]
+          | _ ->
+            let rep = audit_report c in
+            let f = rep.Core.Audit.stats.Core.Stats.flows in
+            [
+              Report.count f.Core.Stats.vanished;
+              Report.count f.Core.Stats.data_only;
+              Report.count f.Core.Stats.reached_memory;
+              Report.count f.Core.Stats.reached_address;
+              Report.count f.Core.Stats.reached_control;
+              Report.count rep.Core.Audit.control_free;
+              Report.count rep.Core.Audit.control_via_memory;
+              Report.text
+                (match rep.Core.Audit.policy with
+                 | Core.Policy.Protect_nothing -> "n/a"
+                 | _ -> if Core.Audit.sound rep then "sound" else "VIOLATED");
+            ]))
+       cells)
 
-let audit_violations (rows : audit_row list) =
-  List.filter (fun r -> not (Core.Audit.sound r.report)) rows
+(* The cells that ran and broke the soundness invariant. *)
+let audit_violations (cells : Matrix.cell list) =
+  List.filter
+    (fun (c : Matrix.cell) ->
+      match c.status with
+      | Failed _ -> false
+      | _ -> not (Core.Audit.sound (audit_report c)))
+    cells
 
-let render_audit ~(mode : Experiment.mode) (rows : audit_row list) =
-  let bad = audit_violations rows in
-  Report.to_text (audit_table ~mode rows)
+let render_audit ~(mode : Experiment.mode) (cells : Matrix.cell list) =
+  let bad = audit_violations cells in
+  Report.to_text (audit_table ~mode cells)
   ^ "\n\n"
   ^
   if bad = [] then
@@ -184,7 +195,7 @@ let render_audit ~(mode : Experiment.mode) (rows : audit_row list) =
   else
     String.concat "\n"
       (List.map
-         (fun r ->
-           Printf.sprintf "VIOLATION %s %s" r.audit_app
-             (Core.Audit.describe r.report))
+         (fun (c : Matrix.cell) ->
+           Printf.sprintf "VIOLATION %s %s" c.Matrix.cell.Matrix.app
+             (Core.Audit.describe (audit_report c)))
          bad)

@@ -1,10 +1,11 @@
 (* Textual assembler for the IR, accepting the exact surface syntax
    that [Prog.pp] / [Func.pp] print, so print -> parse is a structural
-   round trip (global initializers are not part of the surface syntax;
-   parsed globals are zero-initialized).
+   round trip. A global without initialiser is zero-filled; one with
+   lists its leading elements (ints, or hex floats for f64 globals).
 
      global img : u8[1024]
-     global acc : i32[4]
+     global acc : i32[4] = 1, -2, 3
+     global w : f64[2] = 0x1.8p+1
 
      func main() -> i32:
        li    $r0, 5
@@ -315,11 +316,25 @@ let parse_program ?(entry = "main") (source : string) : Prog.t =
         match tokens_of_line stripped with
         | "global" :: rest -> begin
           finish ();
-          match rest with
-          | [ name; ":"; tysize ] | [ name; tysize ] ->
-            let ty, size = parse_ty_size ln tysize in
-            globals := Prog.global name ty size :: !globals
-          | _ -> errorf ln "expected: global NAME : TY[SIZE]"
+          let name, tysize, values =
+            match rest with
+            | name :: ":" :: tysize :: tl | name :: tysize :: tl ->
+              (name, tysize, tl)
+            | _ -> errorf ln "expected: global NAME : TY[SIZE] [= V, ...]"
+          in
+          let ty, size = parse_ty_size ln tysize in
+          let data parse vs = Array.of_list (List.map (parse ln) vs) in
+          let init =
+            match values with
+            | [] -> Prog.Zero
+            | "=" :: (_ :: _ as vs) when ty = Ty.F64 ->
+              Prog.Flt_data (data parse_float vs)
+            | "=" :: (_ :: _ as vs) -> Prog.Int_data (data parse_int vs)
+            | _ -> errorf ln "expected: global NAME : TY[SIZE] [= V, ...]"
+          in
+          match Prog.global ~init name ty size with
+          | g -> globals := g :: !globals
+          | exception Prog.Invalid m -> errorf ln "%s" m
         end
         | "func" :: _ ->
           finish ();

@@ -111,9 +111,20 @@ let static_instruction_count t =
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
+  (* Initialisers follow " = ", comma-separated; floats in hex ("%h")
+     so the text reads back bit for bit. *)
+  let init_text = function
+    | Zero -> []
+    | Int_data a -> Array.to_list (Array.map Int32.to_string a)
+    | Flt_data a -> Array.to_list (Array.map (Printf.sprintf "%h") a)
+  in
   List.iter
     (fun g ->
-      Format.fprintf fmt "global %s : %a[%d]@," g.gname Ty.pp g.gty g.size)
+      Format.fprintf fmt "global %s : %a[%d]" g.gname Ty.pp g.gty g.size;
+      (match init_text g.init with
+       | [] -> ()
+       | xs -> Format.fprintf fmt " = %s" (String.concat ", " xs));
+      Format.fprintf fmt "@,")
     t.globals;
   List.iter (fun f -> Format.fprintf fmt "@,%a" Func.pp f) (funcs t);
   Format.fprintf fmt "@]"

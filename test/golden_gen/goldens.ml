@@ -117,29 +117,43 @@ let susan_metrics () =
    without a result store. adpcm's Full/protect-control pool is empty,
    so the file also covers a campaign with nothing to inject into. *)
 let inject_quick () =
-  let errors = 3 and trials = 4 and seed = 1 in
+  let at = { Harness.Request.defaults with errors = 3; trials = 4 } in
   String.concat "\n"
     (List.concat_map
-       (fun name ->
-         let l =
-           Harness.Experiment.load ~seed (Option.get (Apps.Registry.find name))
-         in
+       (fun app ->
          List.map
            (fun literal ->
-             let req =
-               { Harness.Proto.app = name; errors; trials; seed; literal }
-             in
-             let cells =
-               Harness.Matrix.run_cells ~jobs:1 [ l ]
-                 (Harness.Serve.inject_cells req)
-             in
              let r =
-               Harness.Serve.inject_of_cells ~jobs:None ~cache_dir:None req l
-                 cells
+               Harness.Request.Inject { app; at = { at with literal } }
              in
-             String.concat "\n" (List.map table r.Report.tables))
+             match Harness.Request.run (Harness.Request.local ~jobs:1 ()) r with
+             | Some rep, None -> String.concat "\n" (List.map table rep.Report.tables)
+             | _ -> failwith "inject quick: request failed")
            [ false; true ])
        [ "adpcm"; "gsm" ])
+
+(* The text the campaign runner writes without a store — what `etap`
+   prints for `inject gsm`, `inject adpcm -e 500` (its empty
+   protect-control pool adds the pool note), `audit gsm` and
+   `profile susan --top 5`, one after the other. *)
+let cli_quick () =
+  let d = Harness.Request.defaults in
+  let buf = Buffer.create 4096 in
+  let say line =
+    Buffer.add_string buf line;
+    Buffer.add_char buf '\n'
+  in
+  List.iter
+    (fun r -> ignore (Harness.Request.run (Harness.Request.local ()) ~say r))
+    Harness.Request.
+      [
+        Inject { app = "gsm"; at = d };
+        Inject { app = "adpcm"; at = { d with errors = 500 } };
+        Audit { app = Some "gsm"; at = d };
+        Profile { app = "susan"; at = d; top = Some 5 };
+      ];
+  (* gen.exe adds the one trailing newline back *)
+  Buffer.sub buf 0 (Buffer.length buf - 1)
 
 (* (test case name, file under test/golden/, content). *)
 let all : (string * string * (unit -> string)) list =
@@ -190,4 +204,5 @@ let all : (string * string * (unit -> string)) list =
           (Harness.Ablation.address_table
              (Harness.Ablation.address ~trials:4 ~jobs:1 (loaded ()))) );
     ("inject quick", "inject_quick.txt", inject_quick);
+    ("cli quick", "cli_quick.txt", cli_quick);
   ]

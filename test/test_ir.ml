@@ -350,7 +350,9 @@ let exercise_all_instrs () =
 
 (* The hand-built program (with a void function of no parameters,
    printed "func tick():") and every app's program print, parse and
-   print again to the same text. *)
+   print again to the same text. Each reparsed app has the source
+   program's globals, initialisers included, and its fault-free run
+   matches the source program's. *)
 let test_asm_roundtrip () =
   let f = exercise_all_instrs () in
   let tick = Func.make ~name:"tick" ~params:[] ~ret:None [ Instr.Ret None ] in
@@ -359,13 +361,40 @@ let test_asm_roundtrip () =
     let reparsed = Ir.Asm.parse_program ~entry:prog.Prog.entry printed in
     let reprinted = Format.asprintf "%a" Prog.pp reparsed in
     Alcotest.(check string) (name ^ " print/parse/print fixpoint") printed
-      reprinted
+      reprinted;
+    Alcotest.(check bool) (name ^ " globals with initialisers") true
+      (compare reparsed.Prog.globals prog.Prog.globals = 0);
+    reparsed
   in
-  fixpoint "exercise"
-    (Prog.make ~globals:[ Prog.global "g" Ty.I32 4 ] [ f; tick ]);
+  let run prog =
+    let code = Sim.Code.of_prog prog in
+    let r = Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code in
+    ( r.Sim.Interp.dyn_count,
+      (match r.Sim.Interp.outcome with
+       | Sim.Interp.Done (Some v) -> Sim.Value.to_string v
+       | _ -> "-"),
+      Sim.Memory.digest r.Sim.Interp.memory )
+  in
+  ignore
+    (fixpoint "exercise"
+       (Prog.make
+          ~globals:
+            [
+              Prog.global "g" Ty.I32 4;
+              Prog.global ~init:(Prog.Int_data [| 7l; -3l |]) "h" Ty.I32 3;
+              Prog.global ~init:(Prog.Flt_data [| 0.1; -1e300; 5e-324 |]) "w"
+                Ty.F64 3;
+            ]
+          [ f; tick ]));
   List.iter
     (fun (app : Apps.App.t) ->
-      fixpoint app.Apps.App.name (app.Apps.App.build ~seed:1).Apps.App.prog)
+      let name = app.Apps.App.name in
+      let prog = (app.Apps.App.build ~seed:1).Apps.App.prog in
+      let n, ret, digest = run (fixpoint name prog) in
+      let n', ret', digest' = run prog in
+      Alcotest.(check int) (name ^ " dyn count") n' n;
+      Alcotest.(check string) (name ^ " return value") ret' ret;
+      Alcotest.(check string) (name ^ " memory digest") digest' digest)
     Apps.Registry.all
 
 let test_asm_errors () =
@@ -377,6 +406,9 @@ let test_asm_errors () =
   expect_err "func main() -> i32:\n  bogus $r0\n  ret $r0";
   expect_err "li $r0, 1";  (* instruction outside a function *)
   expect_err "global g : i32[0]\nfunc main():\n  ret";
+  expect_err "global g : i32[2] = 1, x\nfunc main():\n  ret";
+  expect_err "global g : u8[1] = 300\nfunc main():\n  ret";
+  expect_err "global g : i32[1] = 1, 2\nfunc main():\n  ret";
   expect_err "func main() -> i32:\n  li $rX, 1\n  ret $r0"
 
 (* ------------------------------------------------------------------ *)

@@ -332,7 +332,7 @@ let test_runner_differential () =
         (fun (c : Harness.Matrix.cell_spec) -> c.Harness.Matrix.errors <= 20)
         (Harness.Figures.plan ~trials (Harness.Figures.by_id "fig3"))
     @ Harness.Taxonomy.audit_plan ~errors:2 ~trials ~seed:41
-        ~mode:Harness.Experiment.Full loaded
+        ~mode:Harness.Experiment.Full [ "mcf"; "adpcm" ]
     @ [
         Harness.Matrix.make_cell ~mode:Harness.Experiment.Full
           ~policy:Core.Policy.Protect_control ~errors:2 ~trials ~seed:5

@@ -138,15 +138,45 @@ let test_proto_requests () =
     Harness.Proto.request_of_line {|{"id":7,"cmd":"inject","app":"gsm"}|}
   in
   Alcotest.(check bool) "id echoed" true (id = Report.Json.Int 7);
+  (* Optional fields fall back to the CLI flag defaults, which are
+     [Request.defaults]: -e 10 -t 20 --seed 1, no --literal. *)
+  let cli_defaults (at : Harness.Request.campaign) =
+    Alcotest.(check int) "default errors" 10 at.Harness.Request.errors;
+    Alcotest.(check int) "default trials" 20 at.Harness.Request.trials;
+    Alcotest.(check int) "default seed" 1 at.Harness.Request.seed;
+    Alcotest.(check bool) "default literal" false at.Harness.Request.literal;
+    Alcotest.(check bool) "= Request.defaults" true
+      (at = Harness.Request.defaults)
+  in
   (match req with
-   | Ok (Harness.Proto.Inject i) ->
-     (* Optional fields fall back to the CLI flag defaults. *)
-     Alcotest.(check string) "app" "gsm" i.Harness.Proto.app;
-     Alcotest.(check int) "default errors" 10 i.Harness.Proto.errors;
-     Alcotest.(check int) "default trials" 20 i.Harness.Proto.trials;
-     Alcotest.(check int) "default seed" 1 i.Harness.Proto.seed;
-     Alcotest.(check bool) "default literal" false i.Harness.Proto.literal
+   | Ok (Harness.Proto.Run (Harness.Request.Inject { app; at })) ->
+     Alcotest.(check string) "app" "gsm" app;
+     cli_defaults at
    | _ -> Alcotest.fail "expected an inject request");
+  (match Harness.Proto.request_of_line {|{"id":5,"cmd":"audit"}|} with
+   | _, Ok (Harness.Proto.Run (Harness.Request.Audit { app; at })) ->
+     Alcotest.(check (option string)) "no app: every app" None app;
+     cli_defaults at
+   | _ -> Alcotest.fail "expected an audit request");
+  (match
+     Harness.Proto.request_of_line
+       {|{"id":6,"cmd":"audit","app":"gsm","errors":2,"trials":5,"literal":true}|}
+   with
+   | _, Ok (Harness.Proto.Run (Harness.Request.Audit { app; at })) ->
+     Alcotest.(check (option string)) "audit app" (Some "gsm") app;
+     Alcotest.(check bool) "audit fields read" true
+       (at = { Harness.Request.errors = 2; trials = 5; seed = 1; literal = true })
+   | _ -> Alcotest.fail "expected an audit request");
+  (match
+     Harness.Proto.request_of_line {|{"id":8,"cmd":"audit","trials":0}|}
+   with
+   | Report.Json.Int 8, Error e ->
+     Alcotest.(check bool) "audit trials range" true
+       (contains e "trials must be >= 1")
+   | _ -> Alcotest.fail "audit with 0 trials should fail");
+  (match Harness.Proto.request_of_line {|{"id":9,"cmd":"profile","app":"gsm"}|} with
+   | Report.Json.Int 9, Error _ -> ()
+   | _ -> Alcotest.fail "profile is not served");
   (match Harness.Proto.request_of_line {|{"id":2,"cmd":"ping"}|} with
    | _, Ok Harness.Proto.Ping -> ()
    | _ -> Alcotest.fail "expected ping");
@@ -154,7 +184,7 @@ let test_proto_requests () =
      Harness.Proto.request_of_line
        {|{"id":3,"cmd":"matrix","spec":{"apps":["gsm"],"errors":[1,2]}}|}
    with
-   | _, Ok (Harness.Proto.Matrix s) ->
+   | _, Ok (Harness.Proto.Run (Harness.Request.Matrix s)) ->
      Alcotest.(check (list string)) "spec apps" [ "gsm" ] s.Harness.Matrix.apps;
      Alcotest.(check (list int)) "spec errors" [ 1; 2 ] s.Harness.Matrix.errors
    | _ -> Alcotest.fail "expected a matrix request");
@@ -169,7 +199,11 @@ let test_proto_requests () =
 
 let test_proto_group_key () =
   let parse l = snd (Harness.Proto.request_of_line l) |> Result.get_ok in
-  let k l = Harness.Proto.group_key (parse l) in
+  let k l =
+    match parse l with
+    | Harness.Proto.Run r -> Harness.Request.key r
+    | _ -> Alcotest.fail "expected a work request"
+  in
   (* Ids and field order are not part of a request's identity. *)
   Alcotest.(check string) "id not in key"
     (k {|{"id":1,"cmd":"inject","app":"gsm","errors":3}|})
@@ -209,11 +243,10 @@ let test_proto_responses () =
    request's coordinates; cells over an app that did not load fail,
    and the failure message names each of them. *)
 let test_inject_cells () =
-  let req =
-    { Harness.Proto.app = "gsm"; errors = 3; trials = 7; seed = 5;
-      literal = true }
+  let cells =
+    Harness.Request.inject_cells ~app:"gsm"
+      { Harness.Request.errors = 3; trials = 7; seed = 5; literal = true }
   in
-  let cells = Harness.Serve.inject_cells req in
   Alcotest.(check (list string)) "one cell per policy"
     [ "gsm/literal/protect-control e=3 t=7";
       "gsm/literal/protect-nothing e=3 t=7" ]
@@ -315,6 +348,59 @@ let test_matrix_bit_identity () =
   in
   Alcotest.(check string) "matrix tables bit-identical to the standalone sweep"
     direct_tables (tables_of served)
+
+(* A served audit against [Taxonomy.audit] over a fresh load: the
+   same cells, the campaign seed at seed + 100, no daemon. gsm, and
+   adpcm, whose Full/protect-control pool is empty (a skipped cell). *)
+let test_audit_bit_identity () =
+  let errors = 2 and trials = 5 and seed = 1 in
+  List.iter
+    (fun app ->
+      let served =
+        with_serve @@ fun t ->
+        reply_exn
+          (List.hd
+             (exchange t
+                [
+                  Printf.sprintf
+                    {|{"id":1,"cmd":"audit","app":"%s","errors":%d,"trials":%d}|}
+                    app errors trials;
+                ]))
+      in
+      Alcotest.(check bool) (app ^ " served ok") true served.Harness.Proto.ok;
+      let mode = Harness.Experiment.Full in
+      let direct =
+        Harness.Taxonomy.audit ~errors ~trials ~seed:(seed + 100) ~jobs:2
+          ~mode
+          [ Harness.Experiment.load ~seed (Option.get (Apps.Registry.find app)) ]
+      in
+      Alcotest.(check string)
+        (app ^ " audit tables = Taxonomy.audit_table")
+        (Report.Json.to_compact_string
+           (Report.Json.Arr
+              [ Report.table_json (Harness.Taxonomy.audit_table ~mode direct) ]))
+        (tables_of served))
+    [ "gsm"; "adpcm" ]
+
+(* An audit cell that fails (here: an app the registry does not know)
+   is a failed reply that still carries its report, as a matrix reply
+   does; the cell's row reads "failed". *)
+let test_audit_failed_cell () =
+  with_serve @@ fun t ->
+  let r =
+    reply_exn
+      (List.hd
+         (exchange t [ {|{"id":1,"cmd":"audit","app":"nope","errors":1,"trials":2}|} ]))
+  in
+  Alcotest.(check bool) "failed status" false r.Harness.Proto.ok;
+  Alcotest.(check bool) "error names the cells" true
+    (match r.Harness.Proto.error with
+     | Some e -> contains e "2 matrix cell(s) failed" && contains e {|"nope"|}
+     | None -> false);
+  Alcotest.(check bool) "report carried" true
+    (contains (tables_of r) {|"verdict":"failed"|});
+  Alcotest.(check int) "daemon-side failure count" 1
+    (Harness.Serve.failed_requests t)
 
 (* --------------------------- warm state ---------------------------- *)
 
@@ -788,6 +874,10 @@ let () =
             test_inject_bit_identity;
           Alcotest.test_case "served matrix = standalone sweep" `Quick
             test_matrix_bit_identity;
+          Alcotest.test_case "served audit = standalone audit" `Quick
+            test_audit_bit_identity;
+          Alcotest.test_case "a failed audit cell still ships its report"
+            `Quick test_audit_failed_cell;
         ] );
       ( "warm state",
         [
