@@ -52,6 +52,28 @@ let count check =
 let trials_count = count Harness.Matrix.check_trials
 let errors_count = count Harness.Matrix.check_errors
 
+(* The cache bounds of `cache gc` and `serve`: a negative size or age
+   (or a NaN age) would evict every entry, so it is a usage error. *)
+let bytes_bound = count (Harness.Matrix.at_least "bytes" 0)
+
+let days_bound =
+  let parse s =
+    match float_of_string_opt s with
+    | None -> Error (Printf.sprintf "%S is not a number" s)
+    | Some d when d >= 0.0 -> Ok d
+    | Some d -> Error (Printf.sprintf "days must be >= 0, got %g" d)
+  in
+  Arg.conv' ~docv:"D" (parse, Format.pp_print_float)
+
+(* A run that failed — a failed cell, a soundness violation, a request
+   answered "failed" — prints its error and exits 123
+   ([Cmd.Exit.some_error]); cmdliner's usage errors exit 124. *)
+let exit_if_failed = function
+  | None -> ()
+  | Some m ->
+    Printf.eprintf "etap: %s\n%!" m;
+    exit Cmd.Exit.some_error
+
 let trials_arg =
   let doc = "Trials per campaign cell (at least 1)." in
   Arg.(
@@ -249,55 +271,15 @@ let sections_cmd =
       & info [ "policy" ] ~docv:"POLICY" ~doc)
   in
   let action (app : Apps.App.t) seed literal policy json =
-    let name = app.Apps.App.name and b = app.Apps.App.build ~seed in
-    let prog = b.Apps.App.prog in
-    let tagging =
-      Core.Tagging.compute ~protect_addresses:(not literal) prog
-    in
-    let tags = Core.Tagging.mask tagging policy in
-    let sections = Analysis.Section.compute ~tags prog in
-    let short h = String.sub h 0 12 in
     let meta =
       [
-        ("app", Report.Json.Str name);
+        ("app", Report.Json.Str app.Apps.App.name);
         ("seed", Report.Json.Int seed);
         ("literal", Report.Json.Bool literal);
         ("policy", Report.Json.Str (Core.Policy.to_string policy));
       ]
     in
-    let table =
-      Report.table ~id:"sections"
-        ~title:
-          (Printf.sprintf "Section partition: %s (%s)" name
-             (Core.Policy.to_string policy))
-        ~columns:
-          [
-            Report.column ~key:"section" "section";
-            Report.column ~key:"static_slots" "static";
-            Report.column ~key:"tagged_slots" "tagged";
-            Report.column ~key:"callees" "callees";
-            Report.column ~key:"local_hash" "local hash";
-            Report.column ~key:"section_hash" "section hash";
-          ]
-        (Array.to_list
-           (Array.map
-              (fun (i : Analysis.Section.info) ->
-                [
-                  Report.text
-                    (if i.Analysis.Section.fid
-                        = (Analysis.Section.entry sections)
-                            .Analysis.Section.fid
-                     then i.Analysis.Section.name ^ " (entry)"
-                     else i.Analysis.Section.name);
-                  Report.int i.Analysis.Section.static_slots;
-                  Report.int i.Analysis.Section.tagged_slots;
-                  Report.text
-                    (String.concat "," i.Analysis.Section.callees);
-                  Report.text (short i.Analysis.Section.local_hash);
-                  Report.text (short i.Analysis.Section.section_hash);
-                ])
-              sections.Analysis.Section.infos))
-    in
+    let table = Harness.Sections.table app ~seed ~literal ~policy in
     emit ?json ~command:"sections" ~meta [ table ]
   in
   Cmd.v
@@ -418,9 +400,9 @@ let compile_cmd =
 (* A campaign command's term: its [request] (with the result store's
    root, for the commands that go through one) and the flags every
    campaign command shares, run by one shared call. It refuses an
-   unknown app before anything runs, then runs [Request.run] under one
-   obs scope — text to stdout, the report to [--json], a typed error to
-   a non-zero exit. *)
+   unknown app (a usage error) before anything runs, then runs
+   [Request.run] under one obs scope — text to stdout, the report to
+   [--json], a typed error to exit 123. *)
 let campaign request =
   let run (cache, r) jobs json trace metrics =
     match Harness.Request.unknown r with
@@ -428,13 +410,13 @@ let campaign request =
     | None -> (
       let store = Option.map Core.Memo.Store.open_ cache in
       let env = Harness.Request.local ?jobs ?store () in
-      with_obs ~trace ~metrics ~command:(Harness.Request.command r)
-        ~meta:(Harness.Request.meta env r)
-      @@ fun () ->
-      let say = say "%s" and emit = write_json json in
-      match Harness.Request.run env ~say ~emit r with
-      | _, None -> Ok ()
-      | _, Some m -> Error m)
+      exit_if_failed
+        ( with_obs ~trace ~metrics ~command:(Harness.Request.command r)
+            ~meta:(Harness.Request.meta env r)
+        @@ fun () ->
+          let say = say "%s" and emit = write_json json in
+          snd (Harness.Request.run env ~say ~emit r) );
+      Ok ())
   in
   Term.(
     term_result'
@@ -534,7 +516,7 @@ let matrix_cmd =
        ~doc:
          "Sweep apps x policies x error counts through the result cache: \
           every cell gets a typed status (ok/skipped/failed), anomalies \
-          are clustered and ranked, and any failed cell exits non-zero")
+          are clustered and ranked, and any failed cell exits 123")
     (campaign
        Term.(
          term_result'
@@ -554,7 +536,7 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:
          "Dynamic taint audit: classify where injected faults flow and \
-          verify the tagging soundness invariant (exit non-zero on \
+          verify the tagging soundness invariant (exit 123 on \
           violation)")
     (campaign Term.(const request $ app_opt_arg $ coords_arg))
 
@@ -638,7 +620,7 @@ let serve_cmd =
     let doc =
       "Client mode: connect to a daemon at $(docv), forward request \
        lines from stdin, print each response line to stdout. Exits \
-       non-zero if any response has status $(b,failed)."
+       123 if any response has status $(b,failed)."
     in
     Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"PATH" ~doc)
   in
@@ -648,7 +630,9 @@ let serve_cmd =
        the store fits under $(docv) bytes."
     in
     Arg.(
-      value & opt (some int) None & info [ "gc-max-bytes" ] ~docv:"N" ~doc)
+      value
+      & opt (some bytes_bound) None
+      & info [ "gc-max-bytes" ] ~docv:"N" ~doc)
   in
   let gc_days_arg =
     let doc =
@@ -657,7 +641,7 @@ let serve_cmd =
     in
     Arg.(
       value
-      & opt (some float) None
+      & opt (some days_bound) None
       & info [ "gc-max-age-days" ] ~docv:"D" ~doc)
   in
   let access_log_arg =
@@ -697,18 +681,20 @@ let serve_cmd =
           | Some d -> Report.Json.Float d );
       ]
     in
-    (* The daemon under one obs scope; a non-zero exit when any request
-       was answered with status failed. *)
+    (* The daemon under one obs scope; exit 123 when any request was
+       answered with status failed. *)
     let daemon transport run =
-      with_obs ~trace ~metrics ~command:"serve" ~meta:(meta transport)
-      @@ fun () ->
-      let t = Harness.Serve.create ~config () in
-      run t;
-      match Harness.Serve.failed_requests t with
-      | 0 -> Ok ()
-      | n ->
-        Error
-          (`Msg (Printf.sprintf "%d request(s) answered with status failed" n))
+      exit_if_failed
+        ( with_obs ~trace ~metrics ~command:"serve" ~meta:(meta transport)
+        @@ fun () ->
+          let t = Harness.Serve.create ~config () in
+          run t;
+          match Harness.Serve.failed_requests t with
+          | 0 -> None
+          | n ->
+            Some (Printf.sprintf "%d request(s) answered with status failed" n)
+        );
+      Ok ()
     in
     match (connect, socket, stdio) with
     | Some path, None, false ->
@@ -732,9 +718,9 @@ let serve_cmd =
          done
        with End_of_file | Sys_error _ -> ());
       (try close_out oc with Sys_error _ -> ());
-      if !failed = 0 then Ok ()
-      else
-        Error (`Msg (Printf.sprintf "%d request(s) failed" !failed))
+      if !failed > 0 then
+        exit_if_failed (Some (Printf.sprintf "%d request(s) failed" !failed));
+      Ok ()
     | None, Some path, false ->
       daemon "socket" (fun t ->
           say "etap serve: listening on %s (cache: %s)" path cache_dir;
@@ -751,8 +737,8 @@ let serve_cmd =
          "Long-running campaign daemon: answers line-delimited \
           etap-serve/1 inject, matrix and audit requests with the CLI's \
           etap-report/1 documents, keeping loaded apps, compiled \
-          engines, prepared targets and section partitions warm across \
-          requests, coalescing identical in-flight requests, and \
+          engines and prepared targets warm across requests, \
+          coalescing identical in-flight requests, and \
           scheduling all work through one shared worker pool")
     Term.(
       term_result
@@ -831,12 +817,15 @@ let cache_cmd =
       "Evict least-recently-used entries until the store fits under \
        $(docv) bytes."
     in
-    Arg.(value & opt (some int) None & info [ "max-bytes" ] ~docv:"N" ~doc)
+    Arg.(
+      value & opt (some bytes_bound) None & info [ "max-bytes" ] ~docv:"N" ~doc)
   in
   let max_age_arg =
     let doc = "Evict entries not used for more than $(docv) days." in
     Arg.(
-      value & opt (some float) None & info [ "max-age-days" ] ~docv:"D" ~doc)
+      value
+      & opt (some days_bound) None
+      & info [ "max-age-days" ] ~docv:"D" ~doc)
   in
   let gc_action cache_dir max_bytes max_age_days json =
     let store = Core.Memo.Store.open_ cache_dir in

@@ -49,15 +49,23 @@ let info t ~fid = t.infos.(fid)
 let find t name = Option.map (fun fid -> t.infos.(fid)) (Hashtbl.find_opt t.by_name name)
 let entry t = t.infos.(t.entry_fid)
 
-(* Canonical body serialization. [callee_ref] maps a callee name to its
-   representation in this round ("@" for the local hash, the callee's
-   previous-round hash for composition). Every instruction lands on its
-   own line so the per-slot tag bit can ride along; [Label] keeps its
-   slot (as a bare position marker) to preserve index alignment with
-   the tag mask. *)
-let canon_func ~global_addr ~(tag_row : bool array) ~callee_ref
-    (f : Ir.Func.t) : string =
+(* Canonical body serialization, with a hole wherever a callee is
+   named: literal text alternates with callee names, in body order, so
+   one serialization serves every hash — [hash] fills the holes ("@"
+   for the local hash, the callee's previous-round hash for
+   composition). Every instruction lands on its own line so the
+   per-slot tag bit can ride along; [Label] keeps its slot (as a bare
+   position marker) to preserve index alignment with the tag mask. *)
+type piece = Text of string | Callee of string
+
+let canon_func ~global_addr ~(tag_row : bool array) (f : Ir.Func.t) :
+    piece list =
   let b = Buffer.create 2048 in
+  let pieces = ref [] in
+  let cut () =
+    pieces := Text (Buffer.contents b) :: !pieces;
+    Buffer.clear b
+  in
   let adds = Buffer.add_string b in
   let reg r = Ir.Reg.to_string r in
   let lbl l = "#" ^ string_of_int (Ir.Func.label_index f l) in
@@ -126,7 +134,8 @@ let canon_func ~global_addr ~(tag_row : bool array) ~callee_ref
        | Ir.Instr.Jmp l -> adds ("jmp " ^ lbl l)
        | Ir.Instr.Call { dst; func; args } ->
          adds "call ";
-         adds (callee_ref func);
+         cut ();
+         pieces := Callee func :: !pieces;
          (match dst with None -> adds " _" | Some d -> adds (" " ^ reg d));
          List.iter (fun a -> adds (" " ^ reg a)) args
        | Ir.Instr.Ret None -> adds "ret"
@@ -135,9 +144,13 @@ let canon_func ~global_addr ~(tag_row : bool array) ~callee_ref
        | Ir.Instr.Nop -> adds "nop");
       if Array.length tag_row > 0 && tag_row.(idx) then adds " !")
     f.Ir.Func.body;
-  Buffer.contents b
+  cut ();
+  List.rev !pieces
 
-let md5 s = Digest.to_hex (Digest.string s)
+(* MD5 of a body's text with each callee hole filled by [ref]. *)
+let hash pieces ref =
+  let fill = function Text s -> s | Callee name -> ref name in
+  Digest.to_hex (Digest.string (String.concat "" (List.map fill pieces)))
 
 let compute ?tags (prog : Ir.Prog.t) : t =
   let funcs = Array.of_list (Ir.Prog.funcs prog) in
@@ -153,41 +166,42 @@ let compute ?tags (prog : Ir.Prog.t) : t =
     | Some t when fid < Array.length t -> t.(fid)
     | Some _ -> [||]
   in
-  let hash ~callee_ref fid =
-    md5
-      (canon_func ~global_addr ~tag_row:(tag_row fid) ~callee_ref funcs.(fid))
+  let canons =
+    Array.mapi
+      (fun fid f -> canon_func ~global_addr ~tag_row:(tag_row fid) f)
+      funcs
   in
-  let local = Array.init n (fun fid -> hash ~callee_ref:(fun _ -> "@") fid) in
-  (* Composed hashes: iterate callee substitution [n] rounds. Round k
-     propagates an edit to callers at call-graph distance k, so [n]
-     rounds cover the longest acyclic call chain; recursive cycles
-     reach a stable (mutually dependent) encoding the same way. The
-     result depends only on per-name content, never on declaration
-     order or on the names themselves. *)
-  let cur = ref local in
-  for _round = 1 to n do
-    let prev = !cur in
-    let callee_ref name =
-      match Hashtbl.find_opt by_name name with
-      | Some fid -> prev.(fid)
-      | None -> "?extern"
-    in
-    cur := Array.init n (fun fid -> hash ~callee_ref fid)
-  done;
-  let composed = !cur in
+  let local = Array.map (fun c -> hash c (fun _ -> "@")) canons in
+  (* Composed hashes: iterate callee substitution for at most [n]
+     rounds. Round k propagates an edit to callers at call-graph
+     distance k, so [n] rounds cover the longest acyclic call chain;
+     recursive cycles reach a stable (mutually dependent) encoding the
+     same way. A round depends only on the previous one, so once a
+     round reproduces its predecessor every later round would too, and
+     composition stops there with the [n]-round hashes. The result
+     depends only on per-name content, never on declaration order or
+     on the names themselves. *)
+  let rec compose round prev =
+    if round = n then prev
+    else
+      let callee_ref name =
+        match Hashtbl.find_opt by_name name with
+        | Some fid -> prev.(fid)
+        | None -> "?extern"
+      in
+      let next = Array.map (fun c -> hash c callee_ref) canons in
+      if next = prev then next else compose (round + 1) next
+  in
+  let composed = compose 0 local in
   let infos =
     Array.init n (fun fid ->
         let f = funcs.(fid) in
         let callees =
-          let seen = Hashtbl.create 8 in
-          Array.fold_left
-            (fun acc (i : Ir.Instr.t) ->
-              match i with
-              | Ir.Instr.Call { func; _ } when not (Hashtbl.mem seen func) ->
-                Hashtbl.replace seen func ();
-                func :: acc
+          List.fold_left
+            (fun acc -> function
+              | Callee c when not (List.mem c acc) -> c :: acc
               | _ -> acc)
-            [] f.Ir.Func.body
+            [] canons.(fid)
           |> List.rev
         in
         let row = tag_row fid in

@@ -27,6 +27,12 @@
    monolithic ones whenever every group is either clean-by-key or
    re-run (see DESIGN.md §15 for the exactness envelope).
 
+   A partition ([sections_of]) serializes each function body once and
+   costs well under a millisecond per target, so no caller keeps one
+   beyond a batch: the matrix runner computes it once per prepared
+   target per collect and hands it to every cell on that target
+   ([run ?sections]); a one-shot [run] computes its own.
+
    Everything here is deterministic: group membership, keys and record
    assembly depend only on (prepared, errors, trials, seed, salt,
    scorer presence), never on jobs, wall-clock or cache state. *)

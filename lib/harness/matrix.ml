@@ -249,26 +249,17 @@ let record_counters (cells : cell list) =
     cells
 
 (* The collect path every run ends in. [loaded] holds the resolved
-   apps; an unknown name is absent and its cells fail. [prepare] builds
-   a target's prepared state (default: the app's own memo, plus the
-   section partition when [store] is given). Empty-pool targets (e.g.
-   protect-all, or adpcm under protect-control) skip the checkpointing
-   pass and engine compilation entirely; their cells report [Skipped].
+   apps; an unknown name is absent and its cells fail. Each distinct
+   target is prepared once, in its app's own table, and with a [store]
+   its section partition is computed once per collect and shared by
+   the target's cells. Empty-pool targets (e.g. protect-all, or adpcm
+   under protect-control) skip the checkpointing pass and engine
+   compilation entirely; their cells report [Skipped].
    Concurrent cells share [store]; overlapping keys are safe (atomic
    publish, last rename wins, identical content either way). *)
-let collect ?jobs ?prepare ?store
-    ~(loaded : (string * Experiment.loaded) list) (cells : cell_spec list) :
-    cell list =
+let collect ?jobs ?store ~(loaded : (string * Experiment.loaded) list)
+    (cells : cell_spec list) : cell list =
   let sp = Obs.span_begin () in
-  let prepare =
-    match prepare with
-    | Some f -> f
-    | None ->
-      fun (l : Experiment.loaded) (_, mode, policy) ->
-        let p = l.Experiment.prepared mode policy in
-        let sections = Option.map (fun _ -> Core.Memo.sections_of p) store in
-        (p, sections)
-  in
   let key (c : cell_spec) = (c.app, c.mode, c.policy) in
   let targets =
     dedup
@@ -281,7 +272,11 @@ let collect ?jobs ?prepare ?store
       (fun ((app, mode, policy) as k) ->
         let l = List.assoc app loaded in
         let pool = pool_of l mode policy in
-        (k, if pool = 0 then (0, None) else (pool, Some (prepare l k))))
+        if pool = 0 then (k, (0, None))
+        else
+          let p = l.Experiment.prepared mode policy in
+          let sections = Option.map (fun _ -> Core.Memo.sections_of p) store in
+          (k, (pool, Some (p, sections))))
       targets
   in
   let lookup name = List.assoc_opt name loaded in

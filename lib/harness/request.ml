@@ -7,8 +7,8 @@
    each part is ready, hands the finished etap-report/1 document to
    [emit], and returns that document and the request's typed error.
    The CLI and the daemon differ only in the [env] they run it in: how
-   work fans out, how an app is loaded and prepared, and which result
-   store (if any) campaign cells go through (DESIGN.md §16, §17). *)
+   work fans out, how an app is loaded, and which result store (if
+   any) campaign cells go through (DESIGN.md §16, §17). *)
 
 module J = Report.Json
 
@@ -111,10 +111,7 @@ type env = {
       (* every fan-out's [Core.Pool] limit — loads, cells and trials —
          and the report's "jobs" meta *)
   load : seed:int -> Apps.App.t -> Experiment.loaded;
-  prepare :
-    (Experiment.loaded -> string * Experiment.mode * Core.Policy.t ->
-     Core.Campaign.prepared * Analysis.Section.t option) option;
-      (* default: the loaded app's own prepared table *)
+      (* its result's own table prepares each target once *)
   store : Core.Memo.Store.t option;
       (* the result cache campaign cells go through; its root is the
          reports' "cache_dir" *)
@@ -122,16 +119,10 @@ type env = {
 
 (* A one-shot run: [Core.Pool] at [jobs], apps loaded afresh. *)
 let local ?jobs ?store () =
-  {
-    jobs;
-    load = (fun ~seed -> Experiment.load ~seed);
-    prepare = None;
-    store;
-  }
+  { jobs; load = (fun ~seed -> Experiment.load ~seed); store }
 
 let collect env ~loaded cells =
-  Matrix.collect ?jobs:env.jobs ?prepare:env.prepare ?store:env.store
-    ~loaded cells
+  Matrix.collect ?jobs:env.jobs ?store:env.store ~loaded cells
 
 let cache_dir env = Option.map Core.Memo.Store.root env.store
 

@@ -14,13 +14,15 @@
    Three layers:
 
    - {b Warm registry} — one entry per (app, seed): the loaded app
-     and its table of prepared targets with their section partitions.
-     Both are [Core.Once] tables, so each key builds once, outside the
-     table lock, and a cold key never delays another key's lookup. The
-     registry keeps the [registry_capacity] most recently used entries,
-     prepared targets with them. Every campaign still routes through
-     [Core.Memo], so results persist across daemon restarts and
-     evictions.
+     ([Experiment.loaded]), whose own table keeps its prepared targets.
+     The registry is a [Core.Once] table, so each key builds once,
+     outside the table lock, and a cold key never delays another key's
+     lookup. It keeps the [registry_capacity] most recently used
+     entries, prepared targets with them. A request computes the
+     section partitions of the targets it runs (well under a
+     millisecond each) instead of keeping them. Every campaign still
+     routes through [Core.Memo], so results persist across daemon
+     restarts and evictions.
 
    - {b In-flight coalescing} — concurrent requests whose
      [Request.key]s collide attach to the running computation (a
@@ -75,17 +77,6 @@ let default_config =
     gate = None;
   }
 
-(* A warm-registry entry: an app loaded at one seed and its targets
-   prepared under (mode, policy), each with its section partition.
-   Evicting the entry drops them all. *)
-type entry = {
-  loaded : Experiment.loaded;
-  prepared :
-    ( Experiment.mode * Core.Policy.t,
-      Core.Campaign.prepared * Analysis.Section.t option )
-    Core.Once.t;
-}
-
 (* A request's reply, and whether each warm-registry lookup it made
    found its entry (true) or built it. *)
 type outcome = (Report.t option * string option) * bool list
@@ -99,7 +90,8 @@ type t = {
   flights : (string, outcome) Core.Once.t;  (* by [Request.key] *)
   mutable stopping : bool;
   mutable failures : int;  (* requests answered with status "failed" *)
-  registry : (string * int, entry) Core.Once.t;  (* (name, seed) *)
+  registry : (string * int, Experiment.loaded) Core.Once.t;
+      (* (name, seed); evicting an entry drops its prepared targets *)
   sink : Obs.sink;  (* the sink the [stats] verb snapshots *)
   owns_sink : bool;  (* we installed it; restore [disabled] on shutdown *)
   started_us : float;
@@ -175,39 +167,22 @@ let shutdown t =
 
 (* ---------------------------- warm registry ------------------------ *)
 
-(* The entry of (app, seed), its app loaded, and whether the lookup
-   found it. Concurrent lookups of one key wait for its one build while
-   lookups of other keys go ahead; a build that raises caches nothing,
-   so the next lookup builds afresh. Called from worker domains only
-   (each its own obs buffer). *)
-let registry_load t (app : Apps.App.t) ~seed : entry * bool =
+(* The app loaded at (app, seed), and whether the lookup found it.
+   Concurrent lookups of one key wait for its one build while lookups
+   of other keys go ahead; a build that raises caches nothing, so the
+   next lookup builds afresh. Called from worker domains only (each
+   its own obs buffer). *)
+let registry_load t (app : Apps.App.t) ~seed : Experiment.loaded * bool =
   let name = app.Apps.App.name in
   let ((_, found) as r) =
     Core.Once.get t.registry (name, seed) (fun () ->
         let sp = Obs.span_begin () in
         let loaded = Experiment.load ~seed app in
         Obs.span_end ~name:"serve.load" ~cat:"serve" ~args:[ ("app", name) ] sp;
-        { loaded; prepared = Core.Once.create All })
+        loaded)
   in
   Obs.count (if found then "serve.warm_hit" else "serve.warm_miss") 1;
   r
-
-(* [e]'s target prepared under (mode, policy), with its section
-   partition: built once per entry, on top of the app's own table. *)
-let prepared (e : entry) ((mode, policy) as key) =
-  fst
-    (Core.Once.get e.prepared key (fun () ->
-         let sp = Obs.span_begin () in
-         let p = e.loaded.Experiment.prepared mode policy in
-         let v = (p, Some (Core.Memo.sections_of p)) in
-         Obs.span_end ~name:"serve.prepare" ~cat:"serve"
-           ~args:
-             [
-               ("app", e.loaded.Experiment.app.Apps.App.name);
-               ("policy", Core.Policy.to_string policy);
-             ]
-           sp;
-         v))
 
 (* ----------------------------- reports ----------------------------- *)
 
@@ -216,9 +191,8 @@ let inject_report = Request.inject_report
 let add_stats = Request.add_stats
 
 (* The daemon's one work path: [Request.run] in an environment whose
-   loads go through the warm registry, whose targets are prepared in
-   the registry entries the request resolved, and whose cells — each
-   with its trials as a nested batch — run on the shared executor,
+   loads go through the warm registry and whose cells — each with its
+   trials as a nested batch — run on the shared executor,
    interleaved with any other in-flight request's batches, through the
    daemon's store. A failed cell or a soundness violation is a failed
    response that still ships the full typed report (never a silent
@@ -230,22 +204,15 @@ let dispatch t (r : Request.t) : outcome =
      loads run on the executor, several at once for a sweep. *)
   let m = Mutex.create () and lookups = ref [] in
   let load ~seed app =
-    let ((e, _) as lookup) = registry_load t app ~seed in
-    Mutex.protect m (fun () -> lookups := lookup :: !lookups);
-    e.loaded
-  in
-  let prepare l (_, mode, policy) =
-    let entry (e, _) = e.loaded == l in
-    let e, _ = Mutex.protect m (fun () -> List.find entry !lookups) in
-    prepared e (mode, policy)
+    let l, found = registry_load t app ~seed in
+    Mutex.protect m (fun () -> lookups := found :: !lookups);
+    l
   in
   (* [dispatch] runs on a worker ([on_worker]), so loads, cells and
      each cell's trial batch ([Memo.run]'s misses, an audit cell's
      trials) are [Core.Pool] batches on the shared executor, with no
      limit: every free worker may claim them, and the submitter helps. *)
-  let env =
-    { Request.jobs = None; load; prepare = Some prepare; store = Some t.store }
-  in
+  let env = { Request.jobs = None; load; store = Some t.store } in
   let ((_, err) as reply) = Request.run env r in
   Obs.span_end ~name:"serve.request" ~cat:"serve"
     ~args:
@@ -254,7 +221,7 @@ let dispatch t (r : Request.t) : outcome =
         ("status", if err = None then "ok" else "failed");
       ]
     sp;
-  (reply, List.rev_map snd !lookups)
+  (reply, List.rev !lookups)
 
 (* --------------------------- coalescing ---------------------------- *)
 
@@ -353,12 +320,6 @@ let latency_json (v : Obs.view) =
    jobs-invariant (DESIGN.md §18). *)
 let stats_json t : J.t =
   let apps = Core.Once.length t.registry in
-  let prepped =
-    List.fold_left
-      (fun n e -> n + Core.Once.length e.prepared)
-      0
-      (Core.Once.values t.registry)
-  in
   let entries = Core.Memo.Store.scan t.store in
   let store_entries = List.length entries in
   let store_bytes = List.fold_left (fun a (_, sz, _) -> a + sz) 0 entries in
@@ -394,7 +355,6 @@ let stats_json t : J.t =
             ("hits", J.Int (c "serve.warm_hit"));
             ("misses", J.Int (c "serve.warm_miss"));
             ("apps", J.Int apps);
-            ("prepared", J.Int prepped);
           ] );
       ( "store",
         J.Obj

@@ -54,7 +54,6 @@ let overview_table (doc : J.t) : Report.table =
       ("requests malformed", Report.int (geti [ "requests"; "malformed" ] doc));
       ("warm hit rate", hit_rate);
       ("warm apps", Report.int (geti [ "warm"; "apps" ] doc));
-      ("warm prepared", Report.int (geti [ "warm"; "prepared" ] doc));
       ("store entries", Report.int (geti [ "store"; "entries" ] doc));
       ("store size", mib (geti [ "store"; "bytes" ] doc));
       ("gc evicted", Report.int (geti [ "store"; "gc_evicted" ] doc));

@@ -149,7 +149,7 @@ elif kind in ("report", "matrix", "serve", "stats"):
                    f"{where}stats {k} is not a non-negative int")
         sections = {
             "requests": ("served", "failed", "coalesced", "malformed"),
-            "warm": ("hits", "misses", "apps", "prepared"),
+            "warm": ("hits", "misses", "apps"),
             "store": ("entries", "bytes", "gc_runs", "gc_evicted"),
             "executor": ("workers", "busy", "queued_jobs", "queued_batches"),
         }

@@ -155,6 +155,20 @@ let cli_quick () =
   (* gen.exe adds the one trailing newline back *)
   Buffer.sub buf 0 (Buffer.length buf - 1)
 
+(* `etap sections`' table for mpeg and art under both policies (Full
+   mode, seed 1): the section hashes every result-cache key folds in. *)
+let sections_quick () =
+  String.concat "\n"
+    (List.concat_map
+       (fun name ->
+         let app = Option.get (Apps.Registry.find name) in
+         List.map
+           (fun policy ->
+             table
+               (Harness.Sections.table app ~seed:1 ~literal:false ~policy))
+           [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ])
+       [ "mpeg"; "art" ])
+
 (* (test case name, file under test/golden/, content). *)
 let all : (string * string * (unit -> string)) list =
   let loaded () = Lazy.force loaded in
@@ -205,4 +219,5 @@ let all : (string * string * (unit -> string)) list =
              (Harness.Ablation.address ~trials:4 ~jobs:1 (loaded ()))) );
     ("inject quick", "inject_quick.txt", inject_quick);
     ("cli quick", "cli_quick.txt", cli_quick);
+    ("sections quick", "sections_quick.txt", sections_quick);
   ]

@@ -163,6 +163,54 @@ let test_tag_sensitivity () =
          hash_of s_none f.Ir.Func.name <> hash_of s_ctrl f.Ir.Func.name)
        (Ir.Prog.funcs prog))
 
+(* -------------------- composition, by hand ------------------------ *)
+
+(* [main] calls [ping]; [ping] and [pong] call each other, so the
+   composed hashes never reach a fixpoint and all three rounds run.
+   The reference is the canonical text written out by hand, composed
+   the plain way: every round re-fills every callee with the previous
+   round's hashes. *)
+let test_mutual_recursion () =
+  let r0 = Ir.Reg.int 0 and r1 = Ir.Reg.int 1 in
+  let call func arg = Ir.Instr.Call { dst = None; func; args = [ arg ] } in
+  let prog =
+    Ir.Prog.make ~globals:[]
+      [
+        Ir.Func.make ~name:"main" ~params:[] ~ret:None
+          [ Ir.Instr.Li (r0, 7l); call "ping" r0; Ir.Instr.Ret None ];
+        Ir.Func.make ~name:"ping" ~params:[ r0 ] ~ret:None
+          [ Ir.Instr.Mov (r1, r0); call "pong" r1; Ir.Instr.Ret None ];
+        Ir.Func.make ~eligible:false ~name:"pong" ~params:[ r0 ] ~ret:None
+          [ call "ping" r0; Ir.Instr.Ret None ];
+      ]
+  in
+  let tags = [| [| true; false; false |]; [| false; true; false |]; [||] |] in
+  (* Function [fid]'s text, with [ref] naming a callee by its fid. *)
+  let text fid ref =
+    match fid with
+    | 0 -> "sig -> void eligible\nli $r0 7 !\ncall " ^ ref 1 ^ " _ $r0\nret"
+    | 1 ->
+      "sig $r0 -> void eligible\nmov $r1 $r0\ncall " ^ ref 2
+      ^ " _ $r1 !\nret"
+    | _ -> "sig $r0 -> void protected\ncall " ^ ref 1 ^ " _ $r0\nret"
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let round prev = Array.init 3 (fun fid -> md5 (text fid (Array.get prev))) in
+  let local = Array.init 3 (fun fid -> md5 (text fid (fun _ -> "@"))) in
+  let rounds = Array.make 4 local in
+  for k = 1 to 3 do
+    rounds.(k) <- round rounds.(k - 1)
+  done;
+  let s = Analysis.Section.compute ~tags prog in
+  Array.iteri
+    (fun fid name ->
+      let l, c = hash_of s name in
+      Alcotest.(check string) (name ^ " local") local.(fid) l;
+      Alcotest.(check string) (name ^ " composed") rounds.(3).(fid) c;
+      Alcotest.(check bool) (name ^ " needs the last round") true
+        (rounds.(2).(fid) <> c))
+    [| "main"; "ping"; "pong" |]
+
 (* ---------------------- record JSON roundtrip ---------------------- *)
 
 let trial_gen : Core.Campaign.trial QCheck.Gen.t =
@@ -477,6 +525,46 @@ let list_store_files dir =
   if Sys.file_exists dir then walk dir;
   !acc
 
+(* `etap cache gc` refuses a negative size or age bound (or a NaN age)
+   as a usage error, exit 124, before it touches the store: every entry
+   stays. A zero size bound, the control, evicts them all. *)
+let test_gc_refuses_negative_bounds () =
+  let etap =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "etap.exe" ]
+  in
+  if not (Sys.file_exists etap) then
+    Alcotest.failf "%s is not built (dune build bin/etap.exe)" etap;
+  let dir = fresh_cache_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let store = Core.Memo.Store.open_ dir in
+      List.iter
+        (fun c ->
+          Core.Memo.Store.save store ~key:(String.make 32 c)
+            (Report.Json.Obj
+               [ ("schema", Report.Json.Str Core.Memo.Store.schema) ]))
+        [ 'a'; 'b'; 'c' ];
+      let entries () = List.sort compare (Core.Memo.Store.scan store) in
+      let before = entries () in
+      let gc bound =
+        Sys.command
+          (Filename.quote_command etap ~stdout:Filename.null
+             ~stderr:Filename.null
+             [ "cache"; "gc"; "--cache-dir"; dir; bound ])
+      in
+      List.iter
+        (fun bound ->
+          Alcotest.(check int) (bound ^ " is a usage error") 124 (gc bound);
+          Alcotest.(check bool) (bound ^ " leaves the store") true
+            (entries () = before))
+        [ "--max-bytes=-1"; "--max-age-days=-1"; "--max-age-days=nan" ];
+      Alcotest.(check int) "--max-bytes=0 runs" 0 (gc "--max-bytes=0");
+      Alcotest.(check int) "--max-bytes=0 evicts every entry" 0
+        (List.length (entries ())))
+
 let test_store_save_race () =
   let dir = fresh_cache_dir () in
   Fun.protect
@@ -607,6 +695,8 @@ let () =
             test_edit_sensitivity;
           Alcotest.test_case "tag mask is part of the identity" `Quick
             test_tag_sensitivity;
+          Alcotest.test_case "mutual recursion = reference composition"
+            `Quick test_mutual_recursion;
         ] );
       ("records", [ QCheck_alcotest.to_alcotest roundtrip_qcheck ]);
       ( "equivalence",
@@ -632,6 +722,8 @@ let () =
             test_corrupt_store_degrades;
           Alcotest.test_case "empty plans go to the entry bucket" `Quick
             test_empty_plan_bucket;
+          Alcotest.test_case "cache gc refuses negative bounds" `Quick
+            test_gc_refuses_negative_bounds;
         ] );
       ( "owners",
         [

@@ -440,8 +440,14 @@ let test_workers_capped () =
 let test_warm_reuse () =
   with_serve @@ fun t ->
   let line = inject_line ~errors:2 ~trials:4 ~seed:1 "adpcm" in
-  let first = reply_exn (List.hd (exchange t [ line ])) in
+  let cold = Obs.make () in
+  let first =
+    Obs.with_sink cold (fun () -> reply_exn (List.hd (exchange t [ line ])))
+  in
   Alcotest.(check bool) "cold ok" true first.Harness.Proto.ok;
+  (* adpcm's protect-control pool is empty: one target to prepare. *)
+  Alcotest.(check int) "cold prepares its target" 1
+    (spans_named "prepare" (Obs.view cold));
   (* Fresh sink around the repeat: everything it records belongs to
      the second request alone. *)
   let sink = Obs.make () in
@@ -451,7 +457,7 @@ let test_warm_reuse () =
   let v = Obs.view sink in
   Alcotest.(check int) "no app reload" 0 (spans_named "serve.load" v);
   Alcotest.(check int) "no target re-preparation" 0
-    (spans_named "serve.prepare" v);
+    (spans_named "prepare" v);
   Alcotest.(check bool) "registry hits recorded" true
     (counter "serve.warm_hit" v > 0);
   Alcotest.(check int) "zero trials executed" 0 (counter "campaign.trials" v);
@@ -656,7 +662,7 @@ let test_first_lookups_build_once () =
   Alcotest.(check (pair bool bool)) "the first built, the second found" (false, true)
     (snd first, snd second);
   Alcotest.(check bool) "both got the same app" true
-    ((fst first).Harness.Serve.loaded == (fst second).Harness.Serve.loaded)
+    (fst first == fst second)
 
 (* A build that raises fails its request with the exception — the
    [Error] a request's worker job returns becomes its typed "failed"
