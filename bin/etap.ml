@@ -68,11 +68,16 @@ let days_bound =
 (* A run that failed — a failed cell, a soundness violation, a request
    answered "failed" — prints its error and exits 123
    ([Cmd.Exit.some_error]); cmdliner's usage errors exit 124. *)
-let exit_if_failed = function
-  | None -> ()
-  | Some m ->
-    Printf.eprintf "etap: %s\n%!" m;
-    exit Cmd.Exit.some_error
+let fail_run m =
+  Printf.eprintf "etap: %s\n%!" m;
+  exit Cmd.Exit.some_error
+
+let exit_if_failed = function None -> () | Some m -> fail_run m
+
+(* A client's connection to a daemon; without one it exits 123 like a
+   failed request, with one line naming the socket. *)
+let connect_or_exit ~path =
+  match Harness.Serve.dial ~path with Ok c -> c | Error m -> fail_run m
 
 let trials_arg =
   let doc = "Trials per campaign cell (at least 1)." in
@@ -700,7 +705,7 @@ let serve_cmd =
     | Some path, None, false ->
       (* Client: pipe stdin request lines to the daemon, echo response
          lines. The daemon does the work; no obs scope here. *)
-      let ic, oc = Harness.Serve.connect ~path in
+      let ic, oc = connect_or_exit ~path in
       let failed = ref 0 in
       (try
          while true do
@@ -766,7 +771,7 @@ let top_cmd =
       & info [ "count" ] ~docv:"N" ~doc)
   in
   let action path interval count =
-    let ic, oc = Harness.Serve.connect ~path in
+    let ic, oc = connect_or_exit ~path in
     (* Each poll sends one stats request; the daemon's interval section
        is exactly the window since our previous poll, so rates need no
        client-side bookkeeping. *)

@@ -44,7 +44,9 @@ type prepared = {
          checkpointing is disabled ([~checkpoint_stride:0]) *)
   image : Sim.Interp.image option;
       (* threaded-closure compilation of (code, tags) for the fast
-         engine; [None] iff the target runs the reference engine *)
+         engine; [None] iff the target runs the reference engine. Its
+         taint flavour is compiled by the first taint trial and kept on
+         it (Sim.Interp.taint_image). *)
 }
 
 type trial = {
@@ -211,8 +213,10 @@ let prepare ?checkpoint_stride ?(chains = []) (t : target) (policy : Policy.t) =
 
 (* One trial's raw simulator result, plus the dynamic instructions a
    checkpoint restore let it skip (0 when it ran from scratch). Taint
-   trials run on the reference loop, so the fast-engine image is
-   withheld from them; they resume from the same engine-independent
+   trials run the taint flavour of the prepared image, compiled by the
+   first of them and kept on the image, so a target that never runs a
+   taint trial never compiles it; on a reference-engine target they run
+   the reference loop. They resume from the same engine-independent
    checkpoints as every other trial. *)
 let run_trial_raw ?(taint = false) (p : prepared) ~errors ~rng :
     Sim.Interp.result * int =
@@ -220,7 +224,9 @@ let run_trial_raw ?(taint = false) (p : prepared) ~errors ~rng :
     Fault_model.make_plan ~rng ~injectable_total:p.injectable_total ~errors
   in
   let injection = Fault_model.injection ~tags:p.tags ~plan in
-  let image = if taint then None else p.image in
+  let image =
+    if taint then Option.map Sim.Interp.taint_image p.image else p.image
+  in
   match p.snapshots with
   | Some snaps ->
     (* Fast-forward: restore the nearest checkpoint at or before the

@@ -27,8 +27,9 @@ type target = {
           globals laid out once, per-trial memories (and the golden
           checkpoint pass) are blit-copies *)
   engine : Sim.Interp.engine;
-      (** which interpreter executes trials (default [Fast]); the
-          baseline and taint trials always use the reference loop *)
+      (** which interpreter executes trials, taint trials included
+          (default [Fast]); the baseline is always the fast engine's
+          counted golden pass *)
   baseline_digest : string;
       (** {!Sim.Memory.digest} of the baseline's final image, computed
           once per target so batch consumers (the result cache, the
@@ -48,7 +49,9 @@ type prepared = {
           checkpointing was disabled *)
   image : Sim.Interp.image option;
       (** threaded-closure compilation of (code, tags) for the fast
-          engine; [None] iff the target runs the reference engine *)
+          engine; [None] iff the target runs the reference engine. The
+          first taint trial compiles its taint flavour and keeps it on
+          the image ({!Sim.Interp.taint_image}). *)
 }
 
 type trial = {
@@ -131,7 +134,7 @@ val prepare :
     the prepared target adopts that chain — identical checkpoints, the
     same [campaign.prepares], [snapshot.builds], [snapshot.checkpoints]
     and [snapshot.build] telemetry — and runs nothing. Other masks fall back to the pass. Taint trials ({!run} with [~taint:true])
-    resume from the same checkpoints, on the reference engine, with
+    resume from the same checkpoints, on the target's engine, with
     clean shadow taint — exact, because no fault has landed before any
     checkpoint. *)
 
@@ -144,8 +147,9 @@ val run_trial_result :
 (** Escape hatch: one trial's raw simulator result, memory image
     included — for output rendering and debugging. Use {!trial_rng} to
     reproduce the RNG of a {!run} trial. [taint] runs the trial with
-    shadow taint on the reference engine (identical behaviour and
-    fault landings, plus a fault-flow summary). *)
+    shadow taint (identical behaviour and fault landings, plus a
+    fault-flow summary) on the taint flavour of the prepared image, or
+    on the reference loop for a reference-engine target. *)
 
 val run_trial :
   ?score:(Sim.Interp.result -> float) ->
@@ -199,8 +203,8 @@ val run :
     to [\[1, trials\]]); the summary is identical for every [jobs]
     value, assembled in trial-index order. [score] is applied on the
     worker domain to each completed trial. [taint] runs every trial
-    with shadow taint on the reference engine and feeds the fault-flow
-    counters in [stats]. *)
+    with shadow taint, as {!run_trial_result} does, and feeds the
+    fault-flow counters in [stats]. *)
 
 val errors_capped : summary -> bool
 (** True when the injectable pool was smaller than the request, so each

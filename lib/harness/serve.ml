@@ -602,8 +602,18 @@ let run_stdio t =
     ~finally:(fun () -> shutdown t)
     (fun () -> ignore (serve_connection t ~ic:stdin ~oc:stdout))
 
-(* Client side of the socket transport ([etap serve --connect]). *)
-let connect ~path : in_channel * out_channel =
+(* Client side of the socket transport ([etap serve --connect], [etap
+   top]): a missing socket or a refused connection is a typed error
+   naming the path, and the socket is closed. *)
+let dial ~path : (in_channel * out_channel, string) result =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> Ok (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+  | exception Unix.Unix_error (e, _, _) ->
+    Unix.close fd;
+    Error
+      (Printf.sprintf "cannot connect to %s: %s" path (Unix.error_message e))
+
+(* [dial] for callers that treat a failed connection as fatal. *)
+let connect ~path : in_channel * out_channel =
+  match dial ~path with Ok c -> c | Error m -> failwith m

@@ -35,14 +35,19 @@
    outcomes, trap sites, landed-fault attribution, snapshots — which
    the differential suite in test_engine pins on random programs.
 
-   Shadow taint (DESIGN §11) is optional machine state that only the
-   reference loop maintains: on a machine built with [~taint:true] the
-   loop runs each instruction's shadow transfer ([shadow]: sinks,
-   destination mask, fresh taint where a fault will land) just before
-   dispatching it. Plain, counting and taint runs share one step
+   Shadow taint (DESIGN §11) is optional machine state that both
+   engines maintain. On a machine built with [~taint:true] the
+   reference loop runs each instruction's shadow transfer ([shadow]:
+   sinks, destination mask, fresh taint where a fault will land) just
+   before dispatching it; the fast engine runs the same transfer,
+   specialised at compile time, from the taint flavour of an image
+   ([taint_image]). Both call the same helpers (Taint.shade and its
+   siblings, Machine.shadow_args and shadow_return). Plain,
+   counting and taint runs of the reference loop share one step
    function, so they execute instructions in the same order and land
    faults at the same ordinals; taint machines pause, capture and
-   resume like any other. *)
+   resume like any other. The reference taint path is the differential
+   oracle of the fast one. *)
 
 open Machine
 
@@ -105,6 +110,7 @@ let engine_name = function Fast -> "fast" | Ref -> "ref"
 type image = Machine.image
 
 let compile ?tags code = Threaded.compile ?tags code
+let taint_image = Threaded.taint_of
 
 type machine = Machine.t
 
@@ -114,53 +120,20 @@ let machine ?image ?injection ?budget ?(count_exec = false) ?taint ?memory code
     : machine =
   let image =
     match image with
-    | Some (img : image) when count_exec && not img.icounting ->
-      Some (Threaded.compile ~tags:img.itags ~counting:true img.icode)
+    | Some (img : image) when count_exec && img.iflavour = Plain ->
+      Some (Threaded.compile ~tags:img.itags ~flavour:Counting img.icode)
     | _ -> image
   in
   Machine.make ?image ?injection ?budget ~count_exec ?taint ?memory code
 
 (* ------------------------- shadow taint ------------------------- *)
 
-(* True iff the next injection hook run at [pc] lands a planned fault:
-   the instruction is tagged and its ordinal is the next planned one.
-   Ordinals only move inside the hook, so this holds from dispatch
-   until the instruction's write-back. *)
-let will_land m ftags pc =
-  m.has_injection && Array.unsafe_get ftags pc && m.inj_seen = m.next_planned
-
-(* Shadow of a write-back to register [d] of the bank shadowed by [sh]:
-   the operand taint [tv] flows into it, plus fresh (memory-free) taint
-   when the write-back at [pc] lands a fault. *)
-let shade m tr ftags pc (sh : Taint.mask array) d tv =
-  Taint.propagate tr tv;
-  sh.(d) <- (if will_land m ftags pc then tv lor Taint.fresh else tv)
-
-(* A load through a base with taint [base] from cell [c] (-1: no cell
-   to shadow) hits the address sink; the loaded value carries the
-   cell's and the base's taint, memory-marked. *)
-let shadow_load m tr ftags pc sh d c ~base =
-  Taint.sink_address tr base;
-  let cell = if c >= 0 then Taint.mem_get tr c else Taint.none in
-  shade m tr ftags pc sh d (Taint.loaded ~cell ~base)
-
-(* A store of a value with taint [tv] hits the address and memory
-   sinks and memory-marks [tv] and the base's taint into cell [c]. A
-   byte store overwrites one lane of its cell, so it unions. *)
-let shadow_store tr ~byte c ~base tv =
-  Taint.sink_address tr base;
-  Taint.sink_memory tr tv;
-  if c >= 0 then
-    (if byte then Taint.mem_union else Taint.mem_set)
-      tr c
-      (Taint.stored (tv lor base))
-
 (* Shadow-taint transfer of one instruction on a taint machine, run by
    the reference loop just before the instruction executes. It hits
    the sinks the operands reach and sets the shadow of the destination
    from the operands' shadows, plus fresh taint when the write-back
-   will land a planned fault ([shade]). Doing this before execution is
-   exact: the operands (registers, the loaded cell) are read before
+   will land a planned fault ([Taint.shade]). Doing this before
+   execution is exact: the operands (registers, the loaded cell) are read before
    the instruction can overwrite them, and when the instruction traps
    instead of writing back, the run ends there. Calls are shadowed
    where frames change: the DCall arm copies argument masks into the
@@ -168,75 +141,56 @@ let shadow_store tr ~byte c ~base tv =
    back. *)
 let shadow m tr ftags (fr : frame) pc (ins : Code.d) =
   let itn = fr.itn and ftn = fr.ftn and iregs = fr.iregs in
+  let lands = will_land m ftags pc in
   match ins with
   | Code.DNop | Code.DJmp _ | Code.DCall _ | Code.DRetI _ | Code.DRetF _
   | Code.DRetV ->
     ()
-  | Code.DLi (d, _) | Code.DLa (d, _) -> shade m tr ftags pc itn d Taint.none
-  | Code.DLf (d, _) -> shade m tr ftags pc ftn d Taint.none
-  | Code.DMovI (d, s) -> shade m tr ftags pc itn d itn.(s)
-  | Code.DMovF (d, s) -> shade m tr ftags pc ftn d ftn.(s)
+  | Code.DLi (d, _) | Code.DLa (d, _) -> Taint.shade tr ~lands itn d Taint.none
+  | Code.DLf (d, _) -> Taint.shade tr ~lands ftn d Taint.none
+  | Code.DMovI (d, s) -> Taint.shade tr ~lands itn d itn.(s)
+  | Code.DMovF (d, s) -> Taint.shade tr ~lands ftn d ftn.(s)
   | Code.DBin (op, d, a, b) ->
     (match op with
      | Ir.Instr.Div | Ir.Instr.Rem -> Taint.sink_trap_operand tr itn.(b)
      | _ -> ());
-    shade m tr ftags pc itn d (itn.(a) lor itn.(b))
-  | Code.DBini (_, d, a, _) -> shade m tr ftags pc itn d itn.(a)
-  | Code.DCmp (_, d, a, b) -> shade m tr ftags pc itn d (itn.(a) lor itn.(b))
-  | Code.DFbin (_, d, a, b) -> shade m tr ftags pc ftn d (ftn.(a) lor ftn.(b))
-  | Code.DFun (_, d, s) -> shade m tr ftags pc ftn d ftn.(s)
-  | Code.DFcmp (_, d, a, b) -> shade m tr ftags pc itn d (ftn.(a) lor ftn.(b))
-  | Code.DI2f (d, s) -> shade m tr ftags pc ftn d itn.(s)
+    Taint.shade tr ~lands itn d (itn.(a) lor itn.(b))
+  | Code.DBini (_, d, a, _) -> Taint.shade tr ~lands itn d itn.(a)
+  | Code.DCmp (_, d, a, b) -> Taint.shade tr ~lands itn d (itn.(a) lor itn.(b))
+  | Code.DFbin (_, d, a, b) -> Taint.shade tr ~lands ftn d (ftn.(a) lor ftn.(b))
+  | Code.DFun (_, d, s) -> Taint.shade tr ~lands ftn d ftn.(s)
+  | Code.DFcmp (_, d, a, b) -> Taint.shade tr ~lands itn d (ftn.(a) lor ftn.(b))
+  | Code.DI2f (d, s) -> Taint.shade tr ~lands ftn d itn.(s)
   | Code.DF2i (d, s) ->
     Taint.sink_trap_operand tr ftn.(s);
-    shade m tr ftags pc itn d ftn.(s)
+    Taint.shade tr ~lands itn d ftn.(s)
   | Code.DLw (d, b, o) ->
-    shadow_load m tr ftags pc itn d
+    Taint.shadow_load tr ~lands itn d
       (Memory.cell_index m.memory (iregs.(b) + o))
       ~base:itn.(b)
   | Code.DLb (d, b, o) ->
-    shadow_load m tr ftags pc itn d
+    Taint.shadow_load tr ~lands itn d
       (Memory.byte_cell_index m.memory (iregs.(b) + o))
       ~base:itn.(b)
   | Code.DLwf (d, b, o) ->
-    shadow_load m tr ftags pc ftn d
+    Taint.shadow_load tr ~lands ftn d
       (Memory.cell_index m.memory (iregs.(b) + o))
       ~base:itn.(b)
   | Code.DSw (v, b, o) ->
-    shadow_store tr ~byte:false
+    Taint.shadow_store tr ~byte:false
       (Memory.cell_index m.memory (iregs.(b) + o))
       ~base:itn.(b) itn.(v)
   | Code.DSb (v, b, o) ->
-    shadow_store tr ~byte:true
+    Taint.shadow_store tr ~byte:true
       (Memory.byte_cell_index m.memory (iregs.(b) + o))
       ~base:itn.(b) itn.(v)
   | Code.DSwf (v, b, o) ->
-    shadow_store tr ~byte:false
+    Taint.shadow_store tr ~byte:false
       (Memory.cell_index m.memory (iregs.(b) + o))
       ~base:itn.(b) ftn.(v)
   | Code.DBr (_, a, b, _) ->
     Taint.sink_control tr ~fid:fr.fid ~pc (itn.(a) lor itn.(b))
   | Code.DBrz (_, a, _) -> Taint.sink_control tr ~fid:fr.fid ~pc itn.(a)
-
-(* Shadow of a return whose value has taint [tv], run just before
-   [return] pops the head frame: the caller's destination is shaded at
-   its DCall, where [return] runs the write-back's injection hook. A
-   tainted entry return value is program output contamination even
-   though no frame survives to hold it. *)
-let shadow_return m tr tv =
-  match m.stack with
-  | [ _ ] -> Taint.propagate tr tv
-  | _ :: caller :: _ -> (
-    match m.code.Code.funcs.(caller.fid).Code.dbody.(caller.pc) with
-    | Code.DCall c when c.Code.dst >= 0 ->
-      let ftags =
-        if m.has_injection then m.all_tags.(caller.fid) else no_tags
-      in
-      shade m tr ftags caller.pc
-        (if c.Code.dst_flt then caller.ftn else caller.itn)
-        c.Code.dst tv
-    | _ -> ())
-  | [] -> ()
 
 (* The reference dispatch loop. Executes until the machine halts, or
    pauses as soon as [m.pause_at] injectable ordinals have been seen —
@@ -365,14 +319,7 @@ let exec m =
         Array.iter
           (fun (src, dst) -> nf.fregs.(dst) <- fregs.(src))
           c.Code.fargs;
-        if taint then begin
-          Array.iter
-            (fun (src, dst) -> nf.itn.(dst) <- fr.itn.(src))
-            c.Code.iargs;
-          Array.iter
-            (fun (src, dst) -> nf.ftn.(dst) <- fr.ftn.(src))
-            c.Code.fargs
-        end;
+        if taint then shadow_args c ~caller:fr nf;
         m.depth <- callee_depth;
         m.stack <- nf :: m.stack
         (* head frame changed: fall out to the outer loop *)

@@ -93,6 +93,14 @@ val compile : ?tags:bool array array -> Code.t -> image
     {!injection} — the machine constructors enforce this by physical
     equality. *)
 
+val taint_image : image -> image
+(** The taint flavour of a plain image: the same closures, each run
+    after its instruction's shadow transfer, for machines built with
+    [~taint:true]. Compiled on the first call and kept on [image], so
+    every later call (from any domain) returns the same table. A taint
+    image is its own taint flavour; a counting image has none
+    ([Invalid_argument]). *)
+
 (** {1 Explicit machine}
 
     The interpreter is an explicit machine — a frame stack plus the
@@ -101,8 +109,8 @@ val compile : ?tags:bool array array -> Code.t -> image
     {!snapshot}, and resume later. This is the substrate of
     checkpointed fork-from-prefix campaigns (see [Sim.Snapshot] and
     [Core.Campaign]). Plain, profiling ([count_exec]) and shadow-taint
-    ([taint]) runs are the same machine driven by the same reference
-    dispatch loop. *)
+    ([taint]) runs are the same machine, driven by the same reference
+    dispatch loop or by the matching flavour of a compiled image. *)
 
 type machine = Machine.t
 (** A paused or running execution. Mutable; single-owner. *)
@@ -124,12 +132,13 @@ val machine :
     and per-memory-cell masks and a sink tracker, summarized into the
     result's [fault_flow]. [image] selects the fast engine; it must
     have been compiled from this [code] and with the same tag-mask
-    array as [injection] (physical equality), and is incompatible with
-    [taint] (taint stays on the reference engine) — raises
-    [Invalid_argument] otherwise. [count_exec] with an [image] counts
-    on the fast engine: the machine runs a counting flavour compiled
-    from the image's code and tags, and the image itself (the one
-    trials share) stays count-free. *)
+    array as [injection] (physical equality), and a taint machine needs
+    a taint image ({!taint_image}) where every other machine needs a
+    non-taint one — raises [Invalid_argument] otherwise, and for
+    [count_exec] with [taint] on an image. [count_exec] with a plain
+    [image] counts on the fast engine: the machine runs a counting
+    flavour compiled from the image's code and tags, and the image
+    itself (the one trials share) stays count-free. *)
 
 val advance : machine -> pause_at:int -> [ `Halted | `Paused ]
 (** Execute until the machine halts, or pause as soon as [pause_at]

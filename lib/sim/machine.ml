@@ -10,15 +10,17 @@
 
    Shadow taint (DESIGN §11) is optional state of the same machine: a
    [Taint.tracker] in [taint] plus per-frame register masks, all absent
-   when taint is off. Only the reference loop maintains them, so
-   [check_image] rejects a taint machine built from an image.
-   Execution counting runs on either engine: the fast engine counts
-   through a separately compiled counting image, so trial images carry
-   no counting code.
+   when taint is off. Its lattice helpers live in Taint ([shade],
+   [shadow_load], [shadow_store]) and here ([will_land], [shadow_args],
+   [shadow_return]), and both engines call them: the reference loop
+   from its per-dispatch transfer, the fast engine from the taint
+   flavour of an image.
 
    The [fast] field selects the engine: a machine built from a
    compiled [image] carries the closure table and is driven by
-   Threaded.exec; an empty table means reference dispatch. The image is
+   Threaded.exec; an empty table means reference dispatch. An image
+   has one flavour — plain (trials), counting (counted golden runs) or
+   taint (audit trials) — and serves only machines of that kind. It is
    compiled against one (code, tags) pair, and [make]/[restore]
    validate both by physical equality — campaigns pass the same tag
    mask to every trial of a prepared target, so the check is free and
@@ -162,14 +164,31 @@ and op = t -> unit
    (straight-line and branch flow) or returns unit when the head frame
    changed (call, return) so the driver re-enters. *)
 
+(* What an image's ops do besides executing: a [Counting] image also
+   bumps [exec_counts] and only counted golden runs build one; a
+   [Taint] image runs each instruction's shadow transfer first and
+   only taint machines run one. *)
+type flavour =
+  | Plain
+  | Counting
+  | Taint
+
 type image = {
   icode : Code.t;
   itags : bool array array;
   iops : op array array;
-  icounting : bool;
-      (* the ops also bump [exec_counts] (Threaded.compile ~counting);
-         only counted golden runs build such an image *)
+  iflavour : flavour;
+  itaint : image option Atomic.t;
+      (* a plain image's taint flavour, compiled from the same (code,
+         tags) pair on first use (Interp.taint_image) and kept here, so
+         a prepared target that never runs a taint trial never compiles
+         it; empty on the other flavours *)
 }
+
+let flavour_name = function
+  | Plain -> "plain"
+  | Counting -> "counting"
+  | Taint -> "taint"
 
 let shadow_of ~shadow regs =
   if shadow then Array.make (Array.length regs) Taint.none else no_masks
@@ -191,7 +210,9 @@ let fresh_frame (code : Code.t) ~shadow fid =
    against: tag rows are baked into the closures, so running it under
    any other mask would silently miscount ordinals. Campaigns reuse one
    tags array across every trial of a prepared target, so physical
-   equality is the precise check, not an approximation. *)
+   equality is the precise check, not an approximation. Its flavour
+   must be the machine's: a plain image keeps no shadow state and
+   counts nothing, and no flavour both counts and taints. *)
 let check_image ~count_exec ~taint (image : image option)
     (injection : injection option) (code : Code.t) =
   match image with
@@ -199,12 +220,19 @@ let check_image ~count_exec ~taint (image : image option)
   | Some img ->
     if img.icode != code then
       invalid_arg "Interp: image was compiled from a different program";
-    if count_exec <> img.icounting then
+    let want =
+      match (count_exec, taint) with
+      | false, false -> Plain
+      | true, false -> Counting
+      | false, true -> Taint
+      | true, true ->
+        invalid_arg
+          "Interp: a counting taint machine requires the reference engine"
+    in
+    if img.iflavour <> want then
       invalid_arg
-        (if count_exec then "Interp: count_exec requires a counting image"
-         else "Interp: a counting image requires count_exec");
-    if taint then
-      invalid_arg "Interp: taint mode requires the reference engine";
+        (Printf.sprintf "Interp: a %s machine cannot run a %s image"
+           (flavour_name want) (flavour_name img.iflavour));
     let tags = match injection with Some { tags; _ } -> tags | None -> no_ops in
     if
       not
@@ -356,6 +384,48 @@ let return m (v : Value.t option) =
      | _ -> assert false)
 
 let is_running m = match m.status with Running -> true | _ -> false
+
+(* ------------------------- shadow taint ------------------------- *)
+
+(* True iff the next injection hook run at [pc] of the function whose
+   tag row is [ftags] lands a planned fault: the instruction is tagged
+   and its ordinal is the next planned one. Ordinals only move inside
+   the hook, so this holds from dispatch until the instruction's
+   write-back. The fast engine knows the tag at compile time and tests
+   [tg && m.inj_seen = m.next_planned] instead. *)
+let will_land m ftags pc =
+  m.has_injection && Array.unsafe_get ftags pc && m.inj_seen = m.next_planned
+
+(* Arguments carry their masks into the callee frame [callee] of call
+   [c] made from [caller]. *)
+let shadow_args (c : Code.call) ~(caller : frame) (callee : frame) =
+  Array.iter
+    (fun (src, dst) -> callee.itn.(dst) <- caller.itn.(src))
+    c.Code.iargs;
+  Array.iter
+    (fun (src, dst) -> callee.ftn.(dst) <- caller.ftn.(src))
+    c.Code.fargs
+
+(* Shadow of a return whose value has taint [tv], run just before
+   [return] pops the head frame: the caller's destination is shaded at
+   its DCall, where [return] runs the write-back's injection hook. A
+   tainted entry return value is program output contamination even
+   though no frame survives to hold it. *)
+let shadow_return m tr tv =
+  match m.stack with
+  | [ _ ] -> Taint.propagate tr tv
+  | _ :: caller :: _ -> (
+    match m.code.Code.funcs.(caller.fid).Code.dbody.(caller.pc) with
+    | Code.DCall c when c.Code.dst >= 0 ->
+      let ftags =
+        if m.has_injection then m.all_tags.(caller.fid) else no_tags
+      in
+      Taint.shade tr
+        ~lands:(will_land m ftags caller.pc)
+        (if c.Code.dst_flt then caller.ftn else caller.itn)
+        c.Code.dst tv
+    | _ -> ())
+  | [] -> ()
 
 (* --------------------------- snapshots --------------------------- *)
 

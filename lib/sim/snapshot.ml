@@ -182,7 +182,7 @@ let golden ~masks code =
             Array.exists (fun mask -> mask.(fid).(pc)) masks))
       code.Code.funcs
   in
-  let image = Threaded.compile ~tags:union ~counting:true code in
+  let image = Threaded.compile ~tags:union ~flavour:Machine.Counting code in
   let injection = Interp.injection ~tags:union ~plan:[] in
   let m = Machine.make ~image ~injection ~count_exec:true code in
   let running = Memory.of_prog ~lenient:true code.Code.prog in

@@ -122,6 +122,33 @@ let sink_trap_operand tr (m : mask) =
 let sink_memory tr (m : mask) =
   if is_tainted m then tr.memory_hits <- tr.memory_hits + 1
 
+(* The transfer helpers both engines' shadow code calls (Interp.shadow,
+   Threaded.shadowed); the engines only pick the operands. *)
+
+(* Shadow of a write-back to register [d] of the bank shadowed by [sh]:
+   the operand taint [tv] flows into it, plus fresh (memory-free) taint
+   when the write-back [lands] a planned fault. *)
+let shade tr ~lands (sh : mask array) d tv =
+  propagate tr tv;
+  Array.unsafe_set sh d (if lands then tv lor fresh else tv)
+
+(* A load through a base with taint [base] from cell [c] (-1: no cell
+   to shadow) hits the address sink; the loaded value carries the
+   cell's and the base's taint, memory-marked. *)
+let shadow_load tr ~lands sh d c ~base =
+  sink_address tr base;
+  let cell = if c >= 0 then mem_get tr c else none in
+  shade tr ~lands sh d (loaded ~cell ~base)
+
+(* A store of a value with taint [tv] hits the address and memory
+   sinks and memory-marks [tv] and the base's taint into cell [c]. A
+   byte store overwrites one lane of its cell, so it unions. *)
+let shadow_store tr ~byte c ~base tv =
+  sink_address tr base;
+  sink_memory tr tv;
+  if c >= 0 then
+    (if byte then mem_union else mem_set) tr c (stored (tv lor base))
+
 type summary = {
   flow : flow;
   control_free : int;

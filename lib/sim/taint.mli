@@ -55,6 +55,29 @@ val sink_address : tracker -> mask -> unit
 val sink_trap_operand : tracker -> mask -> unit
 val sink_memory : tracker -> mask -> unit
 
+(** {1 Transfer helpers}
+
+    The lattice side of the shadow transfer, shared by both engines;
+    an engine only picks the operand masks and the cell. Register
+    indices are unchecked: they come from a validated decode. *)
+
+val shade : tracker -> lands:bool -> mask array -> int -> mask -> unit
+(** [shade tr ~lands sh d tv]: a write-back of operand taint [tv] to
+    register [d] of the bank shadowed by [sh], plus {!fresh} when the
+    write-back [lands] a planned fault. *)
+
+val shadow_load :
+  tracker -> lands:bool -> mask array -> int -> int -> base:mask -> unit
+(** [shadow_load tr ~lands sh d c ~base]: a load from cell [c] ([-1]:
+    outside the shadowed image) through a base of taint [base] into
+    register [d]: the address sink, then {!shade} with {!loaded}. *)
+
+val shadow_store : tracker -> byte:bool -> int -> base:mask -> mask -> unit
+(** [shadow_store tr ~byte c ~base tv]: a store of a value of taint
+    [tv] to cell [c] through a base of taint [base]: the address and
+    memory sinks, then the cell takes {!stored} of both ([byte]: unions
+    into it). *)
+
 type summary = {
   flow : flow;
   control_free : int;

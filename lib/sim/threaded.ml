@@ -39,6 +39,14 @@
      call-depth check), so Interp.advance attributes the trap to the
      same (fid, pc) site as the reference engine.
 
+   One (code, tags) pair compiles to three flavours of table: plain
+   (campaign trials), counting ([counted]: counted golden runs) and
+   taint ([shadowed]: audit trials, which run each instruction's shadow
+   transfer before the op). The flavours wrap the same plain closures
+   and thread their chains through their own table, so a plain image
+   carries no counting or shadow code at all; only DCall and the value
+   returns have taint-specific arms.
+
    OCaml guarantees tail calls for exact-arity applications in native
    code, so closure-to-closure chaining runs in constant stack. *)
 
@@ -120,7 +128,23 @@ let div_by_zero (fr : frame) pc =
   fr.pc <- pc;
   raise (Trap.Error Trap.Division_by_zero)
 
-let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
+(* Helpers of the taint flavour (see [shadowed]). *)
+let[@inline] live m = m.dyn < m.budget
+let[@inline] lands tg m = tg && m.inj_seen = m.next_planned
+let[@inline] cell m b o = Memory.cell_index m.memory (ig m.run_fr.iregs b + o)
+
+let[@inline] byte_cell m b o =
+  Memory.byte_cell_index m.memory (ig m.run_fr.iregs b + o)
+
+(* The tracker of a taint machine: a taint image runs on nothing else
+   ([Machine.check_image]). *)
+let[@inline] tracker_of m =
+  match m.taint with Some tr -> tr | None -> assert false
+
+(* [taint] compiles the taint-aware DCall and return arms (see
+   [shadowed]); every other arm is the same closure in every flavour. *)
+let rec compile_instr ~taint (code : Code.t) (ops : op array) tg pc
+    (ins : Code.d) : op =
   match ins with
   | Code.DNop -> fun m -> next ops pc m
   | Code.DLi (d, v) ->
@@ -530,6 +554,25 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
     fun m ->
       bump m;
       (Array.unsafe_get ops t) m
+  | Code.DCall c when taint ->
+    (* The plain call pushes the callee frame; the taint arm gives it
+       shadow masks and copies the argument masks in. *)
+    let push = compile_instr ~taint:false code ops tg pc ins in
+    fun m ->
+      let caller = m.run_fr in
+      push m;
+      (match m.stack with
+       | fr :: rest ->
+         let callee =
+           {
+             fr with
+             itn = shadow_of ~shadow:true fr.iregs;
+             ftn = shadow_of ~shadow:true fr.fregs;
+           }
+         in
+         shadow_args c ~caller callee;
+         m.stack <- callee :: rest
+       | [] -> assert false)
   | Code.DCall c ->
     let callee = code.Code.funcs.(c.Code.fid) in
     let ni = max callee.Code.n_int 1 and nf = max callee.Code.n_flt 1 in
@@ -560,6 +603,18 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
         { fid = cfid; pc = 0; iregs; fregs; itn = no_masks; ftn = no_masks }
         :: m.stack
       (* head frame changed: return to the driver *)
+  | Code.DRetI r when taint ->
+    fun m ->
+      bump m;
+      let fr = m.run_fr in
+      shadow_return m (tracker_of m) (ig fr.itn r);
+      return m (Some (Value.I (ig fr.iregs r)))
+  | Code.DRetF r when taint ->
+    fun m ->
+      bump m;
+      let fr = m.run_fr in
+      shadow_return m (tracker_of m) (ig fr.ftn r);
+      return m (Some (Value.F (fg fr.fregs r)))
   | Code.DRetI r ->
     fun m ->
       bump m;
@@ -588,7 +643,147 @@ let counted fid pc (op : op) : op =
   end;
   op m
 
-let compile_func ~counting (code : Code.t) (tags : bool array array) fid
+(* Taint flavour of an op: run the instruction's shadow transfer,
+   specialised now from its operands and compile-time tag [tg], then
+   the op. The transfer is the reference loop's ([Interp.shadow]) over
+   the same helpers ([Taint.shade] and friends): it hits the sinks the
+   operands reach and shades the destination, with fresh taint when
+   the write-back lands a fault ([lands], the compile-time form of
+   [Machine.will_land]). Like [counted], it is skipped when the op's
+   own budget check is about to time out ([live]) — the reference loop
+   shadows only after that check, so a timed-out trial records no sink
+   for the instruction that timed it out. A pause raised by the
+   previous op's write-back fires before this transfer runs, exactly
+   where the reference loop checks it. Instructions with no transfer
+   (DNop, jumps, calls, returns) are the op itself; calls and returns
+   shadow in their own arms ([compile_instr ~taint]). *)
+let shadowed tg pc (ins : Code.d) (op : op) : op =
+  match ins with
+  | Code.DNop | Code.DJmp _ | Code.DCall _ | Code.DRetI _ | Code.DRetF _
+  | Code.DRetV ->
+    op
+  | Code.DLi (d, _) | Code.DLa (d, _) ->
+    fun m ->
+      if live m then
+        Taint.shade (tracker_of m) ~lands:(lands tg m) m.run_fr.itn d
+          Taint.none;
+      op m
+  | Code.DLf (d, _) ->
+    fun m ->
+      if live m then
+        Taint.shade (tracker_of m) ~lands:(lands tg m) m.run_fr.ftn d
+          Taint.none;
+      op m
+  | Code.DMovI (d, s) | Code.DBini (_, d, s, _) ->
+    fun m ->
+      (if live m then
+         let itn = m.run_fr.itn in
+         Taint.shade (tracker_of m) ~lands:(lands tg m) itn d (ig itn s));
+      op m
+  | Code.DMovF (d, s) | Code.DFun (_, d, s) ->
+    fun m ->
+      (if live m then
+         let ftn = m.run_fr.ftn in
+         Taint.shade (tracker_of m) ~lands:(lands tg m) ftn d (ig ftn s));
+      op m
+  | Code.DBin ((Ir.Instr.Div | Ir.Instr.Rem), d, a, b) ->
+    fun m ->
+      (if live m then
+         let tr = tracker_of m and itn = m.run_fr.itn in
+         Taint.sink_trap_operand tr (ig itn b);
+         Taint.shade tr ~lands:(lands tg m) itn d (ig itn a lor ig itn b));
+      op m
+  | Code.DBin (_, d, a, b) | Code.DCmp (_, d, a, b) ->
+    fun m ->
+      (if live m then
+         let itn = m.run_fr.itn in
+         Taint.shade (tracker_of m) ~lands:(lands tg m) itn d
+           (ig itn a lor ig itn b));
+      op m
+  | Code.DFbin (_, d, a, b) ->
+    fun m ->
+      (if live m then
+         let ftn = m.run_fr.ftn in
+         Taint.shade (tracker_of m) ~lands:(lands tg m) ftn d
+           (ig ftn a lor ig ftn b));
+      op m
+  | Code.DFcmp (_, d, a, b) ->
+    fun m ->
+      (if live m then
+         let fr = m.run_fr in
+         Taint.shade (tracker_of m) ~lands:(lands tg m) fr.itn d
+           (ig fr.ftn a lor ig fr.ftn b));
+      op m
+  | Code.DI2f (d, s) ->
+    fun m ->
+      (if live m then
+         let fr = m.run_fr in
+         Taint.shade (tracker_of m) ~lands:(lands tg m) fr.ftn d (ig fr.itn s));
+      op m
+  | Code.DF2i (d, s) ->
+    fun m ->
+      (if live m then
+         let tr = tracker_of m and fr = m.run_fr in
+         Taint.sink_trap_operand tr (ig fr.ftn s);
+         Taint.shade tr ~lands:(lands tg m) fr.itn d (ig fr.ftn s));
+      op m
+  | Code.DLw (d, b, o) ->
+    fun m ->
+      (if live m then
+         let itn = m.run_fr.itn in
+         Taint.shadow_load (tracker_of m) ~lands:(lands tg m) itn d (cell m b o)
+           ~base:(ig itn b));
+      op m
+  | Code.DLb (d, b, o) ->
+    fun m ->
+      (if live m then
+         let itn = m.run_fr.itn in
+         Taint.shadow_load (tracker_of m) ~lands:(lands tg m) itn d
+           (byte_cell m b o) ~base:(ig itn b));
+      op m
+  | Code.DLwf (d, b, o) ->
+    fun m ->
+      (if live m then
+         let fr = m.run_fr in
+         Taint.shadow_load (tracker_of m) ~lands:(lands tg m) fr.ftn d
+           (cell m b o) ~base:(ig fr.itn b));
+      op m
+  | Code.DSw (v, b, o) ->
+    fun m ->
+      (if live m then
+         let itn = m.run_fr.itn in
+         Taint.shadow_store (tracker_of m) ~byte:false (cell m b o)
+           ~base:(ig itn b) (ig itn v));
+      op m
+  | Code.DSb (v, b, o) ->
+    fun m ->
+      (if live m then
+         let itn = m.run_fr.itn in
+         Taint.shadow_store (tracker_of m) ~byte:true (byte_cell m b o)
+           ~base:(ig itn b) (ig itn v));
+      op m
+  | Code.DSwf (v, b, o) ->
+    fun m ->
+      (if live m then
+         let fr = m.run_fr in
+         Taint.shadow_store (tracker_of m) ~byte:false (cell m b o)
+           ~base:(ig fr.itn b) (ig fr.ftn v));
+      op m
+  | Code.DBr (_, a, b, _) ->
+    fun m ->
+      (if live m then
+         let fr = m.run_fr in
+         Taint.sink_control (tracker_of m) ~fid:fr.fid ~pc
+           (ig fr.itn a lor ig fr.itn b));
+      op m
+  | Code.DBrz (_, a, _) ->
+    fun m ->
+      (if live m then
+         let fr = m.run_fr in
+         Taint.sink_control (tracker_of m) ~fid:fr.fid ~pc (ig fr.itn a));
+      op m
+
+let compile_func ~flavour (code : Code.t) (tags : bool array array) fid
     (df : Code.dfunc) : op array =
   let body = df.Code.dbody in
   let len = Array.length body in
@@ -601,31 +796,52 @@ let compile_func ~counting (code : Code.t) (tags : bool array array) fid
    fun _ -> invalid_arg (Printf.sprintf "pc past end of %s" name)
   in
   let ops = Array.make (len + 1) guard in
+  let taint = flavour = Taint in
   for pc = 0 to len - 1 do
     let tg = Array.length ftags > 0 && Array.unsafe_get ftags pc in
-    let op = compile_instr code ops tg pc body.(pc) in
+    let ins = body.(pc) in
+    let op = compile_instr ~taint code ops tg pc ins in
     ops.(pc) <-
-      (match body.(pc) with
-       | Code.DNop -> op
-       | _ when counting -> counted fid pc op
-       | _ -> op)
+      (match (flavour, ins) with
+       | Plain, _ | Counting, Code.DNop -> op
+       | Counting, _ -> counted fid pc op
+       | Taint, _ -> shadowed tg pc ins op)
   done;
   ops
 
-(* [counting] compiles the counting flavour (see [counted]), for
-   machines built with [count_exec]; campaign trial images never
-   count. *)
-let compile ?(tags = ([||] : bool array array)) ?(counting = false)
+(* [flavour] (default plain) compiles the counting flavour (see
+   [counted]), for machines built with [count_exec], or the taint
+   flavour (see [shadowed]), for machines built with [taint]; campaign
+   trial images are plain. *)
+let compile ?(tags = ([||] : bool array array)) ?(flavour = Plain)
     (code : Code.t) : image =
   {
     icode = code;
     itags = tags;
     iops =
       Array.mapi
-        (fun fid df -> compile_func ~counting code tags fid df)
+        (fun fid df -> compile_func ~flavour code tags fid df)
         code.Code.funcs;
-    icounting = counting;
+    iflavour = flavour;
+    itaint = Atomic.make None;
   }
+
+(* The taint flavour of a plain image, compiled on the first call and
+   kept on the image. Domains racing on the first call may each
+   compile one; the first to publish wins and every caller gets its
+   table, so an image has at most one taint flavour in use. *)
+let taint_of (img : image) : image =
+  match img.iflavour with
+  | Taint -> img
+  | Counting ->
+    invalid_arg "Interp.taint_image: a counting image has no taint flavour"
+  | Plain -> (
+    match Atomic.get img.itaint with
+    | Some t -> t
+    | None ->
+      let t = compile ~tags:img.itags ~flavour:Taint img.icode in
+      if Atomic.compare_and_set img.itaint None (Some t) then t
+      else Option.get (Atomic.get img.itaint))
 
 (* The driver: re-entered once per frame switch (and once at start /
    after a resume). Mirrors the reference loop's per-dispatch pause

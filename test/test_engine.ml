@@ -7,9 +7,12 @@
    fault plans, and pause/capture/resume at random ordinal boundaries.
 
    Traps, timeouts and stack overflow are reachable under injection
-   (and directly, in the directed cases below). A speed guard checks
-   that the fast engine actually beats the reference loop on the
-   golden susan run. *)
+   (and directly, in the directed cases below). Shadow taint is held to
+   the same standard: the taint flavour of an image against the
+   reference loop's taint path, down to the full fault-flow summary,
+   and the audit reports of all 7 apps. Speed guards check that the
+   fast engine actually beats the reference loop on the golden susan
+   run, plain and with taint. *)
 
 open Mlang.Dsl
 
@@ -224,11 +227,11 @@ let test_campaign_grid () =
         [ 0; 1; 3; 5 ])
     [ 1; 2; 4 ]
 
-(* Taint trials always execute on the reference loop (the fast engine
-   keeps no shadow state), resuming from checkpoints the golden pass
-   recorded under either engine. Every engine target x jobs x stride
-   combination must reproduce the from-scratch records and fault flows
-   exactly. *)
+(* Taint trials run on the target's engine — the taint flavour of the
+   prepared image, or the reference loop — resuming from checkpoints
+   the golden pass recorded under that engine. Every engine target x
+   jobs x stride combination must reproduce the reference loop's
+   from-scratch records and fault flows exactly. *)
 let test_campaign_taint_flows () =
   let prog = (ctx_of_seed 5).prog in
   let fast = Core.Campaign.of_prog ~engine:Sim.Interp.Fast prog in
@@ -248,6 +251,93 @@ let test_campaign_taint_flows () =
             (campaign_records ~taint:true fast ~stride ~jobs))
         [ 0; 1; 3; 5 ])
     [ 1; 2; 4 ]
+
+(* Property: taint runs on the taint flavour of an image equal the
+   reference loop's taint runs — outcome, counters, trap and landing
+   sites, the memory image and the full fault-flow summary — from
+   scratch, paused at a random ordinal and continued in place, and
+   captured there and resumed under every engine pairing. As in
+   [pause_resume_cross], the resumed plans keep only ordinals at or
+   past the pause point. *)
+let taint_fingerprint ctx (r : Sim.Interp.result) =
+  Printf.sprintf "%s/mem=%s/flow=%s" (fingerprint ctx r)
+    (Sim.Memory.digest r.Sim.Interp.memory)
+    (flow_str r.Sim.Interp.fault_flow)
+
+let taint_differential =
+  QCheck.Test.make
+    ~name:"fast taint == ref taint, paused and resumed at random" ~count:120
+    QCheck.(triple (int_bound 15) (int_bound 10_000) (int_range 0 12))
+    (fun (pseed, fseed, errors) ->
+      let ctx = ctx_of_seed pseed in
+      let p = Random.State.int (Random.State.make [| fseed |]) (ctx.total + 1) in
+      let plan = plan_of ctx ~seed:fseed ~errors in
+      let tainted = Sim.Interp.taint_image ctx.image in
+      let image_of = function
+        | Sim.Interp.Fast -> Some tainted
+        | Sim.Interp.Ref -> None
+      in
+      let machine engine plan =
+        Sim.Interp.machine ?image:(image_of engine)
+          ~injection:(Sim.Interp.injection ~tags:ctx.tags ~plan)
+          ~budget:ctx.budget ~taint:true ~memory:(lenient ctx.prog) ctx.code
+      in
+      let scratch engine plan =
+        taint_fingerprint ctx (Sim.Interp.finish (machine engine plan))
+      in
+      let golden = scratch Sim.Interp.Ref plan in
+      let paused_in_place engine =
+        let m = machine engine plan in
+        ignore (Sim.Interp.advance m ~pause_at:p);
+        taint_fingerprint ctx (Sim.Interp.finish m)
+      in
+      let late = List.filter (fun (o, _) -> o >= p) plan in
+      let late_golden = scratch Sim.Interp.Ref late in
+      let captured (cap_e, res_e) =
+        let m = machine cap_e late in
+        let r =
+          match Sim.Interp.advance m ~pause_at:p with
+          | `Halted -> Sim.Interp.finish m
+          | `Paused ->
+            let s = Sim.Interp.capture m in
+            Sim.Interp.finish
+              (Sim.Interp.resume ?image:(image_of res_e)
+                 ~injection:(Sim.Interp.injection ~tags:ctx.tags ~plan:late)
+                 ~taint:true s)
+        in
+        taint_fingerprint ctx r
+      in
+      scratch Sim.Interp.Fast plan = golden
+      && paused_in_place Sim.Interp.Ref = golden
+      && paused_in_place Sim.Interp.Fast = golden
+      && List.for_all
+           (fun pair -> captured pair = late_golden)
+           Sim.Interp.[ (Ref, Ref); (Ref, Fast); (Fast, Ref); (Fast, Fast) ])
+
+(* The taint audit of every app, as paper-repro runs it (Full mode,
+   10 errors, 5 trials, seed 41), reports the same on a fast-engine
+   target as on a reference-engine one, under protect-control and
+   protect-nothing. *)
+let test_audit_reports () =
+  List.iter
+    (fun (app : Apps.App.t) ->
+      let l = Harness.Experiment.load ~seed:1 app in
+      let target = l.Harness.Experiment.target Harness.Experiment.Full in
+      let ref_target = { target with Core.Campaign.engine = Sim.Interp.Ref } in
+      List.iter
+        (fun policy ->
+          let audit p =
+            Core.Audit.run ~jobs:1 p ~errors:10 ~trials:5 ~seed:41
+          in
+          let fast =
+            audit (l.Harness.Experiment.prepared Harness.Experiment.Full policy)
+          and slow = audit (Core.Campaign.prepare ref_target policy) in
+          if fast <> slow then
+            Alcotest.failf "%s %s: fast audit %s, reference audit %s"
+              app.Apps.App.name (Core.Policy.to_string policy)
+              (Core.Audit.describe fast) (Core.Audit.describe slow))
+        [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ])
+    Apps.Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Directed trap/timeout parity: each abnormal-outcome class, with its
@@ -335,32 +425,41 @@ let test_engine_guards () =
     && fast.Sim.Interp.dyn_count = slow.Sim.Interp.dyn_count
     && fast.Sim.Interp.injectable_seen = slow.Sim.Interp.injectable_seen
     && Array.exists (Array.exists (fun c -> c > 0)) fast.Sim.Interp.exec_counts);
-  (* Taint is rejected by every constructor that takes an image, even
-     with the matching tag mask. *)
+  (* An image serves only machines of its flavour: every constructor
+     that takes one rejects a taint machine on a plain image and a
+     plain machine on a taint image, even with the matching tag mask,
+     and no flavour both counts and taints. *)
   let injection = Sim.Interp.injection ~tags:ctx.tags ~plan:[] in
-  let rejects_taint name f =
-    Alcotest.(check bool) name true
+  let tainted = Sim.Interp.taint_image ctx.image in
+  let rejects name want f =
+    Alcotest.(check string) name want
       (try
          ignore (f ());
-         false
-       with Invalid_argument msg ->
-         msg = "Interp: taint mode requires the reference engine")
+         "accepted"
+       with Invalid_argument msg -> msg)
   in
   let snap =
     let m = Sim.Interp.machine ~injection ctx.code in
     assert (Sim.Interp.advance m ~pause_at:0 = `Paused);
     Sim.Interp.capture m
   in
-  rejects_taint "taint stays on the reference loop" (fun () ->
+  let plain_on_taint = "Interp: a taint machine cannot run a plain image" in
+  rejects "taint run rejects a plain image" plain_on_taint (fun () ->
       Sim.Interp.run ~image:ctx.image ~injection ~taint:true ctx.code);
-  rejects_taint "taint machine stays on the reference loop" (fun () ->
-      Sim.Interp.machine ~image:ctx.image ~injection ~taint:true ctx.code);
-  rejects_taint "counting taint machine stays on the reference loop"
+  rejects "plain machine rejects a taint image"
+    "Interp: a plain machine cannot run a taint image" (fun () ->
+      Sim.Interp.machine ~image:tainted ~injection ctx.code);
+  rejects "counting taint machine stays on the reference loop"
+    "Interp: a counting taint machine requires the reference engine"
     (fun () ->
-      Sim.Interp.machine ~image:ctx.image ~injection ~count_exec:true
+      Sim.Interp.machine ~image:tainted ~injection ~count_exec:true
         ~taint:true ctx.code);
-  rejects_taint "taint resume stays on the reference loop" (fun () ->
+  rejects "taint resume rejects a plain image" plain_on_taint (fun () ->
       Sim.Interp.resume ~image:ctx.image ~injection ~taint:true snap);
+  (* The taint flavour is compiled once and kept on the plain image. *)
+  Alcotest.(check bool) "taint flavour kept on the image" true
+    (Sim.Interp.taint_image ctx.image == tainted
+    && Sim.Interp.taint_image tainted == tainted);
   (* Without [~memory] a machine lays out the strict model whichever
      engine runs it: a wild store traps, at the same site, on both. *)
   let wild =
@@ -385,35 +484,49 @@ let test_engine_guards () =
      (outcome_str r, r.Sim.Interp.dyn_count))
 
 (* ------------------------------------------------------------------ *)
-(* Speed guard: the fast engine must beat the reference loop on the
-   golden susan run by at least 1.25x. Runs alternate between the two
-   engines and each side keeps its min of 5 walls, so a scheduler
-   stall or a burst of load from other processes cannot flip the
-   verdict. The two engines running the same loop land near 1.0x,
-   which is what the margin catches: an image that silently falls back
-   to the reference loop.                                              *)
+(* Speed guards: the fast engine must beat the reference loop on the
+   golden susan run by at least 1.25x, plain and with shadow taint.
+   Runs alternate between the two engines and each side keeps its min
+   of 5 walls, so a scheduler stall or a burst of load from other
+   processes cannot flip the verdict. The two engines running the same
+   loop land near 1.0x, which is what the margin catches: an image
+   that silently falls back to the reference loop.                     *)
 
-let test_fast_beats_ref () =
-  let code =
-    Sim.Code.of_prog (Apps.Susan.app.Apps.App.build ~seed:1).Apps.App.prog
-  in
-  let image = Sim.Interp.compile code in
+let beats_ref ~what ~fast ~slow =
   let wall run =
     let t0 = Unix.gettimeofday () in
     ignore (run ());
     Unix.gettimeofday () -. t0
   in
-  let fast = ref infinity and ref_ = ref infinity in
+  let fast_s = ref infinity and ref_s = ref infinity in
   for _ = 1 to 5 do
-    fast := Float.min !fast (wall (fun () -> Sim.Interp.run_exn ~image code));
-    ref_ := Float.min !ref_ (wall (fun () -> Sim.Interp.run_exn code))
+    fast_s := Float.min !fast_s (wall fast);
+    ref_s := Float.min !ref_s (wall slow)
   done;
-  let ratio = !ref_ /. !fast in
-  Printf.printf "susan golden run: fast %.2f ms, ref %.2f ms (%.2fx)\n%!"
-    (!fast *. 1e3) (!ref_ *. 1e3) ratio;
+  let ratio = !ref_s /. !fast_s in
+  Printf.printf "susan golden %s run: fast %.2f ms, ref %.2f ms (%.2fx)\n%!"
+    what (!fast_s *. 1e3) (!ref_s *. 1e3) ratio;
   if ratio < 1.25 then
-    Alcotest.failf "fast engine %.2f ms vs ref %.2f ms on susan: %.2fx < 1.25x"
-      (!fast *. 1e3) (!ref_ *. 1e3) ratio
+    Alcotest.failf "fast %s %.2f ms vs ref %.2f ms on susan: %.2fx < 1.25x"
+      what (!fast_s *. 1e3) (!ref_s *. 1e3) ratio
+
+let susan_code () =
+  Sim.Code.of_prog (Apps.Susan.app.Apps.App.build ~seed:1).Apps.App.prog
+
+let test_fast_beats_ref () =
+  let code = susan_code () in
+  let image = Sim.Interp.compile code in
+  beats_ref ~what:"plain"
+    ~fast:(fun () -> Sim.Interp.run_exn ~image code)
+    ~slow:(fun () -> Sim.Interp.run_exn code)
+
+let test_fast_taint_beats_ref () =
+  let code = susan_code () in
+  let image = Sim.Interp.taint_image (Sim.Interp.compile code) in
+  beats_ref ~what:"taint"
+    ~fast:(fun () ->
+      Sim.Interp.done_exn (Sim.Interp.run ~image ~taint:true code))
+    ~slow:(fun () -> Sim.Interp.done_exn (Sim.Interp.run ~taint:true code))
 
 (* ------------------------------------------------------------------ *)
 
@@ -424,6 +537,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest run_differential;
           QCheck_alcotest.to_alcotest pause_resume_cross;
+          QCheck_alcotest.to_alcotest taint_differential;
         ] );
       ( "campaign",
         [
@@ -431,6 +545,8 @@ let () =
             test_campaign_grid;
           Alcotest.test_case "taint fault flows" `Quick
             test_campaign_taint_flows;
+          Alcotest.test_case "audit reports: fast = ref on 7 apps" `Quick
+            test_audit_reports;
         ] );
       ( "directed",
         [
@@ -439,5 +555,7 @@ let () =
           Alcotest.test_case "engine guards" `Quick test_engine_guards;
           Alcotest.test_case "fast beats ref on susan" `Quick
             test_fast_beats_ref;
+          Alcotest.test_case "fast taint beats ref taint on susan" `Quick
+            test_fast_taint_beats_ref;
         ] );
     ]

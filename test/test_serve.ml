@@ -837,6 +837,36 @@ let test_out_of_range_counts () =
   Alcotest.(check int) "daemon-side failure count" 4
     (Harness.Serve.failed_requests t)
 
+(* Nothing listens at a missing socket path: [Serve.dial] says so as a
+   typed error naming the path, and both clients of the CLI ([serve
+   --connect], [top --connect]) print that one line and exit 123, the
+   status of a failed run — not an uncaught exception. *)
+let test_missing_socket () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "etap-missing-%d.sock" (Unix.getpid ()))
+  in
+  (match Harness.Serve.dial ~path with
+   | Ok _ -> Alcotest.fail "dial to a missing socket succeeded"
+   | Error m ->
+     Alcotest.(check string) "typed error"
+       (Printf.sprintf "cannot connect to %s: %s" path
+          (Unix.error_message Unix.ENOENT))
+       m);
+  let etap =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "etap.exe" ]
+  in
+  List.iter
+    (fun cmd ->
+      Alcotest.(check int) (cmd ^ " --connect exits 123") 123
+        (Sys.command
+           (Filename.quote_command etap ~stdin:Filename.null
+              ~stdout:Filename.null ~stderr:Filename.null
+              [ cmd; "--connect"; path ])))
+    [ "serve"; "top" ]
+
 let test_client_disconnect () =
   with_serve @@ fun t ->
   (* Client sends a request then vanishes — both pipe ends closed
@@ -935,6 +965,8 @@ let () =
             test_typed_failures;
           Alcotest.test_case "client disconnect mid-request" `Quick
             test_client_disconnect;
+          Alcotest.test_case "a missing socket exits 123" `Quick
+            test_missing_socket;
           Alcotest.test_case "out-of-range counts get typed failures" `Quick
             test_out_of_range_counts;
         ] );

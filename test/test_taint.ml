@@ -227,7 +227,8 @@ let gcd_prepared =
      let target = Core.Campaign.of_prog prog in
      fun policy -> Core.Campaign.prepare target policy)
 
-(* Taint is shadow state of the one reference loop: same instruction
+(* A taint trial runs the taint flavour of the prepared image, whose
+   ops run a shadow transfer and then the plain ops: same instruction
    order, same injection ordinals, same write-back points. Same plan
    in, same architectural behaviour out — down to where the trap and
    each landed fault are attributed. *)
