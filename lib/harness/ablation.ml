@@ -9,50 +9,33 @@
       buys. Campaigns on a variant program in which *every* function
       (including the top-level driver) is eligible for relaxation. *)
 
-type address_row = {
-  app_name : string;
-  pct_low_full : float;
-  pct_low_literal : float;
-  pct_fail_full : float;
-  pct_fail_literal : float;
-  errors : int;
-}
+(* Every Ablation A cell runs under protection at 20 errors, campaign
+   seed 31. *)
+let address_errors = 20
 
-let address ?(errors = 20) ?(trials = 20) ?(seed = 31) ?jobs
-    (loaded : Experiment.loaded list) : address_row list =
-  let cell (l : Experiment.loaded) mode =
-    Matrix.make_cell ~mode ~policy:Core.Policy.Protect_control ~errors ~trials
-      ~seed l.Experiment.app.Apps.App.name
-  in
-  let modes = [ Experiment.Full; Experiment.Literal ] in
-  let point =
-    Matrix.points ?jobs loaded
-      (List.concat_map (fun l -> List.map (cell l) modes) loaded)
-  in
-  List.map
-    (fun (l : Experiment.loaded) ->
-      let frac mode = 100.0 *. Experiment.low_fraction l mode in
-      let fail mode = (point (cell l mode)).Experiment.pct_failed in
-      {
-        app_name = l.Experiment.app.Apps.App.name;
-        pct_low_full = frac Experiment.Full;
-        pct_low_literal = frac Experiment.Literal;
-        pct_fail_full = fail Experiment.Full;
-        pct_fail_literal = fail Experiment.Literal;
-        errors;
-      })
+let address_cell ~trials (l : Experiment.loaded) mode =
+  Matrix.make_cell ~mode ~policy:Core.Policy.Protect_control
+    ~errors:address_errors ~trials ~seed:31 l.Experiment.app.Apps.App.name
+
+(* The runner's cell list: each app under both tagging modes. *)
+let address_plan ~trials (loaded : Experiment.loaded list) :
+    Matrix.cell_spec list =
+  List.concat_map
+    (fun l ->
+      List.map (address_cell ~trials l) [ Experiment.Full; Experiment.Literal ])
     loaded
 
-let address_table rows : Report.table =
-  let errors =
-    match rows with [] -> 0 | r :: _ -> r.errors
-  in
+(* The table, read through [find] from the collected cells of
+   [address_plan]: per app, each mode's low-reliability fraction and
+   catastrophic rate. *)
+let address_table ~trials (loaded : Experiment.loaded list)
+    (find : Matrix.cell_spec -> Matrix.cell) : Report.table =
   Report.table ~id:"ablation_address"
     ~title:
       (Printf.sprintf
          "Ablation A: address protection (catastrophic %% at %d errors, \
           protection ON)"
-         errors)
+         address_errors)
     ~columns:
       [
         Report.column ~key:"app" "app";
@@ -62,15 +45,21 @@ let address_table rows : Report.table =
         Report.column ~key:"pct_fail_literal" "% fail (literal)";
       ]
     (List.map
-       (fun r ->
+       (fun (l : Experiment.loaded) ->
+         let low mode = Report.pct (100.0 *. Experiment.low_fraction l mode) in
+         let fail mode =
+           Report.pct
+             (Matrix.point l (find (address_cell ~trials l mode)))
+               .Experiment.pct_failed
+         in
          [
-           Report.text r.app_name;
-           Report.pct r.pct_low_full;
-           Report.pct r.pct_low_literal;
-           Report.pct r.pct_fail_full;
-           Report.pct r.pct_fail_literal;
+           Report.text l.Experiment.app.Apps.App.name;
+           low Experiment.Full;
+           low Experiment.Literal;
+           fail Experiment.Full;
+           fail Experiment.Literal;
          ])
-       rows)
+       loaded)
 
 (* ------------------------------------------------------------------ *)
 

@@ -77,11 +77,13 @@ let plan ~trials (f : figure) : Matrix.cell_spec list =
     (fun (_, policy) -> List.map (cell ~trials f policy) f.errors_axis)
     f.policies
 
-let run ?(trials = 20) ?jobs loaded (f : figure) : result =
-  let point = Matrix.points ?jobs loaded (plan ~trials f) in
+(* The figure, read through [find] from the collected cells of [plan]. *)
+let result ~trials loaded (find : Matrix.cell_spec -> Matrix.cell)
+    (f : figure) : result =
+  let l = Experiment.find loaded f.app in
   let series (label, policy) =
-    let cell = cell ~trials f policy in
-    { label; points = List.map (fun e -> point (cell e)) f.errors_axis }
+    let point e = Matrix.point l (find (cell ~trials f policy e)) in
+    { label; points = List.map point f.errors_axis }
   in
   {
     id = f.id;

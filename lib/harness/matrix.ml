@@ -294,12 +294,6 @@ let collect ?jobs ?store ~(loaded : (string * Experiment.loaded) list)
     sp;
   cells
 
-(* An experiment's cell list over apps it already loaded. *)
-let run_cells ?jobs ?store (loaded : Experiment.loaded list)
-    (cells : cell_spec list) : cell list =
-  let named (l : Experiment.loaded) = (l.Experiment.app.Apps.App.name, l) in
-  collect ?jobs ?store ~loaded:(List.map named loaded) cells
-
 (* Each distinct known name of [names] resolved once by [load], fanned
    out at [jobs], paired with its name. Unknown names never load: their
    cells fail. *)
@@ -341,12 +335,11 @@ let cache (c : cell) : Core.Memo.stats =
 let point l (c : cell) : Experiment.sweep_point =
   Experiment.point_of_summary ~errors:c.cell.errors (summary l c)
 
-(* Run an experiment's cells and read each one back as a sweep point. *)
-let points ?jobs loaded (cells : cell_spec list) :
-    cell_spec -> Experiment.sweep_point =
-  let results = run_cells ?jobs loaded cells in
-  fun c ->
-    point (Experiment.find loaded c.app) (List.find (fun r -> r.cell = c) results)
+(* The collected cell of a requested one: the lookup the experiments'
+   renderers read their cells through. Equal specs have equal results,
+   so the first match serves a duplicate too. *)
+let find (cells : cell list) (c : cell_spec) : cell =
+  List.find (fun r -> r.cell = c) cells
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates *)

@@ -287,10 +287,22 @@ let add_stats (a : Core.Memo.stats) (b : Core.Memo.stats) : Core.Memo.stats =
     }
 
 (* ------------------------------------------------------------------ *)
-(* Reproduce's driver: each section prints a banner and its text as
-   soon as it is computed; a wall-time ledger closes the run. All
-   campaigns are deterministic for a fixed seed and for any jobs value:
-   trial RNGs derive from the trial index. *)
+(* Reproduce's driver: the wanted sections' cells collected in one
+   list, then each section's banner and text in order, and a wall-time
+   ledger to close the run. All campaigns are deterministic for a fixed
+   seed and for any jobs value: trial RNGs derive from the trial
+   index. *)
+
+(* A section: the experiment name that selects it, its banner title,
+   the cells it reads (none for the sections that run no registry
+   campaign), and its table with the text printed for it, read through
+   the collected cells' lookup. *)
+type section = {
+  experiment : string;
+  title : string;
+  plan : Matrix.cell_spec list;
+  render : (Matrix.cell_spec -> Matrix.cell) -> Report.table * string;
+}
 
 let reproduce env ~say ~experiments ~quick : Report.table list =
   let jobs = env.jobs in
@@ -300,76 +312,98 @@ let reproduce env ~say ~experiments ~quick : Report.table list =
     || (List.mem name figure_ids && List.mem "figures" experiments)
   in
   let t0 = Unix.gettimeofday () in
-  let times = ref [] and tables = ref [] in
+  let times = ref [] in
   let timed name f =
     let t = Unix.gettimeofday () in
     let r = f () in
     times := (name, Unix.gettimeofday () -. t) :: !times;
     r
   in
-  (* A banner, then the table [compute] yields under ledger [name],
-     printed as [text] when the section says more than its table. *)
-  let section ?text title name compute table =
-    let bar = String.make 72 '=' in
-    List.iter say [ ""; bar; title; bar ];
-    let r = timed name compute in
-    let t = table r in
-    say (match text with Some text -> text r | None -> Report.to_text t);
-    tables := t :: !tables
-  in
   say
     (Printf.sprintf "building applications and baselines... (jobs=%s)"
        (match jobs with
         | Some j -> string_of_int j
         | None -> Printf.sprintf "auto:%d" (Core.Pool.default_jobs ())));
-  let loaded =
+  let named =
     timed "load_apps" (fun () ->
-        Core.Pool.map_list ?jobs (env.load ~seed:1) Apps.Registry.all)
+        Matrix.load_known ?jobs ~load:(env.load ~seed:1) Apps.Registry.names)
   in
-  if want "table2" then begin
-    section "Table 2 — catastrophic failures with/without control protection"
-      "table2"
-      (fun () -> Table2.run ~trials:t2_trials ?jobs loaded)
-      Table2.to_table;
-    let mode = Experiment.Full in
-    section "Fault-flow taxonomy (dynamic taint audit)" "fault_flow"
-      (fun () -> Taxonomy.audit ~trials:t2_trials ?jobs ~mode loaded)
-      (Taxonomy.audit_table ~mode) ~text:(Taxonomy.render_audit ~mode)
-  end;
-  if want "table3" then
-    section "Table 3 — % of dynamic instructions tagged low-reliability"
-      "table3" (fun () -> Table3.run loaded) Table3.to_table;
-  List.iter
-    (fun (f : Figures.figure) ->
-      if want f.id then
-        section (String.uppercase_ascii f.id) f.id
-          (fun () -> Figures.run ~trials ?jobs loaded f) Figures.to_table)
-    Figures.figures;
-  if want "ablation" then begin
-    section "Ablation A — address protection" "ablation_address"
-      (fun () -> Ablation.address ~trials ?jobs loaded) Ablation.address_table;
-    section "Ablation B — programmer eligibility marking"
-      "ablation_eligibility"
-      (fun () -> Ablation.eligibility ~trials ?jobs ())
-      Ablation.eligibility_table
-  end;
-  if want "extensions" then begin
-    let mode = Experiment.Literal in
-    section "Cost model — selective vs uniform protection (paper Sec. 5.3)"
-      "cost_model"
-      (fun () -> Cost_model.run ~mode loaded)
-      (Cost_model.to_table ~mode);
-    section "Fault outcome taxonomy (benign / degraded / catastrophic)"
-      "taxonomy"
-      (fun () -> Taxonomy.run ~trials ?jobs ~mode loaded)
-      (Taxonomy.to_table ~mode)
-  end;
+  let loaded = List.map snd named in
+  let section ?(plan = []) experiment title render =
+    { experiment; title; plan; render }
+  in
+  let table t = (t, Report.to_text t) in
+  let full = Experiment.Full and literal = Experiment.Literal in
+  let audit =
+    Taxonomy.audit_plan ~errors:Taxonomy.default_errors ~trials:t2_trials
+      ~seed:Taxonomy.seed ~mode:full (List.map fst named)
+  in
+  let sections =
+    [
+      section "table2"
+        "Table 2 — catastrophic failures with/without control protection"
+        ~plan:(Table2.plan ~trials:t2_trials loaded) (fun find ->
+          table (Table2.to_table ~trials:t2_trials loaded find));
+      section "table2" "Fault-flow taxonomy (dynamic taint audit)" ~plan:audit
+        (fun find ->
+          let cells = List.map find audit in
+          ( Taxonomy.audit_table ~mode:full cells,
+            Taxonomy.render_audit ~mode:full cells ));
+      section "table3"
+        "Table 3 — % of dynamic instructions tagged low-reliability" (fun _ ->
+          table (Table3.to_table (Table3.run loaded)));
+    ]
+    @ List.map
+        (fun (f : Figures.figure) ->
+          section f.id (String.uppercase_ascii f.id)
+            ~plan:(Figures.plan ~trials f) (fun find ->
+              table (Figures.to_table (Figures.result ~trials loaded find f))))
+        Figures.figures
+    @ [
+        section "ablation" "Ablation A — address protection"
+          ~plan:(Ablation.address_plan ~trials loaded) (fun find ->
+            table (Ablation.address_table ~trials loaded find));
+        section "ablation" "Ablation B — programmer eligibility marking"
+          (fun _ ->
+            table
+              (Ablation.eligibility_table
+                 (timed "ablation_eligibility" (fun () ->
+                      Ablation.eligibility ~trials ?jobs ()))));
+        section "extensions"
+          "Cost model — selective vs uniform protection (paper Sec. 5.3)"
+          (fun _ ->
+            table
+              (Cost_model.to_table ~mode:literal
+                 (Cost_model.run ~mode:literal loaded)));
+        section "extensions"
+          "Fault outcome taxonomy (benign / degraded / catastrophic)"
+          ~plan:(Taxonomy.plan ~trials ~mode:literal loaded) (fun find ->
+            table
+              (Taxonomy.to_table ~mode:literal
+                 (Taxonomy.rows ~trials ~mode:literal loaded find)));
+      ]
+  in
+  let sections = List.filter (fun s -> want s.experiment) sections in
+  let cells =
+    timed "collect" (fun () ->
+        collect env ~loaded:named (List.concat_map (fun s -> s.plan) sections))
+  in
+  let bar = String.make 72 '=' and find = Matrix.find cells in
+  let tables =
+    List.map
+      (fun s ->
+        List.iter say [ ""; bar; s.title; bar ];
+        let t, text = s.render find in
+        say text;
+        t)
+      sections
+  in
   say "";
   List.iter
     (fun (name, secs) -> say (Printf.sprintf "  %-28s %7.2f s" name secs))
     (List.rev !times);
   say (Printf.sprintf "total wall time: %.1f s" (Unix.gettimeofday () -. t0));
-  List.rev !tables
+  tables
 
 (* ------------------------------------------------------------------ *)
 (* The runner *)

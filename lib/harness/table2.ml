@@ -10,17 +10,6 @@
    under protection is smaller than the requested count, the plan
    saturates the pool; the row reports the requested count. *)
 
-type row = {
-  app_name : string;
-  errors : int;
-  total_instructions : int;
-  pct_with : float;          (* protection ON, control+address (Full) *)
-  pct_with_literal : float;  (* protection ON, paper's literal rules *)
-  pct_without : float;       (* protection OFF *)
-  paper_with : float;
-  paper_without : float;
-}
-
 (* (app, errors, paper % with, paper % without), from the paper. *)
 let cells =
   [
@@ -48,38 +37,23 @@ let configs = [ with_full; with_literal; without ]
 let paper_cells loaded =
   List.filter (fun (name, _, _, _) -> Experiment.mem loaded name) cells
 
-let cell ~trials ~seed app errors (mode, policy) =
+(* The campaign seed of every Table 2 cell. *)
+let seed = 11
+
+let cell ~trials app errors (mode, policy) =
   Matrix.make_cell ~mode ~policy ~errors ~trials ~seed app
 
 (* The runner's cell list, for the paper cells whose app is loaded. *)
-let plan ~trials ~seed loaded : Matrix.cell_spec list =
+let plan ~trials loaded : Matrix.cell_spec list =
   List.concat_map
-    (fun (app, errors, _, _) ->
-      List.map (cell ~trials ~seed app errors) configs)
+    (fun (app, errors, _, _) -> List.map (cell ~trials app errors) configs)
     (paper_cells loaded)
 
-let run ?(trials = 25) ?(seed = 11) ?jobs (loaded : Experiment.loaded list) :
-    row list =
-  let point = Matrix.points ?jobs loaded (plan ~trials ~seed loaded) in
-  List.map
-    (fun (name, errors, paper_with, paper_without) ->
-      let pct config =
-        (point (cell ~trials ~seed name errors config)).Experiment.pct_failed
-      in
-      {
-        app_name = name;
-        errors;
-        total_instructions =
-          (Experiment.find loaded name).Experiment.golden.Sim.Interp.dyn_count;
-        pct_with = pct with_full;
-        pct_with_literal = pct with_literal;
-        pct_without = pct without;
-        paper_with;
-        paper_without;
-      })
-    (paper_cells loaded)
-
-let to_table rows : Report.table =
+(* The table, read through [find] from the collected cells of [plan]:
+   one row per paper cell, our three campaigns beside the paper's two
+   rates. *)
+let to_table ~trials (loaded : Experiment.loaded list)
+    (find : Matrix.cell_spec -> Matrix.cell) : Report.table =
   Report.table ~id:"table2"
     ~title:
       "Table 2: % catastrophic failures (crash or infinite run), with vs \
@@ -96,15 +70,21 @@ let to_table rows : Report.table =
         Report.column ~key:"paper_without" "without (paper)";
       ]
     (List.map
-       (fun r ->
+       (fun (name, errors, paper_with, paper_without) ->
+         let l = Experiment.find loaded name in
+         let pct config =
+           Report.pct
+             (Matrix.point l (find (cell ~trials name errors config)))
+               .Experiment.pct_failed
+         in
          [
-           Report.text r.app_name;
-           Report.int r.errors;
-           Report.int r.total_instructions;
-           Report.pct r.pct_with;
-           Report.pct r.pct_with_literal;
-           Report.pct r.pct_without;
-           Report.pct r.paper_with;
-           Report.pct r.paper_without;
+           Report.text name;
+           Report.int errors;
+           Report.int l.Experiment.golden.Sim.Interp.dyn_count;
+           pct with_full;
+           pct with_literal;
+           pct without;
+           Report.pct paper_with;
+           Report.pct paper_without;
          ])
-       rows)
+       (paper_cells loaded))

@@ -22,16 +22,27 @@ type row = {
 
 let epsilon = 1e-9
 
-let run ?(errors = 10) ?(trials = 30) ?(seed = 41) ?jobs
-    ~(mode : Experiment.mode) (loaded : Experiment.loaded list) : row list =
-  let cell (l : Experiment.loaded) =
-    Matrix.make_cell ~mode ~policy:Core.Policy.Protect_control ~errors ~trials
-      ~seed l.Experiment.app.Apps.App.name
-  in
-  let point = Matrix.points ?jobs loaded (List.map cell loaded) in
+(* The outcome taxonomy's campaign seed and default error count, which
+   the reproduction's fault-flow audit shares. *)
+let default_errors = 10
+let seed = 41
+
+let cell ~errors ~trials ~mode (l : Experiment.loaded) =
+  Matrix.make_cell ~mode ~policy:Core.Policy.Protect_control ~errors ~trials
+    ~seed l.Experiment.app.Apps.App.name
+
+(* The runner's cell list: one protected campaign per app. *)
+let plan ?(errors = default_errors) ~trials ~mode loaded :
+    Matrix.cell_spec list =
+  List.map (cell ~errors ~trials ~mode) loaded
+
+(* The rows, read through [find] from the collected cells of [plan]. *)
+let rows ?(errors = default_errors) ~trials ~mode
+    (loaded : Experiment.loaded list) (find : Matrix.cell_spec -> Matrix.cell)
+    : row list =
   List.map
     (fun (l : Experiment.loaded) ->
-      let p = point (cell l) in
+      let p = Matrix.point l (find (cell ~errors ~trials ~mode l)) in
       let golden = l.Experiment.golden in
       let self_score = l.Experiment.built.Apps.App.score ~golden golden in
       let benign =
@@ -110,15 +121,6 @@ let audit_report (c : Matrix.cell) : Core.Audit.report =
     Core.Audit.fault_free ~policy:s.Matrix.policy ~errors:s.Matrix.errors
       ~trials:s.Matrix.trials ~seed:s.Matrix.seed
   | Matrix.Failed m -> failwith (Matrix.cell_label s ^ ": " ^ m)
-
-(* The audit of apps already loaded: its plan, collected cells. *)
-let audit ?(errors = 10) ?(trials = 30) ?(seed = 41) ?jobs
-    ~(mode : Experiment.mode) (loaded : Experiment.loaded list) :
-    Matrix.cell list =
-  Matrix.run_cells ?jobs loaded
-    (audit_plan ~errors ~trials ~seed ~mode
-       (List.map (fun (l : Experiment.loaded) -> l.Experiment.app.Apps.App.name)
-          loaded))
 
 (* One row per audit cell; a failed cell's row is dashes and the
    verdict "failed". *)

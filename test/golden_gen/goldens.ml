@@ -8,12 +8,17 @@
    the observable content of a fixed-seed campaign, so report-layer and
    campaign refactors can be checked for byte parity. *)
 
-let loaded =
+let named =
   lazy
-    (List.filter_map
-       (fun n ->
-         Option.map (Harness.Experiment.load ~seed:1) (Apps.Registry.find n))
+    (Harness.Matrix.load_known ~jobs:1 ~load:(Harness.Experiment.load ~seed:1)
        [ "mcf"; "adpcm" ])
+
+let loaded = lazy (List.map snd (Lazy.force named))
+
+(* An experiment's plan collected on one domain, as its lookup. *)
+let collect cells =
+  Harness.Matrix.find
+    (Harness.Matrix.collect ~jobs:1 ~loaded:(Lazy.force named) cells)
 
 let table t = Report.to_text t
 
@@ -176,9 +181,10 @@ let all : (string * string * (unit -> string)) list =
     ( "table2 quick",
       "table2_quick.txt",
       fun () ->
+        let trials = 4 and loaded = loaded () in
         table
-          (Harness.Table2.to_table
-             (Harness.Table2.run ~trials:4 ~jobs:1 (loaded ()))) );
+          (Harness.Table2.to_table ~trials loaded
+             (collect (Harness.Table2.plan ~trials loaded))) );
     ( "table3 quick",
       "table3_quick.txt",
       fun () -> table (Harness.Table3.to_table (Harness.Table3.run (loaded ())))
@@ -186,18 +192,22 @@ let all : (string * string * (unit -> string)) list =
     ( "taxonomy quick",
       "taxonomy_quick.txt",
       fun () ->
-        let mode = Harness.Experiment.Literal in
+        let mode = Harness.Experiment.Literal and errors = 2 and trials = 8
+        and loaded = [ List.hd (loaded ()) ] in
         table
           (Harness.Taxonomy.to_table ~mode
-             (Harness.Taxonomy.run ~errors:2 ~trials:8 ~seed:41 ~mode
-                [ List.hd (loaded ()) ])) );
+             (Harness.Taxonomy.rows ~errors ~trials ~mode loaded
+                (collect (Harness.Taxonomy.plan ~errors ~trials ~mode loaded))))
+    );
     ( "audit quick",
       "audit_quick.txt",
       fun () ->
         let mode = Harness.Experiment.Full in
-        Harness.Taxonomy.render_audit ~mode
-          (Harness.Taxonomy.audit ~errors:2 ~trials:8 ~seed:41 ~mode
-             (loaded ())) );
+        let plan =
+          Harness.Taxonomy.audit_plan ~errors:2 ~trials:8 ~seed:41 ~mode
+            (List.map fst (Lazy.force named))
+        in
+        Harness.Taxonomy.render_audit ~mode (List.map (collect plan) plan) );
     ("campaign gcd, jobs 1 and 4", "campaign_gcd.txt", campaign_gcd);
     ( "profile susan",
       "profile_susan.txt",
@@ -207,16 +217,19 @@ let all : (string * string * (unit -> string)) list =
     ( "fig3 quick",
       "fig3_quick.txt",
       fun () ->
+        let trials = 4 and fig3 = Harness.Figures.by_id "fig3" in
         table
           (Harness.Figures.to_table
-             (Harness.Figures.run ~trials:4 ~jobs:1 (loaded ())
-                (Harness.Figures.by_id "fig3"))) );
+             (Harness.Figures.result ~trials (loaded ())
+                (collect (Harness.Figures.plan ~trials fig3))
+                fig3)) );
     ( "ablation A quick",
       "ablation_quick.txt",
       fun () ->
+        let trials = 4 and loaded = loaded () in
         table
-          (Harness.Ablation.address_table
-             (Harness.Ablation.address ~trials:4 ~jobs:1 (loaded ()))) );
+          (Harness.Ablation.address_table ~trials loaded
+             (collect (Harness.Ablation.address_plan ~trials loaded))) );
     ("inject quick", "inject_quick.txt", inject_quick);
     ("cli quick", "cli_quick.txt", cli_quick);
     ("sections quick", "sections_quick.txt", sections_quick);

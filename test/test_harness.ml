@@ -239,9 +239,15 @@ let test_cost_model_rows () =
   | _ -> Alcotest.fail "one row expected"
 
 let test_taxonomy_sums_to_100 () =
+  let l = Lazy.force loaded in
+  let mode = Harness.Experiment.Literal and errors = 2 and trials = 8 in
+  let cells =
+    Harness.Matrix.collect ~loaded:[ ("mcf", l) ]
+      (Harness.Taxonomy.plan ~errors ~trials ~mode [ l ])
+  in
   let rows =
-    Harness.Taxonomy.run ~errors:2 ~trials:8 ~mode:Harness.Experiment.Literal
-      [ Lazy.force loaded ]
+    Harness.Taxonomy.rows ~errors ~trials ~mode [ l ]
+      (Harness.Matrix.find cells)
   in
   match rows with
   | [ r ] ->

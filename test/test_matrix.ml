@@ -318,14 +318,13 @@ let test_cache_shared_with_inject () =
    cell equals the point-at-a-time entry the paper-repro benchmark
    calls for it. *)
 let test_runner_differential () =
-  let loaded =
-    List.map
-      (fun n ->
-        Harness.Experiment.load ~seed:1 (Option.get (Apps.Registry.find n)))
+  let named =
+    Harness.Matrix.load_known ~jobs:1 ~load:(Harness.Experiment.load ~seed:1)
       [ "mcf"; "adpcm" ]
   in
+  let loaded = List.map snd named in
   let trials = 3 in
-  let table2 = Harness.Table2.plan ~trials ~seed:11 loaded in
+  let table2 = Harness.Table2.plan ~trials loaded in
   let cells =
     table2
     @ List.filter
@@ -339,8 +338,8 @@ let test_runner_differential () =
           "adpcm";
       ]
   in
-  let r1 = Harness.Matrix.run_cells ~jobs:1 loaded cells in
-  let r2 = Harness.Matrix.run_cells ~jobs:2 loaded cells in
+  let r1 = Harness.Matrix.collect ~jobs:1 ~loaded:named cells in
+  let r2 = Harness.Matrix.collect ~jobs:2 ~loaded:named cells in
   let kinds =
     List.map (fun (c : Harness.Matrix.cell) ->
         Harness.Matrix.status_kind c.Harness.Matrix.status)
@@ -381,6 +380,36 @@ let test_runner_differential () =
                ~errors ~trials ~seed)
             p.Harness.Experiment.pct_failed)
     r1
+
+(* A reproduction of two figures is one collect over both plans: the
+   run records one [matrix.run] span, and each table, as text and as
+   JSON, is the one the figure's reproduction alone renders. *)
+let test_reproduce_one_collect () =
+  let tables experiments =
+    match
+      Harness.Request.run
+        (Harness.Request.local ~jobs:2 ())
+        (Harness.Request.Reproduce { experiments; quick = true })
+    with
+    | Some rep, None ->
+      List.map
+        (fun t ->
+          ( Report.to_text t,
+            Report.Json.to_compact_string (Report.table_json t) ))
+        rep.Report.tables
+    | _ -> Alcotest.fail "reproduce failed"
+  in
+  let sink = Obs.make () in
+  let both = Obs.with_sink sink (fun () -> tables [ "fig3"; "fig6" ]) in
+  Alcotest.(check int) "one matrix.run span" 1
+    (List.length
+       (List.filter
+          (fun s -> s.Obs.sp_name = "matrix.run")
+          (Obs.view sink).Obs.spans));
+  Alcotest.(check (list (pair string string)))
+    "each table = its experiment alone"
+    (tables [ "fig3" ] @ tables [ "fig6" ])
+    both
 
 (* --------------------------- reporting ----------------------------- *)
 
@@ -510,6 +539,8 @@ let () =
         [
           Alcotest.test_case "mixed cell list = point-at-a-time, any jobs"
             `Quick test_runner_differential;
+          Alcotest.test_case "reproduce collects once, renders as alone"
+            `Quick test_reproduce_one_collect;
         ] );
       ( "reporting",
         [ Alcotest.test_case "tables carry every cell" `Quick

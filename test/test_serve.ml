@@ -254,7 +254,7 @@ let test_inject_cells () =
     (List.map Harness.Matrix.cell_label cells);
   Alcotest.(check (list int)) "campaign seed = seed + 100" [ 105; 105 ]
     (List.map (fun (c : Harness.Matrix.cell_spec) -> c.seed) cells);
-  let failed = Harness.Matrix.run_cells [] cells in
+  let failed = Harness.Matrix.collect ~loaded:[] cells in
   Alcotest.(check (option string)) "failed cells end the request"
     (Some
        "2 matrix cell(s) failed:\n\
@@ -350,7 +350,7 @@ let test_matrix_bit_identity () =
   Alcotest.(check string) "matrix tables bit-identical to the standalone sweep"
     direct_tables (tables_of served)
 
-(* A served audit against [Taxonomy.audit] over a fresh load: the
+(* A served audit against its plan collected over a fresh load: the
    same cells, the campaign seed at seed + 100, no daemon. gsm, and
    adpcm, whose Full/protect-control pool is empty (a skipped cell). *)
 let test_audit_bit_identity () =
@@ -370,10 +370,13 @@ let test_audit_bit_identity () =
       in
       Alcotest.(check bool) (app ^ " served ok") true served.Harness.Proto.ok;
       let mode = Harness.Experiment.Full in
+      let l =
+        Harness.Experiment.load ~seed (Option.get (Apps.Registry.find app))
+      in
       let direct =
-        Harness.Taxonomy.audit ~errors ~trials ~seed:(seed + 100) ~jobs:2
-          ~mode
-          [ Harness.Experiment.load ~seed (Option.get (Apps.Registry.find app)) ]
+        Harness.Matrix.collect ~jobs:2 ~loaded:[ (app, l) ]
+          (Harness.Taxonomy.audit_plan ~errors ~trials ~seed:(seed + 100) ~mode
+             [ app ])
       in
       Alcotest.(check string)
         (app ^ " audit tables = Taxonomy.audit_table")
