@@ -324,9 +324,22 @@ let reproduce env ~say ~experiments ~quick : Report.table list =
        (match jobs with
         | Some j -> string_of_int j
         | None -> Printf.sprintf "auto:%d" (Core.Pool.default_jobs ())));
+  (* A figure reads its own app's cells only; every other section reads
+     every registry app. *)
+  let apps =
+    if List.exists want [ "table2"; "table3"; "ablation"; "extensions" ] then
+      Apps.Registry.names
+    else
+      List.filter
+        (fun n ->
+          List.exists
+            (fun (f : Figures.figure) -> f.app = n && want f.id)
+            Figures.figures)
+        Apps.Registry.names
+  in
   let named =
     timed "load_apps" (fun () ->
-        Matrix.load_known ?jobs ~load:(env.load ~seed:1) Apps.Registry.names)
+        Matrix.load_known ?jobs ~load:(env.load ~seed:1) apps)
   in
   let loaded = List.map snd named in
   let section ?(plan = []) experiment title render =

@@ -41,13 +41,14 @@
    sinks, destination mask, fresh taint where a fault will land) just
    before dispatching it; the fast engine runs the same transfer,
    specialised at compile time, from the taint flavour of an image
-   ([taint_image]). Both call the same helpers (Taint.shade and its
-   siblings, Machine.shadow_args and shadow_return). Plain,
-   counting and taint runs of the reference loop share one step
-   function, so they execute instructions in the same order and land
-   faults at the same ordinals; taint machines pause, capture and
-   resume like any other. The reference taint path is the differential
-   oracle of the fast one. *)
+   ([taint_image]). Both call the same transfer helpers, defined in
+   Threaded so that the fast engine inlines them (Threaded.shade and
+   its siblings, shadow_args and shadow_return). Plain, counting and
+   taint runs of the reference loop share one step function, so they
+   execute instructions in the same order and land faults at the same
+   ordinals; taint machines pause, capture and resume like any other.
+   The reference taint path is the differential oracle of the fast
+   one. *)
 
 open Machine
 
@@ -129,68 +130,61 @@ let machine ?image ?injection ?budget ?(count_exec = false) ?taint ?memory code
 (* ------------------------- shadow taint ------------------------- *)
 
 (* Shadow-taint transfer of one instruction on a taint machine, run by
-   the reference loop just before the instruction executes. It hits
-   the sinks the operands reach and sets the shadow of the destination
-   from the operands' shadows, plus fresh taint when the write-back
-   will land a planned fault ([Taint.shade]). Doing this before
-   execution is exact: the operands (registers, the loaded cell) are read before
+   the reference loop just before the instruction executes, over the
+   fast engine's transfer helpers (Threaded). It hits the sinks the
+   operands reach and sets the shadow of the destination from the
+   operands' shadows, plus fresh taint when the write-back will land a
+   planned fault ([Threaded.shade]). Doing this before execution is
+   exact: the operands (registers, the loaded cell) are read before
    the instruction can overwrite them, and when the instruction traps
    instead of writing back, the run ends there. Calls are shadowed
    where frames change: the DCall arm copies argument masks into the
-   callee, and [shadow_return] carries the return register's mask
-   back. *)
+   callee, and [Threaded.shadow_return] carries the return register's
+   mask back. *)
 let shadow m tr ftags (fr : frame) pc (ins : Code.d) =
+  let open Threaded in
   let itn = fr.itn and ftn = fr.ftn and iregs = fr.iregs in
   let lands = will_land m ftags pc in
+  let cell a = cell_index m.memory a
+  and byte_cell a = byte_cell_index m.memory a in
   match ins with
   | Code.DNop | Code.DJmp _ | Code.DCall _ | Code.DRetI _ | Code.DRetF _
   | Code.DRetV ->
     ()
-  | Code.DLi (d, _) | Code.DLa (d, _) -> Taint.shade tr ~lands itn d Taint.none
-  | Code.DLf (d, _) -> Taint.shade tr ~lands ftn d Taint.none
-  | Code.DMovI (d, s) -> Taint.shade tr ~lands itn d itn.(s)
-  | Code.DMovF (d, s) -> Taint.shade tr ~lands ftn d ftn.(s)
+  | Code.DLi (d, _) | Code.DLa (d, _) -> shade tr ~lands itn d Taint.none
+  | Code.DLf (d, _) -> shade tr ~lands ftn d Taint.none
+  | Code.DMovI (d, s) -> shade tr ~lands itn d itn.(s)
+  | Code.DMovF (d, s) -> shade tr ~lands ftn d ftn.(s)
   | Code.DBin (op, d, a, b) ->
     (match op with
-     | Ir.Instr.Div | Ir.Instr.Rem -> Taint.sink_trap_operand tr itn.(b)
+     | Ir.Instr.Div | Ir.Instr.Rem -> sink_trap_operand tr itn.(b)
      | _ -> ());
-    Taint.shade tr ~lands itn d (itn.(a) lor itn.(b))
-  | Code.DBini (_, d, a, _) -> Taint.shade tr ~lands itn d itn.(a)
-  | Code.DCmp (_, d, a, b) -> Taint.shade tr ~lands itn d (itn.(a) lor itn.(b))
-  | Code.DFbin (_, d, a, b) -> Taint.shade tr ~lands ftn d (ftn.(a) lor ftn.(b))
-  | Code.DFun (_, d, s) -> Taint.shade tr ~lands ftn d ftn.(s)
-  | Code.DFcmp (_, d, a, b) -> Taint.shade tr ~lands itn d (ftn.(a) lor ftn.(b))
-  | Code.DI2f (d, s) -> Taint.shade tr ~lands ftn d itn.(s)
+    shade tr ~lands itn d (itn.(a) lor itn.(b))
+  | Code.DBini (_, d, a, _) -> shade tr ~lands itn d itn.(a)
+  | Code.DCmp (_, d, a, b) -> shade tr ~lands itn d (itn.(a) lor itn.(b))
+  | Code.DFbin (_, d, a, b) -> shade tr ~lands ftn d (ftn.(a) lor ftn.(b))
+  | Code.DFun (_, d, s) -> shade tr ~lands ftn d ftn.(s)
+  | Code.DFcmp (_, d, a, b) -> shade tr ~lands itn d (ftn.(a) lor ftn.(b))
+  | Code.DI2f (d, s) -> shade tr ~lands ftn d itn.(s)
   | Code.DF2i (d, s) ->
-    Taint.sink_trap_operand tr ftn.(s);
-    Taint.shade tr ~lands itn d ftn.(s)
+    sink_trap_operand tr ftn.(s);
+    shade tr ~lands itn d ftn.(s)
   | Code.DLw (d, b, o) ->
-    Taint.shadow_load tr ~lands itn d
-      (Memory.cell_index m.memory (iregs.(b) + o))
-      ~base:itn.(b)
+    shadow_load tr ~lands itn d (cell (iregs.(b) + o)) ~base:itn.(b)
   | Code.DLb (d, b, o) ->
-    Taint.shadow_load tr ~lands itn d
-      (Memory.byte_cell_index m.memory (iregs.(b) + o))
-      ~base:itn.(b)
+    shadow_load tr ~lands itn d (byte_cell (iregs.(b) + o)) ~base:itn.(b)
   | Code.DLwf (d, b, o) ->
-    Taint.shadow_load tr ~lands ftn d
-      (Memory.cell_index m.memory (iregs.(b) + o))
-      ~base:itn.(b)
+    shadow_load tr ~lands ftn d (cell (iregs.(b) + o)) ~base:itn.(b)
   | Code.DSw (v, b, o) ->
-    Taint.shadow_store tr ~byte:false
-      (Memory.cell_index m.memory (iregs.(b) + o))
-      ~base:itn.(b) itn.(v)
+    shadow_store tr ~byte:false (cell (iregs.(b) + o)) ~base:itn.(b) itn.(v)
   | Code.DSb (v, b, o) ->
-    Taint.shadow_store tr ~byte:true
-      (Memory.byte_cell_index m.memory (iregs.(b) + o))
-      ~base:itn.(b) itn.(v)
+    shadow_store tr ~byte:true (byte_cell (iregs.(b) + o)) ~base:itn.(b)
+      itn.(v)
   | Code.DSwf (v, b, o) ->
-    Taint.shadow_store tr ~byte:false
-      (Memory.cell_index m.memory (iregs.(b) + o))
-      ~base:itn.(b) ftn.(v)
+    shadow_store tr ~byte:false (cell (iregs.(b) + o)) ~base:itn.(b) ftn.(v)
   | Code.DBr (_, a, b, _) ->
-    Taint.sink_control tr ~fid:fr.fid ~pc (itn.(a) lor itn.(b))
-  | Code.DBrz (_, a, _) -> Taint.sink_control tr ~fid:fr.fid ~pc itn.(a)
+    sink_control tr ~fid:fr.fid ~pc (itn.(a) lor itn.(b))
+  | Code.DBrz (_, a, _) -> sink_control tr ~fid:fr.fid ~pc itn.(a)
 
 (* The reference dispatch loop. Executes until the machine halts, or
    pauses as soon as [m.pause_at] injectable ordinals have been seen —
@@ -211,7 +205,7 @@ let exec m =
   let memory = m.memory in
   let pause_at = m.pause_at in
   let taint = Option.is_some m.taint in
-  let tr = match m.taint with Some tr -> tr | None -> Taint.make ~cells:0 in
+  let tr = match m.taint with Some tr -> tr | None -> make_tracker ~cells:0 in
   while is_running m do
     let fr = match m.stack with fr :: _ -> fr | [] -> assert false in
     let df = Array.unsafe_get funcs fr.fid in
@@ -279,7 +273,7 @@ let exec m =
         fregs.(d) <- inject_f m ftags pc (float_of_int iregs.(s));
         loop (pc + 1)
       | Code.DF2i (d, s) ->
-        iregs.(d) <- inject_i m ftags pc (f2i fregs.(s));
+        iregs.(d) <- inject_i m ftags pc (Threaded.f2i fregs.(s));
         loop (pc + 1)
       | Code.DLw (d, b, o) ->
         iregs.(d) <- inject_i m ftags pc (Memory.load_int memory (iregs.(b) + o));
@@ -319,15 +313,15 @@ let exec m =
         Array.iter
           (fun (src, dst) -> nf.fregs.(dst) <- fregs.(src))
           c.Code.fargs;
-        if taint then shadow_args c ~caller:fr nf;
+        if taint then Threaded.shadow_args c ~caller:fr nf;
         m.depth <- callee_depth;
         m.stack <- nf :: m.stack
         (* head frame changed: fall out to the outer loop *)
       | Code.DRetI r ->
-        if taint then shadow_return m tr fr.itn.(r);
+        if taint then Threaded.shadow_return m tr fr.itn.(r);
         return m (Some (Value.I iregs.(r)))
       | Code.DRetF r ->
-        if taint then shadow_return m tr fr.ftn.(r);
+        if taint then Threaded.shadow_return m tr fr.ftn.(r);
         return m (Some (Value.F fregs.(r)))
       | Code.DRetV -> return m None
     in
@@ -410,7 +404,7 @@ let finish m : result =
           (m.code.Code.funcs.(m.land_fids.(i)).Code.name, m.land_pcs.(i)));
     fault_flow =
       Option.map
-        (Taint.summarize ~func_name:(fun f -> m.code.Code.funcs.(f).Code.name))
+        (summarize ~func_name:(fun f -> m.code.Code.funcs.(f).Code.name))
         m.taint;
   }
 

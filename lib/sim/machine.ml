@@ -9,12 +9,12 @@
    dispatch instructions, never in what a dispatched instruction does.
 
    Shadow taint (DESIGN §11) is optional state of the same machine: a
-   [Taint.tracker] in [taint] plus per-frame register masks, all absent
-   when taint is off. Its lattice helpers live in Taint ([shade],
-   [shadow_load], [shadow_store]) and here ([will_land], [shadow_args],
-   [shadow_return]), and both engines call them: the reference loop
-   from its per-dispatch transfer, the fast engine from the taint
-   flavour of an image.
+   [tracker] in [taint] plus per-frame register masks, all absent when
+   taint is off. The tracker is defined here, inside the simulator, so
+   only lib/sim writes it; its transfer helpers ([shade],
+   [shadow_load], [shadow_store], the sinks, [shadow_args],
+   [shadow_return]) live in Threaded, where the fast engine's taint
+   flavour inlines them, and the reference loop calls them there.
 
    The [fast] field selects the engine: a machine built from a
    compiled [image] carries the closure table and is driven by
@@ -38,22 +38,22 @@ exception Pause_exn
 let max_call_depth = 4096
 let default_budget = 100_000_000
 
-let sx32 = Value.sx32
-
 let binop_i (op : Ir.Instr.binop) a b =
   match op with
-  | Add -> sx32 (a + b)
-  | Sub -> sx32 (a - b)
-  | Mul -> sx32 (a * b)
+  | Add -> Value.sx32 (a + b)
+  | Sub -> Value.sx32 (a - b)
+  | Mul -> Value.sx32 (a * b)
   | Div ->
-    if b = 0 then raise (Trap.Error Trap.Division_by_zero) else sx32 (a / b)
+    if b = 0 then raise (Trap.Error Trap.Division_by_zero)
+    else Value.sx32 (a / b)
   | Rem ->
-    if b = 0 then raise (Trap.Error Trap.Division_by_zero) else sx32 (a mod b)
+    if b = 0 then raise (Trap.Error Trap.Division_by_zero)
+    else Value.sx32 (a mod b)
   | And -> a land b
   | Or -> a lor b
   | Xor -> a lxor b
-  | Sll -> sx32 (a lsl (b land 31))
-  | Srl -> sx32 ((a land 0xFFFFFFFF) lsr (b land 31))
+  | Sll -> Value.sx32 (a lsl (b land 31))
+  | Srl -> Value.sx32 ((a land 0xFFFFFFFF) lsr (b land 31))
   | Sra -> a asr (b land 31)
 
 let cmp_i (op : Ir.Instr.cmpop) a b =
@@ -84,11 +84,6 @@ let cmp_f (op : Ir.Instr.cmpop) (a : float) (b : float) =
   | Gt -> a > b
   | Ge -> a >= b
 
-let f2i (x : float) =
-  if Float.is_nan x || x >= 2147483648.0 || x < -2147483648.0 then
-    raise (Trap.Error (Trap.Float_to_int_overflow x));
-  int_of_float (Float.trunc x)
-
 let no_counts : int array = [||]
 let no_tags : bool array = [||]
 let no_ops : bool array array = [||]
@@ -110,6 +105,57 @@ type frame = {
   itn : Taint.mask array;
   ftn : Taint.mask array;
 }
+
+(* The event accumulator of a taint machine: first-contamination
+   counts at each sink (Taint's header lists them) and the per-cell
+   taint mask of the memory image. Its writers are the transfer helpers
+   in Threaded; [summarize] reads it once a run ends. *)
+type tracker = {
+  mutable propagated : bool;
+  mutable control_free : int;
+  mutable control_via_memory : int;
+  mutable address_hits : int;
+  mutable trap_operand_hits : int;
+  mutable memory_hits : int;
+  mutable first_control_fid : int; (* first memory-free control event *)
+  mutable first_control_pc : int;
+  tmem : Bytes.t; (* per-cell taint mask, parallel to the data image *)
+}
+
+let make_tracker ~cells =
+  {
+    propagated = false;
+    control_free = 0;
+    control_via_memory = 0;
+    address_hits = 0;
+    trap_operand_hits = 0;
+    memory_hits = 0;
+    first_control_fid = -1;
+    first_control_pc = -1;
+    tmem = Bytes.make (max cells 0) '\000';
+  }
+
+(* The five-class flow of a run, most severe sink first. *)
+let summarize (tr : tracker) ~func_name : Taint.summary =
+  let flow : Taint.flow =
+    if tr.control_free + tr.control_via_memory > 0 then Reached_control
+    else if tr.address_hits + tr.trap_operand_hits > 0 then Reached_address
+    else if tr.memory_hits > 0 then Reached_memory
+    else if tr.propagated then Data_only
+    else Vanished
+  in
+  {
+    flow;
+    control_free = tr.control_free;
+    control_via_memory = tr.control_via_memory;
+    address_hits = tr.address_hits;
+    trap_operand_hits = tr.trap_operand_hits;
+    memory_hits = tr.memory_hits;
+    first_control =
+      (if tr.first_control_fid >= 0 then
+         Some (func_name tr.first_control_fid, tr.first_control_pc)
+       else None);
+  }
 
 type status =
   | Running
@@ -141,7 +187,7 @@ type t = {
   mutable stack : frame list;  (* innermost frame first; never empty while Running *)
   mutable depth : int;         (* depth of the head frame; entry frame is 0 *)
   mutable status : status;
-  taint : Taint.tracker option;  (* [Some] iff shadow taint is on *)
+  taint : tracker option;  (* [Some] iff shadow taint is on *)
   fast : op array array;
       (* per-function closure tables from the compiled image; [||]
          selects the reference match-dispatch loop *)
@@ -242,7 +288,7 @@ let check_image ~count_exec ~taint (image : image option)
 
 (* The tracker shadows every 4-byte cell of the memory image. *)
 let tracker ~taint memory =
-  if taint then Some (Taint.make ~cells:(Memory.size_bytes memory / 4))
+  if taint then Some (make_tracker ~cells:(Memory.size_bytes memory / 4))
   else None
 
 (* The one initializer of the machine record, behind both [make] (a
@@ -384,48 +430,6 @@ let return m (v : Value.t option) =
      | _ -> assert false)
 
 let is_running m = match m.status with Running -> true | _ -> false
-
-(* ------------------------- shadow taint ------------------------- *)
-
-(* True iff the next injection hook run at [pc] of the function whose
-   tag row is [ftags] lands a planned fault: the instruction is tagged
-   and its ordinal is the next planned one. Ordinals only move inside
-   the hook, so this holds from dispatch until the instruction's
-   write-back. The fast engine knows the tag at compile time and tests
-   [tg && m.inj_seen = m.next_planned] instead. *)
-let will_land m ftags pc =
-  m.has_injection && Array.unsafe_get ftags pc && m.inj_seen = m.next_planned
-
-(* Arguments carry their masks into the callee frame [callee] of call
-   [c] made from [caller]. *)
-let shadow_args (c : Code.call) ~(caller : frame) (callee : frame) =
-  Array.iter
-    (fun (src, dst) -> callee.itn.(dst) <- caller.itn.(src))
-    c.Code.iargs;
-  Array.iter
-    (fun (src, dst) -> callee.ftn.(dst) <- caller.ftn.(src))
-    c.Code.fargs
-
-(* Shadow of a return whose value has taint [tv], run just before
-   [return] pops the head frame: the caller's destination is shaded at
-   its DCall, where [return] runs the write-back's injection hook. A
-   tainted entry return value is program output contamination even
-   though no frame survives to hold it. *)
-let shadow_return m tr tv =
-  match m.stack with
-  | [ _ ] -> Taint.propagate tr tv
-  | _ :: caller :: _ -> (
-    match m.code.Code.funcs.(caller.fid).Code.dbody.(caller.pc) with
-    | Code.DCall c when c.Code.dst >= 0 ->
-      let ftags =
-        if m.has_injection then m.all_tags.(caller.fid) else no_tags
-      in
-      Taint.shade tr
-        ~lands:(will_land m ftags caller.pc)
-        (if c.Code.dst_flt then caller.ftn else caller.itn)
-        c.Code.dst tv
-    | _ -> ())
-  | [] -> ()
 
 (* --------------------------- snapshots --------------------------- *)
 

@@ -218,78 +218,42 @@ let cell t addr =
   end
   else addr lsr 2
 
-(* The split into an [@inline] fast path (aligned, in-range, expected
-   cell kind — the overwhelmingly common case in a healthy program) and
-   an [@inline never] slow path keeps the hot-loop cost of a memory
-   access at a few inlined compares in the interpreter engines; the
-   slow path re-runs the full model (alignment, bounds, kind, lenient
-   zero pages) from scratch. *)
+(* The full access model: alignment, the null guard, bounds, cell kind
+   and the lenient rules, checked from scratch on every access. The
+   fast engine serves the common case (aligned, in range, expected
+   kind) itself and falls back here (Threaded's memory fast paths);
+   the reference loop calls these directly, so it stays the model's
+   oracle. *)
 
-let[@inline never] load_int_slow t addr =
+let load_int t addr =
   let c = cell t addr in
   if c < 0 then 0
   else if Bytes.unsafe_get t.kind c <> int_kind then
     if t.lenient then 0 else raise (Trap.Error (Trap.Type_confusion addr))
   else Array.unsafe_get t.ints c
 
-let[@inline] load_int t addr =
-  let c = addr lsr 2 in
-  if
-    addr land 3 = 0
-    && addr >= 4
-    && addr < t.size_bytes
-    && Bytes.unsafe_get t.kind c = int_kind
-  then Array.unsafe_get t.ints c
-  else load_int_slow t addr
-
-let[@inline never] load_flt_slow t addr =
+let load_flt t addr =
   let c = cell t addr in
   if c < 0 then 0.0
   else if Bytes.unsafe_get t.kind c <> flt_kind then
     if t.lenient then 0.0 else raise (Trap.Error (Trap.Type_confusion addr))
   else Array.unsafe_get t.flts c
 
-let[@inline] load_flt t addr =
-  let c = addr lsr 2 in
-  if
-    addr land 3 = 0
-    && addr >= 4
-    && addr < t.size_bytes
-    && Bytes.unsafe_get t.kind c = flt_kind
-  then Array.unsafe_get t.flts c
-  else load_flt_slow t addr
-
 (* Stores overwrite the cell kind: a wild integer store into a float
    region corrupts it silently, as on real hardware. *)
-let[@inline never] store_int_slow t addr v =
+let store_int t addr v =
   let c = cell t addr in
   if c >= 0 then begin
     Bytes.unsafe_set t.kind c int_kind;
     Array.unsafe_set t.ints c v
   end
 
-let[@inline] store_int t addr v =
-  if addr land 3 = 0 && addr >= 4 && addr < t.size_bytes then begin
-    let c = addr lsr 2 in
-    Bytes.unsafe_set t.kind c int_kind;
-    Array.unsafe_set t.ints c v
-  end
-  else store_int_slow t addr v
-
-let[@inline never] store_flt_slow t addr x =
+let store_flt t addr x =
   let c = cell t addr in
   if c >= 0 then begin
     Bytes.unsafe_set t.kind c flt_kind;
     Array.unsafe_set t.flts c x
   end
-
-let[@inline] store_flt t addr x =
-  if addr land 3 = 0 && addr >= 4 && addr < t.size_bytes then begin
-    let c = addr lsr 2 in
-    Bytes.unsafe_set t.kind c flt_kind;
-    Array.unsafe_set t.flts c x
-  end
-  else store_flt_slow t addr x
 
 (* Byte accesses: little-endian lanes within a word cell. Never
    alignment-trap (as on MIPS lbu/sb). *)
@@ -301,18 +265,12 @@ let byte_cell t addr =
   end
   else addr lsr 2
 
-let[@inline never] load_byte_slow t addr =
+let load_byte t addr =
   let c = byte_cell t addr in
   if c < 0 then 0
   else if Bytes.unsafe_get t.kind c <> int_kind then
     if t.lenient then 0 else raise (Trap.Error (Trap.Type_confusion addr))
   else ((Array.unsafe_get t.ints c land 0xFFFFFFFF) lsr (8 * (addr land 3))) land 0xFF
-
-let[@inline] load_byte t addr =
-  let c = addr lsr 2 in
-  if addr >= 4 && addr < t.size_bytes && Bytes.unsafe_get t.kind c = int_kind
-  then ((Array.unsafe_get t.ints c land 0xFFFFFFFF) lsr (8 * (addr land 3))) land 0xFF
-  else load_byte_slow t addr
 
 let store_byte t addr v =
   let c = byte_cell t addr in
@@ -327,22 +285,6 @@ let store_byte t addr v =
       Array.unsafe_set t.ints c (Value.sx32 u)
     end
   end
-
-(* Non-trapping address->cell resolution for shadow taint: the cell a
-   word access at [addr] touches under this machine's model, or -1
-   when the access misses the image (lenient zero page) or would
-   trap. Callers resolve only after the real access succeeded, so -1
-   here means "no cell to shadow", never a swallowed trap. *)
-let cell_index t addr =
-  let addr =
-    if addr land 3 = 0 then addr
-    else if t.lenient then addr land lnot 3
-    else -1
-  in
-  if addr < 4 || addr >= t.size_bytes then -1 else addr lsr 2
-
-let byte_cell_index t addr =
-  if addr < 4 || addr >= t.size_bytes then -1 else addr lsr 2
 
 (* Non-trapping inspection, for harness output extraction and tests. *)
 let peek t addr : Value.t option =

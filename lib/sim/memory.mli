@@ -10,7 +10,19 @@
       wild loads read 0, wild stores vanish, kind confusion reads 0,
       and misaligned word accesses are truncated to their word. *)
 
-type t
+type t = private {
+  ints : int array;    (** integer image of each cell *)
+  flts : float array;  (** float image of each cell *)
+  kind : Bytes.t;      (** {!int_kind} or {!flt_kind} per cell *)
+  size_bytes : int;
+  lenient : bool;
+}
+(** Readable so the fast engine can serve an aligned, in-range access
+    of the right kind without a call (Threaded's memory fast paths);
+    every other access goes through the model below. *)
+
+val int_kind : char
+val flt_kind : char
 
 val create : ?lenient:bool -> cells:int -> unit -> t
 val size_bytes : t -> int
@@ -57,6 +69,11 @@ val join : parent:frozen -> frozen -> frozen -> frozen
     [parent] that thaws to what [b] thaws to. Thins a chain without
     re-thawing it. Raises [Invalid_argument] if [a] or [b] is a root. *)
 
+(** {1 The access model}
+
+    Alignment, the null guard (bytes 0..3), bounds, cell kind and the
+    lenient rules, all checked on every call. *)
+
 val load_int : t -> int -> int
 val load_flt : t -> int -> float
 val store_int : t -> int -> int -> unit
@@ -70,15 +87,6 @@ val store_byte : t -> int -> int -> unit
 
 val peek : t -> int -> Value.t option
 (** Non-trapping inspection (word granularity). *)
-
-val cell_index : t -> int -> int
-(** Non-trapping resolution of a word access to its cell under this
-    machine's model, or [-1] when the access hits no cell (lenient
-    zero page, or an address that would trap). For the shadow memory
-    of a taint machine. *)
-
-val byte_cell_index : t -> int -> int
-(** Like {!cell_index} for byte accesses (no alignment handling). *)
 
 val of_prog : ?lenient:bool -> Ir.Prog.t -> t
 (** Lay out and initialize the program's globals (see

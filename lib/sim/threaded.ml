@@ -57,6 +57,181 @@ let[@inline] is_ (r : int array) i v = Array.unsafe_set r i v
 let[@inline] fg (r : float array) i : float = Array.unsafe_get r i
 let[@inline] fs (r : float array) i (x : float) = Array.unsafe_set r i x
 
+(* ------------------- per-instruction helpers -------------------
+
+   Everything an op calls per executed instruction is defined in this
+   module, so it inlines into the closures under any build profile (a
+   call into another module is never inlined where modules compile
+   [-opaque], as in dune's dev profile). The reference loop (Interp)
+   calls the same definitions here, so each exists once. *)
+
+(* Sign-extend the low 32 bits: the canonical form of every integer
+   value in the machine (Value.sx32, written again here to inline). *)
+let[@inline] sx32 v = ((v land 0xFFFFFFFF) lxor 0x80000000) - 0x80000000
+
+let[@inline] f2i (x : float) =
+  if Float.is_nan x || x >= 2147483648.0 || x < -2147483648.0 then
+    raise (Trap.Error (Trap.Float_to_int_overflow x));
+  int_of_float (Float.trunc x)
+
+(* Memory fast paths: an access that is aligned (word and float),
+   past the null guard, inside the image and of its cell's kind — the
+   overwhelmingly common case in a healthy program — is served here;
+   anything else re-runs Memory's full model (traps, lenient zero
+   pages, misaligned truncation, kind confusion). A store of the right
+   width needs no kind test: it overwrites the cell's kind. *)
+let[@inline] in_image (mem : Memory.t) a = a >= 4 && a < mem.size_bytes
+let[@inline] word_fits mem a = a land 3 = 0 && in_image mem a
+let[@inline] holds (mem : Memory.t) a k =
+  Bytes.unsafe_get mem.kind (a lsr 2) = k
+
+let[@inline] load_int (mem : Memory.t) a =
+  if word_fits mem a && holds mem a Memory.int_kind then
+    Array.unsafe_get mem.ints (a lsr 2)
+  else Memory.load_int mem a
+
+let[@inline] load_flt (mem : Memory.t) a =
+  if word_fits mem a && holds mem a Memory.flt_kind then
+    Array.unsafe_get mem.flts (a lsr 2)
+  else Memory.load_flt mem a
+
+let[@inline] load_byte (mem : Memory.t) a =
+  if in_image mem a && holds mem a Memory.int_kind then
+    ((Array.unsafe_get mem.ints (a lsr 2) land 0xFFFFFFFF) lsr (8 * (a land 3)))
+    land 0xFF
+  else Memory.load_byte mem a
+
+let[@inline] store_int (mem : Memory.t) a v =
+  if word_fits mem a then begin
+    Bytes.unsafe_set mem.kind (a lsr 2) Memory.int_kind;
+    Array.unsafe_set mem.ints (a lsr 2) v
+  end
+  else Memory.store_int mem a v
+
+let[@inline] store_flt (mem : Memory.t) a x =
+  if word_fits mem a then begin
+    Bytes.unsafe_set mem.kind (a lsr 2) Memory.flt_kind;
+    Array.unsafe_set mem.flts (a lsr 2) x
+  end
+  else Memory.store_flt mem a x
+
+(* Shadow taint transfer (Taint's header has the lattice and the
+   sinks), run before the instruction it shadows by the taint flavour
+   below ([shadowed]) and by the reference loop ([Interp.shadow]). *)
+
+let[@inline] propagate tr (t : Taint.mask) =
+  if t <> 0 then tr.propagated <- true
+
+(* Anything that goes into or comes out of memory (or through a
+   corrupted base) is a through-memory chain from here on. Clean stays
+   clean. *)
+let[@inline] stored (t : Taint.mask) = if t = 0 then 0 else t lor 2
+let[@inline] loaded ~cell ~base = stored (cell lor base)
+
+let[@inline] tainted (t : Taint.mask) = t land 1 <> 0
+let[@inline] via_memory (t : Taint.mask) = t land 2 <> 0
+
+let[@inline] sink_control tr ~fid ~pc t =
+  if tainted t then
+    if via_memory t then tr.control_via_memory <- tr.control_via_memory + 1
+    else begin
+      tr.control_free <- tr.control_free + 1;
+      if tr.first_control_fid < 0 then begin
+        tr.first_control_fid <- fid;
+        tr.first_control_pc <- pc
+      end
+    end
+
+let[@inline] sink_address tr t =
+  if tainted t then tr.address_hits <- tr.address_hits + 1
+
+let[@inline] sink_trap_operand tr t =
+  if tainted t then tr.trap_operand_hits <- tr.trap_operand_hits + 1
+
+let[@inline] sink_memory tr t =
+  if tainted t then tr.memory_hits <- tr.memory_hits + 1
+
+(* Shadow of a write-back to register [d] of the bank shadowed by [sh]:
+   the operand taint [tv] flows into it, plus fresh (memory-free) taint
+   when the write-back [lands] a planned fault. *)
+let[@inline] shade tr ~lands (sh : Taint.mask array) d tv =
+  propagate tr tv;
+  Array.unsafe_set sh d (if lands then tv lor Taint.fresh else tv)
+
+(* The cell a word access at [a] touches under [mem]'s model, or -1
+   when it misses the image (lenient zero page) or would trap. The
+   transfer runs before the access, and an access that traps ends the
+   run, so -1 means "no cell to shadow", never a swallowed trap. Byte
+   accesses resolve without alignment handling. *)
+let[@inline] cell_index (mem : Memory.t) a =
+  let a =
+    if a land 3 = 0 then a else if mem.lenient then a land lnot 3 else -1
+  in
+  if in_image mem a then a lsr 2 else -1
+
+let[@inline] byte_cell_index mem a = if in_image mem a then a lsr 2 else -1
+
+(* A load through a base with taint [base] from cell [c] hits the
+   address sink; the loaded value carries the cell's and the base's
+   taint, memory-marked. *)
+let[@inline] shadow_load tr ~lands sh d c ~base =
+  sink_address tr base;
+  let cell = if c >= 0 then Char.code (Bytes.unsafe_get tr.tmem c) else 0 in
+  shade tr ~lands sh d (loaded ~cell ~base)
+
+(* A store of a value with taint [tv] hits the address and memory
+   sinks and memory-marks [tv] and the base's taint into cell [c]. A
+   byte store overwrites one lane of its cell, so it unions. *)
+let[@inline] shadow_store tr ~byte c ~base tv =
+  sink_address tr base;
+  sink_memory tr tv;
+  if c >= 0 then
+    let t = stored (tv lor base) in
+    let t = if byte then t lor Char.code (Bytes.unsafe_get tr.tmem c) else t in
+    Bytes.unsafe_set tr.tmem c (Char.unsafe_chr t)
+
+(* True iff the next injection hook run at [pc] of the function whose
+   tag row is [ftags] lands a planned fault: the instruction is tagged
+   and its ordinal is the next planned one. Ordinals only move inside
+   the hook, so this holds from dispatch until the instruction's
+   write-back. The taint flavour knows the tag at compile time and
+   tests [lands] instead. *)
+let will_land m ftags pc =
+  m.has_injection && Array.unsafe_get ftags pc && m.inj_seen = m.next_planned
+
+(* Arguments carry their masks into the callee frame [callee] of call
+   [c] made from [caller]. *)
+let shadow_args (c : Code.call) ~(caller : frame) (callee : frame) =
+  Array.iter
+    (fun (src, dst) -> callee.itn.(dst) <- caller.itn.(src))
+    c.Code.iargs;
+  Array.iter
+    (fun (src, dst) -> callee.ftn.(dst) <- caller.ftn.(src))
+    c.Code.fargs
+
+(* Shadow of a return whose value has taint [tv], run just before
+   [return] pops the head frame: the caller's destination is shaded at
+   its DCall, where [return] runs the write-back's injection hook. A
+   tainted entry return value is program output contamination even
+   though no frame survives to hold it. *)
+let shadow_return m tr tv =
+  match m.stack with
+  | [ _ ] -> propagate tr tv
+  | _ :: caller :: _ -> (
+    match m.code.Code.funcs.(caller.fid).Code.dbody.(caller.pc) with
+    | Code.DCall c when c.Code.dst >= 0 ->
+      let ftags =
+        if m.has_injection then m.all_tags.(caller.fid) else no_tags
+      in
+      shade tr
+        ~lands:(will_land m ftags caller.pc)
+        (if c.Code.dst_flt then caller.ftn else caller.itn)
+        c.Code.dst tv
+    | _ -> ())
+  | [] -> ()
+
+(* --------------------------- the engine --------------------------- *)
+
 (* Bind the incremented count before storing it so the budget compare
    uses the register value — re-reading [m.dyn] after the store would
    put a store-to-load forward on the critical path of every single
@@ -131,10 +306,9 @@ let div_by_zero (fr : frame) pc =
 (* Helpers of the taint flavour (see [shadowed]). *)
 let[@inline] live m = m.dyn < m.budget
 let[@inline] lands tg m = tg && m.inj_seen = m.next_planned
-let[@inline] cell m b o = Memory.cell_index m.memory (ig m.run_fr.iregs b + o)
-
+let[@inline] cell m b o = cell_index m.memory (ig m.run_fr.iregs b + o)
 let[@inline] byte_cell m b o =
-  Memory.byte_cell_index m.memory (ig m.run_fr.iregs b + o)
+  byte_cell_index m.memory (ig m.run_fr.iregs b + o)
 
 (* The tracker of a taint machine: a taint image runs on nothing else
    ([Machine.check_image]). *)
@@ -453,21 +627,21 @@ let rec compile_instr ~taint (code : Code.t) (ops : op array) tg pc
       (* park pc for strict-model trap provenance; one image serves
          both memory models, so the store is unconditional *)
       fr.pc <- pc;
-      seti ops tg pc d m fr (Memory.load_int m.memory (ig fr.iregs b + o))
+      seti ops tg pc d m fr (load_int m.memory (ig fr.iregs b + o))
   | Code.DSw (v, b, o) ->
     fun m ->
       bump m;
       let fr = m.run_fr in
       fr.pc <- pc;
       let r = fr.iregs in
-      Memory.store_int m.memory (ig r b + o) (ig r v);
+      store_int m.memory (ig r b + o) (ig r v);
       next ops pc m
   | Code.DLb (d, b, o) ->
     fun m ->
       bump m;
       let fr = m.run_fr in
       fr.pc <- pc;
-      seti ops tg pc d m fr (Memory.load_byte m.memory (ig fr.iregs b + o))
+      seti ops tg pc d m fr (load_byte m.memory (ig fr.iregs b + o))
   | Code.DSb (v, b, o) ->
     fun m ->
       bump m;
@@ -481,13 +655,13 @@ let rec compile_instr ~taint (code : Code.t) (ops : op array) tg pc
       bump m;
       let fr = m.run_fr in
       fr.pc <- pc;
-      setf ops tg pc d m fr (Memory.load_flt m.memory (ig fr.iregs b + o))
+      setf ops tg pc d m fr (load_flt m.memory (ig fr.iregs b + o))
   | Code.DSwf (v, b, o) ->
     fun m ->
       bump m;
       let fr = m.run_fr in
       fr.pc <- pc;
-      Memory.store_flt m.memory (ig fr.iregs b + o) (fg fr.fregs v);
+      store_flt m.memory (ig fr.iregs b + o) (fg fr.fregs v);
       next ops pc m
   | Code.DBr (op, a, b, t) -> (
     match op with
@@ -646,10 +820,10 @@ let counted fid pc (op : op) : op =
 (* Taint flavour of an op: run the instruction's shadow transfer,
    specialised now from its operands and compile-time tag [tg], then
    the op. The transfer is the reference loop's ([Interp.shadow]) over
-   the same helpers ([Taint.shade] and friends): it hits the sinks the
+   the same helpers ([shade] and friends): it hits the sinks the
    operands reach and shades the destination, with fresh taint when
    the write-back lands a fault ([lands], the compile-time form of
-   [Machine.will_land]). Like [counted], it is skipped when the op's
+   [will_land]). Like [counted], it is skipped when the op's
    own budget check is about to time out ([live]) — the reference loop
    shadows only after that check, so a timed-out trial records no sink
    for the instruction that timed it out. A pause raised by the
@@ -665,122 +839,122 @@ let shadowed tg pc (ins : Code.d) (op : op) : op =
   | Code.DLi (d, _) | Code.DLa (d, _) ->
     fun m ->
       if live m then
-        Taint.shade (tracker_of m) ~lands:(lands tg m) m.run_fr.itn d
+        shade (tracker_of m) ~lands:(lands tg m) m.run_fr.itn d
           Taint.none;
       op m
   | Code.DLf (d, _) ->
     fun m ->
       if live m then
-        Taint.shade (tracker_of m) ~lands:(lands tg m) m.run_fr.ftn d
+        shade (tracker_of m) ~lands:(lands tg m) m.run_fr.ftn d
           Taint.none;
       op m
   | Code.DMovI (d, s) | Code.DBini (_, d, s, _) ->
     fun m ->
       (if live m then
          let itn = m.run_fr.itn in
-         Taint.shade (tracker_of m) ~lands:(lands tg m) itn d (ig itn s));
+         shade (tracker_of m) ~lands:(lands tg m) itn d (ig itn s));
       op m
   | Code.DMovF (d, s) | Code.DFun (_, d, s) ->
     fun m ->
       (if live m then
          let ftn = m.run_fr.ftn in
-         Taint.shade (tracker_of m) ~lands:(lands tg m) ftn d (ig ftn s));
+         shade (tracker_of m) ~lands:(lands tg m) ftn d (ig ftn s));
       op m
   | Code.DBin ((Ir.Instr.Div | Ir.Instr.Rem), d, a, b) ->
     fun m ->
       (if live m then
          let tr = tracker_of m and itn = m.run_fr.itn in
-         Taint.sink_trap_operand tr (ig itn b);
-         Taint.shade tr ~lands:(lands tg m) itn d (ig itn a lor ig itn b));
+         sink_trap_operand tr (ig itn b);
+         shade tr ~lands:(lands tg m) itn d (ig itn a lor ig itn b));
       op m
   | Code.DBin (_, d, a, b) | Code.DCmp (_, d, a, b) ->
     fun m ->
       (if live m then
          let itn = m.run_fr.itn in
-         Taint.shade (tracker_of m) ~lands:(lands tg m) itn d
+         shade (tracker_of m) ~lands:(lands tg m) itn d
            (ig itn a lor ig itn b));
       op m
   | Code.DFbin (_, d, a, b) ->
     fun m ->
       (if live m then
          let ftn = m.run_fr.ftn in
-         Taint.shade (tracker_of m) ~lands:(lands tg m) ftn d
+         shade (tracker_of m) ~lands:(lands tg m) ftn d
            (ig ftn a lor ig ftn b));
       op m
   | Code.DFcmp (_, d, a, b) ->
     fun m ->
       (if live m then
          let fr = m.run_fr in
-         Taint.shade (tracker_of m) ~lands:(lands tg m) fr.itn d
+         shade (tracker_of m) ~lands:(lands tg m) fr.itn d
            (ig fr.ftn a lor ig fr.ftn b));
       op m
   | Code.DI2f (d, s) ->
     fun m ->
       (if live m then
          let fr = m.run_fr in
-         Taint.shade (tracker_of m) ~lands:(lands tg m) fr.ftn d (ig fr.itn s));
+         shade (tracker_of m) ~lands:(lands tg m) fr.ftn d (ig fr.itn s));
       op m
   | Code.DF2i (d, s) ->
     fun m ->
       (if live m then
          let tr = tracker_of m and fr = m.run_fr in
-         Taint.sink_trap_operand tr (ig fr.ftn s);
-         Taint.shade tr ~lands:(lands tg m) fr.itn d (ig fr.ftn s));
+         sink_trap_operand tr (ig fr.ftn s);
+         shade tr ~lands:(lands tg m) fr.itn d (ig fr.ftn s));
       op m
   | Code.DLw (d, b, o) ->
     fun m ->
       (if live m then
          let itn = m.run_fr.itn in
-         Taint.shadow_load (tracker_of m) ~lands:(lands tg m) itn d (cell m b o)
+         shadow_load (tracker_of m) ~lands:(lands tg m) itn d (cell m b o)
            ~base:(ig itn b));
       op m
   | Code.DLb (d, b, o) ->
     fun m ->
       (if live m then
          let itn = m.run_fr.itn in
-         Taint.shadow_load (tracker_of m) ~lands:(lands tg m) itn d
+         shadow_load (tracker_of m) ~lands:(lands tg m) itn d
            (byte_cell m b o) ~base:(ig itn b));
       op m
   | Code.DLwf (d, b, o) ->
     fun m ->
       (if live m then
          let fr = m.run_fr in
-         Taint.shadow_load (tracker_of m) ~lands:(lands tg m) fr.ftn d
+         shadow_load (tracker_of m) ~lands:(lands tg m) fr.ftn d
            (cell m b o) ~base:(ig fr.itn b));
       op m
   | Code.DSw (v, b, o) ->
     fun m ->
       (if live m then
          let itn = m.run_fr.itn in
-         Taint.shadow_store (tracker_of m) ~byte:false (cell m b o)
+         shadow_store (tracker_of m) ~byte:false (cell m b o)
            ~base:(ig itn b) (ig itn v));
       op m
   | Code.DSb (v, b, o) ->
     fun m ->
       (if live m then
          let itn = m.run_fr.itn in
-         Taint.shadow_store (tracker_of m) ~byte:true (byte_cell m b o)
+         shadow_store (tracker_of m) ~byte:true (byte_cell m b o)
            ~base:(ig itn b) (ig itn v));
       op m
   | Code.DSwf (v, b, o) ->
     fun m ->
       (if live m then
          let fr = m.run_fr in
-         Taint.shadow_store (tracker_of m) ~byte:false (cell m b o)
+         shadow_store (tracker_of m) ~byte:false (cell m b o)
            ~base:(ig fr.itn b) (ig fr.ftn v));
       op m
   | Code.DBr (_, a, b, _) ->
     fun m ->
       (if live m then
          let fr = m.run_fr in
-         Taint.sink_control (tracker_of m) ~fid:fr.fid ~pc
+         sink_control (tracker_of m) ~fid:fr.fid ~pc
            (ig fr.itn a lor ig fr.itn b));
       op m
   | Code.DBrz (_, a, _) ->
     fun m ->
       (if live m then
          let fr = m.run_fr in
-         Taint.sink_control (tracker_of m) ~fid:fr.fid ~pc (ig fr.itn a));
+         sink_control (tracker_of m) ~fid:fr.fid ~pc (ig fr.itn a));
       op m
 
 let compile_func ~flavour (code : Code.t) (tags : bool array array) fid

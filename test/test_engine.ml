@@ -7,7 +7,9 @@
    fault plans, and pause/capture/resume at random ordinal boundaries.
 
    Traps, timeouts and stack overflow are reachable under injection
-   (and directly, in the directed cases below). Shadow taint is held to
+   (and directly, in the directed cases below, which also walk every
+   edge of the memory model on both sides of the fast engine's
+   fast-path test). Shadow taint is held to
    the same standard: the taint flavour of an image against the
    reference loop's taint path, down to the full fault-flow summary,
    and the audit reports of all 7 apps. Speed guards check that the
@@ -393,6 +395,141 @@ let test_abnormal_parity () =
        ])
 
 (* ------------------------------------------------------------------ *)
+(* Directed memory-edge parity: the fast engine serves aligned,
+   in-range, right-kind accesses itself and hands every other access
+   to the memory model, so each side of that boundary is run here on
+   both engines, under both models: the null guard, the first and last
+   cells, one past the end, negative and misaligned addresses, and
+   kind confusion, for word, byte and float loads and stores.         *)
+
+let edge_prog (access : Ir.Reg.t -> Ir.Instr.t list * Ir.Reg.t option) addr =
+  let base = Ir.Reg.int 1 in
+  let body, ret = access base in
+  let ret_ty =
+    Option.map
+      (fun r -> if Ir.Reg.is_flt r then Ir.Ty.F64 else Ir.Ty.I32)
+      ret
+  in
+  Ir.Prog.make
+    ~globals:
+      [
+        Ir.Prog.global ~init:(Ir.Prog.Int_data [| -5l; 0x12345678l |]) "w"
+          Ir.Ty.I32 2;
+        Ir.Prog.global ~init:(Ir.Prog.Flt_data [| 2.5 |]) "f" Ir.Ty.F64 1;
+        Ir.Prog.global ~init:(Ir.Prog.Int_data [| 1l; 2l; 3l; 0xF0l |]) "b"
+          Ir.Ty.I8 4;
+      ]
+    [
+      Ir.Func.make ~name:"main" ~params:[] ~ret:ret_ty
+        ((Ir.Instr.Li (base, Int32.of_int addr) :: body)
+        @ [ Ir.Instr.Ret ret ]);
+    ]
+
+let test_memory_edges () =
+  let r = Ir.Reg.int and f = Ir.Reg.flt in
+  let accesses =
+    Ir.Instr.
+      [
+        ("lw", fun b -> ([ Lw (r 2, b, 0) ], Some (r 2)));
+        ("sw", fun b -> ([ Li (r 2, 77l); Sw (r 2, b, 0) ], None));
+        ("lb", fun b -> ([ Lb (r 2, b, 0) ], Some (r 2)));
+        ("sb", fun b -> ([ Li (r 2, 0x1AAl); Sb (r 2, b, 0) ], None));
+        ("lwf", fun b -> ([ Lwf (f 0, b, 0) ], Some (f 0)));
+        ("swf", fun b -> ([ Lf (f 0, -0.75); Swf (f 0, b, 0) ], None));
+      ]
+  in
+  let layout = edge_prog (fun _ -> ([], None)) 0 in
+  let size = Sim.Memory.size_bytes (Sim.Memory.of_prog layout) in
+  let w = Ir.Prog.global_addr layout "w"
+  and fl = Ir.Prog.global_addr layout "f" in
+  let addrs =
+    [ 0; 1; 2; 3; 4; w; w + 4; fl; fl + 2; size - 4; size - 1; size; -4; -1 ]
+    @ [ 5; 6; 7; w + 5 ]
+  in
+  let traps = Hashtbl.create 8 in
+  List.iter
+    (fun lenient ->
+      List.iter
+        (fun (name, access) ->
+          List.iter
+            (fun addr ->
+              let prog = edge_prog access addr in
+              let code = Sim.Code.of_prog prog in
+              let run image =
+                let r =
+                  Sim.Interp.run ?image
+                    ~memory:(Sim.Memory.of_prog ~lenient prog) code
+                in
+                (match r.Sim.Interp.outcome with
+                 | Sim.Interp.Trapped t ->
+                   Hashtbl.replace traps (Sim.Trap.kind t) ()
+                 | _ -> ());
+                Printf.sprintf "%s/%d/%s" (outcome_str r)
+                  r.Sim.Interp.dyn_count
+                  (Sim.Memory.digest r.Sim.Interp.memory)
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s at %d"
+                   (if lenient then "lenient" else "strict")
+                   name addr)
+                (run None)
+                (run (Some (Sim.Interp.compile code))))
+            addrs)
+        accesses)
+    [ false; true ];
+  (* Every trap class of the strict model is among the cases. *)
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("reaches " ^ kind) true (Hashtbl.mem traps kind))
+    [ "null_access"; "out_of_bounds"; "unaligned"; "type_confusion" ]
+
+(* Two byte stores to one cell union their lane taint: a tainted lane
+   stays tainted after a clean store to another lane of the same cell,
+   so the word loaded back carries it to a branch (a through-memory
+   control contamination), on both engines. *)
+let test_byte_lane_taint () =
+  let r = Ir.Reg.int in
+  let prog =
+    Ir.Prog.make
+      ~globals:[ Ir.Prog.global "b" Ir.Ty.I8 4 ]
+      [
+        Ir.Func.make ~name:"main" ~params:[] ~ret:(Some Ir.Ty.I32)
+          Ir.Instr.
+            [
+              La (r 1, "b");
+              Li (r 2, 5l) (* tagged: the planned fault lands here *);
+              Sb (r 2, r 1, 0);
+              Li (r 3, 7l);
+              Sb (r 3, r 1, 1);
+              Lw (r 4, r 1, 0);
+              Brz (Eq, r 4, "out");
+              Label "out";
+              Ret (Some (r 4));
+            ];
+      ]
+  in
+  let code = Sim.Code.of_prog prog in
+  let tags = [| Array.init 9 (fun pc -> pc = 1) |] in
+  let injection = Sim.Interp.injection ~tags ~plan:[ (0, 0) ] in
+  let run image =
+    let r = Sim.Interp.run ?image ~injection ~taint:true code in
+    Alcotest.(check int) "fault landed" 1 r.Sim.Interp.faults_landed;
+    r.Sim.Interp.fault_flow
+  in
+  let slow = run None in
+  let fast =
+    run (Some (Sim.Interp.taint_image (Sim.Interp.compile ~tags code)))
+  in
+  Alcotest.(check string) "fast taint = ref taint" (flow_str slow)
+    (flow_str fast);
+  match fast with
+  | Some s ->
+    Alcotest.(check (pair int int)) "control via memory, one tainted store"
+      (1, 1)
+      (s.Sim.Taint.control_via_memory, s.Sim.Taint.memory_hits)
+  | None -> Alcotest.fail "no fault flow on a taint run"
+
+(* ------------------------------------------------------------------ *)
 (* Guards: the fast engine's compile-time binding is enforced.         *)
 
 let test_engine_guards () =
@@ -552,6 +689,10 @@ let () =
         [
           Alcotest.test_case "abnormal outcome parity" `Quick
             test_abnormal_parity;
+          Alcotest.test_case "memory edges: fast = ref, both models" `Quick
+            test_memory_edges;
+          Alcotest.test_case "byte stores union lane taint" `Quick
+            test_byte_lane_taint;
           Alcotest.test_case "engine guards" `Quick test_engine_guards;
           Alcotest.test_case "fast beats ref on susan" `Quick
             test_fast_beats_ref;

@@ -411,6 +411,38 @@ let test_reproduce_one_collect () =
     (tables [ "fig3" ] @ tables [ "fig6" ])
     both
 
+(* Figures read their own app's cells only, so a reproduction of
+   figures alone loads just those apps; Table 3 reads every app. *)
+let test_reproduce_loads_wanted () =
+  let loads experiments =
+    let seen = Atomic.make [] in
+    let rec note name =
+      let l = Atomic.get seen in
+      if not (Atomic.compare_and_set seen l (name :: l)) then note name
+    in
+    let env =
+      {
+        (Harness.Request.local ~jobs:2 ()) with
+        Harness.Request.load =
+          (fun ~seed app ->
+            note app.Apps.App.name;
+            Harness.Experiment.load ~seed app);
+      }
+    in
+    (match
+       Harness.Request.run env
+         (Harness.Request.Reproduce { experiments; quick = true })
+     with
+     | Some _, None -> ()
+     | _ -> Alcotest.fail "reproduce failed");
+    List.sort compare (Atomic.get seen)
+  in
+  Alcotest.(check (list string)) "fig3 and fig6 load mcf and art"
+    [ "art"; "mcf" ] (loads [ "fig3"; "fig6" ]);
+  Alcotest.(check (list string)) "table3 loads every app"
+    (List.sort compare Apps.Registry.names)
+    (loads [ "fig6"; "table3" ])
+
 (* --------------------------- reporting ----------------------------- *)
 
 let test_report_tables () =
@@ -541,6 +573,8 @@ let () =
             `Quick test_runner_differential;
           Alcotest.test_case "reproduce collects once, renders as alone"
             `Quick test_reproduce_one_collect;
+          Alcotest.test_case "reproduce loads only the wanted apps" `Quick
+            test_reproduce_loads_wanted;
         ] );
       ( "reporting",
         [ Alcotest.test_case "tables carry every cell" `Quick
