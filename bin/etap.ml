@@ -365,30 +365,32 @@ let compile_cmd =
     | Ok ast ->
       (match Mlang.Compile.to_ir ast with
        | exception Mlang.Ast.Type_error m -> Error (`Msg m)
-       | prog ->
+       | prog -> (
          if show then say "%s" (Format.asprintf "%a" Ir.Prog.pp prog);
          let code = Sim.Code.of_prog prog in
-         let r = Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code in
-         say "ran %d dynamic instructions%s" r.Sim.Interp.dyn_count
-           (match r.Sim.Interp.outcome with
-            | Sim.Interp.Done (Some v) ->
-              Printf.sprintf ", main returned %s" (Sim.Value.to_string v)
-            | _ -> "");
-         (match inject with
-          | None -> ()
-          | Some errors ->
-            let target = Core.Campaign.of_prog prog in
-            List.iter
-              (fun policy ->
-                let p = Core.Campaign.prepare target policy in
-                let s = Core.Campaign.run ?jobs p ~errors ~trials ~seed:1 in
-                say "%-18s %d errors x %d: %4.1f%% catastrophic (pool %d)"
-                  (Core.Policy.to_string policy)
-                  errors (Core.Campaign.n s)
-                  (Core.Campaign.pct_catastrophic s)
-                  p.Core.Campaign.injectable_total)
-              [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]);
-         Ok ())
+         match Sim.Interp.run_exn ~image:(Sim.Interp.compile code) code with
+         | exception Failure m -> Error (`Msg m)
+         | r ->
+           say "ran %d dynamic instructions%s" r.Sim.Interp.dyn_count
+             (match r.Sim.Interp.outcome with
+              | Sim.Interp.Done (Some v) ->
+                Printf.sprintf ", main returned %s" (Sim.Value.to_string v)
+              | _ -> "");
+           (match inject with
+            | None -> ()
+            | Some errors ->
+              let target = Core.Campaign.of_prog prog in
+              List.iter
+                (fun policy ->
+                  let p = Core.Campaign.prepare target policy in
+                  let s = Core.Campaign.run ?jobs p ~errors ~trials ~seed:1 in
+                  say "%-18s %d errors x %d: %4.1f%% catastrophic (pool %d)"
+                    (Core.Policy.to_string policy)
+                    errors (Core.Campaign.n s)
+                    (Core.Campaign.pct_catastrophic s)
+                    p.Core.Campaign.injectable_total)
+                [ Core.Policy.Protect_control; Core.Policy.Protect_nothing ]);
+           Ok ()))
   in
   Cmd.v
     (Cmd.info "compile"
@@ -552,14 +554,12 @@ let profile_cmd =
                sums always equal the campaign totals." in
     Arg.(
       value
-      & opt (count (Harness.Matrix.at_least "top" 0)) 20
+      & opt
+          (count (Harness.Matrix.at_least "top" 0))
+          Harness.Request.default_top
       & info [ "top" ] ~docv:"N" ~doc)
   in
-  let request app at top =
-    ( None,
-      Harness.Request.Profile
-        { app; at; top = (if top = 0 then None else Some top) } )
-  in
+  let request app at top = (None, Harness.Request.profile ~app ~at ~top) in
   Cmd.v
     (Cmd.info "profile"
        ~doc:

@@ -40,7 +40,7 @@ let () =
         Core.Campaign.trial_rng ~seed:5 ~errors
           ~policy:Core.Policy.Protect_control 0
       in
-      let r = Core.Campaign.run_trial_result prepared ~errors ~rng in
+      let r = Core.Campaign.run_trial_result prepared ~errors ~rng ~index:0 in
       match Core.Outcome.of_result r with
       | Core.Outcome.Completed ->
         let resp = Sim.Memory.read_global_ints r.Sim.Interp.memory prog "resp" in

@@ -11,9 +11,10 @@
    resulting [fidelity : float option] is retained. A summary therefore
    never holds a live [Memory.t] — campaign memory is O(1) per trial
    instead of O(memory image), and nothing heavy crosses domains in
-   [Pool.map_n]. Callers that genuinely need the final memory image
-   (output rendering, debugging) use the {!run_trial_result} escape
-   hatch, which returns the raw [Sim.Interp.result] for one trial. *)
+   [Pool.map_n]. Callers that need more of a trial than its record —
+   its final memory image, its landed-fault sites — use the
+   {!run_trial_result} escape hatch, which returns the raw
+   [Sim.Interp.result] for one trial. *)
 
 type target = {
   code : Sim.Code.t;
@@ -255,49 +256,53 @@ let run_trial_raw ?(taint = false) (p : prepared) ~errors ~rng :
         ~memory:(Sim.Memory.copy p.target.proto) p.target.code,
       0 )
 
-(* Escape hatch: the raw simulator result of one trial, memory image
-   included. Everything else should go through {!run_trial}/{!run},
-   which discard the image after scoring. *)
-let run_trial_result ?taint (p : prepared) ~errors ~rng : Sim.Interp.result =
-  fst (run_trial_raw ?taint p ~errors ~rng)
-
 (* Per-trial telemetry: counters keyed only on what the trial computed
-   (outcome class, landed faults and their sites) — never on which
-   domain or stripe ran it — so totals are identical for any [--jobs];
-   the wall-clock lives only in the span and the latency histogram. *)
-let obs_trial ~index ~outcome ~(r : Sim.Interp.result) ~resumed t0 =
-  let cls, cls_name =
-    match (outcome : Outcome.t) with
-    | Outcome.Crash _ -> (Obs.Crash, "crash")
-    | Outcome.Infinite -> (Obs.Infinite, "infinite")
-    | Outcome.Completed -> (Obs.Completed, "completed")
+   (outcome class, landed faults) — never on which domain or stripe ran
+   it — so totals are identical for any [--jobs]; the wall-clock lives
+   only in the span and the latency histogram. *)
+let obs_trial ~index ~(r : Sim.Interp.result) ~resumed t0 =
+  let cls =
+    match Outcome.of_result r with
+    | Outcome.Crash _ -> "crash"
+    | Outcome.Infinite -> "infinite"
+    | Outcome.Completed -> "completed"
   in
   Obs.count "campaign.trials" 1;
-  Obs.count ("campaign.trials." ^ cls_name) 1;
+  Obs.count ("campaign.trials." ^ cls) 1;
   let landed = r.Sim.Interp.faults_landed in
   if landed > 0 then Obs.count "campaign.faults_landed" landed;
-  Array.iter
-    (fun (func, pc) -> Obs.site ~func ~pc cls)
-    r.Sim.Interp.landed_sites;
   Obs.observe "campaign.trial_us" (Obs.elapsed_us t0);
   Obs.span_end ~name:"trial" ~cat:"campaign"
     ~args:
       (("index", string_of_int index)
-       :: ("outcome", cls_name)
+       :: ("outcome", cls)
        :: (if resumed then [ ("resumed", "1") ] else []))
     t0
 
-let run_trial_skip ?score ?taint (p : prepared) ~errors ~rng ~index :
-    trial * int =
+(* Trial [index]'s raw result and the dynamic instructions a checkpoint
+   restore let it skip, with the trial's telemetry recorded. *)
+let run_trial_observed ?taint (p : prepared) ~errors ~rng ~index =
   let t0 = Obs.span_begin () in
   let r, skipped = run_trial_raw ?taint p ~errors ~rng in
+  if Obs.enabled () then obs_trial ~index ~r ~resumed:(skipped > 0) t0;
+  (r, skipped)
+
+(* Escape hatch: the raw simulator result of one trial, memory image
+   included. Everything else should go through {!run_trial}/{!run},
+   which discard the image after scoring. *)
+let run_trial_result ?taint (p : prepared) ~errors ~rng ~index :
+    Sim.Interp.result =
+  fst (run_trial_observed ?taint p ~errors ~rng ~index)
+
+let run_trial_skip ?score ?taint (p : prepared) ~errors ~rng ~index :
+    trial * int =
+  let r, skipped = run_trial_observed ?taint p ~errors ~rng ~index in
   let outcome = Outcome.of_result r in
   let fidelity =
     match (outcome, score) with
     | Outcome.Completed, Some score -> Some (score r)
     | _ -> None
   in
-  if Obs.enabled () then obs_trial ~index ~outcome ~r ~resumed:(skipped > 0) t0;
   ( {
       index;
       outcome;

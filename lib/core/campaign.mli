@@ -15,7 +15,8 @@
     never retains a simulator result (in particular no [Memory.t]), so
     campaigns cost O(1) memory per trial and nothing heavy crosses
     domains. {!run_trial_result} is the escape hatch for callers that
-    need a trial's final memory image. *)
+    need more of a trial than its record: its final memory image or
+    its landed-fault sites. *)
 
 type target = {
   code : Sim.Code.t;
@@ -143,13 +144,17 @@ val run_trial_result :
   prepared ->
   errors:int ->
   rng:Random.State.t ->
+  index:int ->
   Sim.Interp.result
-(** Escape hatch: one trial's raw simulator result, memory image
-    included — for output rendering and debugging. Use {!trial_rng} to
-    reproduce the RNG of a {!run} trial. [taint] runs the trial with
-    shadow taint (identical behaviour and fault landings, plus a
-    fault-flow summary) on the taint flavour of the prepared image, or
-    on the reference loop for a reference-engine target. *)
+(** Escape hatch: trial [index]'s raw simulator result, memory image
+    and landed-fault sites included — for output rendering, per-site
+    analysis ([Harness.Profile]) and debugging. It records the trial's
+    [campaign.*] telemetry exactly as {!run_trial} does. Use
+    {!trial_rng} to reproduce the RNG of a {!run} trial. [taint] runs
+    the trial with shadow taint (identical behaviour and fault
+    landings, plus a fault-flow summary) on the taint flavour of the
+    prepared image, or on the reference loop for a reference-engine
+    target. *)
 
 val run_trial :
   ?score:(Sim.Interp.result -> float) ->

@@ -1,21 +1,19 @@
 (* Fault-site attribution profile.
 
-   Runs one injection campaign with telemetry on and renders where the
-   injected faults landed: per (function, body index) counts,
-   cross-tabbed by outcome class. This is the analysis companion to the
-   paper's failure-rate tables — instead of asking "how often does the
-   app fail", it asks "which instructions, when corrupted, make it
-   fail", which is exactly the ranking a selective-protection policy
-   would consult.
+   Runs one injection campaign and renders where the injected faults
+   landed: per (function, body index) counts, cross-tabbed by outcome
+   class. This is the analysis companion to the paper's failure-rate
+   tables — instead of asking "how often does the app fail", it asks
+   "which instructions, when corrupted, make it fail", which is exactly
+   the ranking a selective-protection policy would consult.
 
-   The tally comes from the obs sink, not from re-deriving landings
-   here: Campaign already attributes every landed fault to its site
-   (Interp.landed_sites) and classifies the trial, so the profile is a
-   pure read of the merged view. When the caller has a sink installed
-   (e.g. `etap profile --trace`), the campaign records into it and the
-   profile shares it — one campaign, one set of events, consumed by
-   both the profile table and the exporters. Otherwise a private sink
-   is installed for the duration of the run. *)
+   The tally comes from the profile's own trials: each trial, on its
+   worker domain, reduces its raw result to the outcome class and the
+   sites its faults landed at (Interp.landed_sites), and the rows fold
+   those in trial order. Trial [i] uses [Campaign.trial_rng], so the
+   rows are those of the same campaign run by [Campaign.run], for any
+   [jobs]; and the profile reads no shared state, so a daemon can
+   serve it next to other requests. *)
 
 type row = {
   func : string;
@@ -35,41 +33,45 @@ type t = {
   seed : int;
   rows : row list;  (* descending by [total], then by (func, pc) *)
   faults_total : int;  (* sum over rows = campaign faults landed *)
-  summary : Core.Campaign.summary;
 }
 
-let row_of_site ((func, pc), counts) =
-  let crash = counts.(Obs.cls_index Obs.Crash) in
-  let infinite = counts.(Obs.cls_index Obs.Infinite) in
-  let completed = counts.(Obs.cls_index Obs.Completed) in
-  { func; pc; crash; infinite; completed; total = crash + infinite + completed }
+(* [r] with one more landed fault from a trial that ended [outcome]. *)
+let tally (r : row) (outcome : Core.Outcome.t) =
+  let r = { r with total = r.total + 1 } in
+  match outcome with
+  | Core.Outcome.Crash _ -> { r with crash = r.crash + 1 }
+  | Core.Outcome.Infinite -> { r with infinite = r.infinite + 1 }
+  | Core.Outcome.Completed -> { r with completed = r.completed + 1 }
 
 let run ?(errors = 10) ?(trials = 20) ?(seed = 41) ?jobs
     ?(policy = Core.Policy.Protect_nothing) ~mode (l : Experiment.loaded) : t =
-  let campaign sink =
-    (* [l]'s memo: a first use prepares here, inside the sink, so the
-       prepare and its snapshot build are counted with the campaign. *)
-    let p = l.Experiment.prepared mode policy in
-    let score r = l.Experiment.built.Apps.App.score ~golden:l.Experiment.golden r in
-    let summary = Core.Campaign.run ?jobs ~score p ~errors ~trials ~seed in
-    (summary, Obs.view sink)
+  let p = l.Experiment.prepared mode policy in
+  let trial i =
+    let rng = Core.Campaign.trial_rng ~seed ~errors ~policy i in
+    let r = Core.Campaign.run_trial_result p ~errors ~rng ~index:i in
+    (Core.Outcome.of_result r, r.Sim.Interp.landed_sites)
   in
-  let summary, view =
-    if Obs.enabled () then campaign (Obs.installed ())
-    else begin
-      let sink = Obs.make () in
-      Obs.with_sink sink (fun () -> campaign sink)
-    end
-  in
+  let by_site = Hashtbl.create 64 in
+  Array.iter
+    (fun (outcome, sites) ->
+      Array.iter
+        (fun (func, pc) ->
+          let r =
+            Option.value (Hashtbl.find_opt by_site (func, pc))
+              ~default:
+                { func; pc; crash = 0; infinite = 0; completed = 0; total = 0 }
+          in
+          Hashtbl.replace by_site (func, pc) (tally r outcome))
+        sites)
+    (Core.Pool.map_n ?jobs trials trial);
   let rows =
     List.sort
       (fun a b ->
         match Int.compare b.total a.total with
         | 0 -> compare (a.func, a.pc) (b.func, b.pc)
         | c -> c)
-      (List.map row_of_site view.Obs.sites)
+      (List.of_seq (Hashtbl.to_seq_values by_site))
   in
-  let faults_total = List.fold_left (fun n r -> n + r.total) 0 rows in
   {
     app_name = l.Experiment.built.Apps.App.app_name;
     mode;
@@ -78,8 +80,7 @@ let run ?(errors = 10) ?(trials = 20) ?(seed = 41) ?jobs
     trials;
     seed;
     rows;
-    faults_total;
-    summary;
+    faults_total = List.fold_left (fun n r -> n + r.total) 0 rows;
   }
 
 (* Rows beyond [top] collapse into one "(other)" aggregate so column

@@ -2,7 +2,7 @@
 
    One request per line, one response per line, both compact JSON.
    Requests carry a client-chosen [id] (any JSON value) that the
-   response echoes verbatim, so clients may pipeline. Three
+   response echoes verbatim, so clients may pipeline. Four
    work-bearing shapes name a campaign command, read by
    [Request.of_json] into the [Request.t] the CLI builds from its
    flags:
@@ -11,12 +11,14 @@
       "errors": 3, "trials": 10, "seed": 1, "literal": false}
      {"id": 2, "cmd": "matrix", "spec": {"apps": ["adpcm"], "errors": [1]}}
      {"id": 3, "cmd": "audit", "app": "gsm", "errors": 2, "trials": 5}
+     {"id": 4, "cmd": "profile", "app": "susan", "errors": 2, "top": 5}
 
-   Absent inject and audit fields take [Request.defaults], the CLI
-   flags' defaults (an audit without "app" covers every app); a matrix
-   [spec] object is read by the same [Matrix.spec_of_json] that reads
-   [--spec] files, against the same default spec. `etap profile` and
-   `etap reproduce` are not served (DESIGN.md §17). Control verbs:
+   Absent inject, audit and profile fields take [Request.defaults], the
+   CLI flags' defaults (an audit without "app" covers every app; a
+   profile's "top" defaults to [Request.default_top], 0 shows every
+   site); a matrix [spec] object is read by the same
+   [Matrix.spec_of_json] that reads [--spec] files, against the same
+   default spec. `etap reproduce` is not served (DESIGN.md §17). Control verbs:
    ["ping"] (liveness probe, answered with an ["info"] health object:
    uptime, requests served, schema versions), ["stats"] (live
    introspection, answered with an [etap-stats/1] document under a
@@ -45,7 +47,8 @@ let access_schema = "etap-access/1"
 (* ----------------------------- requests ---------------------------- *)
 
 type request =
-  | Run of Request.t  (* a campaign command: inject, matrix or audit *)
+  | Run of Request.t
+      (* a campaign command: inject, matrix, audit or profile *)
   | Ping
   | Stats  (* live introspection: answered with an etap-stats/1 doc *)
   | Shutdown

@@ -1,11 +1,12 @@
 (* One request type for every campaign command, and one runner.
 
    `etap inject`, `matrix`, `audit`, `profile` and `reproduce` parse
-   their flags into a [t]; the serve daemon reads its inject, matrix
-   and audit requests into the same [t] ([of_json]). [run] runs a
-   request in-process: it writes the command's text through [say] as
-   each part is ready, hands the finished etap-report/1 document to
-   [emit], and returns that document and the request's typed error.
+   their flags into a [t]; the serve daemon reads its inject, matrix,
+   audit and profile requests into the same [t] ([of_json]). [run]
+   runs a request in-process: it writes the command's text through
+   [say] as each part is ready, hands the finished etap-report/1
+   document to [emit], and returns that document and the request's
+   typed error.
    The CLI and the daemon differ only in the [env] they run it in: how
    work fans out, how an app is loaded, and which result store (if
    any) campaign cells go through (DESIGN.md §16, §17). *)
@@ -23,9 +24,16 @@ type t =
   | Matrix of Matrix.spec
   | Audit of { app : string option; at : campaign }  (* None: every app *)
   | Profile of { app : string; at : campaign; top : int option }
-      (* [top]: sites shown, None for all *)
+      (* [top]: sites shown, None for all ([profile]) *)
   | Reproduce of { experiments : string list; quick : bool }
       (* [] runs every experiment *)
+
+(* `etap profile --top`'s default, which an absent "top" takes too. *)
+let default_top = 20
+
+(* A profile request showing [top] sites, 0 for all. *)
+let profile ~app ~at ~top =
+  Profile { app; at; top = (if top = 0 then None else Some top) }
 
 let command = function
   | Inject _ -> "inject"
@@ -68,7 +76,8 @@ let key (r : t) : string =
    campaign command the daemon serves. *)
 let of_json (cmd : string) (j : J.t) : (t, string) result option =
   let ( let* ) = Result.bind in
-  (* The app field (required for an inject), then the coordinates. *)
+  (* The app field (required for an inject or a profile), then the
+     coordinates. *)
   let campaign ~required make =
     let* app =
       match J.member "app" j with
@@ -94,6 +103,13 @@ let of_json (cmd : string) (j : J.t) : (t, string) result option =
       (campaign ~required:true (fun app at ->
            Inject { app = Option.get app; at }))
   | "audit" -> Some (campaign ~required:false (fun app at -> Audit { app; at }))
+  | "profile" ->
+    Some
+      (let* top =
+         Matrix.field_int ~check:(Matrix.at_least "top" 0) j "top" default_top
+       in
+       campaign ~required:true (fun app at ->
+           profile ~app:(Option.get app) ~at ~top))
   | "matrix" ->
     Some
       (match J.member "spec" j with

@@ -5,7 +5,7 @@
    fast-engine compilation, snapshot builds — before the first trial
    executes. This module keeps all of that warm across *requests*: a
    long-running process answers line-delimited [Proto] requests
-   (inject, matrix and audit) with the same typed-status
+   (inject, matrix, audit and profile) with the same typed-status
    [etap-report/1] documents the CLI emits, bit-identical to standalone
    runs because both sides run the same [Request.t] through the same
    [Request.run] — only its environment differs ([dispatch]) — and
@@ -210,7 +210,7 @@ let dispatch t (r : Request.t) : outcome =
   in
   (* [dispatch] runs on a worker ([on_worker]), so loads, cells and
      each cell's trial batch ([Memo.run]'s misses, an audit cell's
-     trials) are [Core.Pool] batches on the shared executor, with no
+     trials) and a profile's trials are [Core.Pool] batches on the shared executor, with no
      limit: every free worker may claim them, and the submitter helps. *)
   let env = { Request.jobs = None; load; store = Some t.store } in
   let ((_, err) as reply) = Request.run env r in

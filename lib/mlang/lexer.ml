@@ -93,7 +93,13 @@ let lex_number t =
     end;
     FLOAT (float_of_string (String.sub t.src start (t.pos - start)))
   end
-  else INT (int_of_string (String.sub t.src start (t.pos - start)))
+  else begin
+    let digits = String.sub t.src start (t.pos - start) in
+    match int_of_string_opt digits with
+    | Some n -> INT n
+    | None ->
+      raise (Lex_error (t.line, "integer literal out of range: " ^ digits))
+  end
 
 let lex_raw t : token =
   skip_ws t;

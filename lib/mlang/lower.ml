@@ -113,10 +113,13 @@ let cmp_int op a b =
   in
   if holds then 1 else 0
 
-(* Bottom-up constant folding on the AST. *)
+(* Bottom-up constant folding on the AST. An integer literal folds as
+   the 32-bit value its [Li] loads, so every fold computes on the
+   machine's operands. *)
 let rec fold (e : expr) : expr =
   match e with
-  | Int _ | Flt _ | Var _ -> e
+  | Int n -> Int (sx32 n)
+  | Flt _ | Var _ -> e
   | Bin (op, a, b) -> begin
     match (fold a, fold b) with
     | Int x, Int y -> (

@@ -15,7 +15,7 @@
    under the executor mutex, which the submitter takes before it
    returns, so the merge reads buffers whose writes are published.
    All merge operations are commutative and associative — counter
-   sums, histogram bucket sums, site-tally sums — which is what makes
+   sums and histogram bucket sums — which is what makes
    the merged totals independent of the domain fan-out and of buffer
    registration order. *)
 
@@ -113,13 +113,6 @@ end
 (* ------------------------------------------------------------------ *)
 (* Sinks and per-domain buffers.                                       *)
 
-type cls =
-  | Crash
-  | Infinite
-  | Completed
-
-let cls_index = function Crash -> 0 | Infinite -> 1 | Completed -> 2
-
 type span_ev = {
   sp_name : string;
   sp_cat : string;
@@ -133,7 +126,6 @@ type buf = {
   b_tid : int;
   b_counters : (string, int ref) Hashtbl.t;
   b_hists : (string, Hist.t ref) Hashtbl.t;
-  b_sites : (string * int, int array) Hashtbl.t;
   mutable b_spans : span_ev list;  (* reversed *)
 }
 
@@ -142,7 +134,7 @@ type sink = {
   mu : Mutex.t;
   record_spans : bool;
       (* [false] for always-on sinks (the serve daemon): counters,
-         histograms and site tallies are bounded-size aggregates, but
+         histograms are bounded-size aggregates, but
          spans are a per-event list that would grow without bound over
          a daemon's lifetime. *)
   mutable bufs : buf list;
@@ -185,7 +177,6 @@ let buf_for (s : sink) : buf =
         b_tid = (Domain.self () :> int);
         b_counters = Hashtbl.create 32;
         b_hists = Hashtbl.create 8;
-        b_sites = Hashtbl.create 32;
         b_spans = [];
       }
     in
@@ -214,23 +205,6 @@ let observe name x =
     match Hashtbl.find_opt b.b_hists name with
     | Some r -> r := Hist.add !r x
     | None -> Hashtbl.replace b.b_hists name (ref (Hist.add Hist.empty x))
-  end
-
-let site ~func ~pc cls =
-  let s = Atomic.get ambient in
-  if s.id <> 0 then begin
-    let b = buf_for s in
-    let key = (func, pc) in
-    let cell =
-      match Hashtbl.find_opt b.b_sites key with
-      | Some c -> c
-      | None ->
-        let c = Array.make 3 0 in
-        Hashtbl.replace b.b_sites key c;
-        c
-    in
-    let i = cls_index cls in
-    cell.(i) <- cell.(i) + 1
   end
 
 (* Span clock: CLOCK_MONOTONIC (bechamel's stubs — already in the
@@ -275,15 +249,21 @@ let span ~name ?cat f =
 type view = {
   counters : (string * int) list;
   hists : (string * Hist.t) list;
-  sites : ((string * int) * int array) list;
   spans : span_ev list;
 }
 
-(* A view copies every counter, rebuilds every histogram and duplicates
-   every site array, so it is an immutable value and may be taken of a
-   live sink without waiting for the writers to quiesce. Reads of
-   buffers that other domains are still mutating are memory-safe under
-   OCaml 5 (each cell read yields some previously written value); a
+let span_compare a b =
+  match Float.compare a.sp_ts_us b.sp_ts_us with
+  | 0 -> (
+    match Int.compare a.sp_tid b.sp_tid with
+    | 0 -> String.compare a.sp_name b.sp_name
+    | c -> c)
+  | c -> c
+
+(* A view copies every counter and rebuilds every histogram, so it is
+   an immutable value and may be taken of a live sink without waiting
+   for the writers to quiesce. Reads of buffers that other domains are
+   still mutating are memory-safe under OCaml 5 (each cell read yields some previously written value); a
    view may lag the writers by in-flight increments, but successive
    views of one sink are monotone per counter and per bucket once the
    intervening work has a happens-before edge to the reader (the serve
@@ -295,7 +275,6 @@ let view (s : sink) : view =
   Mutex.unlock s.mu;
   let counters = Hashtbl.create 64 in
   let hists = Hashtbl.create 16 in
-  let sites = Hashtbl.create 64 in
   let spans = ref [] in
   List.iter
     (fun b ->
@@ -311,51 +290,29 @@ let view (s : sink) : view =
           | Some acc -> Hashtbl.replace hists k (Hist.merge acc !r)
           | None -> Hashtbl.replace hists k !r)
         b.b_hists;
-      Hashtbl.iter
-        (fun k c ->
-          match Hashtbl.find_opt sites k with
-          | Some acc -> Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) c
-          | None -> Hashtbl.replace sites k (Array.copy c))
-        b.b_sites;
       spans := List.rev_append b.b_spans !spans)
     bufs;
-  let sorted_assoc tbl cmp =
-    List.sort (fun (a, _) (b, _) -> cmp a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  let sorted tbl =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
   {
-    counters = sorted_assoc counters String.compare;
-    hists = sorted_assoc hists String.compare;
-    sites = sorted_assoc sites compare;
-    spans =
-      List.sort
-        (fun a b ->
-          match Float.compare a.sp_ts_us b.sp_ts_us with
-          | 0 -> (
-            match Int.compare a.sp_tid b.sp_tid with
-            | 0 -> String.compare a.sp_name b.sp_name
-            | c -> c)
-          | c -> c)
-        !spans;
+    counters = sorted counters;
+    hists = sorted hists;
+    spans = List.sort span_compare !spans;
   }
-
-let span_compare a b =
-  match Float.compare a.sp_ts_us b.sp_ts_us with
-  | 0 -> (
-    match Int.compare a.sp_tid b.sp_tid with
-    | 0 -> String.compare a.sp_name b.sp_name
-    | c -> c)
-  | c -> c
 
 (* Sorted-assoc merge: both inputs ascend by key, the output does too.
    [combine] is only called on keys present in both. *)
-let rec merge_assoc cmp combine a b =
+let rec merge_assoc combine a b =
   match (a, b) with
   | [], l | l, [] -> l
   | (ka, va) :: ta, (kb, vb) :: tb ->
-    let c = cmp ka kb in
-    if c = 0 then (ka, combine va vb) :: merge_assoc cmp combine ta tb
-    else if c < 0 then (ka, va) :: merge_assoc cmp combine ta b
-    else (kb, vb) :: merge_assoc cmp combine a tb
+    let c = String.compare ka kb in
+    if c = 0 then (ka, combine va vb) :: merge_assoc combine ta tb
+    else if c < 0 then (ka, va) :: merge_assoc combine ta b
+    else (kb, vb) :: merge_assoc combine a tb
 
 (* Merge two views with the same commutative, associative operations
    [view] uses across per-domain buffers — so merging views of two
@@ -363,18 +320,13 @@ let rec merge_assoc cmp combine a b =
    streams. *)
 let merge (a : view) (b : view) : view =
   {
-    counters = merge_assoc String.compare ( + ) a.counters b.counters;
-    hists = merge_assoc String.compare Hist.merge a.hists b.hists;
-    sites =
-      merge_assoc compare
-        (fun x y -> Array.init 3 (fun i -> x.(i) + y.(i)))
-        a.sites b.sites;
+    counters = merge_assoc ( + ) a.counters b.counters;
+    hists = merge_assoc Hist.merge a.hists b.hists;
     spans = List.merge span_compare a.spans b.spans;
   }
 
 (* [diff newer older] is the interval between two views of one
-   sink: counters and site tallies subtract, histograms diff
-   bucket-wise ([Hist.diff]). Because every family is mergeable
+   sink: counters subtract, histograms diff bucket-wise ([Hist.diff]). Because every family is mergeable
    bucket-by-bucket/key-by-key, diff distributes over merge — the
    delta of merged streams equals the merge of per-stream deltas — so
    interval statistics are exact and jobs-invariant, like the totals.
@@ -383,21 +335,21 @@ let merge (a : view) (b : view) : view =
    multiset difference (an older view's spans are a sub-multiset
    of a newer one's). *)
 let diff (newer : view) (older : view) : view =
-  let rec diff_assoc cmp sub keep a b =
+  let rec diff_assoc sub keep a b =
     match (a, b) with
     | rest, [] -> List.filter (fun (_, v) -> keep v) rest
     | [], _ -> []
     | (ka, va) :: ta, (kb, vb) :: tb ->
-      let c = cmp ka kb in
+      let c = String.compare ka kb in
       if c = 0 then begin
         let v = sub va vb in
-        if keep v then (ka, v) :: diff_assoc cmp sub keep ta tb
-        else diff_assoc cmp sub keep ta tb
+        if keep v then (ka, v) :: diff_assoc sub keep ta tb
+        else diff_assoc sub keep ta tb
       end
       else if c < 0 then
-        if keep va then (ka, va) :: diff_assoc cmp sub keep ta b
-        else diff_assoc cmp sub keep ta b
-      else diff_assoc cmp sub keep a tb
+        if keep va then (ka, va) :: diff_assoc sub keep ta b
+        else diff_assoc sub keep ta b
+      else diff_assoc sub keep a tb
   in
   let rec diff_spans n o =
     match (n, o) with
@@ -409,18 +361,9 @@ let diff (newer : view) (older : view) : view =
       else diff_spans n to_
   in
   {
-    counters =
-      diff_assoc String.compare ( - ) (fun v -> v <> 0) newer.counters
-        older.counters;
+    counters = diff_assoc ( - ) (fun v -> v <> 0) newer.counters older.counters;
     hists =
-      diff_assoc String.compare Hist.diff
-        (fun h -> Hist.count h > 0)
-        newer.hists older.hists;
-    sites =
-      diff_assoc compare
-        (fun x y -> Array.init 3 (fun i -> x.(i) - y.(i)))
-        (fun a -> Array.exists (fun v -> v <> 0) a)
-        newer.sites older.sites;
+      diff_assoc Hist.diff (fun h -> Hist.count h > 0) newer.hists older.hists;
     spans = diff_spans newer.spans older.spans;
   }
 
@@ -537,22 +480,8 @@ let metrics_lines ?(redact_volatile = false) ~command ~meta (v : view) :
                  (Hist.buckets h)) );
         ])
   in
-  let site_line ((func, pc), c) =
-    Json.Obj
-      [
-        ("type", Json.Str "fault_site");
-        ("func", Json.Str func);
-        ("pc", Json.Int pc);
-        ("crash", Json.Int c.(0));
-        ("infinite", Json.Int c.(1));
-        ("completed", Json.Int c.(2));
-        ("total", Json.Int (c.(0) + c.(1) + c.(2)));
-      ]
-  in
   List.map Json.to_compact_string
-    ((header :: List.map counter_line v.counters)
-    @ List.map hist_line v.hists
-    @ List.map site_line v.sites)
+    ((header :: List.map counter_line v.counters) @ List.map hist_line v.hists)
 
 let write_metrics ~path ~command ~meta v =
   Out_channel.with_open_text path (fun oc ->

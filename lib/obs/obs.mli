@@ -1,6 +1,8 @@
-(** Campaign telemetry: spans, counters, log-bucketed histograms, a
-    fault-site attribution tally, and exporters (Chrome trace-event
-    JSON and a JSONL metrics stream).
+(** Campaign telemetry: counters, log-bucketed histograms, spans, and
+    exporters (Chrome trace-event JSON and a JSONL metrics stream).
+    Per-trial facts — outcomes, crash sites, landed-fault sites — live
+    in trial results, not here: [Harness.Profile] tallies fault sites
+    from its own trials.
 
     The layer is {e ambient}: recording goes through the currently
     {!install}ed {!sink}. The default sink is {!disabled}, and every
@@ -9,14 +11,14 @@
     hot paths. An enabled sink gives each domain a private buffer
     (registered on first write, then written lock-free), and {!view}
     merges the buffers with commutative, associative operations, so the
-    merged counters, histograms and site tallies are identical for any
+    merged counters and histograms are identical for any
     domain fan-out and any merge order. Only span timestamps are
     inherently non-deterministic; they appear in obs output only, never
     in trial records.
 
     Determinism contract (see DESIGN.md §13): for a fixed campaign
-    configuration, every counter total, histogram {e count} and site
-    tally is byte-identical across [--jobs] values; histogram bucket
+    configuration, every counter total and histogram {e count} is
+    byte-identical across [--jobs] values; histogram bucket
     contents and span timings are wall-clock and therefore volatile. *)
 
 (** Mergeable log-bucketed histogram.
@@ -61,8 +63,8 @@ val disabled : sink
 
 val make : ?record_spans:bool -> unit -> sink
 (** A fresh collecting sink. [record_spans] (default [true]) controls
-    whether {!span_end} appends span events: counters, histograms and
-    site tallies are bounded-size aggregates, but spans grow per
+    whether {!span_end} appends span events: counters and histograms
+    are bounded-size aggregates, but spans grow per
     event, so an always-on sink (the serve daemon's) passes [false]
     to keep its footprint bounded over an unbounded lifetime. *)
 
@@ -88,16 +90,6 @@ val count : string -> int -> unit
 
 val observe : string -> float -> unit
 (** [observe name x] adds one sample to the histogram [name]. *)
-
-(** Outcome class of a fault landing, for the attribution tally. *)
-type cls =
-  | Crash
-  | Infinite
-  | Completed
-
-val site : func:string -> pc:int -> cls -> unit
-(** Tally one injected fault that landed at body index [pc] of
-    function [func], in a trial classified as [cls]. *)
 
 val now_us : unit -> float
 (** The clock spans are stamped with, in microseconds: CLOCK_MONOTONIC
@@ -139,15 +131,12 @@ type span_ev = {
 type view = {
   counters : (string * int) list;  (** sorted by name *)
   hists : (string * Hist.t) list;  (** sorted by name *)
-  sites : ((string * int) * int array) list;
-      (** [(func, pc)] -> counts indexed by {!cls} (3 cells), sorted by
-          [(func, pc)] *)
   spans : span_ev list;  (** sorted by [(ts, tid, name)] *)
 }
 
 val view : sink -> view
 (** Merge the sink's per-domain buffers into an immutable value (every
-    counter, histogram and site array is copied). Non-destructive: the
+    counter and histogram is copied). Non-destructive: the
     sink keeps collecting, and a later [view] includes everything
     again. Taken after the writing domains have joined, it is the
     sink's total. It may also be taken of a {e live} sink: concurrent
@@ -159,21 +148,16 @@ val view : sink -> view
 
 val merge : view -> view -> view
 (** Merge two views with the same commutative, associative operations
-    {!view} applies across per-domain buffers: counters and site
-    tallies add, histograms {!Hist.merge}, spans interleave in
+    {!view} applies across per-domain buffers: counters add, histograms {!Hist.merge}, spans interleave in
     timestamp order. *)
 
 val diff : view -> view -> view
 (** [diff newer older] — the interval between two views of one
-    sink. Counters and site tallies subtract (zero entries dropped),
+    sink. Counters subtract (zero entries dropped),
     histograms {!Hist.diff} bucket-wise, spans take the multiset
     difference. Diff distributes over {!merge}, so interval deltas
     inherit the determinism contract of the totals: exact and
     jobs-invariant. Keys present only in [older] are dropped. *)
-
-val cls_index : cls -> int
-(** Index of a class in a {!view} site tally: 0 crash, 1 infinite,
-    2 completed. *)
 
 val write_trace : path:string -> view -> unit
 (** Write the Chrome trace-event document (loadable by chrome://tracing
@@ -189,12 +173,12 @@ val metrics_lines :
   string list
 (** The JSONL metrics stream, one compact JSON document per line: a
     header line declaring [schema]/[command]/[meta] plus capture host
-    and wall-clock time, then one line per counter, histogram and
-    fault site. [redact_volatile] (default false, used by the golden
+    and wall-clock time, then one line per counter and histogram.
+    [redact_volatile] (default false, used by the golden
     generator) nulls the wall-clock-dependent fields — capture time,
     hostname, histogram quantiles and buckets — leaving a byte-stable
-    document; deterministic fields (every counter, histogram counts,
-    site tallies) are kept. *)
+    document; deterministic fields (every counter, histogram counts)
+    are kept. *)
 
 val write_metrics :
   path:string ->

@@ -89,8 +89,8 @@ type result = {
          [outcome] is [Trapped]; [None] otherwise *)
   landed_sites : (string * int) array;
       (* (function name, body index) of each landed fault, in landing
-         order; length [faults_landed]. The raw material of the obs
-         fault-site attribution profile. *)
+         order; length [faults_landed]. What Harness.Profile
+         tallies. *)
   fault_flow : Taint.summary option;
       (* [Some] iff [taint] was set: the shadow-taint fault-flow
          classification of this run *)
@@ -357,21 +357,16 @@ let advance m ~pause_at : [ `Paused | `Halted ] =
    observability. Counter totals depend only on what the run executed,
    never on scheduling or engine — the jobs-invariance contract of
    lib/obs extends to engine-invariance. *)
-let obs_run_counters ~dyn ~inj_seen ~landed ~outcome ~trap_site =
+let obs_run_counters ~dyn ~inj_seen ~landed ~outcome =
   if Obs.enabled () then begin
     Obs.count "sim.runs" 1;
     Obs.count "sim.instructions" dyn;
     Obs.count "sim.injectable_seen" inj_seen;
     if landed > 0 then Obs.count "sim.faults_landed" landed;
-    (match outcome with
-     | Trapped t ->
-       Obs.count ("sim.trap." ^ Trap.kind t) 1;
-       (match trap_site with
-        | Some (func, pc) ->
-          Obs.count (Printf.sprintf "sim.trap_site.%s+%d" func pc) 1
-        | None -> ())
-     | Timeout -> Obs.count "sim.timeouts" 1
-     | Done _ -> ())
+    match outcome with
+    | Trapped t -> Obs.count ("sim.trap." ^ Trap.kind t) 1
+    | Timeout -> Obs.count "sim.timeouts" 1
+    | Done _ -> ()
   end
 
 let finish m : result =
@@ -389,8 +384,7 @@ let finish m : result =
         | Some (fid, pc) -> Some (m.code.Code.funcs.(fid).Code.name, pc)
         | None -> None )
   in
-  obs_run_counters ~dyn:m.dyn ~inj_seen:m.inj_seen ~landed:m.landed ~outcome
-    ~trap_site;
+  obs_run_counters ~dyn:m.dyn ~inj_seen:m.inj_seen ~landed:m.landed ~outcome;
   {
     outcome;
     dyn_count = m.dyn;

@@ -48,8 +48,7 @@ type result = {
       (** (function name, body index) of each landed fault, in landing
           order; length [faults_landed]. Return write-back landings are
           attributed to the caller's [DCall], matching where the
-          injection hook runs. The raw material of the obs fault-site
-          attribution profile. *)
+          injection hook runs. What [Harness.Profile] tallies. *)
   fault_flow : Taint.summary option;
       (** shadow-taint fault-flow classification; [Some] iff the
           machine was built (or resumed) with [~taint:true] *)

@@ -50,13 +50,11 @@ if kind == "metrics":
     expect("command" in head and "meta" in head, "header missing command/meta")
     for rec in lines[1:]:
         t = rec.get("type")
-        expect(t in ("counter", "histogram", "fault_site"),
-               f"unknown record type {t!r}")
+        # Counters and histograms only: per-site fault tallies are
+        # `etap profile` output, not telemetry, so a site line fails.
+        expect(t in ("counter", "histogram"), f"unknown record type {t!r}")
         if t == "counter":
             expect(isinstance(rec.get("value"), int), "non-integer counter")
-        if t == "fault_site":
-            expect(rec["total"] == rec["crash"] + rec["infinite"] + rec["completed"],
-                   "fault_site total != class sum")
 elif kind == "trace":
     doc = json.load(open(path))
     expect(doc.get("schema") == "etap-trace/1",

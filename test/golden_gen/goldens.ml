@@ -86,9 +86,9 @@ let campaign_gcd () =
   d1
 
 (* One susan campaign at quick scale with telemetry on: its fault-site
-   attribution profile and its redacted metrics stream. Both come from
-   the obs sink, so they freeze the telemetry layer's deterministic
-   content: counter totals, site tallies and histogram counts
+   attribution profile, tallied from its own trials, and the redacted
+   metrics stream its trials recorded, which freezes the telemetry
+   layer's deterministic content: counter totals and histogram counts
    (wall-clock-derived fields are nulled by [redact_volatile]). *)
 let susan_profile =
   lazy

@@ -528,7 +528,7 @@ let test_run_trial_result_matches_scratch () =
     let rng =
       Campaign.trial_rng ~seed ~errors ~policy:p.Campaign.policy index
     in
-    let r = Campaign.run_trial_result p ~errors ~rng in
+    let r = Campaign.run_trial_result p ~errors ~rng ~index in
     let rng' =
       Campaign.trial_rng ~seed ~errors ~policy:p.Campaign.policy index
     in

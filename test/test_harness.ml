@@ -256,6 +256,59 @@ let test_taxonomy_sums_to_100 () =
       +. r.Harness.Taxonomy.pct_catastrophic)
   | _ -> Alcotest.fail "one row expected"
 
+(* The fault-site profile tallies its own trials: the same rows at any
+   jobs value, and rows that account for every landed fault — the
+   campaign.faults_landed counter its trials record, and, class by
+   class, the records of the same campaign run by [Campaign.run]. *)
+let profile ?jobs () =
+  Harness.Profile.run ~errors:10 ~trials:8 ~seed:7 ?jobs
+    ~mode:Harness.Experiment.Full (Lazy.force loaded)
+
+let test_profile_jobs_invariant () =
+  let p1 = profile ~jobs:1 () and p2 = profile ~jobs:2 () in
+  Alcotest.(check bool) "sites found" true (p1.Harness.Profile.rows <> []);
+  Alcotest.(check bool) "rows at jobs 1 = rows at jobs 2" true
+    (p1.Harness.Profile.rows = p2.Harness.Profile.rows);
+  Alcotest.(check string) "rendered alike"
+    (Harness.Profile.render p1) (Harness.Profile.render p2)
+
+let test_profile_totals () =
+  let sink = Obs.make () in
+  let p = Obs.with_sink sink (fun () -> profile ~jobs:2 ()) in
+  let rows = p.Harness.Profile.rows in
+  let sum f = List.fold_left (fun n r -> n + f r) 0 rows in
+  Alcotest.(check (option int)) "row totals = campaign.faults_landed"
+    (List.assoc_opt "campaign.faults_landed" (Obs.view sink).Obs.counters)
+    (Some (sum (fun r -> r.Harness.Profile.total)));
+  Alcotest.(check int) "faults_total = row totals"
+    (sum (fun r -> r.Harness.Profile.total))
+    p.Harness.Profile.faults_total;
+  let s =
+    Core.Campaign.run ~jobs:2
+      ((Lazy.force loaded).Harness.Experiment.prepared Harness.Experiment.Full
+         Core.Policy.Protect_nothing)
+      ~errors:10 ~trials:8 ~seed:7
+  in
+  let landed keep =
+    List.fold_left
+      (fun n (t : Core.Campaign.trial) ->
+        if keep t.Core.Campaign.outcome then n + t.Core.Campaign.faults_landed
+        else n)
+      0 s.Core.Campaign.trials
+  in
+  let is_crash = function Core.Outcome.Crash _ -> true | _ -> false in
+  Alcotest.(check bool) "trials of two classes" true
+    (landed (( = ) Core.Outcome.Infinite) > 0
+    && landed (( = ) Core.Outcome.Completed) > 0);
+  Alcotest.(check int) "crash column = faults of crashed trials"
+    (landed is_crash) (sum (fun r -> r.Harness.Profile.crash));
+  Alcotest.(check int) "infinite column = faults of timed-out trials"
+    (landed (( = ) Core.Outcome.Infinite))
+    (sum (fun r -> r.Harness.Profile.infinite));
+  Alcotest.(check int) "completed column = faults of completed trials"
+    (landed (( = ) Core.Outcome.Completed))
+    (sum (fun r -> r.Harness.Profile.completed))
+
 let () =
   Alcotest.run "harness"
     [
@@ -288,5 +341,12 @@ let () =
         [
           Alcotest.test_case "eligibility rows" `Quick
             test_ablation_eligibility_rows;
+        ] );
+      ( "profile",
+        [
+          Alcotest.test_case "rows identical at jobs 1 and 2" `Quick
+            test_profile_jobs_invariant;
+          Alcotest.test_case "row totals = campaign.faults_landed" `Quick
+            test_profile_totals;
         ] );
     ]

@@ -321,6 +321,71 @@ let test_constant_folding () =
   let main = Ir.Prog.get_func prog "main" in
   Alcotest.(check int) "folded to li/ret" 2 (Ir.Func.length main)
 
+(* Folding computes what the machine computes. [a op b] on integer
+   literals — beyond 32 bits too, which the [Li] loading them wraps —
+   folds to the value the simulator returns for the same instruction
+   on the loaded operands; a division by zero stays unfolded and traps
+   at run time. *)
+let machine_result instr a b =
+  let r = Ir.Reg.int in
+  let main =
+    Ir.Func.make ~name:"main" ~params:[] ~ret:(Some Ir.Ty.I32)
+      [
+        Ir.Instr.Li (r 0, Int32.of_int a);
+        Ir.Instr.Li (r 1, Int32.of_int b);
+        instr (r 2) (r 0) (r 1);
+        Ir.Instr.Ret (Some (r 2));
+      ]
+  in
+  match
+    (Sim.Interp.run (Sim.Code.of_prog (Ir.Prog.make ~globals:[] [ main ])))
+      .Sim.Interp.outcome
+  with
+  | Sim.Interp.Done (Some (Sim.Value.I v)) -> Some v
+  | _ -> None
+
+let fold_matches_machine =
+  let open Mlang.Ast in
+  let ops =
+    List.map (fun op -> `Bin op)
+      [ Add; Sub; Mul; Div; Rem; BAnd; BOr; BXor; Shl; Shr; Ashr ]
+    @ List.map (fun op -> `Cmp op) [ Eq; Ne; Lt; Le; Gt; Ge ]
+  in
+  let literal =
+    QCheck.Gen.(
+      oneof
+        [
+          small_signed_int;
+          int_range (-(1 lsl 40)) (1 lsl 40);
+          oneofl
+            [ 0; 2147483647; 2147483648; -2147483648; -2147483649;
+              4294967295; 4294967296; max_int; min_int ];
+          int;
+        ])
+  in
+  QCheck.Test.make ~name:"constant folds = machine arithmetic" ~count:2000
+    (QCheck.make
+       ~print:(fun (_, a, b) -> Printf.sprintf "a=%d b=%d" a b)
+       QCheck.Gen.(triple (oneofl ops) literal literal))
+    (fun (op, a, b) ->
+      let folded, machine =
+        match op with
+        | `Bin op ->
+          ( Mlang.Lower.fold (Bin (op, Int a, Int b)),
+            machine_result
+              (fun d x y -> Ir.Instr.Bin (Mlang.Lower.ir_binop op, d, x, y))
+              a b )
+        | `Cmp op ->
+          ( Mlang.Lower.fold (Cmp (op, Int a, Int b)),
+            machine_result
+              (fun d x y -> Ir.Instr.Cmp (Mlang.Lower.ir_cmpop op, d, x, y))
+              a b )
+      in
+      match (folded, machine) with
+      | Int v, Some m -> v = m
+      | Bin ((Div | Rem), _, _), None -> true
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -352,5 +417,6 @@ let () =
           Alcotest.test_case "dce shrinks" `Quick test_dce_shrinks;
           Alcotest.test_case "dce keeps traps" `Quick test_dce_keeps_traps;
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
+          QCheck_alcotest.to_alcotest fold_matches_machine;
         ] );
     ]

@@ -4,8 +4,10 @@
    - the etap-serve/1 line protocol round-trips: requests parse with
      CLI-default fields, malformed lines salvage their id and yield a
      typed error instead of raising, responses read back losslessly;
-   - a served inject/matrix report carries tables bit-identical to the
-     equivalent standalone run (same seed derivation, same cache);
+   - a served inject/matrix/audit/profile report carries tables
+     bit-identical to the equivalent standalone run (same seed
+     derivation, same cache), a profile even while another request's
+     trials run beside it;
    - the second identical request is answered from the warm registry —
      no app reload, no target re-preparation, zero trials executed,
      and at most 0.1x the cold request's wall;
@@ -176,8 +178,32 @@ let test_proto_requests () =
        (contains e "trials must be >= 1")
    | _ -> Alcotest.fail "audit with 0 trials should fail");
   (match Harness.Proto.request_of_line {|{"id":9,"cmd":"profile","app":"gsm"}|} with
-   | Report.Json.Int 9, Error _ -> ()
-   | _ -> Alcotest.fail "profile is not served");
+   | _, Ok (Harness.Proto.Run (Harness.Request.Profile { app; at; top })) ->
+     Alcotest.(check string) "profile app" "gsm" app;
+     cli_defaults at;
+     Alcotest.(check (option int)) "default top = --top's" (Some 20) top
+   | _ -> Alcotest.fail "expected a profile request");
+  (match
+     Harness.Proto.request_of_line
+       {|{"id":9,"cmd":"profile","app":"gsm","errors":2,"top":0,"literal":true}|}
+   with
+   | _, Ok (Harness.Proto.Run (Harness.Request.Profile { at; top; _ })) ->
+     Alcotest.(check bool) "profile fields read" true
+       (at = { Harness.Request.errors = 2; trials = 20; seed = 1; literal = true });
+     Alcotest.(check (option int)) "top 0: every site" None top
+   | _ -> Alcotest.fail "expected a profile request");
+  List.iter
+    (fun (line, what) ->
+      match Harness.Proto.request_of_line line with
+      | Report.Json.Int 9, Error e ->
+        Alcotest.(check bool) ("profile " ^ what ^ ": " ^ e) true
+          (contains e what)
+      | _ -> Alcotest.failf "%s should fail" line)
+    [
+      ({|{"id":9,"cmd":"profile"}|}, "missing \"app\"");
+      ({|{"id":9,"cmd":"profile","app":"gsm","top":-1}|}, "top must be >= 0");
+      ({|{"id":9,"cmd":"profile","app":"gsm","trials":0}|}, "trials must be >= 1");
+    ];
   (match Harness.Proto.request_of_line {|{"id":2,"cmd":"ping"}|} with
    | _, Ok Harness.Proto.Ping -> ()
    | _ -> Alcotest.fail "expected ping");
@@ -385,6 +411,54 @@ let test_audit_bit_identity () =
               [ Report.table_json (Harness.Taxonomy.audit_table ~mode direct) ]))
         (tables_of served))
     [ "gsm"; "adpcm" ]
+
+(* A served profile against the same request run standalone, with an
+   inject on another app in flight beside it: the gate holds each
+   request until both have registered, so they compute at once, and
+   the profile's rows must count its own trials only. *)
+let test_profile_bit_identity () =
+  let at = { Harness.Request.defaults with errors = 3; trials = 6 } in
+  let line =
+    {|{"id":2,"cmd":"profile","app":"adpcm","errors":3,"trials":6,"top":5}|}
+  in
+  let entered = Atomic.make 0 in
+  let gate _key =
+    Atomic.incr entered;
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while Atomic.get entered < 2 && Unix.gettimeofday () < deadline do
+      Thread.yield ()
+    done
+  in
+  let inject = ref "" in
+  let served =
+    with_serve ~gate @@ fun t ->
+    let th =
+      Thread.create
+        (fun () ->
+          inject :=
+            List.hd (exchange t [ inject_line ~errors:3 ~trials:10 ~seed:1 "gsm" ]))
+        ()
+    in
+    let r = reply_exn (List.hd (exchange t [ line ])) in
+    Thread.join th;
+    r
+  in
+  Alcotest.(check int) "both requests in flight together" 2
+    (Atomic.get entered);
+  Alcotest.(check bool) "inject served ok" true
+    (reply_exn !inject).Harness.Proto.ok;
+  Alcotest.(check bool) "profile served ok" true served.Harness.Proto.ok;
+  match
+    Harness.Request.run
+      (Harness.Request.local ~jobs:1 ())
+      (Harness.Request.profile ~app:"adpcm" ~at ~top:5)
+  with
+  | Some direct, None ->
+    Alcotest.(check string) "profile tables bit-identical to the standalone run"
+      (Report.Json.to_compact_string
+         (member_exn "tables" (Report.to_json direct)))
+      (tables_of served)
+  | _ -> Alcotest.fail "standalone profile failed"
 
 (* An audit cell that fails (here: an app the registry does not know)
    is a failed reply that still carries its report, as a matrix reply
@@ -922,6 +996,8 @@ let () =
             test_inject_bit_identity;
           Alcotest.test_case "served matrix = standalone sweep" `Quick
             test_matrix_bit_identity;
+          Alcotest.test_case "served profile = standalone profile" `Quick
+            test_profile_bit_identity;
           Alcotest.test_case "served audit = standalone audit" `Quick
             test_audit_bit_identity;
           Alcotest.test_case "a failed audit cell still ships its report"

@@ -143,14 +143,12 @@ let hist_diff_exact =
 type op =
   | Count of string * int
   | Observe of string * float
-  | Site of string * int * Obs.cls
 
 let apply_ops ops =
   List.iter
     (function
       | Count (n, v) -> Obs.count n v
-      | Observe (n, x) -> Obs.observe n x
-      | Site (f, pc, c) -> Obs.site ~func:f ~pc c)
+      | Observe (n, x) -> Obs.observe n x)
     ops
 
 let view_of ops =
@@ -170,20 +168,14 @@ let op_gen =
           (fun n x -> Observe (n, x))
           (oneofl [ "h"; "h.two" ])
           (float_range 0.5 1e6);
-        map3
-          (fun f pc c -> Site (f, pc, c))
-          (oneofl [ "f"; "g" ])
-          (int_range 0 3)
-          (oneofl [ Obs.Crash; Obs.Infinite; Obs.Completed ]);
       ])
 
 let ops_arb = QCheck.make QCheck.Gen.(list_size (int_range 0 40) op_gen)
 
-(* Span-free view equality: counters and site tallies structurally,
-   histograms bucket-by-bucket. *)
+(* Span-free view equality: counters structurally, histograms
+   bucket-by-bucket. *)
 let view_eq (a : Obs.view) (b : Obs.view) =
   a.Obs.counters = b.Obs.counters
-  && a.Obs.sites = b.Obs.sites
   && List.map fst a.Obs.hists = List.map fst b.Obs.hists
   && List.for_all2
        (fun (_, x) (_, y) -> hist_eq x y)
@@ -210,7 +202,6 @@ let test_multi_domain_interval () =
     List.init 200 (fun i ->
         if i mod 5 = 0 then Observe ("trial.us", float_of_int (i + 1))
         else Count ("campaign.trials", 1))
-    @ [ Site ("f", 2, Obs.Crash); Site ("f", 2, Obs.Completed) ]
   in
   let split n ops =
     List.init n (fun d ->

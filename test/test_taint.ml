@@ -240,7 +240,7 @@ let taint_plain_equivalence =
       let p = Lazy.force gcd_prepared Core.Policy.Protect_nothing in
       let run taint =
         let rng = Random.State.make [| seed; errors |] in
-        Core.Campaign.run_trial_result ~taint p ~errors ~rng
+        Core.Campaign.run_trial_result ~taint p ~errors ~rng ~index:0
       in
       let a = run false and b = run true in
       Core.Outcome.to_string (Core.Outcome.of_result a)
